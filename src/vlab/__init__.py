@@ -69,7 +69,6 @@ from .transform import (
 )
 from .means import (
     WeightSequence,
-    batch_partial_sums,
     harmonic_l,
     log_mean,
     log_weights,

@@ -368,7 +368,7 @@ def cmd_theorem_b(cfg: RunConfig) -> tuple[ExperimentReport, list[ExperimentRepo
                 f"log-mean identity {_status(li.ok)}"
             )
             master.add_meta(f"verify_nk{n_k}_p{p}", case_ok)
-        sweep = divergence_sweep(seq, cfg.k_list, p, weight, workers=_threads())
+        sweep = divergence_sweep(seq, cfg.k_list, p, weight)
         for row in sweep.rows:
             master.add_row(*row)
         verdict = sweep.meta["condition6"]
@@ -389,6 +389,13 @@ def cmd_theorem_b(cfg: RunConfig) -> tuple[ExperimentReport, list[ExperimentRepo
 # ---------------------------------------------------------------------------
 
 
+def _spec_int(spec: str) -> int:
+    try:
+        return int(spec.split(":", 1)[1])
+    except ValueError:
+        raise ConfigError(f"bad integer in function spec {spec!r}") from None
+
+
 def _resolve_fn(cfg: RunConfig):
     spec = cfg.fn
     if not spec:
@@ -396,11 +403,11 @@ def _resolve_fn(cfg: RunConfig):
     if spec.startswith("file:"):
         return load_step_function(spec.split(":", 1)[1]), spec
     if spec.startswith("dirichlet:"):
-        n = int(spec.split(":", 1)[1])
+        n = _spec_int(spec)
         seq = _build_seq(cfg)
         return dirichlet_kernel(seq, n), spec
     if spec.startswith("case:"):
-        nk = int(spec.split(":", 1)[1])
+        nk = _spec_int(spec)
         seq = _build_seq(cfg, min_depth=2 * nk + 1)
         return build_case(nk, seq).func, spec
     raise ConfigError(f"unknown function spec {spec!r}")

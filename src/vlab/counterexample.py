@@ -12,18 +12,18 @@ weak-type ratio sweep R_k and the exploratory bracket fit.
 
 from __future__ import annotations
 
-import concurrent.futures
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DepthTooSmall, InvalidExponent
+from .errors import DepthTooSmall
 from .group_core import RadixSequence, truncate
 from .means import harmonic_l, log_mean
 from .operators import (
     WeightFunction,
     boundedness_ratio,
+    check_p_unit,
     condition6_advisory,
     make_atom,
     power_weight,
@@ -171,9 +171,7 @@ def hardy_closed_value(case: CounterexampleCase, p: float) -> float:
     two level sets gives
     (M_hi - M_lo)^p / M_hi + M_lo^p (1/M_lo - 1/M_hi), all to the 1/p.
     """
-    p = float(p)
-    if not 0 < p < 1:
-        raise InvalidExponent(f"need 0 < p < 1, got {p}")
+    p = check_p_unit(p)
     lo, hi = case.m_lo, case.m_hi
     power = (hi - lo) ** p / hi + lo**p * (1.0 / lo - 1.0 / hi)
     return power ** (1.0 / p)
@@ -181,9 +179,7 @@ def hardy_closed_value(case: CounterexampleCase, p: float) -> float:
 
 def verify_hardy_bound(case: CounterexampleCase, p: float, rel_tol: float = 1e-12) -> HardyCheck:
     """Measured Hardy norm against the closed value and the uniform bound."""
-    p = float(p)
-    if not 0 < p < 1:
-        raise InvalidExponent(f"need 0 < p < 1, got {p}")
+    p = check_p_unit(p)
     mart = to_martingale(case.func)
     fstar = maximal_function(mart)
     gap = float(np.max(np.abs(fstar.values - np.abs(case.func.values))))
@@ -285,7 +281,6 @@ def divergence_sweep(
     k_list,
     p: float,
     weight: WeightFunction,
-    workers: int = 1,
 ) -> ExperimentReport:
     """Weak-type ratio R_k per case, with the analytic comparator.
 
@@ -294,17 +289,10 @@ def divergence_sweep(
     is asserted only when the weight family satisfies the divergence
     condition; otherwise the report records the verdict and skips it.
     """
-    p = float(p)
-    if not 0 < p < 1:
-        raise InvalidExponent(f"need 0 < p < 1, got {p}")
+    p = check_p_unit(p)
     k_list = [int(k) for k in k_list]
     verdict = condition6_advisory(weight, p)
-    jobs = [(pos + 1, n_k, radix_seq, p, weight) for pos, n_k in enumerate(k_list)]
-    if workers > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(lambda args: sweep_row(*args), jobs))
-    else:
-        rows = [sweep_row(*args) for args in jobs]
+    rows = [sweep_row(pos + 1, n_k, radix_seq, p, weight) for pos, n_k in enumerate(k_list)]
     ratios = [row[9] for row in rows]
     monotone = all(b > a for a, b in zip(ratios, ratios[1:]))
     report = ExperimentReport(columns=list(SWEEP_COLUMNS))
@@ -336,9 +324,7 @@ def theta_bracket(
     ordered on the whole grid).  The fit only encloses finite data; it
     carries no optimality content.
     """
-    p = float(p)
-    if not 0 < p < 1:
-        raise InvalidExponent(f"need 0 < p < 1, got {p}")
+    p = check_p_unit(p)
     expo = 1.0 / p - 1.0
     points = []
     for n_k in k_list:

@@ -18,17 +18,12 @@ import numpy as np
 
 from .errors import IndexOutOfRange, InvalidWeight, ZeroTotalWeight
 from .step_functions import StepFunction
-from .transform import character_row, forward_fast
+from .transform import CoefficientVector, character_row, forward_fast, inverse
 
 
 def harmonic_l(n: int) -> float:
     """n-th harmonic number by forward summation in double precision."""
-    if n < 1:
-        raise IndexOutOfRange(f"harmonic number needs n >= 1, got {n}")
-    total = 0.0
-    for j in range(1, n + 1):
-        total += 1.0 / j
-    return total
+    return float(harmonic_numbers(n)[-1])
 
 
 def harmonic_numbers(n_max: int) -> np.ndarray:
@@ -89,7 +84,11 @@ def log_weights(n: int) -> WeightSequence:
 
 def weights_from_file(path) -> WeightSequence:
     """One q per line; no q_0."""
-    vals = [float(line) for line in open(path, "r", encoding="ascii") if line.strip()]
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            vals = [float(line) for line in fh if line.strip()]
+    except (OSError, ValueError) as exc:
+        raise InvalidWeight(f"cannot read weights from {path}: {exc}") from None
     if not vals:
         raise InvalidWeight(f"no weights found in {path}")
     return WeightSequence(values=np.asarray(vals), q0=None)
@@ -109,50 +108,58 @@ def weight_sequence_from_spec(spec: str, n: int) -> WeightSequence:
     raise InvalidWeight(f"unknown weight family {spec!r}")
 
 
-def iter_partial_sums(f: StepFunction, n_max: int):
-    """Yield (k, S_k f values) for k = 1..n_max by incremental synthesis.
-
-    The yielded array is a reused accumulation buffer; copy it before
-    holding a reference across iterations.
-    """
+def partial_sum_stack(f: StepFunction, n_max: int) -> np.ndarray:
+    """(n_max + 1, M_N) array whose row n holds S_n f (row 0 is zero)."""
     seq = f.radix_seq
     if n_max < 0 or n_max > seq.size:
         raise IndexOutOfRange(f"n_max {n_max} outside 0..{seq.size}")
     coeffs = forward_fast(f).coeffs
-    acc = np.zeros(seq.size, dtype=np.complex128)
-    for k in range(n_max):
-        acc += coeffs[k] * character_row(seq, k)
-        yield k + 1, acc
-
-
-def batch_partial_sums(f: StepFunction, n_max: int) -> list[StepFunction]:
-    """[S_1 f, ..., S_{n_max} f]; matches repeated partial_sum calls."""
-    return [StepFunction(f.radix_seq, acc) for _, acc in iter_partial_sums(f, n_max)]
-
-
-def partial_sum_stack(f: StepFunction, n_max: int) -> np.ndarray:
-    """(n_max + 1, M_N) array whose row n holds S_n f (row 0 is zero)."""
-    seq = f.radix_seq
     stack = np.zeros((n_max + 1, seq.size), dtype=np.complex128)
-    for k, acc in iter_partial_sums(f, n_max):
-        stack[k] = acc
-    return stack
+    for k in range(n_max):
+        stack[k + 1] = coeffs[k] * character_row(seq, k)
+    return np.cumsum(stack, axis=0, out=stack)
+
+
+def log_mean_rows(s_stack: np.ndarray, ns) -> np.ndarray:
+    """Rows L_n f for the orders in ``ns`` from a :func:`partial_sum_stack`.
+
+    Applies the triangle T[n, k] = 1/((n - k) l_n), 1 <= k < n, so the
+    stack needs rows up to max(ns) - 1.
+    """
+    ns = np.asarray(ns, dtype=np.int64).reshape(-1)
+    if ns.size == 0 or ns.min() < 2 or ns.max() > s_stack.shape[0]:
+        raise IndexOutOfRange(f"log mean orders need 2 <= n <= {s_stack.shape[0]}")
+    ks = np.arange(s_stack.shape[0])
+    ell = harmonic_numbers(int(ns.max()))[ns - 1]
+    gap = ns[:, None] - ks
+    tri = np.zeros(gap.shape, dtype=np.float64)
+    np.divide(1.0, gap * ell[:, None], out=tri, where=(gap > 0) & (ks >= 1))
+    return tri @ s_stack
+
+
+def _multiplier_mean(f: StepFunction, w: np.ndarray) -> StepFunction:
+    """Synthesis of sum_{j < len(w)} w_j c_j psi_j: one forward, one inverse pass."""
+    seq = f.radix_seq
+    coeffs = np.zeros(seq.size, dtype=np.complex128)
+    coeffs[: w.size] = w * forward_fast(f).coeffs[: w.size]
+    return inverse(CoefficientVector(seq, coeffs))
 
 
 def norlund_mean(f: StepFunction, n: int, weights: WeightSequence) -> StepFunction:
-    """(1/Q_n) sum q_{n-k} S_k f over k = 1..n-1, plus q_0 S_n f when q_0 exists."""
+    """(1/Q_n) sum q_{n-k} S_k f over k = 1..n-1, plus q_0 S_n f when q_0 exists.
+
+    Summing the partial sums gives the coefficient multiplier
+    w_j = (Q_{n-1-j} + q_0) / Q_n for j < n, with Q_0 = 0 and the q_0 term
+    only when q_0 exists.
+    """
     seq = f.radix_seq
     if n < 1 or n > seq.size:
         raise IndexOutOfRange(f"mean order {n} outside 1..{seq.size}")
     q_n = weights.total(n)
     if q_n <= 0:
         raise ZeroTotalWeight(f"Q_{n} = {q_n}")
-    need = n if weights.q0 is not None else n - 1
-    acc = np.zeros(seq.size, dtype=np.complex128)
-    for k, s in iter_partial_sums(f, need):
-        w = weights.q0 if k == n else weights.q(n - k)
-        acc += w * s
-    return StepFunction(seq, acc / q_n)
+    totals = np.concatenate(([0.0], weights._cumsum[: n - 1]))  # Q_0 .. Q_{n-1}
+    return _multiplier_mean(f, (totals[::-1] + (weights.q0 or 0.0)) / q_n)
 
 
 def log_mean(f: StepFunction, n: int, allow_first: bool = False) -> StepFunction:
@@ -166,25 +173,4 @@ def log_mean(f: StepFunction, n: int, allow_first: bool = False) -> StepFunction
         return StepFunction(seq, np.zeros(seq.size, dtype=np.complex128))
     if n < 2 or n > seq.size:
         raise IndexOutOfRange(f"log mean order {n} outside 2..{seq.size}")
-    acc = np.zeros(seq.size, dtype=np.complex128)
-    for k, s in iter_partial_sums(f, n - 1):
-        acc += s / (n - k)
-    return StepFunction(seq, acc / harmonic_l(n))
-
-
-def log_mean_stack(f: StepFunction, n_max: int) -> np.ndarray:
-    """(n_max + 1, M_N) array whose row n holds L_n f (rows 0 and 1 zero).
-
-    Materializes the S_k stack and one triangular weight matrix; intended
-    for moderate n_max.
-    """
-    seq = f.radix_seq
-    if n_max < 2 or n_max > seq.size:
-        raise IndexOutOfRange(f"n_max {n_max} outside 2..{seq.size}")
-    s_stack = partial_sum_stack(f, n_max - 1)
-    ell = harmonic_numbers(n_max)
-    tri = np.zeros((n_max + 1, n_max), dtype=np.float64)
-    for n in range(2, n_max + 1):
-        ks = np.arange(1, n)
-        tri[n, ks] = 1.0 / ((n - ks) * ell[n - 1])
-    return tri @ s_stack
+    return norlund_mean(f, n, log_weights(n))

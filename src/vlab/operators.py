@@ -21,7 +21,7 @@ from .errors import (
     RankOutOfRange,
 )
 from .group_core import Cylinder, GroupPoint, RadixSequence, cylinder_of
-from .means import harmonic_numbers, partial_sum_stack
+from .means import log_mean_rows, partial_sum_stack, weights_from_file
 from .step_functions import (
     StepFunction,
     hardy_quasinorm,
@@ -99,7 +99,7 @@ def custom_weight(values) -> WeightFunction:
 
 def critical_power_weight(p: float) -> WeightFunction:
     """phi(n) = n^{1/p - 1}, the boundedness-critical power for 0 < p < 1."""
-    p = _check_p_unit(p)
+    p = check_p_unit(p)
     return power_weight(1.0 / p - 1.0)
 
 
@@ -114,15 +114,14 @@ def parse_weight_spec(spec: str) -> WeightFunction:
             raise InvalidWeight(f"bad power weight spec {spec!r}") from None
         return power_weight(alpha)
     if spec.startswith("custom:"):
-        path = spec.split(":", 1)[1]
-        vals = [float(line) for line in open(path, "r", encoding="ascii") if line.strip()]
-        w = custom_weight(vals)
+        w = custom_weight(weights_from_file(spec.split(":", 1)[1]).values)
         object.__setattr__(w, "spec", spec)
         return w
     raise InvalidWeight(f"unknown weight spec {spec!r}")
 
 
-def _check_p_unit(p: float) -> float:
+def check_p_unit(p: float) -> float:
+    """Validate an exponent in the open range 0 < p < 1 and return it as a float."""
     p = float(p)
     if not 0 < p < 1:
         raise InvalidExponent(f"need 0 < p < 1, got {p}")
@@ -132,15 +131,6 @@ def _check_p_unit(p: float) -> float:
 # Row-block size for the triangular log-mean accumulation; bounds scratch
 # memory at roughly block * (n_max + M_N) complex entries.
 _BLOCK = 128
-
-
-def _log_mean_block_rows(s_stack: np.ndarray, ns: np.ndarray, ell: np.ndarray) -> np.ndarray:
-    """Rows L_n for the orders in ``ns`` from a partial-sum stack."""
-    tri = np.zeros((ns.size, s_stack.shape[0]), dtype=np.float64)
-    for r, n in enumerate(ns):
-        ks = np.arange(1, n)
-        tri[r, ks] = 1.0 / ((n - ks) * ell[n - 1])
-    return tri @ s_stack
 
 
 def weighted_maximal(
@@ -166,10 +156,9 @@ def weighted_maximal(
         best = np.max(np.abs(s_stack[1:]) / ws[:, None], axis=0)
     else:
         best = np.zeros(seq.size, dtype=np.float64)
-        ell = harmonic_numbers(n_max)
         for start in range(2, n_max + 1, _BLOCK):
             ns = np.arange(start, min(start + _BLOCK, n_max + 1))
-            rows = _log_mean_block_rows(s_stack, ns, ell)
+            rows = log_mean_rows(s_stack, ns)
             cand = np.abs(rows) / weight.phi(ns + 1)[:, None]
             np.maximum(best, cand.max(axis=0), out=best)
     return StepFunction(seq, best)
@@ -199,20 +188,19 @@ def domination_check(f: StepFunction, p: float, n_max: int, tol: float = 1e-12) 
     L_1 f = 0.  Returns the largest violation found (negative or tiny
     positive slack means the chain holds).
     """
-    p = _check_p_unit(p)
+    p = check_p_unit(p)
     seq = f.radix_seq
     if n_max < 2 or n_max > seq.size:
         raise IndexOutOfRange(f"n_max {n_max} outside 2..{seq.size}")
     expo = 1.0 / p - 1.0
     s_stack = partial_sum_stack(f, n_max)
-    ell = harmonic_numbers(n_max)
     k_weights = (np.arange(1, n_max + 1) + 1.0) ** expo
     # running[j] = sup over 1 <= k <= j+1 of |S_k| / (k+1)^expo
     running = np.maximum.accumulate(np.abs(s_stack[1:]) / k_weights[:, None], axis=0)
     worst = -np.inf
     for start in range(2, n_max + 1, _BLOCK):
         ns = np.arange(start, min(start + _BLOCK, n_max + 1))
-        rows = _log_mean_block_rows(s_stack, ns, ell)
+        rows = log_mean_rows(s_stack, ns)
         lhs = np.abs(rows) / ((ns + 1.0) ** expo)[:, None]
         rhs = running[ns - 1]
         slack = float(np.max(lhs - rhs))
@@ -267,7 +255,7 @@ def make_atom(rng: np.random.Generator, seq: RadixSequence, rank: int, p: float)
 
 def boundedness_ratio(f: StepFunction, p: float, weight: WeightFunction, n_max: int) -> float:
     """L_p norm of the weighted log-mean maximal function over the Hardy norm."""
-    p = _check_p_unit(p)
+    p = check_p_unit(p)
     h = hardy_quasinorm(f, p)
     if h == 0.0:
         raise DegenerateInput("zero Hardy norm")

@@ -165,6 +165,26 @@ def test_norms_needs_fn():
     assert run(["norms"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["theorem-a", "--depth", "4", "--weight", "custom:{missing}"],
+        ["theorem-a", "--depth", "4", "--weight", "custom:{bad}"],
+        ["norms", "--fn", "dirichlet:2", "--mean", "custom:{bad}", "--mean-n", "3"],
+        ["norms", "--fn", "dirichlet:abc"],
+        ["norms", "--fn", "case:abc"],
+    ],
+)
+def test_bad_input_is_one_line_exit_two(tmp_path, capsys, argv):
+    bad = tmp_path / "bad.txt"
+    bad.write_text("abc\n")
+    argv = [a.format(missing=tmp_path / "missing.txt", bad=bad) for a in argv]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
+
+
 def test_case_subcommand(tmp_path, capsys):
     out = tmp_path / "c.csv"
     fn_path = tmp_path / "case.step"
@@ -221,12 +241,15 @@ def test_config_file_rejects_unknown_keys(tmp_path):
 
 def test_vlab_threads_same_bytes(tmp_path, monkeypatch):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    argv = ["theorem-b", "--k-list", "1,2,3", "--theta-samples", "2"]
+    argv = ["theorem-a", "--radices", "2,3", "--depth", "5", "--nmax", "40", "--samples", "4"]
     monkeypatch.delenv("VLAB_THREADS", raising=False)
     assert run(argv + ["--out", str(a)]) == 0
     monkeypatch.setenv("VLAB_THREADS", "3")
     assert run(argv + ["--out", str(b)]) == 0
     assert a.read_bytes().replace(b"a.csv", b"") == b.read_bytes().replace(b"b.csv", b"")
+    dom_a = (tmp_path / "a.domination.csv").read_bytes()
+    dom_b = (tmp_path / "b.domination.csv").read_bytes()
+    assert dom_a.replace(b"a.csv", b"") == dom_b.replace(b"b.csv", b"")
 
 
 def test_cli_config_file_end_to_end(tmp_path):

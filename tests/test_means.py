@@ -3,26 +3,46 @@ import pytest
 
 from vlab.errors import IndexOutOfRange, InvalidWeight, ZeroTotalWeight
 from vlab.group_core import build_radix
+import vlab.means as means_mod
 from vlab.means import (
     WeightSequence,
-    batch_partial_sums,
     harmonic_l,
     harmonic_numbers,
     log_mean,
-    log_mean_stack,
+    log_mean_rows,
     log_weights,
     norlund_mean,
     ones_weights,
+    partial_sum_stack,
     weight_sequence_from_spec,
     weights_from_file,
 )
 from vlab.step_functions import StepFunction, add, constant, scale
-from vlab.transform import character_row, dirichlet_closed_MN, partial_sum
+from vlab.transform import character_row, dirichlet_closed_MN, forward_fast, partial_sum
 
 
 def random_function(seq, seed=0):
     rng = np.random.default_rng(seed)
     return StepFunction(seq, rng.standard_normal(seq.size) + 1j * rng.standard_normal(seq.size))
+
+
+def walk_partial_sums(f, n_max):
+    """Oracle: rows S_0 f .. S_{n_max} f, adding one character row c_k psi_k per step."""
+    seq = f.radix_seq
+    coeffs = forward_fast(f).coeffs
+    rows = [np.zeros(seq.size, dtype=np.complex128)]
+    for k in range(n_max):
+        rows.append(rows[-1] + coeffs[k] * character_row(seq, k))
+    return np.array(rows)
+
+
+def walk_norlund(f, n, weights):
+    """Oracle: the Norlund mean by its definition over the walked partial sums."""
+    s = walk_partial_sums(f, n)
+    acc = sum(weights.q(n - k) * s[k] for k in range(1, n))
+    if weights.q0 is not None:
+        acc = acc + weights.q0 * s[n]
+    return acc / weights.total(n)
 
 
 def test_harmonic_values():
@@ -37,6 +57,12 @@ def test_harmonic_numbers_match_scalar():
     hs = harmonic_numbers(30)
     for n in (1, 7, 30):
         assert hs[n - 1] == pytest.approx(harmonic_l(n), rel=1e-15)
+    # forward summation, term by term
+    total = 0.0
+    for n in range(1, 3001):
+        total += 1.0 / n
+        if n in (1, 2, 999, 3000):
+            assert harmonic_l(n) == total
 
 
 def test_weight_sequence_validation():
@@ -73,6 +99,11 @@ def test_weights_from_file_rejects_empty(tmp_path):
     path.write_text("\n")
     with pytest.raises(InvalidWeight):
         weights_from_file(path)
+    path.write_text("1.0\nabc\n")
+    with pytest.raises(InvalidWeight):
+        weights_from_file(path)
+    with pytest.raises(InvalidWeight):
+        weights_from_file(tmp_path / "missing.txt")
 
 
 def test_norlund_arithmetic_mean_of_constant():
@@ -173,35 +204,92 @@ def test_norlund_weight_normalization_property():
 def test_batch_partial_sums_match_individual():
     seq = build_radix((2, 2, 2, 2, 2, 2))
     f = random_function(seq, 7)
-    batch = batch_partial_sums(f, seq.size)
-    assert len(batch) == seq.size
+    stack = partial_sum_stack(f, seq.size)
+    assert stack.shape == (seq.size + 1, seq.size)
+    assert np.max(np.abs(stack[0])) == 0.0
     for k in range(1, seq.size + 1):
         want = partial_sum(f, k)
-        assert np.max(np.abs(batch[k - 1].values - want.values)) <= 1e-9
-    assert np.max(np.abs(batch[-1].values - f.values)) <= 1e-9
+        assert np.max(np.abs(stack[k] - want.values)) <= 1e-9
+    assert np.max(np.abs(stack[-1] - f.values)) <= 1e-9
 
 
 def test_batch_stabilizes_after_last_coefficient():
     seq = build_radix((2, 3))
     psi2 = StepFunction(seq, character_row(seq, 2))
-    batch = batch_partial_sums(psi2, seq.size)
+    stack = partial_sum_stack(psi2, seq.size)
     for k in range(3, seq.size + 1):
-        assert np.max(np.abs(batch[k - 1].values - psi2.values)) <= 1e-12
+        assert np.max(np.abs(stack[k] - psi2.values)) <= 1e-12
 
 
 def test_batch_out_of_range():
     seq = build_radix((2, 3))
     with pytest.raises(IndexOutOfRange):
-        batch_partial_sums(constant(seq, 1.0), seq.size + 1)
+        partial_sum_stack(constant(seq, 1.0), seq.size + 1)
+    stack = partial_sum_stack(constant(seq, 1.0), 3)
+    for ns in ([1, 2], [2, 5], []):
+        with pytest.raises(IndexOutOfRange):
+            log_mean_rows(stack, ns)
 
 
 def test_log_mean_stack_matches_single_calls():
     seq = build_radix((2, 3, 2, 3))
     f = random_function(seq, 11)
     n_max = 20
-    stack = log_mean_stack(f, n_max)
-    assert np.max(np.abs(stack[0])) == 0.0
-    assert np.max(np.abs(stack[1])) == 0.0
+    rows = log_mean_rows(partial_sum_stack(f, n_max - 1), np.arange(2, n_max + 1))
+    assert rows.shape == (n_max - 1, seq.size)
     for n in range(2, n_max + 1):
         want = log_mean(f, n)
-        assert np.max(np.abs(stack[n] - want.values)) <= 1e-9
+        assert np.max(np.abs(rows[n - 2] - want.values)) <= 1e-9
+
+
+def _custom(q0):
+    values = np.random.default_rng(4).uniform(0.1, 2.0, 12)
+    return WeightSequence(values=values, q0=q0)
+
+
+@pytest.mark.parametrize(
+    "weights", [ones_weights(12), log_weights(12), _custom(None), _custom(0.7)],
+    ids=["ones", "log", "custom", "custom_q0"],
+)
+def test_norlund_mean_matches_walk(weights):
+    seq = build_radix((2, 3, 2))
+    f = random_function(seq, 21)
+    for n in range(1, seq.size + 1):
+        got = norlund_mean(f, n, weights)
+        assert np.max(np.abs(got.values - walk_norlund(f, n, weights))) <= 1e-12
+
+
+def test_log_mean_stacks_match_walk():
+    seq = build_radix((2, 3, 2))
+    f = random_function(seq, 22)
+    walk = walk_partial_sums(f, seq.size)
+    assert np.max(np.abs(partial_sum_stack(f, seq.size) - walk)) <= 1e-12
+    ns = np.arange(2, seq.size + 1)
+    rows = log_mean_rows(walk[:-1], ns)
+    for n in ns:
+        want = sum(walk[k] / (n - k) for k in range(1, n)) / harmonic_l(n)
+        assert np.max(np.abs(log_mean(f, n).values - want)) <= 1e-12
+        assert np.max(np.abs(rows[n - 2] - want)) <= 1e-12
+
+
+def test_means_cost_one_transform_pair(monkeypatch):
+    # each mean is one forward pass, a coefficient scaling and one inverse
+    # pass; no character row is synthesized
+    calls = {"forward_fast": 0, "inverse": 0, "character_row": 0}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    for name in calls:
+        monkeypatch.setattr(means_mod, name, counting(name, getattr(means_mod, name)))
+    seq = build_radix((2, 3, 2, 3, 2, 3))
+    f = random_function(seq, 23)
+    for mean in (lambda: log_mean(f, 150), lambda: norlund_mean(f, 150, ones_weights(150))):
+        for name in calls:
+            calls[name] = 0
+        mean()
+        assert calls == {"forward_fast": 1, "inverse": 1, "character_row": 0}

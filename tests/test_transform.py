@@ -5,7 +5,7 @@ import pytest
 
 from vlab.errors import CoordinateOutOfRange, IndexOutOfRange, RankOutOfRange
 from vlab.group_core import build_radix, point_from_index
-from vlab.means import iter_partial_sums
+from vlab.means import partial_sum_stack
 from vlab.step_functions import StepFunction, constant, lp_quasinorm, to_martingale
 from vlab.transform import (
     CoefficientVector,
@@ -264,9 +264,12 @@ def test_martingale_bridge():
 def test_batch_partial_sums_buffer_is_cumulative():
     seq = build_radix((2, 3, 2))
     f = random_function(seq, 3)
-    for k, acc in iter_partial_sums(f, seq.size):
-        want = partial_sum(f, k)
-        assert np.max(np.abs(acc - want.values)) <= 1e-9
+    coeffs = forward_fast(f).coeffs
+    stack = partial_sum_stack(f, seq.size)
+    for k in range(1, seq.size + 1):
+        step = stack[k] - stack[k - 1]
+        assert np.max(np.abs(step - coeffs[k - 1] * character_row(seq, k - 1))) <= 1e-9
+        assert np.max(np.abs(stack[k] - partial_sum(f, k).values)) <= 1e-9
 
 
 def test_coefficient_file_round_trip(tmp_path):
