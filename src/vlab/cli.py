@@ -193,10 +193,16 @@ def _parallel_map(fn, items):
         return list(pool.map(fn, items))
 
 
-def _build_seq(cfg: RunConfig, min_depth: int | None = None):
+class _DefaultDepth(int):
+    """A per-command default depth: a floor, raised to what the command needs."""
+
+
+def _build_seq(cfg: RunConfig, min_depth: int = 0):
     pattern = parse_radices(cfg.radices)
-    depth = cfg.depth if cfg.depth is not None else max(len(pattern), min_depth or 0)
-    if min_depth is not None and depth < min_depth:
+    depth = cfg.depth
+    if depth is None or isinstance(depth, _DefaultDepth):
+        depth = max(depth or len(pattern), min_depth)
+    elif depth < min_depth:
         raise ConfigError(f"depth {depth} too small, need at least {min_depth}")
     return build_radix(cycle_radices(pattern, depth), depth)
 
@@ -396,25 +402,31 @@ def _spec_int(spec: str) -> int:
         raise ConfigError(f"bad integer in function spec {spec!r}") from None
 
 
-def _resolve_fn(cfg: RunConfig):
+def _resolve_fn(cfg: RunConfig) -> tuple[StepFunction, RunConfig]:
+    """The function named by ``--fn``, and ``cfg`` echoing the depth it was built at."""
     spec = cfg.fn
     if not spec:
         raise ConfigError("norms needs --fn (file:<path> | dirichlet:<n> | case:<nk>)")
     if spec.startswith("file:"):
-        return load_step_function(spec.split(":", 1)[1]), spec
+        path = spec.split(":", 1)[1]
+        try:
+            return load_step_function(path), cfg
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"cannot load step function {path}: {exc}") from None
     if spec.startswith("dirichlet:"):
         n = _spec_int(spec)
         seq = _build_seq(cfg)
-        return dirichlet_kernel(seq, n), spec
+        return dirichlet_kernel(seq, n), replace(cfg, depth=seq.depth)
     if spec.startswith("case:"):
         nk = _spec_int(spec)
         seq = _build_seq(cfg, min_depth=2 * nk + 1)
-        return build_case(nk, seq).func, spec
+        return build_case(nk, seq).func, replace(cfg, depth=seq.depth)
     raise ConfigError(f"unknown function spec {spec!r}")
 
 
 def cmd_norms(cfg: RunConfig) -> tuple[ExperimentReport, bool]:
-    f, label = _resolve_fn(cfg)
+    f, cfg = _resolve_fn(cfg)
+    label = cfg.fn
     report = ExperimentReport(columns=list(NORMS_COLUMNS))
     _echo_config(report, cfg, "norms")
     mean_lp = None
@@ -555,10 +567,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 _DEFAULTS = {
-    "transform": RunConfig(depth=12, samples=3),
-    "theorem-a": RunConfig(depth=8, nmax=200, samples=20),
+    "transform": RunConfig(depth=_DefaultDepth(12), samples=3),
+    "theorem-a": RunConfig(depth=_DefaultDepth(8), nmax=200, samples=20),
     "theorem-b": RunConfig(p=(0.5,), weight="log"),
-    "norms": RunConfig(depth=6),
+    "norms": RunConfig(depth=_DefaultDepth(6)),
     "case": RunConfig(weight="log"),
 }
 

@@ -120,32 +120,19 @@ class PartialSumCheck:
 
 
 def verify_partial_sums(case: CounterexampleCase, tol: float = 1e-9) -> PartialSumCheck:
-    """Check all three partial-sum branches by one incremental synthesis walk.
+    """Certify the partial-sum branches from the coefficients, in O(M_N).
 
-    S_i and D_i advance together (one character row per step), so the walk
-    costs O(M_N) memory for any working size.
+    S_i = 0 for i <= M_lo, D_i - D_{M_lo} for M_lo < i < M_hi, f for i >= M_hi.
+    Each prediction is sum_{k<i} e_k psi_k with e the indicator of [M_lo, M_hi),
+    so each error is sum_{k<i} delta_k psi_k with delta = c - e; as |psi_k| = 1
+    it is at most the l1 mass of delta below the branch's last order.
     """
-    seq = case.radix_seq
-    f = case.func
-    coeffs = forward_fast(f).coeffs
-    s_acc = np.zeros(seq.size, dtype=np.complex128)
-    d_acc = np.zeros(seq.size, dtype=np.complex128)
-    d_at_lo = None
-    err_zero = 0.0  # S_i = 0 for i <= M_lo (including S_0 by definition)
-    err_middle = 0.0  # S_i = D_i - D_{M_lo} for M_lo < i < M_hi
-    err_tail = 0.0  # S_i = f for i >= M_hi (reachable at i = M_N)
-    for i in range(1, seq.size + 1):
-        row = character_row(seq, i - 1)
-        s_acc += coeffs[i - 1] * row
-        d_acc += row
-        if i == case.m_lo:
-            d_at_lo = d_acc.copy()
-        if i <= case.m_lo:
-            err_zero = max(err_zero, float(np.max(np.abs(s_acc))))
-        elif i < case.m_hi:
-            err_middle = max(err_middle, float(np.max(np.abs(s_acc - (d_acc - d_at_lo)))))
-        else:
-            err_tail = max(err_tail, float(np.max(np.abs(s_acc - f.values))))
+    delta = forward_fast(case.func).coeffs.copy()
+    delta[case.m_lo : case.m_hi] -= 1.0
+    mass = np.cumsum(np.abs(delta))
+    err_zero = float(mass[case.m_lo - 1])
+    err_middle = float(mass[case.m_hi - 2])
+    err_tail = float(mass[-1])
     ok = max(err_zero, err_middle, err_tail) <= tol
     return PartialSumCheck(
         ok=ok, max_err_zero=err_zero, max_err_middle=err_middle, max_err_tail=err_tail, tol=tol

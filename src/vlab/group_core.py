@@ -220,9 +220,9 @@ def enumerate_points(seq: RadixSequence) -> list[GroupPoint]:
 
 @functools.lru_cache(maxsize=16)
 def digit_table(seq: RadixSequence) -> np.ndarray:
-    """(M_N, N) array whose row i holds the digits of index i; read-only."""
+    """(M_N, N) float64 array (digits are exact) whose row i holds the digits of i; read-only."""
     idx = np.arange(seq.size, dtype=np.int64)
-    table = np.empty((seq.size, seq.depth), dtype=np.int64)
+    table = np.empty((seq.size, seq.depth), dtype=np.float64)
     for j in range(seq.depth):
         table[:, j] = (idx // seq.scales[j]) % seq.radices[j]
     table.flags.writeable = False

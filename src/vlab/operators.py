@@ -24,6 +24,7 @@ from .group_core import Cylinder, GroupPoint, RadixSequence, cylinder_of
 from .means import log_mean_rows, partial_sum_stack, weights_from_file
 from .step_functions import (
     StepFunction,
+    check_exponent,
     hardy_quasinorm,
     lp_quasinorm,
 )
@@ -268,10 +269,7 @@ def condition6_advisory(weight: WeightFunction, p: float) -> str:
     Only the built-in families admit a closed answer; finite custom tables
     cannot decide a limsup and return ``unknown``.
     """
-    p = float(p)
-    if not np.isfinite(p) or p <= 0:
-        raise InvalidExponent(f"need p > 0, got {p}")
-    gap = 1.0 / p - 1.0
+    gap = 1.0 / check_exponent(p) - 1.0
     if weight.family == "power":
         return "satisfied" if weight.alpha < gap else "violated"
     if weight.family == "log":

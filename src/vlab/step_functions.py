@@ -76,7 +76,8 @@ def _check_compatible(f: StepFunction, g: StepFunction) -> None:
         raise ResolutionMismatch("operands live on different radix sequences")
 
 
-def _check_exponent(p: float) -> float:
+def check_exponent(p: float) -> float:
+    """Validate a quasi-norm exponent: p > 0 and finite."""
     p = float(p)
     if not np.isfinite(p) or p <= 0:
         raise InvalidExponent(f"exponent must be positive and finite, got {p}")
@@ -85,7 +86,7 @@ def _check_exponent(p: float) -> float:
 
 def lp_quasinorm(f: StepFunction, p: float) -> float:
     """( int |f|^p dmu )^{1/p} computed as a cylinder average."""
-    p = _check_exponent(p)
+    p = check_exponent(p)
     a = np.abs(f.values)
     return float(np.sum(a**p) / f.radix_seq.size) ** (1.0 / p)
 
@@ -97,7 +98,7 @@ def weak_lp_quasinorm(f: StepFunction, p: float) -> float:
     staircase, so the sup equals the max over the distinct values v of |f|
     of v * mu{|f| >= v}^{1/p}; that finite max is what is computed here.
     """
-    p = _check_exponent(p)
+    p = check_exponent(p)
     a = np.abs(f.values)
     vs = np.unique(a)
     vs = vs[vs > 0]
@@ -153,7 +154,7 @@ def hardy_quasinorm(f, p: float) -> float:
     Plain step functions are first lifted to their conditional-average
     martingale, whose coefficients match those of f.
     """
-    p = _check_exponent(p)
+    p = check_exponent(p)
     mart = f if isinstance(f, MartingaleSeq) else to_martingale(f)
     return lp_quasinorm(maximal_function(mart), p)
 

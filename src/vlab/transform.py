@@ -82,7 +82,7 @@ def character_row(seq: RadixSequence, n: int) -> np.ndarray:
     """psi_n evaluated on all M_N points, in linear-index order."""
     idx = decompose(n, seq)
     w = np.array([d / r for d, r in zip(idx.digits, seq.radices)], dtype=np.float64)
-    phases = digit_table(seq).astype(np.float64) @ w
+    phases = digit_table(seq) @ w
     return np.exp(2j * np.pi * phases)
 
 
@@ -94,7 +94,7 @@ def analysis_matrix(seq: RadixSequence) -> np.ndarray:
     built from one digit table.  Intended for the naive oracle transform
     and exhaustive orthonormality checks only.
     """
-    digits = digit_table(seq).astype(np.float64)
+    digits = digit_table(seq)
     inv_m = np.array([1.0 / r for r in seq.radices], dtype=np.float64)
     phase = (digits * inv_m) @ digits.T
     mat = np.exp(-2j * np.pi * phase)

@@ -173,12 +173,24 @@ def test_norms_needs_fn():
         ["norms", "--fn", "dirichlet:2", "--mean", "custom:{bad}", "--mean-n", "3"],
         ["norms", "--fn", "dirichlet:abc"],
         ["norms", "--fn", "case:abc"],
+        ["norms", "--fn", "file:{missing}"],
+        ["norms", "--fn", "file:{deep}"],
+        ["norms", "--fn", "file:{short}"],
+        ["norms", "--fn", "file:{garbage}"],
     ],
 )
 def test_bad_input_is_one_line_exit_two(tmp_path, capsys, argv):
-    bad = tmp_path / "bad.txt"
-    bad.write_text("abc\n")
-    argv = [a.format(missing=tmp_path / "missing.txt", bad=bad) for a in argv]
+    files = {
+        "bad": "abc\n",
+        "deep": "radices=2;N=2\n",  # depth beyond the listed radices
+        "short": "radices=2;N=1\n0,0\n",  # one of two value lines
+        "garbage": "garbage\n",
+    }
+    paths = {"missing": tmp_path / "missing.txt"}
+    for name, text in files.items():
+        paths[name] = tmp_path / f"{name}.txt"
+        paths[name].write_text(text)
+    argv = [a.format(**paths) for a in argv]
     assert run(argv) == 2
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1
@@ -197,6 +209,20 @@ def test_case_subcommand(tmp_path, capsys):
     assert sorted(np.unique(f.values.real).tolist()) == [-4.0, 0.0, 4.0]
     text = capsys.readouterr().out
     assert "log-mean identity" in text
+
+
+def test_default_depth_is_a_floor(tmp_path):
+    # norms defaults to depth 6; case:3 needs 7, which an unset depth grows to
+    out = tmp_path / "n.csv"
+    assert run(["norms", "--fn", "case:3", "--out", str(out)]) == 0
+    assert "# depth=7\n" in out.read_text()
+    assert run(["norms", "--fn", "dirichlet:4", "--out", str(out)]) == 0
+    assert "# depth=6\n" in out.read_text()
+    # a depth the user sets is never raised
+    assert run(["norms", "--fn", "case:3", "--depth", "6"]) == 2
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text("depth=6\n")
+    assert run(["norms", "--fn", "case:3", "--config", str(cfg_path)]) == 2
 
 
 def test_case_needs_nk():

@@ -13,11 +13,12 @@ from vlab.counterexample import (
     verify_hardy_bound,
     verify_partial_sums,
 )
+import vlab.counterexample as counterexample_mod
 from vlab.group_core import build_radix, cycle_radices
 from vlab.means import harmonic_l
 from vlab.operators import log_weight, power_weight
 from vlab.step_functions import hardy_quasinorm, lp_quasinorm
-from vlab.transform import dirichlet_kernel
+from vlab.transform import CoefficientVector, character_row, dirichlet_kernel, forward_fast
 
 TEST_MATRIX = [
     (2,) * 7,
@@ -29,6 +30,51 @@ TEST_MATRIX = [
 
 def dyadic(depth):
     return build_radix((2,) * depth)
+
+
+def walk_partial_sums(case):
+    """Per-branch max errors of S_i f by the incremental S_i/D_i walk (oracle).
+
+    S_i = 0 for i <= M_lo, S_i = D_i - D_{M_lo} for M_lo < i < M_hi and
+    S_i = f for i >= M_hi; one character row per step, O(M_N^2).
+    """
+    seq = case.radix_seq
+    f = case.func
+    coeffs = forward_fast(f).coeffs
+    s_acc = np.zeros(seq.size, dtype=np.complex128)
+    d_acc = np.zeros(seq.size, dtype=np.complex128)
+    d_at_lo = None
+    err_zero = err_middle = err_tail = 0.0
+    for i in range(1, seq.size + 1):
+        row = character_row(seq, i - 1)
+        s_acc += coeffs[i - 1] * row
+        d_acc += row
+        if i == case.m_lo:
+            d_at_lo = d_acc.copy()
+        if i <= case.m_lo:
+            err_zero = max(err_zero, float(np.max(np.abs(s_acc))))
+        elif i < case.m_hi:
+            err_middle = max(err_middle, float(np.max(np.abs(s_acc - (d_acc - d_at_lo)))))
+        else:
+            err_tail = max(err_tail, float(np.max(np.abs(s_acc - f.values))))
+    return err_zero, err_middle, err_tail
+
+
+def walk_branch_deltas(case):
+    """Per-branch maxima of |sum_{k<i} delta_k psi_k|, delta = c - 1_[M_lo, M_hi).
+
+    These are the exact branch errors the certificate bounds, summed
+    without the S_i/D_i walk's extra rounding.
+    """
+    seq = case.radix_seq
+    delta = forward_fast(case.func).coeffs.copy()
+    delta[case.m_lo : case.m_hi] -= 1.0
+    acc = np.zeros(seq.size, dtype=np.complex128)
+    sup = np.empty(seq.size)  # sup[i - 1] is the error of S_i
+    for k in range(seq.size):
+        acc += delta[k] * character_row(seq, k)
+        sup[k] = np.max(np.abs(acc))
+    return sup[: case.m_lo].max(), sup[case.m_lo : case.m_hi - 1].max(), sup[-1]
 
 
 def test_build_case_dyadic_values():
@@ -97,6 +143,55 @@ def test_partial_sum_branches_across_matrix():
             case = build_case(n_k, build_radix(radices))
             report = verify_partial_sums(case)
             assert report.ok, (radices, n_k, report)
+            assert max(walk_partial_sums(case)) <= report.tol, (radices, n_k)
+
+
+@pytest.mark.parametrize(
+    "radices", [*TEST_MATRIX, (5,) * 5, cycle_radices((7, 2), 5)], ids=str
+)
+def test_partial_sum_certificate_bounds_branch_errors(radices):
+    # the certificate is the l1 mass of delta up to each branch's last order;
+    # it must dominate every summed branch error up to summation rounding
+    for n_k in (1, 2):
+        case = build_case(n_k, build_radix(radices))
+        report = verify_partial_sums(case)
+        cert = (report.max_err_zero, report.max_err_middle, report.max_err_tail)
+        slack = 1.0 + 4 * case.radix_seq.size * 2.0**-52
+        for walked, bound in zip(walk_branch_deltas(case), cert):
+            assert walked <= bound * slack, (radices, n_k, walked, bound)
+
+
+def test_partial_sum_certificate_costs_one_transform(monkeypatch):
+    calls = {"forward_fast": 0, "character_row": 0}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    for name in calls:
+        fn = getattr(counterexample_mod, name)
+        monkeypatch.setattr(counterexample_mod, name, counting(name, fn))
+    assert verify_partial_sums(build_case(2, build_radix(cycle_radices((2, 3), 5)))).ok
+    assert calls == {"forward_fast": 1, "character_row": 0}
+
+
+def test_partial_sum_certificate_catches_a_wrong_coefficient(monkeypatch):
+    case = build_case(2, dyadic(5))
+
+    def bumped(f):
+        coeffs = forward_fast(f).coeffs.copy()
+        coeffs[case.m_lo + 1] += 2e-9
+        return CoefficientVector(f.radix_seq, coeffs)
+
+    monkeypatch.setattr(counterexample_mod, "forward_fast", bumped)
+    report = verify_partial_sums(case)
+    assert not report.ok
+    assert report.max_err_zero == 0.0
+    assert report.max_err_middle >= 2e-9
+    assert report.max_err_tail >= 2e-9
 
 
 def test_hardy_bound_dyadic_value():
