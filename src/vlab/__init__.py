@@ -62,6 +62,7 @@ from .transform import (
     dirichlet_kernel,
     forward_fast,
     forward_naive,
+    forward_naive_many,
     inverse,
     partial_sum,
     rademacher,

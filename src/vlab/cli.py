@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import contextlib
 import math
 import os
 import sys
@@ -34,6 +35,7 @@ from .errors import ConfigError, VilenkinError
 from .group_core import build_radix, cycle_radices, parse_radices
 from .means import norlund_mean, weight_sequence_from_spec
 from .operators import (
+    check_p_unit,
     critical_power_weight,
     domination_check,
     hardy_quasinorm,
@@ -55,7 +57,7 @@ from .transform import (
     dirichlet_kernel,
     fast_op_bound,
     forward_fast,
-    forward_naive,
+    forward_naive_many,
     inverse,
 )
 
@@ -115,22 +117,30 @@ def _parse_int_tuple(text: str) -> tuple[int, ...]:
     return vals
 
 
+def _parse_count(text: str) -> int:
+    """A non-negative integer: a count, a mean order or a seed (numpy seeds are >= 0)."""
+    value = int(text)
+    if value < 0:
+        raise ValueError("must be non-negative")
+    return value
+
+
 _COERCERS = {
     "radices": str,
     "depth": int,
     "p": _parse_float_tuple,
     "weight": str,
     "nmax": int,
-    "samples": int,
-    "seed": int,
+    "samples": _parse_count,
+    "seed": _parse_count,
     "out": str,
     "k_list": _parse_int_tuple,
     "fn": str,
     "mean": str,
-    "mean_n": int,
+    "mean_n": _parse_count,
     "save_fn": str,
     "nk": int,
-    "theta_samples": int,
+    "theta_samples": _parse_count,
 }
 
 
@@ -138,8 +148,9 @@ def load_config_file(path) -> dict[str, str]:
     """Flat key=value lines; blank lines and # comments ignored."""
     raw: dict[str, str] = {}
     try:
-        lines = open(path, "r", encoding="ascii").read().splitlines()
-    except OSError as exc:
+        with open(path, "r", encoding="ascii") as fh:
+            lines = fh.read().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     for lineno, line in enumerate(lines, 1):
         line = line.strip()
@@ -223,6 +234,15 @@ def _status(ok: bool) -> str:
     return "ok" if ok else "FAIL"
 
 
+@contextlib.contextmanager
+def _writing(path):
+    """An output path that cannot be written is an input error, not a crash."""
+    try:
+        yield
+    except (OSError, UnicodeEncodeError) as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from None
+
+
 def _sibling(path: str, tag: str) -> str:
     root, ext = os.path.splitext(path)
     return f"{root}.{tag}{ext or '.csv'}"
@@ -239,21 +259,24 @@ def cmd_transform(cfg: RunConfig) -> tuple[ExperimentReport, bool]:
     _echo_config(report, cfg, "transform")
     bound = fast_op_bound(seq)
     children = np.random.SeedSequence(cfg.seed).spawn(max(cfg.samples, 1))
+    rngs = [np.random.default_rng(children[i]) for i in range(cfg.samples)]
+    fs = [
+        StepFunction(seq, r.standard_normal(seq.size) + 1j * r.standard_normal(seq.size))
+        for r in rngs
+    ]
+    # one batched oracle call: its M_N^2 character values are shared by all samples
+    ops_batch = OpCount()
+    t0 = time.perf_counter()
+    naives = forward_naive_many(fs, ops_batch)
+    naive_time = time.perf_counter() - t0
+    ops_naive = ops_batch.madds // max(len(fs), 1)  # M_N^2 per transform
     all_ok = True
     fast_times = []
-    naive_times = []
-    for i in range(cfg.samples):
-        rng = np.random.default_rng(children[i])
-        f = StepFunction(seq, rng.standard_normal(seq.size) + 1j * rng.standard_normal(seq.size))
+    for i, (f, naive) in enumerate(zip(fs, naives)):
         ops_fast = OpCount()
-        ops_naive = OpCount()
         t0 = time.perf_counter()
         fast = forward_fast(f, ops_fast)
-        t1 = time.perf_counter()
-        naive = forward_naive(f, ops_naive)
-        t2 = time.perf_counter()
-        fast_times.append(t1 - t0)
-        naive_times.append(t2 - t1)
+        fast_times.append(time.perf_counter() - t0)
         err = float(np.max(np.abs(fast.coeffs - naive.coeffs)))
         energy = float(np.sum(np.abs(f.values) ** 2)) / seq.size
         parseval = abs(energy - float(np.sum(np.abs(fast.coeffs) ** 2))) / energy
@@ -273,15 +296,15 @@ def cmd_transform(cfg: RunConfig) -> tuple[ExperimentReport, bool]:
             parseval,
             roundtrip,
             ops_fast.madds,
-            ops_naive.madds,
+            ops_naive,
             bound,
-            ops_fast.madds / ops_naive.madds,
+            ops_fast.madds / ops_naive,
             ok,
         )
     if fast_times:
         print(
             f"timing (console only): fast {1e3 * sum(fast_times) / len(fast_times):.3f} ms, "
-            f"naive {1e3 * sum(naive_times) / len(naive_times):.3f} ms per transform"
+            f"naive {1e3 * naive_time / len(fs):.3f} ms per transform"
         )
     print(f"[{_status(all_ok)}] transform checks on {cfg.samples} samples, M_N={seq.size}")
     return report, all_ok
@@ -301,6 +324,7 @@ def cmd_theorem_a(cfg: RunConfig) -> tuple[ExperimentReport, ExperimentReport, b
     _echo_config(dom_report, cfg, "theorem-a")
     all_ok = True
     for p in cfg.p:
+        p = check_p_unit(p)  # before p seeds the sample draws
         weight = parse_weight_spec(cfg.weight) if cfg.weight else critical_power_weight(p)
         children = np.random.SeedSequence((cfg.seed, int(p * 1e9))).spawn(max(2 * cfg.samples, 1))
 
@@ -489,7 +513,8 @@ def cmd_case(cfg: RunConfig) -> tuple[ExperimentReport, bool]:
         )
         report.add_row(*sweep_row(1, cfg.nk, seq, p, weight))
     if cfg.save_fn:
-        save_step_function(case.func, cfg.save_fn)
+        with _writing(cfg.save_fn):
+            save_step_function(case.func, cfg.save_fn)
         print(f"saved case function to {cfg.save_fn}")
     return report, all_ok
 
@@ -603,7 +628,8 @@ def main(argv=None) -> int:
             reports = {cfg.out: report}
         for path, rep in reports.items():
             if path:
-                rep.write(path)
+                with _writing(path):
+                    rep.write(path)
                 print(f"wrote {path}")
         return 0 if ok else 1
     except ConfigError as exc:

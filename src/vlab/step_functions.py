@@ -144,8 +144,10 @@ def maximal_function(mart: MartingaleSeq) -> StepFunction:
     """Pointwise sup over levels of |f_n| (real-valued)."""
     if not mart.levels:
         raise EmptyMartingale("cannot take a maximal function of no levels")
-    stacked = np.stack([np.abs(lv.values) for lv in mart.levels])
-    return StepFunction(mart.radix_seq, stacked.max(axis=0))
+    best = np.abs(mart.levels[0].values)
+    for level in mart.levels[1:]:
+        np.maximum(best, np.abs(level.values), out=best)
+    return StepFunction(mart.radix_seq, best)
 
 
 def hardy_quasinorm(f, p: float) -> float:

@@ -7,7 +7,9 @@ c_k = int f conj(psi_k) dmu; at resolution N these are exact finite sums
 over the M_N cylinders.
 
 Two transform paths are provided.  ``forward_naive`` applies the full
-character matrix (M_N^2 multiply-adds) and serves as the oracle.
+character matrix (M_N^2 multiply-adds), one block of rows at a time, and
+serves as the oracle; ``forward_naive_many`` shares each block across a
+batch of functions.
 ``forward_fast`` runs one small DFT kernel along each digit axis, costing
 M_N * sum_k m_k multiply-adds; radices are small and bounded, so no
 in-axis FFT is needed.  Both count their work into an optional OpCount.
@@ -86,29 +88,46 @@ def character_row(seq: RadixSequence, n: int) -> np.ndarray:
     return np.exp(2j * np.pi * phases)
 
 
-@functools.lru_cache(maxsize=2)
-def analysis_matrix(seq: RadixSequence) -> np.ndarray:
-    """Dense matrix A[k, x] = conj(psi_k(x)); O(M_N^2) memory, cached.
+# Entries of conj(psi_k(x)) the naive oracle holds at once: 2^16 complex
+# values (1 MiB), rounded down to whole rows k, and one row when M_N is larger.
+NAIVE_BLOCK = 1 << 16
 
-    The phase sum_j k_j x_j / m_j is symmetric in (k, x), so the matrix is
-    built from one digit table.  Intended for the naive oracle transform
-    and exhaustive orthonormality checks only.
+
+def forward_naive_many(
+    fs: list[StepFunction], ops: OpCount | None = None
+) -> list[CoefficientVector]:
+    """Coefficients of every f in ``fs`` by the definition (the oracle).
+
+    c_k = (1/M_N) sum_x f(x) conj(psi_k(x)).  The phase sum_j k_j x_j / m_j
+    is symmetric in (k, x), so a block of rows k is built from one digit
+    table and applied to the whole batch before the next block is built:
+    memory is O(NAIVE_BLOCK + S M_N) for S functions and M_N^2 ``exp``
+    calls are shared by the batch.  All functions must share one group.
     """
+    if not fs:
+        return []
+    seq = fs[0].radix_seq
+    if any(f.radix_seq != seq for f in fs):
+        raise ResolutionMismatch("batch functions live on different radix sequences")
     digits = digit_table(seq)
     inv_m = np.array([1.0 / r for r in seq.radices], dtype=np.float64)
-    phase = (digits * inv_m) @ digits.T
-    mat = np.exp(-2j * np.pi * phase)
-    mat.flags.writeable = False
-    return mat
+    coeffs = np.empty((len(fs), seq.size), dtype=np.complex128)
+    step = max(1, NAIVE_BLOCK // seq.size)
+    for lo in range(0, seq.size, step):
+        block = np.exp(-2j * np.pi * ((digits[lo : lo + step] * inv_m) @ digits.T))
+        # one matrix-vector product per function, so each c_k sums its M_N
+        # terms in the same order whatever the block or batch size
+        for row, f in zip(coeffs, fs):
+            row[lo : lo + step] = block @ f.values
+    coeffs /= seq.size
+    if ops is not None:
+        ops.add(len(fs) * seq.size * seq.size)
+    return [CoefficientVector(seq, row) for row in coeffs]
 
 
 def forward_naive(f: StepFunction, ops: OpCount | None = None) -> CoefficientVector:
     """Coefficients by the definition: c_k = (1/M_N) sum_x f(x) conj(psi_k(x))."""
-    seq = f.radix_seq
-    coeffs = analysis_matrix(seq) @ f.values / seq.size
-    if ops is not None:
-        ops.add(seq.size * seq.size)
-    return CoefficientVector(seq, coeffs)
+    return forward_naive_many([f], ops)[0]
 
 
 @functools.lru_cache(maxsize=64)

@@ -2,6 +2,7 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from vlab.cli import (
     ATOM_COLUMNS,
@@ -177,6 +178,13 @@ def test_norms_needs_fn():
         ["norms", "--fn", "file:{deep}"],
         ["norms", "--fn", "file:{short}"],
         ["norms", "--fn", "file:{garbage}"],
+        ["norms", "--fn", "dirichlet:3", "--out", "{missing}/x.csv"],
+        ["case", "--nk", "1", "--save-fn", "{missing}/x.step"],
+        ["transform", "--depth", "2", "--samples", "1", "--seed", "-1"],
+        ["theorem-b", "--k-list", "1", "--theta-samples", "-1"],
+        ["theorem-a", "--depth", "2", "--samples", "0", "--weight", "log", "--p", "inf"],
+        ["norms", "--fn", "dirichlet:1", "--mean", "ones", "--mean-n", "-1"],
+        ["norms", "--fn", "dirichlet:1", "--config", "{latin}"],
     ],
 )
 def test_bad_input_is_one_line_exit_two(tmp_path, capsys, argv):
@@ -186,10 +194,11 @@ def test_bad_input_is_one_line_exit_two(tmp_path, capsys, argv):
         "short": "radices=2;N=1\n0,0\n",  # one of two value lines
         "garbage": "garbage\n",
     }
-    paths = {"missing": tmp_path / "missing.txt"}
+    paths = {"missing": tmp_path / "missing.txt", "latin": tmp_path / "latin.cfg"}
     for name, text in files.items():
         paths[name] = tmp_path / f"{name}.txt"
         paths[name].write_text(text)
+    paths["latin"].write_bytes(b"fn=caf\xe9\n")  # not ascii
     argv = [a.format(**paths) for a in argv]
     assert run(argv) == 2
     err = capsys.readouterr().err
@@ -284,3 +293,102 @@ def test_cli_config_file_end_to_end(tmp_path):
     cfg_path.write_text(f"k_list=1,2\ntheta_samples=1\nout={out}\n")
     assert run(["theorem-b", "--config", str(cfg_path)]) == 0
     assert out.exists()
+
+
+# -- fuzz: a small grammar of flags, config files and paths -----------------
+
+# name -> (usual values, odd values); an odd value is drawn one time in four,
+# so most runs get past input checking and reach their report writes.
+_FUZZ_VALUES = {
+    "radices": (["2", "2,3", "3", "5,2"], ["", "1", "a", "2,,3", "-2"]),
+    "depth": (["0", "1", "2", "3", "4"], ["-1", "x"]),
+    "samples": (["0", "1", "2"], ["-1", "y"]),
+    "p": (["0.5", "0.3,0.8"], ["0", "-1", "1", "2", "nan", "inf", "abc", ","]),
+    "weight": (["log", "power:1", "power:0.5", "custom:{weights}"],
+               ["power:-1", "power:abc", "bogus", "custom:{bad}", "custom:{missing}"]),
+    "nmax": (["2", "8"], ["0", "1", "-3"]),
+    "seed": (["0", "7"], ["-1", "z"]),
+    "k_list": (["1", "1,1"], ["0", "-1", "a", ","]),
+    "theta_samples": (["0", "1"], ["-1"]),
+    "fn": (["dirichlet:1", "dirichlet:3", "case:1", "file:{step}"],
+           ["dirichlet:0", "dirichlet:999", "dirichlet:abc", "case:abc", "file:{bad}",
+            "file:{missing}", "nope"]),
+    "mean": (["ones", "log", "custom:{weights}"], ["custom:{bad}", "bogus"]),
+    "mean_n": (["1", "3"], ["0", "-1"]),
+    "nk": (["1"], ["-1", "0", "q"]),
+    "out": (["{dir}/o.csv"], ["{missing}/o.csv", "{dir}", "{dir}/\u00e9.csv"]),
+    "save_fn": (["{dir}/f.step"], ["{missing}/f.step", "{dir}"]),
+}
+_FUZZ_FLAGS = {
+    "transform": ("radices", "samples", "seed", "out"),
+    "theorem-a": ("radices", "p", "weight", "nmax", "samples", "seed", "out"),
+    "theorem-b": ("radices", "p", "weight", "seed", "out", "theta_samples"),
+    "norms": ("radices", "p", "fn", "mean", "mean_n", "out"),
+    "case": ("radices", "p", "weight", "nk", "save_fn", "out"),
+}
+# Flags always given: the sizes keep every run small (depth <= 4,
+# samples <= 2, n_k <= 1), and every run writes a report.
+_FUZZ_PINNED = {
+    "transform": ("depth", "samples", "out"),
+    "theorem-a": ("depth", "samples", "nmax", "out"),
+    "theorem-b": ("k_list", "theta_samples", "out"),
+    "norms": ("depth", "out"),
+    "case": ("nk", "out"),
+}
+_FUZZ_CONFIG_LINES = ["depth=3", "depth=abc", "samples=1", "p=0.5", "p=", "# note", "",
+                      "garbage", "volume=11", "seed=4", "radices=2,3", "nk=1"]
+
+
+def _fuzz_files(root):
+    paths = {name: root / name for name in ("weights", "bad", "step", "dir", "missing", "cfg")}
+    paths["weights"].write_text("1\n2\n3\n")
+    paths["bad"].write_text("abc\n")
+    from vlab.group_core import build_radix
+    from vlab.step_functions import StepFunction
+
+    seq = build_radix((2, 3))
+    save_step_function(StepFunction(seq, np.arange(seq.size, dtype=float)), paths["step"])
+    paths["dir"].mkdir()
+    paths["latin"] = root / "latin.cfg"
+    paths["latin"].write_bytes(b"depth=3\nfn=caf\xe9\n")
+    return paths
+
+
+def _fuzz_value(data, name):
+    usual, odd = _FUZZ_VALUES[name]
+    pool = odd if data.draw(st.integers(0, 3)) == 0 else usual
+    return data.draw(st.sampled_from(pool))
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_cli_fuzz_exit_codes(tmp_path_factory, data):
+    import contextlib
+    import io
+
+    paths = _fuzz_files(tmp_path_factory.mktemp("fuzz"))
+    command = data.draw(st.sampled_from(sorted(_FUZZ_FLAGS)))
+    chosen = {name: _fuzz_value(data, name) for name in _FUZZ_PINNED[command]}
+    for name in _FUZZ_FLAGS[command]:
+        if data.draw(st.booleans()):
+            chosen[name] = _fuzz_value(data, name)
+    argv = [command]
+    for name, value in chosen.items():
+        argv += ["--" + name.replace("_", "-"), value.format(**paths)]
+    config = data.draw(st.sampled_from([None, None, "cfg", "cfg", "latin", "dir", "missing"]))
+    if config == "cfg":
+        lines = data.draw(st.lists(st.sampled_from(_FUZZ_CONFIG_LINES), max_size=4))
+        paths["cfg"].write_text("\n".join(lines) + "\n")
+    if config:
+        argv += ["--config", str(paths[config])]
+    if data.draw(st.integers(0, 9)) == 0:
+        argv.insert(data.draw(st.integers(1, len(argv))), "--bogus-flag")
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects unknown flags with exit 2
+            code = exc.code
+    assert code in (0, 1, 2), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue(), argv

@@ -1,13 +1,16 @@
 import cmath
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from vlab.errors import CoordinateOutOfRange, IndexOutOfRange, RankOutOfRange
+from vlab import transform
+from vlab.errors import CoordinateOutOfRange, IndexOutOfRange, RankOutOfRange, ResolutionMismatch
 from vlab.group_core import build_radix, point_from_index
 from vlab.means import partial_sum_stack
 from vlab.step_functions import StepFunction, constant, lp_quasinorm, to_martingale
 from vlab.transform import (
+    NAIVE_BLOCK,
     CoefficientVector,
     OpCount,
     character_row,
@@ -16,6 +19,7 @@ from vlab.transform import (
     fast_op_bound,
     forward_fast,
     forward_naive,
+    forward_naive_many,
     inverse,
     load_coefficients,
     partial_sum,
@@ -146,6 +150,73 @@ def test_op_count_instrumentation():
     naive_ops = OpCount()
     forward_naive(random_function(seq), naive_ops)
     assert naive_ops.madds == seq.size**2
+
+
+def dense_reference(fs):
+    """Coefficients from the whole stacked matrix of conjugated character rows."""
+    seq = fs[0].radix_seq
+    rows = np.stack([character_row(seq, k) for k in range(seq.size)]).conj()
+    return [rows @ f.values / seq.size for f in fs]
+
+
+# (2,3,2,4) and (3,5) at depth 4 fit one block; (3,5) at depth 5 has
+# M_N = 675, which 97-row blocks do not divide.
+@pytest.mark.parametrize("radices", [(2, 3, 2, 4), (3, 5, 3, 5), (3, 5, 3, 5, 3)])
+def test_naive_oracle_matches_dense_reference(radices):
+    seq = build_radix(radices)
+    assert seq.size < NAIVE_BLOCK
+    fs = [random_function(seq, seed) for seed in range(3)]
+    want = dense_reference(fs)
+    for got, ref in zip(forward_naive_many(fs), want):
+        assert got.radix_seq == seq
+        assert np.max(np.abs(got.coeffs - ref)) <= 1e-12
+    assert np.max(np.abs(forward_naive(fs[1]).coeffs - want[1])) <= 1e-12
+
+
+@pytest.mark.parametrize("block", [1, 100])
+def test_naive_oracle_partial_blocks(monkeypatch, block):
+    # one row per block, as for M_N > NAIVE_BLOCK, and 2-row blocks with a short last one
+    seq = build_radix((3, 5, 3))
+    fs = [random_function(seq, seed) for seed in range(2)]
+    want = dense_reference(fs)
+    monkeypatch.setattr(transform, "NAIVE_BLOCK", block)
+    for got, ref in zip(forward_naive_many(fs), want):
+        assert np.max(np.abs(got.coeffs - ref)) <= 1e-12
+
+
+def test_naive_oracle_batch_is_bitwise_single_calls():
+    seq = build_radix((2, 3, 2, 4, 5))
+    fs = [random_function(seq, seed) for seed in range(4)]
+    for got, f in zip(forward_naive_many(fs), fs):
+        assert np.array_equal(got.coeffs, forward_naive(f).coeffs)
+
+
+def test_naive_oracle_counts_batch_work():
+    seq = build_radix((2, 3, 2, 4))
+    ops = OpCount()
+    forward_naive_many([random_function(seq, seed) for seed in range(5)], ops)
+    assert ops.madds == 5 * seq.size**2
+    assert forward_naive_many([], ops) == []
+    assert ops.madds == 5 * seq.size**2
+
+
+def test_naive_oracle_rejects_mixed_groups():
+    with pytest.raises(ResolutionMismatch):
+        forward_naive_many([random_function(build_radix((2, 3))),
+                            random_function(build_radix((3, 2)))])
+
+
+def test_naive_oracle_memory_is_bounded():
+    # a dense M_N x M_N complex matrix would need 256 MiB at M_N = 4096
+    seq = build_radix((2,) * 12)
+    f = random_function(seq)
+    tracemalloc.start()
+    try:
+        forward_naive(f)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_inverse_of_unit_vector_is_character():
