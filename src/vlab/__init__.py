@@ -41,7 +41,6 @@ from .group_core import (
     truncate,
 )
 from .step_functions import (
-    MartingaleSeq,
     StepFunction,
     absolute,
     add,
@@ -52,7 +51,6 @@ from .step_functions import (
     save_step_function,
     scale,
     sup_pointwise,
-    to_martingale,
     weak_lp_quasinorm,
 )
 from .transform import (

@@ -97,24 +97,19 @@ class RunConfig:
     theta_samples: int = 5
 
 
-def _parse_float_tuple(text: str) -> tuple[float, ...]:
-    try:
-        vals = tuple(float(s) for s in str(text).split(",") if s.strip())
-    except ValueError as exc:
-        raise ConfigError(f"bad float list {text!r}: {exc}") from None
-    if not vals:
-        raise ConfigError(f"empty float list {text!r}")
-    return vals
+def _parse_tuple(cast):
+    """A parser of comma-separated lists of ``cast`` values (int or float)."""
 
+    def parse(text: str) -> tuple:
+        try:
+            vals = tuple(cast(s) for s in str(text).split(",") if s.strip())
+        except ValueError as exc:
+            raise ConfigError(f"bad {cast.__name__} list {text!r}: {exc}") from None
+        if not vals:
+            raise ConfigError(f"empty {cast.__name__} list {text!r}")
+        return vals
 
-def _parse_int_tuple(text: str) -> tuple[int, ...]:
-    try:
-        vals = tuple(int(s) for s in str(text).split(",") if s.strip())
-    except ValueError as exc:
-        raise ConfigError(f"bad int list {text!r}: {exc}") from None
-    if not vals:
-        raise ConfigError(f"empty int list {text!r}")
-    return vals
+    return parse
 
 
 def _parse_count(text: str) -> int:
@@ -128,13 +123,13 @@ def _parse_count(text: str) -> int:
 _COERCERS = {
     "radices": str,
     "depth": int,
-    "p": _parse_float_tuple,
+    "p": _parse_tuple(float),
     "weight": str,
     "nmax": int,
     "samples": _parse_count,
     "seed": _parse_count,
     "out": str,
-    "k_list": _parse_int_tuple,
+    "k_list": _parse_tuple(int),
     "fn": str,
     "mean": str,
     "mean_n": _parse_count,

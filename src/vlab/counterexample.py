@@ -34,7 +34,6 @@ from .step_functions import (
     hardy_quasinorm,
     lp_quasinorm,
     maximal_function,
-    to_martingale,
 )
 from .transform import character_row, dirichlet_closed_MN, forward_fast
 
@@ -167,8 +166,7 @@ def hardy_closed_value(case: CounterexampleCase, p: float) -> float:
 def verify_hardy_bound(case: CounterexampleCase, p: float, rel_tol: float = 1e-12) -> HardyCheck:
     """Measured Hardy norm against the closed value and the uniform bound."""
     p = check_p_unit(p)
-    mart = to_martingale(case.func)
-    fstar = maximal_function(mart)
+    fstar = maximal_function(case.func)
     gap = float(np.max(np.abs(fstar.values - np.abs(case.func.values))))
     measured = lp_quasinorm(fstar, p)
     closed = hardy_closed_value(case, p)

@@ -50,12 +50,6 @@ class RadixSequence:
         """M_N, the number of rank-N cylinders."""
         return self.scales[self.depth]
 
-    def radix(self, k: int) -> int:
-        return self.radices[k]
-
-    def scale(self, k: int) -> int:
-        return self.scales[k]
-
     def __str__(self) -> str:
         return ",".join(str(r) for r in self.radices)
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import IndexOutOfRange, InvalidWeight, ZeroTotalWeight
 from .step_functions import StepFunction
-from .transform import CoefficientVector, character_row, forward_fast, inverse
+from .transform import character_row, forward_fast, synthesize_multiplier
 
 
 def harmonic_l(n: int) -> float:
@@ -137,14 +137,6 @@ def log_mean_rows(s_stack: np.ndarray, ns) -> np.ndarray:
     return tri @ s_stack
 
 
-def _multiplier_mean(f: StepFunction, w: np.ndarray) -> StepFunction:
-    """Synthesis of sum_{j < len(w)} w_j c_j psi_j: one forward, one inverse pass."""
-    seq = f.radix_seq
-    coeffs = np.zeros(seq.size, dtype=np.complex128)
-    coeffs[: w.size] = w * forward_fast(f).coeffs[: w.size]
-    return inverse(CoefficientVector(seq, coeffs))
-
-
 def norlund_mean(f: StepFunction, n: int, weights: WeightSequence) -> StepFunction:
     """(1/Q_n) sum q_{n-k} S_k f over k = 1..n-1, plus q_0 S_n f when q_0 exists.
 
@@ -159,7 +151,7 @@ def norlund_mean(f: StepFunction, n: int, weights: WeightSequence) -> StepFuncti
     if q_n <= 0:
         raise ZeroTotalWeight(f"Q_{n} = {q_n}")
     totals = np.concatenate(([0.0], weights._cumsum[: n - 1]))  # Q_0 .. Q_{n-1}
-    return _multiplier_mean(f, (totals[::-1] + (weights.q0 or 0.0)) / q_n)
+    return synthesize_multiplier(f, (totals[::-1] + (weights.q0 or 0.0)) / q_n)
 
 
 def log_mean(f: StepFunction, n: int, allow_first: bool = False) -> StepFunction:

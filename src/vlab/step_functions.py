@@ -2,8 +2,10 @@
 
 Every function is represented by its values on the M_N rank-N cylinders in
 linear-index order.  Integrals against Haar measure are therefore plain
-averages: int f dmu = sum(values) / M_N.  Martingales are ladders of such
-functions, level n being constant on rank-n cylinders.
+averages: int f dmu = sum(values) / M_N.  The Hardy quasi-norm is the L_p
+quasi-norm of the martingale maximal function f* = sup_n |E_n f|, where
+E_n f is the conditional average over rank-n cylinders; f* is computed as a
+running maximum over those averages, one level at a time.
 """
 
 from __future__ import annotations
@@ -39,28 +41,6 @@ class StepFunction:
             raise ValueError("step function values must be finite")
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
-
-    @property
-    def resolution(self) -> int:
-        return self.radix_seq.depth
-
-
-@dataclass(frozen=True)
-class MartingaleSeq:
-    """Levels f_0 .. f_N, each constant on cylinders of its rank."""
-
-    levels: tuple[StepFunction, ...]
-
-    def __post_init__(self):
-        if not self.levels:
-            raise EmptyMartingale("martingale needs at least one level")
-        seq = self.levels[0].radix_seq
-        if any(lv.radix_seq != seq for lv in self.levels):
-            raise ResolutionMismatch("martingale levels live on different groups")
-
-    @property
-    def radix_seq(self) -> RadixSequence:
-        return self.levels[0].radix_seq
 
 
 def constant(seq: RadixSequence, c: complex) -> StepFunction:
@@ -122,43 +102,22 @@ def conditional_average(f: StepFunction, rank: int) -> StepFunction:
     return StepFunction(f.radix_seq, np.tile(means, reps))
 
 
-def to_martingale(f: StepFunction) -> MartingaleSeq:
-    """The conditional-average ladder of f; level N reproduces f itself."""
-    levels = tuple(conditional_average(f, n) for n in range(f.radix_seq.depth + 1))
-    return MartingaleSeq(levels=levels)
+def maximal_function(f: StepFunction) -> StepFunction:
+    """f* = sup_n |E_n f| over ranks n = 0..N (real-valued).
 
-
-def check_adapted(mart: MartingaleSeq) -> float:
-    """Largest relative deviation from the averaging identity between levels."""
-    worst = 0.0
-    for n in range(len(mart.levels) - 1):
-        upper = mart.levels[n + 1]
-        projected = conditional_average(upper, n)
-        scale = max(1.0, float(np.max(np.abs(upper.values))))
-        dev = float(np.max(np.abs(projected.values - mart.levels[n].values))) / scale
-        worst = max(worst, dev)
-    return worst
-
-
-def maximal_function(mart: MartingaleSeq) -> StepFunction:
-    """Pointwise sup over levels of |f_n| (real-valued)."""
-    if not mart.levels:
-        raise EmptyMartingale("cannot take a maximal function of no levels")
-    best = np.abs(mart.levels[0].values)
-    for level in mart.levels[1:]:
-        np.maximum(best, np.abs(level.values), out=best)
-    return StepFunction(mart.radix_seq, best)
-
-
-def hardy_quasinorm(f, p: float) -> float:
-    """L_p quasi-norm of the maximal function.
-
-    Plain step functions are first lifted to their conditional-average
-    martingale, whose coefficients match those of f.
+    E_n f is :func:`conditional_average` at rank n.  The maximum is kept
+    running, so one level is held at a time.
     """
+    best = np.abs(conditional_average(f, 0).values)
+    for n in range(1, f.radix_seq.depth + 1):
+        np.maximum(best, np.abs(conditional_average(f, n).values), out=best)
+    return StepFunction(f.radix_seq, best)
+
+
+def hardy_quasinorm(f: StepFunction, p: float) -> float:
+    """L_p quasi-norm of the maximal function f*."""
     p = check_exponent(p)
-    mart = f if isinstance(f, MartingaleSeq) else to_martingale(f)
-    return lp_quasinorm(maximal_function(mart), p)
+    return lp_quasinorm(maximal_function(f), p)
 
 
 def add(f: StepFunction, g: StepFunction) -> StepFunction:

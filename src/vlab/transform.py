@@ -174,18 +174,24 @@ def inverse(cv: CoefficientVector, ops: OpCount | None = None) -> StepFunction:
 
 
 def fast_op_bound(seq: RadixSequence) -> int:
-    """4 * M_N * sum_k m_k, the budget the fast transform must stay under."""
-    return 4 * seq.size * sum(seq.radices)
+    """4 * M_N * sum_k m_k, the budget the fast transform must stay under.
+
+    At depth 0 the sum is empty, so the budget takes it as 1 to cover the
+    M_N = 1 scaling multiply-add.
+    """
+    return 4 * seq.size * max(sum(seq.radices), 1)
 
 
-def synthesize_prefix(cv: CoefficientVector, n: int) -> StepFunction:
-    """Synthesis of the first n coefficients (the rest zeroed)."""
-    seq = cv.radix_seq
-    if n < 0 or n > seq.size:
-        raise IndexOutOfRange(f"prefix length {n} outside 0..{seq.size}")
-    head = np.zeros(seq.size, dtype=np.complex128)
-    head[:n] = cv.coeffs[:n]
-    return inverse(CoefficientVector(seq, head))
+def synthesize_multiplier(f: StepFunction, w: np.ndarray) -> StepFunction:
+    """sum_{j < len(w)} w_j c_j psi_j, c_j the coefficients of f.
+
+    One forward pass, the multiplier on the first len(w) coefficients (the
+    rest zeroed) and one inverse pass.
+    """
+    seq = f.radix_seq
+    coeffs = np.zeros(seq.size, dtype=np.complex128)
+    coeffs[: w.size] = w * forward_fast(f).coeffs[: w.size]
+    return inverse(CoefficientVector(seq, coeffs))
 
 
 def partial_sum(f: StepFunction, n: int) -> StepFunction:
@@ -195,7 +201,7 @@ def partial_sum(f: StepFunction, n: int) -> StepFunction:
         raise IndexOutOfRange(f"partial sum order {n} outside 0..{seq.size}")
     if n == 0:
         return StepFunction(seq, np.zeros(seq.size, dtype=np.complex128))
-    return synthesize_prefix(forward_fast(f), n)
+    return synthesize_multiplier(f, np.ones(n))
 
 
 def dirichlet_kernel(seq: RadixSequence, n: int) -> StepFunction:

@@ -38,6 +38,10 @@ def test_transform_small(tmp_path, capsys):
     assert all(row.endswith("true") for row in rows)
     text = capsys.readouterr().out
     assert "timing (console only)" in text
+    # depth 0: the one-point group, whose only op is the 1/M_N scaling
+    assert run(["transform", "--depth", "0", "--samples", "1", "--out", str(out)]) == 0
+    _, rows = read_rows(out)
+    assert rows[0].endswith("true")
 
 
 def test_transform_deterministic(tmp_path):

@@ -1,15 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vlab.errors import EmptyMartingale, InvalidExponent, ResolutionMismatch
+from vlab.errors import InvalidExponent, ResolutionMismatch
 from vlab.group_core import build_radix
 from vlab.step_functions import (
-    MartingaleSeq,
     StepFunction,
     absolute,
     add,
-    check_adapted,
     conditional_average,
     constant,
     hardy_quasinorm,
@@ -19,7 +19,6 @@ from vlab.step_functions import (
     save_step_function,
     scale,
     sup_pointwise,
-    to_martingale,
     weak_lp_quasinorm,
     zero,
 )
@@ -107,26 +106,24 @@ def test_weak_lp_matches_brute_force_sup():
 
 def test_martingale_of_constant():
     seq = dyadic(3)
-    mart = to_martingale(constant(seq, 2.5))
-    for lv in mart.levels:
-        assert np.allclose(lv.values, 2.5)
+    f = constant(seq, 2.5)
+    for n in range(seq.depth + 1):
+        assert np.allclose(conditional_average(f, n).values, 2.5)
 
 
 def test_martingale_of_character():
     # averaging (-1)^{x_0} over x_0 kills the rank-0 level
     seq = dyadic(3)
     psi1 = StepFunction(seq, character_row(seq, 1))
-    mart = to_martingale(psi1)
-    assert np.max(np.abs(mart.levels[0].values)) < 1e-15
-    assert np.allclose(mart.levels[1].values, psi1.values)
-    assert np.allclose(mart.levels[3].values, psi1.values)
+    assert np.max(np.abs(conditional_average(psi1, 0).values)) < 1e-15
+    assert np.allclose(conditional_average(psi1, 1).values, psi1.values)
+    assert np.allclose(conditional_average(psi1, 3).values, psi1.values)
 
 
 def test_level_zero_is_global_mean():
     seq = build_radix((2, 3, 2))
     f = random_function(seq, 3)
-    mart = to_martingale(f)
-    assert mart.levels[0].values[0] == pytest.approx(np.mean(f.values), rel=1e-12)
+    assert conditional_average(f, 0).values[0] == pytest.approx(np.mean(f.values), rel=1e-12)
 
 
 def test_conditional_average_against_cylinder_loop():
@@ -142,43 +139,53 @@ def test_conditional_average_against_cylinder_loop():
 
 
 def test_adaptedness_on_random_functions():
+    # E_n(E_{n+1} f) = E_n f
     seq = build_radix((2, 3, 2, 2))
     for seed in range(5):
-        assert check_adapted(to_martingale(random_function(seq, seed))) <= 1e-12
+        f = random_function(seq, seed)
+        for n in range(seq.depth):
+            upper = conditional_average(f, n + 1)
+            dev = np.abs(conditional_average(upper, n).values - conditional_average(f, n).values)
+            assert np.max(dev) <= 1e-12 * max(1.0, np.max(np.abs(upper.values)))
 
 
 def test_maximal_function_of_constant():
     seq = dyadic(2)
-    fstar = maximal_function(to_martingale(constant(seq, -2.0)))
+    fstar = maximal_function(constant(seq, -2.0))
     assert np.allclose(fstar.values, 2.0)
 
 
 def test_maximal_function_of_character():
     seq = dyadic(3)
     psi1 = StepFunction(seq, character_row(seq, 1))
-    fstar = maximal_function(to_martingale(psi1))
+    fstar = maximal_function(psi1)
     assert np.allclose(fstar.values, 1.0)
 
 
 def test_maximal_dominates_every_level():
     seq = build_radix((2, 3, 2))
     f = random_function(seq, 21)
-    mart = to_martingale(f)
-    fstar = maximal_function(mart)
-    for lv in mart.levels:
-        assert np.all(fstar.values.real >= np.abs(lv.values) - 1e-12)
+    fstar = maximal_function(f)
+    for n in range(seq.depth + 1):
+        assert np.all(fstar.values.real >= np.abs(conditional_average(f, n).values) - 1e-12)
 
 
-def test_maximal_function_empty():
-    with pytest.raises(EmptyMartingale):
-        MartingaleSeq(levels=())
+def test_maximal_function_is_max_over_stacked_levels():
+    # the running maximum is exact: equal to the max over all levels at once
+    seq = build_radix((2, 3, 2, 4))
+    f = random_function(seq, 17)
+    levels = np.stack(
+        [np.abs(conditional_average(f, n).values) for n in range(seq.depth + 1)]
+    )
+    fstar = maximal_function(f)
+    assert np.array_equal(fstar.values, levels.max(axis=0).astype(np.complex128))
 
 
 def test_maximal_agrees_with_averaging_form():
     # independent oracle: sup over ranks of |cylinder average of f|
     seq = build_radix((2, 3, 2))
     f = random_function(seq, 5)
-    fstar = maximal_function(to_martingale(f))
+    fstar = maximal_function(f)
     for i in range(seq.size):
         best = 0.0
         for rank in range(seq.depth + 1):
@@ -206,12 +213,18 @@ def test_hardy_of_character():
     assert hardy_quasinorm(psi, 0.5) == pytest.approx(1.0, rel=1e-12)
 
 
-def test_hardy_accepts_martingale():
-    seq = dyadic(2)
-    f = random_function(seq, 2)
-    assert hardy_quasinorm(to_martingale(f), 0.7) == pytest.approx(
-        hardy_quasinorm(f, 0.7), rel=1e-12
-    )
+def test_hardy_memory_is_one_level_at_a_time():
+    # f* is a running maximum: the N+1 conditional-average levels (2 MiB each
+    # at M_N = 2^17) are never held together
+    seq = dyadic(17)
+    f = random_function(seq, 6)
+    tracemalloc.start()
+    try:
+        hardy_quasinorm(f, 0.5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_pointwise_arithmetic():

@@ -8,7 +8,7 @@ from vlab import transform
 from vlab.errors import CoordinateOutOfRange, IndexOutOfRange, RankOutOfRange, ResolutionMismatch
 from vlab.group_core import build_radix, point_from_index
 from vlab.means import partial_sum_stack
-from vlab.step_functions import StepFunction, constant, lp_quasinorm, to_martingale
+from vlab.step_functions import StepFunction, conditional_average, constant, lp_quasinorm
 from vlab.transform import (
     NAIVE_BLOCK,
     CoefficientVector,
@@ -323,13 +323,12 @@ def test_partial_sum_middle_branch_of_kernel_difference():
 
 
 def test_martingale_bridge():
-    # conditional-average levels coincide with the scale partial sums
+    # conditional averages E_n f coincide with the scale partial sums S_{M_n} f
     seq = build_radix((2, 3, 2, 2))
     f = random_function(seq, 13)
-    mart = to_martingale(f)
     for n in range(seq.depth + 1):
         s = partial_sum(f, seq.scales[n])
-        assert np.max(np.abs(mart.levels[n].values - s.values)) <= 1e-9
+        assert np.max(np.abs(conditional_average(f, n).values - s.values)) <= 1e-9
 
 
 def test_batch_partial_sums_buffer_is_cumulative():
