@@ -15,7 +15,6 @@ from .errors import (
     DegenerateInput,
     DepthTooSmall,
     DigitOutOfRange,
-    EmptyMartingale,
     IndexOutOfRange,
     InvalidExponent,
     InvalidWeight,
@@ -50,7 +49,6 @@ from .step_functions import (
     maximal_function,
     save_step_function,
     scale,
-    sup_pointwise,
     weak_lp_quasinorm,
 )
 from .transform import (
@@ -63,7 +61,6 @@ from .transform import (
     forward_naive_many,
     inverse,
     partial_sum,
-    rademacher,
     vilenkin_char,
 )
 from .means import (

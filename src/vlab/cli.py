@@ -444,13 +444,17 @@ def _resolve_fn(cfg: RunConfig) -> tuple[StepFunction, RunConfig]:
 
 
 def cmd_norms(cfg: RunConfig) -> tuple[ExperimentReport, bool]:
+    if bool(cfg.mean) != (cfg.mean_n is not None):
+        raise ConfigError("--mean and --mean-n must be given together")
+    if cfg.mean_n == 0:
+        raise ConfigError("--mean-n must be at least 1")
     f, cfg = _resolve_fn(cfg)
     label = cfg.fn
     report = ExperimentReport(columns=list(NORMS_COLUMNS))
     _echo_config(report, cfg, "norms")
     mean_lp = None
     for p in cfg.p:
-        if cfg.mean and cfg.mean_n:
+        if cfg.mean:
             w = weight_sequence_from_spec(cfg.mean, cfg.mean_n)
             mean_lp = lp_quasinorm(norlund_mean(f, cfg.mean_n, w), p)
         row = (

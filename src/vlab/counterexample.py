@@ -35,7 +35,7 @@ from .step_functions import (
     lp_quasinorm,
     maximal_function,
 )
-from .transform import character_row, dirichlet_closed_MN, forward_fast
+from .transform import character_rows, dirichlet_closed_MN, forward_fast
 
 SWEEP_COLUMNS = [
     "k",
@@ -216,7 +216,7 @@ def l_mean_identity(case: CounterexampleCase, tol: float = 1e-9) -> LogMeanIdent
     ell = harmonic_l(case.n_star)
     predicted = 1.0 / ell
     computed = log_mean(case.func, case.n_star)
-    target = character_row(case.radix_seq, case.m_lo) / ell
+    target = character_rows(case.radix_seq, case.m_lo, case.m_lo + 1)[0] / ell
     gap = float(np.max(np.abs(computed.values - target)))
     moduli = np.abs(computed.values)
     variance = float(np.var(moduli))

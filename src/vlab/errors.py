@@ -33,10 +33,6 @@ class InvalidExponent(VilenkinError):
     """A quasi-norm exponent p is outside its admissible range."""
 
 
-class EmptyMartingale(VilenkinError):
-    """A martingale or function list with no levels was supplied."""
-
-
 class ResolutionMismatch(VilenkinError):
     """Operands live on different radix sequences or resolutions."""
 

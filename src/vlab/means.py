@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import IndexOutOfRange, InvalidWeight, ZeroTotalWeight
 from .step_functions import StepFunction
-from .transform import character_row, forward_fast, synthesize_multiplier
+from .transform import ROW_BLOCK, character_rows, forward_fast, synthesize_multiplier
 
 
 def harmonic_l(n: int) -> float:
@@ -109,14 +109,21 @@ def weight_sequence_from_spec(spec: str, n: int) -> WeightSequence:
 
 
 def partial_sum_stack(f: StepFunction, n_max: int) -> np.ndarray:
-    """(n_max + 1, M_N) array whose row n holds S_n f (row 0 is zero)."""
+    """(n_max + 1, M_N) array whose row n holds S_n f (row 0 is zero).
+
+    Row k + 1 first receives c_k psi_k, one block of at most ROW_BLOCK
+    entries of :func:`character_rows` at a time; a running sum down the
+    rows then turns the terms into partial sums.
+    """
     seq = f.radix_seq
     if n_max < 0 or n_max > seq.size:
         raise IndexOutOfRange(f"n_max {n_max} outside 0..{seq.size}")
     coeffs = forward_fast(f).coeffs
     stack = np.zeros((n_max + 1, seq.size), dtype=np.complex128)
-    for k in range(n_max):
-        stack[k + 1] = coeffs[k] * character_row(seq, k)
+    step = max(1, ROW_BLOCK // seq.size)
+    for lo in range(0, n_max, step):
+        hi = min(lo + step, n_max)
+        np.multiply(coeffs[lo:hi, None], character_rows(seq, lo, hi), out=stack[lo + 1 : hi + 1])
     return np.cumsum(stack, axis=0, out=stack)
 
 
@@ -154,15 +161,12 @@ def norlund_mean(f: StepFunction, n: int, weights: WeightSequence) -> StepFuncti
     return synthesize_multiplier(f, (totals[::-1] + (weights.q0 or 0.0)) / q_n)
 
 
-def log_mean(f: StepFunction, n: int, allow_first: bool = False) -> StepFunction:
+def log_mean(f: StepFunction, n: int) -> StepFunction:
     """L_n f = (1/l_n) sum_{k=1}^{n-1} S_k f / (n - k).
 
-    n = 1 gives the identically zero mean (S_0 f = 0) and is rejected
-    unless ``allow_first`` is set.
+    n = 1 would give the identically zero mean (S_0 f = 0) and is rejected.
     """
     seq = f.radix_seq
-    if n == 1 and allow_first:
-        return StepFunction(seq, np.zeros(seq.size, dtype=np.complex128))
     if n < 2 or n > seq.size:
         raise IndexOutOfRange(f"log mean order {n} outside 2..{seq.size}")
     return norlund_mean(f, n, log_weights(n))

@@ -134,6 +134,13 @@ def check_p_unit(p: float) -> float:
 _BLOCK = 128
 
 
+def _log_mean_blocks(s_stack: np.ndarray, n_max: int):
+    """Yield (ns, log_mean_rows(s_stack, ns)) for n = 2..n_max, _BLOCK orders at a time."""
+    for start in range(2, n_max + 1, _BLOCK):
+        ns = np.arange(start, min(start + _BLOCK, n_max + 1))
+        yield ns, log_mean_rows(s_stack, ns)
+
+
 def weighted_maximal(
     f: StepFunction, transform_kind: str, weight: WeightFunction, n_max: int
 ) -> StepFunction:
@@ -157,9 +164,7 @@ def weighted_maximal(
         best = np.max(np.abs(s_stack[1:]) / ws[:, None], axis=0)
     else:
         best = np.zeros(seq.size, dtype=np.float64)
-        for start in range(2, n_max + 1, _BLOCK):
-            ns = np.arange(start, min(start + _BLOCK, n_max + 1))
-            rows = log_mean_rows(s_stack, ns)
+        for ns, rows in _log_mean_blocks(s_stack, n_max):
             cand = np.abs(rows) / weight.phi(ns + 1)[:, None]
             np.maximum(best, cand.max(axis=0), out=best)
     return StepFunction(seq, best)
@@ -199,13 +204,9 @@ def domination_check(f: StepFunction, p: float, n_max: int, tol: float = 1e-12) 
     # running[j] = sup over 1 <= k <= j+1 of |S_k| / (k+1)^expo
     running = np.maximum.accumulate(np.abs(s_stack[1:]) / k_weights[:, None], axis=0)
     worst = -np.inf
-    for start in range(2, n_max + 1, _BLOCK):
-        ns = np.arange(start, min(start + _BLOCK, n_max + 1))
-        rows = log_mean_rows(s_stack, ns)
+    for ns, rows in _log_mean_blocks(s_stack, n_max):
         lhs = np.abs(rows) / ((ns + 1.0) ** expo)[:, None]
-        rhs = running[ns - 1]
-        slack = float(np.max(lhs - rhs))
-        worst = max(worst, slack)
+        worst = max(worst, float(np.max(lhs - running[ns - 1])))
     return DominationResult(passed=worst <= tol, max_slack=worst, tol=tol)
 
 

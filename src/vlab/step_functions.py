@@ -14,11 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    EmptyMartingale,
-    InvalidExponent,
-    ResolutionMismatch,
-)
+from .errors import InvalidExponent, ResolutionMismatch
 from .group_core import RadixSequence, build_radix
 
 FLOAT_FMT = ".17g"  # round-trips IEEE doubles exactly
@@ -131,17 +127,6 @@ def scale(f: StepFunction, c: complex) -> StepFunction:
 
 def absolute(f: StepFunction) -> StepFunction:
     return StepFunction(f.radix_seq, np.abs(f.values))
-
-
-def sup_pointwise(fs) -> StepFunction:
-    """Pointwise maximum of real-valued functions (real parts are compared)."""
-    fs = list(fs)
-    if not fs:
-        raise EmptyMartingale("sup_pointwise needs at least one function")
-    for g in fs[1:]:
-        _check_compatible(fs[0], g)
-    stacked = np.stack([g.values.real for g in fs])
-    return StepFunction(fs[0].radix_seq, stacked.max(axis=0))
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,11 @@ factorizes over coordinates.  Analysis coefficients are integrals
 c_k = int f conj(psi_k) dmu; at resolution N these are exact finite sums
 over the M_N cylinders.
 
+Characters are built as arrays in one place: ``character_rows`` gives a
+block of rows psi_lo .. psi_{hi-1} from the digit table, at most ROW_BLOCK
+entries at a time.  The naive oracle conjugates its blocks and the
+partial-sum stacks of ``means`` scale theirs by the coefficients.
+
 Two transform paths are provided.  ``forward_naive`` applies the full
 character matrix (M_N^2 multiply-adds), one block of rows at a time, and
 serves as the oracle; ``forward_naive_many`` shares each block across a
@@ -23,16 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    CoordinateOutOfRange,
-    IndexOutOfRange,
-    RankOutOfRange,
-    ResolutionMismatch,
-)
+from .errors import IndexOutOfRange, RankOutOfRange, ResolutionMismatch
 from .group_core import GroupPoint, RadixSequence, decompose, digit_table
 from .step_functions import StepFunction, read_value_file, write_value_file
-
-TWO_PI = 2.0 * np.pi
 
 
 @dataclass
@@ -64,14 +62,6 @@ class CoefficientVector:
         object.__setattr__(self, "coeffs", vals)
 
 
-def rademacher(k: int, x: GroupPoint) -> complex:
-    """exp(2 pi i x_k / m_k); the coordinate-k generator character."""
-    seq = x.radix_seq
-    if k < 0 or k >= seq.depth:
-        raise CoordinateOutOfRange(f"coordinate {k} outside 0..{seq.depth - 1}")
-    return cmath.exp(2j * cmath.pi * x.digits[k] / seq.radices[k])
-
-
 def vilenkin_char(n: int, x: GroupPoint) -> complex:
     """psi_n(x) = prod_k r_k(x)^{n_k}, evaluated via one accumulated phase."""
     seq = x.radix_seq
@@ -80,17 +70,25 @@ def vilenkin_char(n: int, x: GroupPoint) -> complex:
     return cmath.exp(2j * cmath.pi * phase)
 
 
-def character_row(seq: RadixSequence, n: int) -> np.ndarray:
-    """psi_n evaluated on all M_N points, in linear-index order."""
-    idx = decompose(n, seq)
-    w = np.array([d / r for d, r in zip(idx.digits, seq.radices)], dtype=np.float64)
-    phases = digit_table(seq) @ w
-    return np.exp(2j * np.pi * phases)
+# Entries of psi_k(x) built at once: 2^16 complex values (1 MiB), rounded
+# down to whole rows k, and one row when M_N is larger.  Bounds the naive
+# oracle and the partial-sum stacks alike.
+ROW_BLOCK = 1 << 16
 
 
-# Entries of conj(psi_k(x)) the naive oracle holds at once: 2^16 complex
-# values (1 MiB), rounded down to whole rows k, and one row when M_N is larger.
-NAIVE_BLOCK = 1 << 16
+def character_rows(seq: RadixSequence, lo: int, hi: int) -> np.ndarray:
+    """(hi - lo, M_N) array whose row k - lo holds psi_k, lo <= k < hi.
+
+    The phase sum_j k_j x_j / m_j is symmetric in (k, x), so the rows come
+    from one digit table: the block of its rows lo..hi-1, scaled by 1/m_j,
+    times the whole table.
+    """
+    if not 0 <= lo <= hi <= seq.size:
+        raise IndexOutOfRange(f"character rows {lo}..{hi} outside 0..{seq.size}")
+    digits = digit_table(seq)
+    inv_m = np.array([1.0 / r for r in seq.radices], dtype=np.float64)
+    rows = 2j * np.pi * ((digits[lo:hi] * inv_m) @ digits.T)
+    return np.exp(rows, out=rows)
 
 
 def forward_naive_many(
@@ -98,23 +96,22 @@ def forward_naive_many(
 ) -> list[CoefficientVector]:
     """Coefficients of every f in ``fs`` by the definition (the oracle).
 
-    c_k = (1/M_N) sum_x f(x) conj(psi_k(x)).  The phase sum_j k_j x_j / m_j
-    is symmetric in (k, x), so a block of rows k is built from one digit
-    table and applied to the whole batch before the next block is built:
-    memory is O(NAIVE_BLOCK + S M_N) for S functions and M_N^2 ``exp``
-    calls are shared by the batch.  All functions must share one group.
+    c_k = (1/M_N) sum_x f(x) conj(psi_k(x)).  Each block of conjugated
+    :func:`character_rows` is applied to the whole batch before the next
+    block is built: memory is O(ROW_BLOCK + S M_N) for S functions and
+    M_N^2 ``exp`` calls are shared by the batch.  All functions must share
+    one group.
     """
     if not fs:
         return []
     seq = fs[0].radix_seq
     if any(f.radix_seq != seq for f in fs):
         raise ResolutionMismatch("batch functions live on different radix sequences")
-    digits = digit_table(seq)
-    inv_m = np.array([1.0 / r for r in seq.radices], dtype=np.float64)
     coeffs = np.empty((len(fs), seq.size), dtype=np.complex128)
-    step = max(1, NAIVE_BLOCK // seq.size)
+    step = max(1, ROW_BLOCK // seq.size)
     for lo in range(0, seq.size, step):
-        block = np.exp(-2j * np.pi * ((digits[lo : lo + step] * inv_m) @ digits.T))
+        block = character_rows(seq, lo, min(lo + step, seq.size))
+        np.conj(block, out=block)
         # one matrix-vector product per function, so each c_k sums its M_N
         # terms in the same order whatever the block or batch size
         for row, f in zip(coeffs, fs):

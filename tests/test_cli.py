@@ -189,6 +189,9 @@ def test_norms_needs_fn():
         ["theorem-a", "--depth", "2", "--samples", "0", "--weight", "log", "--p", "inf"],
         ["norms", "--fn", "dirichlet:1", "--mean", "ones", "--mean-n", "-1"],
         ["norms", "--fn", "dirichlet:1", "--config", "{latin}"],
+        ["norms", "--fn", "dirichlet:3", "--mean", "log"],
+        ["norms", "--fn", "dirichlet:3", "--mean", "log", "--mean-n", "0"],
+        ["norms", "--fn", "dirichlet:3", "--mean-n", "3"],
     ],
 )
 def test_bad_input_is_one_line_exit_two(tmp_path, capsys, argv):

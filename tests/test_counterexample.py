@@ -18,7 +18,7 @@ from vlab.group_core import build_radix, cycle_radices
 from vlab.means import harmonic_l
 from vlab.operators import log_weight, power_weight
 from vlab.step_functions import hardy_quasinorm, lp_quasinorm
-from vlab.transform import CoefficientVector, character_row, dirichlet_kernel, forward_fast
+from vlab.transform import CoefficientVector, character_rows, dirichlet_kernel, forward_fast
 
 TEST_MATRIX = [
     (2,) * 7,
@@ -46,7 +46,7 @@ def walk_partial_sums(case):
     d_at_lo = None
     err_zero = err_middle = err_tail = 0.0
     for i in range(1, seq.size + 1):
-        row = character_row(seq, i - 1)
+        row = character_rows(seq, i - 1, i)[0]
         s_acc += coeffs[i - 1] * row
         d_acc += row
         if i == case.m_lo:
@@ -72,7 +72,7 @@ def walk_branch_deltas(case):
     acc = np.zeros(seq.size, dtype=np.complex128)
     sup = np.empty(seq.size)  # sup[i - 1] is the error of S_i
     for k in range(seq.size):
-        acc += delta[k] * character_row(seq, k)
+        acc += delta[k] * character_rows(seq, k, k + 1)[0]
         sup[k] = np.max(np.abs(acc))
     return sup[: case.m_lo].max(), sup[case.m_lo : case.m_hi - 1].max(), sup[-1]
 
@@ -162,7 +162,7 @@ def test_partial_sum_certificate_bounds_branch_errors(radices):
 
 
 def test_partial_sum_certificate_costs_one_transform(monkeypatch):
-    calls = {"forward_fast": 0, "character_row": 0}
+    calls = {"forward_fast": 0, "character_rows": 0}
 
     def counting(name, fn):
         def wrapped(*args, **kwargs):
@@ -175,7 +175,7 @@ def test_partial_sum_certificate_costs_one_transform(monkeypatch):
         fn = getattr(counterexample_mod, name)
         monkeypatch.setattr(counterexample_mod, name, counting(name, fn))
     assert verify_partial_sums(build_case(2, build_radix(cycle_radices((2, 3), 5)))).ok
-    assert calls == {"forward_fast": 1, "character_row": 0}
+    assert calls == {"forward_fast": 1, "character_rows": 0}
 
 
 def test_partial_sum_certificate_catches_a_wrong_coefficient(monkeypatch):

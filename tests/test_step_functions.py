@@ -18,11 +18,15 @@ from vlab.step_functions import (
     maximal_function,
     save_step_function,
     scale,
-    sup_pointwise,
     weak_lp_quasinorm,
     zero,
 )
-from vlab.transform import character_row, dirichlet_closed_MN
+from vlab.transform import character_rows, dirichlet_closed_MN
+
+
+def character(seq, n):
+    """psi_n on all M_N points."""
+    return character_rows(seq, n, n + 1)[0]
 
 
 def random_function(seq, seed=0):
@@ -60,7 +64,7 @@ def test_lp_of_dirichlet_block():
 
 def test_lp_of_character_is_one():
     seq = build_radix((2, 3, 2))
-    f = StepFunction(seq, character_row(seq, 5))
+    f = StepFunction(seq, character(seq, 5))
     for p in (0.5, 1.0, 3.0):
         assert lp_quasinorm(f, p) == pytest.approx(1.0, rel=1e-12)
 
@@ -75,7 +79,7 @@ def test_lp_rejects_bad_exponent():
 
 def test_weak_lp_examples():
     seq = dyadic(3)
-    psi = StepFunction(seq, character_row(seq, 3))
+    psi = StepFunction(seq, character(seq, 3))
     assert weak_lp_quasinorm(psi, 0.7) == pytest.approx(1.0, rel=1e-12)
     d4 = dirichlet_closed_MN(seq, 2)
     assert weak_lp_quasinorm(d4, 0.5) == pytest.approx(0.25, rel=1e-12)
@@ -114,7 +118,7 @@ def test_martingale_of_constant():
 def test_martingale_of_character():
     # averaging (-1)^{x_0} over x_0 kills the rank-0 level
     seq = dyadic(3)
-    psi1 = StepFunction(seq, character_row(seq, 1))
+    psi1 = StepFunction(seq, character(seq, 1))
     assert np.max(np.abs(conditional_average(psi1, 0).values)) < 1e-15
     assert np.allclose(conditional_average(psi1, 1).values, psi1.values)
     assert np.allclose(conditional_average(psi1, 3).values, psi1.values)
@@ -157,7 +161,7 @@ def test_maximal_function_of_constant():
 
 def test_maximal_function_of_character():
     seq = dyadic(3)
-    psi1 = StepFunction(seq, character_row(seq, 1))
+    psi1 = StepFunction(seq, character(seq, 1))
     fstar = maximal_function(psi1)
     assert np.allclose(fstar.values, 1.0)
 
@@ -209,7 +213,7 @@ def test_hardy_of_kernel_difference():
 
 def test_hardy_of_character():
     seq = dyadic(3)
-    psi = StepFunction(seq, character_row(seq, 5))
+    psi = StepFunction(seq, character(seq, 5))
     assert hardy_quasinorm(psi, 0.5) == pytest.approx(1.0, rel=1e-12)
 
 
@@ -231,12 +235,8 @@ def test_pointwise_arithmetic():
     seq = build_radix((2, 3))
     f = random_function(seq, 4)
     assert np.max(np.abs(add(f, scale(f, -1)).values)) == 0.0
-    psi = StepFunction(seq, character_row(seq, 2))
+    psi = StepFunction(seq, character(seq, 2))
     assert np.allclose(absolute(psi).values, 1.0)
-    g = StepFunction(seq, f.values.real)
-    assert np.allclose(
-        sup_pointwise([g, scale(g, -1)]).values, absolute(g).values
-    )
 
 
 def test_arithmetic_resolution_mismatch():

@@ -5,15 +5,15 @@ import numpy as np
 import pytest
 
 from vlab import transform
-from vlab.errors import CoordinateOutOfRange, IndexOutOfRange, RankOutOfRange, ResolutionMismatch
+from vlab.errors import IndexOutOfRange, RankOutOfRange, ResolutionMismatch
 from vlab.group_core import build_radix, point_from_index
 from vlab.means import partial_sum_stack
 from vlab.step_functions import StepFunction, conditional_average, constant, lp_quasinorm
 from vlab.transform import (
-    NAIVE_BLOCK,
+    ROW_BLOCK,
     CoefficientVector,
     OpCount,
-    character_row,
+    character_rows,
     dirichlet_closed_MN,
     dirichlet_kernel,
     fast_op_bound,
@@ -23,7 +23,6 @@ from vlab.transform import (
     inverse,
     load_coefficients,
     partial_sum,
-    rademacher,
     save_coefficients,
     vilenkin_char,
 )
@@ -32,29 +31,6 @@ from vlab.transform import (
 def random_function(seq, seed=0):
     rng = np.random.default_rng(seed)
     return StepFunction(seq, rng.standard_normal(seq.size) + 1j * rng.standard_normal(seq.size))
-
-
-def test_rademacher_dyadic_is_sign():
-    seq = build_radix((2, 2))
-    assert rademacher(0, point_from_index(1, seq)) == pytest.approx(-1.0)
-    assert rademacher(0, point_from_index(0, seq)) == pytest.approx(1.0)
-
-
-def test_rademacher_zero_digit_is_one():
-    seq = build_radix((5, 7))
-    assert rademacher(1, point_from_index(3, seq)) == pytest.approx(1.0)
-
-
-def test_rademacher_ternary():
-    seq = build_radix((3,))
-    got = rademacher(0, point_from_index(2, seq))
-    assert got == pytest.approx(cmath.exp(4j * cmath.pi / 3))
-
-
-def test_rademacher_out_of_range():
-    seq = build_radix((2, 2))
-    with pytest.raises(CoordinateOutOfRange):
-        rademacher(2, point_from_index(0, seq))
 
 
 def test_char_zero_is_one():
@@ -87,16 +63,23 @@ def test_char_out_of_range():
 
 
 def test_character_row_matches_pointwise():
+    # blocks from 0, from an interior lo, up to M_N, and an empty one
     seq = build_radix((2, 3, 2))
-    for n in (0, 1, 5, 11):
-        row = character_row(seq, n)
-        for i in range(seq.size):
-            assert row[i] == pytest.approx(vilenkin_char(n, point_from_index(i, seq)), abs=1e-12)
+    for lo, hi in ((0, 3), (5, 9), (10, 12), (7, 7)):
+        rows = character_rows(seq, lo, hi)
+        assert rows.shape == (hi - lo, seq.size)
+        for n in range(lo, hi):
+            for i in range(seq.size):
+                want = vilenkin_char(n, point_from_index(i, seq))
+                assert rows[n - lo, i] == pytest.approx(want, abs=1e-12)
+    for lo, hi in ((-1, 2), (4, 3), (0, seq.size + 1), (seq.size + 1, seq.size + 2)):
+        with pytest.raises(IndexOutOfRange):
+            character_rows(seq, lo, hi)
 
 
 def test_orthonormality_exhaustive():
     seq = build_radix((2, 3, 2, 4))  # M_N = 48
-    rows = np.stack([character_row(seq, n) for n in range(seq.size)])
+    rows = character_rows(seq, 0, seq.size)
     gram = rows @ rows.conj().T / seq.size
     assert np.max(np.abs(gram - np.eye(seq.size))) <= 1e-9
 
@@ -104,7 +87,7 @@ def test_orthonormality_exhaustive():
 def test_forward_naive_on_characters():
     seq = build_radix((2, 3, 2))
     for j in (0, 3, 7):
-        f = StepFunction(seq, character_row(seq, j))
+        f = StepFunction(seq, character_rows(seq, j, j + 1)[0])
         coeffs = forward_naive(f).coeffs
         want = np.zeros(seq.size)
         want[j] = 1.0
@@ -153,10 +136,10 @@ def test_op_count_instrumentation():
 
 
 def dense_reference(fs):
-    """Coefficients from the whole stacked matrix of conjugated character rows."""
+    """Coefficients by numpy's fftn over the digit axes (digit 0 varies fastest)."""
     seq = fs[0].radix_seq
-    rows = np.stack([character_row(seq, k) for k in range(seq.size)]).conj()
-    return [rows @ f.values / seq.size for f in fs]
+    shape = tuple(reversed(seq.radices))
+    return [np.fft.fftn(f.values.reshape(shape)).reshape(-1) / seq.size for f in fs]
 
 
 # (2,3,2,4) and (3,5) at depth 4 fit one block; (3,5) at depth 5 has
@@ -164,7 +147,7 @@ def dense_reference(fs):
 @pytest.mark.parametrize("radices", [(2, 3, 2, 4), (3, 5, 3, 5), (3, 5, 3, 5, 3)])
 def test_naive_oracle_matches_dense_reference(radices):
     seq = build_radix(radices)
-    assert seq.size < NAIVE_BLOCK
+    assert seq.size < ROW_BLOCK
     fs = [random_function(seq, seed) for seed in range(3)]
     want = dense_reference(fs)
     for got, ref in zip(forward_naive_many(fs), want):
@@ -175,11 +158,11 @@ def test_naive_oracle_matches_dense_reference(radices):
 
 @pytest.mark.parametrize("block", [1, 100])
 def test_naive_oracle_partial_blocks(monkeypatch, block):
-    # one row per block, as for M_N > NAIVE_BLOCK, and 2-row blocks with a short last one
+    # one row per block, as for M_N > ROW_BLOCK, and 2-row blocks with a short last one
     seq = build_radix((3, 5, 3))
     fs = [random_function(seq, seed) for seed in range(2)]
     want = dense_reference(fs)
-    monkeypatch.setattr(transform, "NAIVE_BLOCK", block)
+    monkeypatch.setattr(transform, "ROW_BLOCK", block)
     for got, ref in zip(forward_naive_many(fs), want):
         assert np.max(np.abs(got.coeffs - ref)) <= 1e-12
 
@@ -225,7 +208,7 @@ def test_inverse_of_unit_vector_is_character():
         unit = np.zeros(seq.size)
         unit[j] = 1.0
         got = inverse(CoefficientVector(seq, unit))
-        assert np.max(np.abs(got.values - character_row(seq, j))) <= 1e-12
+        assert np.max(np.abs(got.values - character_rows(seq, j, j + 1)[0])) <= 1e-12
 
 
 def test_inverse_round_trip():
@@ -319,7 +302,7 @@ def test_partial_sum_middle_branch_of_kernel_difference():
     seq = build_radix((2,) * 3)
     f = StepFunction(seq, dirichlet_closed_MN(seq, 3).values - dirichlet_closed_MN(seq, 2).values)
     s5 = partial_sum(f, 5)
-    assert np.max(np.abs(s5.values - character_row(seq, 4))) <= 1e-9
+    assert np.max(np.abs(s5.values - character_rows(seq, 4, 5)[0])) <= 1e-9
 
 
 def test_martingale_bridge():
@@ -338,7 +321,7 @@ def test_batch_partial_sums_buffer_is_cumulative():
     stack = partial_sum_stack(f, seq.size)
     for k in range(1, seq.size + 1):
         step = stack[k] - stack[k - 1]
-        assert np.max(np.abs(step - coeffs[k - 1] * character_row(seq, k - 1))) <= 1e-9
+        assert np.max(np.abs(step - coeffs[k - 1] * character_rows(seq, k - 1, k)[0])) <= 1e-9
         assert np.max(np.abs(stack[k] - partial_sum(f, k).values)) <= 1e-9
 
 
