@@ -39,7 +39,6 @@ from .operators import (
     critical_power_weight,
     domination_check,
     hardy_quasinorm,
-    log_mean_tail_bound,
     make_atom,
     parse_weight_spec,
     weighted_maximal,
@@ -343,23 +342,19 @@ def cmd_theorem_a(cfg: RunConfig) -> tuple[ExperimentReport, ExperimentReport, b
             atom = make_atom(rng, seq, rank, p)
             hardy = hardy_quasinorm(atom.function, p)
             maximal = lp_quasinorm(weighted_maximal(atom.function, "log_mean", weight, nmax), p)
-            tail = log_mean_tail_bound(atom.function, weight, nmax)
-            return hardy, maximal, tail
+            return hardy, maximal
 
         atom_rows = _parallel_map(atom_one, range(cfg.samples))
-        worst_tail = 0.0
-        for i, (hardy, maximal, tail) in enumerate(atom_rows):
+        for i, (hardy, maximal) in enumerate(atom_rows):
             ratio = maximal / hardy
             ok = math.isfinite(ratio)
             all_ok = all_ok and ok
-            worst_tail = max(worst_tail, tail)
             atom_report.add_row(i, p, weight.spec, nmax, hardy, maximal, ratio)
-        ratios = [m / h for h, m, _ in atom_rows]
+        ratios = [m / h for h, m in atom_rows]
         if ratios:
             print(
                 f"[{_status(all(math.isfinite(r) for r in ratios))}] atom sweep, p={p}: "
-                f"max ratio {max(ratios):.6g} (truncated at n<={nmax}; "
-                f"log-mean tail bound <= {worst_tail:.6g})"
+                f"max ratio {max(ratios):.6g} (truncated at n<={nmax})"
             )
     return atom_report, dom_report, all_ok
 

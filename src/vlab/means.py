@@ -11,12 +11,14 @@ never touches q_0:
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import IndexOutOfRange, InvalidWeight, ZeroTotalWeight
+from .errors import CapacityExceeded, IndexOutOfRange, InvalidWeight, ZeroTotalWeight
+from .group_core import RadixSequence
 from .step_functions import StepFunction
 from .transform import ROW_BLOCK, character_rows, forward_fast, synthesize_multiplier
 
@@ -108,22 +110,58 @@ def weight_sequence_from_spec(spec: str, n: int) -> WeightSequence:
     raise InvalidWeight(f"unknown weight family {spec!r}")
 
 
+def _physical_memory() -> int:
+    """Bytes of physical memory on this machine."""
+    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+
+
+def _check_stack_fits(seq: RadixSequence, n_max: int) -> None:
+    """Refuse a stack whose rows plus partial sums would not fit in physical memory.
+
+    Both are (n_max + 1) x M_N complex arrays at most; the check runs before
+    either is allocated.
+    """
+    need = 2 * (n_max + 1) * seq.size * np.dtype(np.complex128).itemsize
+    budget = _physical_memory()
+    if need > budget:
+        raise CapacityExceeded(
+            f"partial-sum stack for n_max={n_max}, M_N={seq.size} needs {need} bytes, "
+            f"physical memory is {budget}"
+        )
+
+
+@lru_cache(maxsize=1)
+def leading_rows(seq: RadixSequence, n: int) -> np.ndarray:
+    """Read-only (n, M_N) array whose row k holds psi_k, k < n.
+
+    Filled one block of at most ROW_BLOCK entries of :func:`character_rows`
+    at a time.  One entry is cached: every stack of a run shares its group
+    and n, so the rows are built once per run and at most one row set is
+    held.
+    """
+    rows = np.empty((n, seq.size), dtype=np.complex128)
+    step = max(1, ROW_BLOCK // seq.size)
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        rows[lo:hi] = character_rows(seq, lo, hi)
+    rows.flags.writeable = False
+    return rows
+
+
 def partial_sum_stack(f: StepFunction, n_max: int) -> np.ndarray:
     """(n_max + 1, M_N) array whose row n holds S_n f (row 0 is zero).
 
-    Row k + 1 first receives c_k psi_k, one block of at most ROW_BLOCK
-    entries of :func:`character_rows` at a time; a running sum down the
-    rows then turns the terms into partial sums.
+    Row k + 1 first receives c_k psi_k, from the rows of
+    :func:`leading_rows`, which are built once per (group, n_max); a
+    running sum down the rows then turns the terms into partial sums.
     """
     seq = f.radix_seq
     if n_max < 0 or n_max > seq.size:
         raise IndexOutOfRange(f"n_max {n_max} outside 0..{seq.size}")
+    _check_stack_fits(seq, n_max)
     coeffs = forward_fast(f).coeffs
     stack = np.zeros((n_max + 1, seq.size), dtype=np.complex128)
-    step = max(1, ROW_BLOCK // seq.size)
-    for lo in range(0, n_max, step):
-        hi = min(lo + step, n_max)
-        np.multiply(coeffs[lo:hi, None], character_rows(seq, lo, hi), out=stack[lo + 1 : hi + 1])
+    np.multiply(coeffs[:n_max, None], leading_rows(seq, n_max), out=stack[1:])
     return np.cumsum(stack, axis=0, out=stack)
 
 
@@ -131,17 +169,21 @@ def log_mean_rows(s_stack: np.ndarray, ns) -> np.ndarray:
     """Rows L_n f for the orders in ``ns`` from a :func:`partial_sum_stack`.
 
     Applies the triangle T[n, k] = 1/((n - k) l_n), 1 <= k < n, so the
-    stack needs rows up to max(ns) - 1.
+    stack needs rows up to max(ns) - 1; later rows are ignored.  The
+    triangle is real, so it multiplies the interleaved real and imaginary
+    parts of rows 0..max(ns) - 1 as one real matrix product.
     """
     ns = np.asarray(ns, dtype=np.int64).reshape(-1)
     if ns.size == 0 or ns.min() < 2 or ns.max() > s_stack.shape[0]:
         raise IndexOutOfRange(f"log mean orders need 2 <= n <= {s_stack.shape[0]}")
-    ks = np.arange(s_stack.shape[0])
-    ell = harmonic_numbers(int(ns.max()))[ns - 1]
+    top = int(ns.max())
+    ks = np.arange(top)
+    ell = harmonic_numbers(top)[ns - 1]
     gap = ns[:, None] - ks
     tri = np.zeros(gap.shape, dtype=np.float64)
     np.divide(1.0, gap * ell[:, None], out=tri, where=(gap > 0) & (ks >= 1))
-    return tri @ s_stack
+    parts = np.ascontiguousarray(s_stack[:top], dtype=np.complex128).view(np.float64)
+    return (tri @ parts).view(np.complex128)
 
 
 def norlund_mean(f: StepFunction, n: int, weights: WeightSequence) -> StepFunction:

@@ -28,7 +28,6 @@ from .step_functions import (
     hardy_quasinorm,
     lp_quasinorm,
 )
-from .transform import forward_fast
 
 _FAMILIES = ("power", "log", "custom")
 _KINDS = ("partial_sum", "log_mean")
@@ -129,9 +128,10 @@ def check_p_unit(p: float) -> float:
     return p
 
 
-# Row-block size for the triangular log-mean accumulation; bounds scratch
-# memory at roughly block * (n_max + M_N) complex entries.
-_BLOCK = 128
+# Orders per block of the log-mean accumulation.  Each block holds its
+# log-mean rows and their moduli, about _BLOCK * M_N complex plus float
+# entries, beside the stack and its shared character rows.
+_BLOCK = 64
 
 
 def _log_mean_blocks(s_stack: np.ndarray, n_max: int):
@@ -148,7 +148,7 @@ def weighted_maximal(
 
     Truncation is exact for partial sums once n_max = M_N (higher partial
     sums reproduce f while the weight keeps growing); for log means it is
-    an approximant, see :func:`log_mean_tail_bound`.
+    a lower bound on the sup over all n.
     """
     if transform_kind not in _KINDS:
         raise InvalidWeight(f"unknown transform kind {transform_kind!r}")
@@ -158,26 +158,19 @@ def weighted_maximal(
     lo = 1 if transform_kind == "partial_sum" else 2
     if n_max < lo or n_max > seq.size:
         raise IndexOutOfRange(f"n_max {n_max} outside {lo}..{seq.size}")
-    s_stack = partial_sum_stack(f, n_max if transform_kind == "partial_sum" else n_max - 1)
+    # both kinds ask for n_max rows, as domination_check does, so they
+    # share the cached characters of partial_sum_stack
+    s_stack = partial_sum_stack(f, n_max)
     if transform_kind == "partial_sum":
         ws = weight.phi(np.arange(2, n_max + 2))
         best = np.max(np.abs(s_stack[1:]) / ws[:, None], axis=0)
     else:
         best = np.zeros(seq.size, dtype=np.float64)
         for ns, rows in _log_mean_blocks(s_stack, n_max):
-            cand = np.abs(rows) / weight.phi(ns + 1)[:, None]
+            cand = np.abs(rows)
+            cand /= weight.phi(ns + 1)[:, None]
             np.maximum(best, cand.max(axis=0), out=best)
     return StepFunction(seq, best)
-
-
-def log_mean_tail_bound(f: StepFunction, weight: WeightFunction, n_max: int) -> float:
-    """Crude bound on sup_{n > n_max} |L_n f| / phi(n+1).
-
-    |L_n f| never exceeds the total coefficient mass sum_k |c_k|, while the
-    weight is non-decreasing, so the tail is at most mass / phi(n_max + 2).
-    """
-    mass = float(np.sum(np.abs(forward_fast(f).coeffs)))
-    return mass / weight.phi(n_max + 2)
 
 
 @dataclass(frozen=True)
@@ -201,12 +194,20 @@ def domination_check(f: StepFunction, p: float, n_max: int, tol: float = 1e-12) 
     expo = 1.0 / p - 1.0
     s_stack = partial_sum_stack(f, n_max)
     k_weights = (np.arange(1, n_max + 1) + 1.0) ** expo
-    # running[j] = sup over 1 <= k <= j+1 of |S_k| / (k+1)^expo
-    running = np.maximum.accumulate(np.abs(s_stack[1:]) / k_weights[:, None], axis=0)
+    # sup over 1 <= k < ns[0] of |S_k| / (k+1)^expo, carried from block to block
+    best = np.abs(s_stack[1]) / k_weights[0]
     worst = -np.inf
     for ns, rows in _log_mean_blocks(s_stack, n_max):
-        lhs = np.abs(rows) / ((ns + 1.0) ** expo)[:, None]
-        worst = max(worst, float(np.max(lhs - running[ns - 1])))
+        # running[i] = sup over 1 <= k <= ns[i] of |S_k| / (k+1)^expo
+        running = np.abs(s_stack[ns[0] : ns[-1] + 1])
+        running /= k_weights[ns - 1, None]
+        np.maximum(running[0], best, out=running[0])
+        np.maximum.accumulate(running, axis=0, out=running)
+        best = running[-1].copy()
+        lhs = np.abs(rows)
+        lhs /= ((ns + 1.0) ** expo)[:, None]
+        lhs -= running
+        worst = max(worst, float(np.max(lhs)))
     return DominationResult(passed=worst <= tol, max_slack=worst, tol=tol)
 
 

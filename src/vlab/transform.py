@@ -8,8 +8,9 @@ over the M_N cylinders.
 
 Characters are built as arrays in one place: ``character_rows`` gives a
 block of rows psi_lo .. psi_{hi-1} from the digit table, at most ROW_BLOCK
-entries at a time.  The naive oracle conjugates its blocks and the
-partial-sum stacks of ``means`` scale theirs by the coefficients.
+entries at a time.  The naive oracle conjugates its blocks; ``means``
+gathers its blocks into the rows its partial-sum stacks share and scales
+them by the coefficients.
 
 Two transform paths are provided.  ``forward_naive`` applies the full
 character matrix (M_N^2 multiply-adds), one block of rows at a time, and
@@ -71,8 +72,8 @@ def vilenkin_char(n: int, x: GroupPoint) -> complex:
 
 
 # Entries of psi_k(x) built at once: 2^16 complex values (1 MiB), rounded
-# down to whole rows k, and one row when M_N is larger.  Bounds the naive
-# oracle and the partial-sum stacks alike.
+# down to whole rows k, and one row when M_N is larger.  Bounds the scratch
+# of the naive oracle and of the rows behind the partial-sum stacks alike.
 ROW_BLOCK = 1 << 16
 
 

@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,8 +13,10 @@ from vlab.cli import (
     main,
     resolve_config,
 )
+import vlab.means as means_mod
 from vlab.counterexample import SWEEP_COLUMNS
 from vlab.errors import ConfigError
+from vlab.group_core import build_radix, cycle_radices
 from vlab.step_functions import load_step_function, lp_quasinorm, save_step_function
 
 
@@ -287,11 +290,50 @@ def test_vlab_threads_same_bytes(tmp_path, monkeypatch):
     monkeypatch.delenv("VLAB_THREADS", raising=False)
     assert run(argv + ["--out", str(a)]) == 0
     monkeypatch.setenv("VLAB_THREADS", "3")
+    means_mod.leading_rows.cache_clear()  # workers may all miss the shared rows at once
     assert run(argv + ["--out", str(b)]) == 0
+    shared = means_mod.leading_rows(build_radix(cycle_radices((2, 3), 5)), 40)
+    assert shared.flags.writeable is False
     assert a.read_bytes().replace(b"a.csv", b"") == b.read_bytes().replace(b"b.csv", b"")
     dom_a = (tmp_path / "a.domination.csv").read_bytes()
     dom_b = (tmp_path / "b.domination.csv").read_bytes()
     assert dom_a.replace(b"a.csv", b"") == dom_b.replace(b"b.csv", b"")
+
+
+def test_theorem_a_builds_character_rows_once(monkeypatch):
+    # M_N = 1296 takes 50-row blocks, so psi_0..psi_299 are 6 builds; every
+    # domination check and atom maximal of the run shares them
+    calls = []
+    real = means_mod.character_rows
+
+    def counting(seq, lo, hi):
+        calls.append((lo, hi))
+        return real(seq, lo, hi)
+
+    monkeypatch.setattr(means_mod, "character_rows", counting)
+    monkeypatch.delenv("VLAB_THREADS", raising=False)
+    means_mod.leading_rows.cache_clear()
+    argv = ["theorem-a", "--radices", "2,3", "--depth", "8", "--nmax", "300", "--samples", "4"]
+    assert run(argv) == 0
+    assert len(calls) == 6
+
+
+def test_stack_beyond_physical_memory_is_exit_two(monkeypatch, capsys):
+    # rows plus stack would take 2 * 1025 * 1024 * 16 bytes (32 MiB); a 1 MiB
+    # budget stands in for physical memory, so nothing that size is allocated
+    monkeypatch.setattr(means_mod, "_physical_memory", lambda: 2**20)
+    means_mod.leading_rows.cache_clear()
+    argv = ["theorem-a", "--radices", "2", "--depth", "10", "--nmax", "1024", "--samples", "2"]
+    tracemalloc.start()
+    try:
+        rc = run(argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "physical memory" in err[0]
+    assert peak < 2**20
 
 
 def test_cli_config_file_end_to_end(tmp_path):

@@ -306,8 +306,9 @@ def test_means_cost_one_transform_pair(monkeypatch):
 
 
 def test_partial_sum_stack_builds_rows_one_block_at_a_time(monkeypatch):
-    # M_N = 1296 takes 50-row blocks: 6 builds for 300 rows, and scratch
-    # memory of about one block on top of the stack itself
+    # M_N = 1296 takes 50-row blocks: the first call makes 6 builds for 300
+    # rows and holds them beside the stack; a second call on the same group
+    # and n_max reuses them and needs little more than the stack itself
     seq = build_radix((2, 3) * 4)
     n_max = 300
     f = random_function(seq, 29)
@@ -317,15 +318,45 @@ def test_partial_sum_stack_builds_rows_one_block_at_a_time(monkeypatch):
         spans.append((lo, hi))
         return character_rows(seq_, lo, hi)
 
+    def traced_stack():
+        tracemalloc.start()
+        try:
+            stack = partial_sum_stack(f, n_max)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return stack, peak
+
     monkeypatch.setattr(means_mod, "character_rows", counting)
-    tracemalloc.start()
-    try:
-        stack = partial_sum_stack(f, n_max)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    means_mod.leading_rows.cache_clear()
+    stack, peak = traced_stack()
     step = ROW_BLOCK // seq.size
     assert len(spans) == -(-n_max // step) == 6
     assert [lo for lo, _ in spans] == list(range(0, n_max, step))
     assert spans[-1][1] == n_max
-    assert peak < stack.nbytes + 4 * 2**20
+    assert peak < 2 * stack.nbytes + 4 * 2**20
+
+    spans.clear()
+    again, peak = traced_stack()
+    assert spans == []
+    assert peak < stack.nbytes + 2**20
+    assert np.array_equal(again, stack)
+
+
+def test_log_mean_rows_real_product_matches_complex_product():
+    # the triangle is applied to interleaved real and imaginary parts over
+    # the columns k < max(ns) only; the complex product over every column
+    # of the stack is the reference
+    seq = build_radix((2, 3) * 4)
+    stack = partial_sum_stack(random_function(seq, 31), 300)
+    ks = np.arange(stack.shape[0])
+    for ns in (np.arange(2, 66), np.arange(66, 130), np.arange(2, 301), np.array([7, 3, 300, 2])):
+        ell = harmonic_numbers(300)[ns - 1]
+        gap = ns[:, None] - ks
+        tri = np.zeros(gap.shape)
+        np.divide(1.0, gap * ell[:, None], out=tri, where=(gap > 0) & (ks >= 1))
+        want = tri.astype(np.complex128) @ stack
+        got = log_mean_rows(stack, ns)
+        assert got.shape == want.shape
+        scale_ = np.max(np.abs(want), axis=1, keepdims=True)
+        assert np.all(np.abs(got - want) <= 1e-15 * scale_)
