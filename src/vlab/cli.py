@@ -3,7 +3,8 @@
 Config handling is flat ``key=value`` text; command-line flags override
 file values, which override per-command defaults.  A fixed seed pins all
 randomness, so identical configs produce byte-identical CSV output (timing
-figures go to the console only, never into reports).
+figures go to the console only, never into reports).  A new ``RunConfig``
+field needs one ``_OPTIONS`` entry, and a command is one ``_COMMANDS`` entry.
 """
 
 from __future__ import annotations
@@ -119,22 +120,24 @@ def _parse_count(text: str) -> int:
     return value
 
 
-_COERCERS = {
-    "radices": str,
-    "depth": int,
-    "p": _parse_tuple(float),
-    "weight": str,
-    "nmax": int,
-    "samples": _parse_count,
-    "seed": _parse_count,
-    "out": str,
-    "k_list": _parse_tuple(int),
-    "fn": str,
-    "mean": str,
-    "mean_n": _parse_count,
-    "save_fn": str,
-    "nk": int,
-    "theta_samples": _parse_count,
+# Each RunConfig field: (reader of its text value, help); the flag is the
+# field name with "--" in front and "-" for "_".
+_OPTIONS = {
+    "radices": (str, "comma-separated radix pattern, cycled to depth"),
+    "depth": (int, "number of retained coordinates N"),
+    "p": (_parse_tuple(float), "comma-separated exponent list"),
+    "weight": (str, "maximal-operator weight: power:<alpha> | log | custom:<file>"),
+    "nmax": (int, "maximal-operator truncation order"),
+    "samples": (_parse_count, "number of random samples"),
+    "seed": (_parse_count, "master RNG seed"),
+    "out": (str, "CSV output path"),
+    "k_list": (_parse_tuple(int), "comma-separated case indices n_k"),
+    "fn": (str, "function spec: file:<path> | dirichlet:<n> | case:<nk>"),
+    "mean": (str, "Norlund weight family: ones | log | custom:<file>"),
+    "mean_n": (_parse_count, "Norlund mean order"),
+    "save_fn": (str, "write the case function to this path"),
+    "nk": (int, "case index n_k"),
+    "theta_samples": (_parse_count, "atom samples for the theta bracket"),
 }
 
 
@@ -154,7 +157,7 @@ def load_config_file(path) -> dict[str, str]:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, value = line.split("=", 1)
         key = key.strip()
-        if key not in _COERCERS:
+        if key not in _OPTIONS:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
         raw[key] = value.strip()
     return raw
@@ -167,9 +170,7 @@ def resolve_config(defaults: RunConfig, args: argparse.Namespace) -> RunConfig:
         updates = {}
         for key, value in source.items():
             try:
-                updates[key] = _COERCERS[key](value)
-            except ConfigError:
-                raise
+                updates[key] = _OPTIONS[key][0](value)
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"bad value for {key}: {value!r} ({exc})") from None
         cfg = replace(cfg, **updates)
@@ -177,8 +178,7 @@ def resolve_config(defaults: RunConfig, args: argparse.Namespace) -> RunConfig:
 
 
 def _cli_values(args: argparse.Namespace) -> dict[str, str]:
-    known = {f.name for f in fields(RunConfig)}
-    return {k: v for k, v in vars(args).items() if k in known and v is not None}
+    return {k: v for k, v in vars(args).items() if k in _OPTIONS and v is not None}
 
 
 def _threads() -> int:
@@ -247,7 +247,7 @@ def _sibling(path: str, tag: str) -> str:
 # ---------------------------------------------------------------------------
 
 
-def cmd_transform(cfg: RunConfig) -> tuple[ExperimentReport, bool]:
+def cmd_transform(cfg: RunConfig) -> tuple[dict[str, ExperimentReport], bool]:
     seq = _build_seq(cfg)
     report = ExperimentReport(columns=list(TRANSFORM_COLUMNS))
     _echo_config(report, cfg, "transform")
@@ -301,7 +301,7 @@ def cmd_transform(cfg: RunConfig) -> tuple[ExperimentReport, bool]:
             f"naive {1e3 * naive_time / len(fs):.3f} ms per transform"
         )
     print(f"[{_status(all_ok)}] transform checks on {cfg.samples} samples, M_N={seq.size}")
-    return report, all_ok
+    return {"": report}, all_ok
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +309,7 @@ def cmd_transform(cfg: RunConfig) -> tuple[ExperimentReport, bool]:
 # ---------------------------------------------------------------------------
 
 
-def cmd_theorem_a(cfg: RunConfig) -> tuple[ExperimentReport, ExperimentReport, bool]:
+def cmd_theorem_a(cfg: RunConfig) -> tuple[dict[str, ExperimentReport], bool]:
     seq = _build_seq(cfg, min_depth=2)
     nmax = min(cfg.nmax, seq.size)
     atom_report = ExperimentReport(columns=list(ATOM_COLUMNS))
@@ -356,7 +356,7 @@ def cmd_theorem_a(cfg: RunConfig) -> tuple[ExperimentReport, ExperimentReport, b
                 f"[{_status(all(math.isfinite(r) for r in ratios))}] atom sweep, p={p}: "
                 f"max ratio {max(ratios):.6g} (truncated at n<={nmax})"
             )
-    return atom_report, dom_report, all_ok
+    return {"": atom_report, "domination": dom_report}, all_ok
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +364,7 @@ def cmd_theorem_a(cfg: RunConfig) -> tuple[ExperimentReport, ExperimentReport, b
 # ---------------------------------------------------------------------------
 
 
-def cmd_theorem_b(cfg: RunConfig) -> tuple[ExperimentReport, list[ExperimentReport], bool]:
+def cmd_theorem_b(cfg: RunConfig) -> tuple[dict[str, ExperimentReport], bool]:
     need = 2 * max(cfg.k_list) + 1
     seq = _build_seq(cfg, min_depth=need)
     weight_spec = cfg.weight or "log"
@@ -372,8 +372,8 @@ def cmd_theorem_b(cfg: RunConfig) -> tuple[ExperimentReport, list[ExperimentRepo
     master = ExperimentReport(columns=list(SWEEP_COLUMNS))
     _echo_config(master, cfg, "theorem-b")
     all_ok = True
-    thetas = []
-    for p in cfg.p:
+    reports = {"": master}
+    for i, p in enumerate(cfg.p):
         for n_k in cfg.k_list:
             case = build_case(n_k, seq)
             cc = verify_coefficients(case)
@@ -399,9 +399,9 @@ def cmd_theorem_b(cfg: RunConfig) -> tuple[ExperimentReport, list[ExperimentRepo
             print(f"[{_status(mono)}] divergence ratios strictly increasing, p={p}")
         else:
             print(f"[ok] condition6 {verdict} for weight {weight.spec}; growth not asserted, p={p}")
-        theta = theta_bracket(seq, p, cfg.k_list, samples=cfg.theta_samples, seed=cfg.seed)
-        thetas.append(theta)
-    return master, thetas, all_ok
+        tag = "theta" if len(cfg.p) == 1 else f"theta{i}"
+        reports[tag] = theta_bracket(seq, p, cfg.k_list, samples=cfg.theta_samples, seed=cfg.seed)
+    return reports, all_ok
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +438,7 @@ def _resolve_fn(cfg: RunConfig) -> tuple[StepFunction, RunConfig]:
     raise ConfigError(f"unknown function spec {spec!r}")
 
 
-def cmd_norms(cfg: RunConfig) -> tuple[ExperimentReport, bool]:
+def cmd_norms(cfg: RunConfig) -> tuple[dict[str, ExperimentReport], bool]:
     if bool(cfg.mean) != (cfg.mean_n is not None):
         raise ConfigError("--mean and --mean-n must be given together")
     if cfg.mean_n == 0:
@@ -447,11 +447,11 @@ def cmd_norms(cfg: RunConfig) -> tuple[ExperimentReport, bool]:
     label = cfg.fn
     report = ExperimentReport(columns=list(NORMS_COLUMNS))
     _echo_config(report, cfg, "norms")
-    mean_lp = None
+    mean = None
+    if cfg.mean:
+        mean = norlund_mean(f, cfg.mean_n, weight_sequence_from_spec(cfg.mean, cfg.mean_n))
     for p in cfg.p:
-        if cfg.mean:
-            w = weight_sequence_from_spec(cfg.mean, cfg.mean_n)
-            mean_lp = lp_quasinorm(norlund_mean(f, cfg.mean_n, w), p)
+        mean_lp = None if mean is None else lp_quasinorm(mean, p)
         row = (
             label,
             p,
@@ -467,7 +467,7 @@ def cmd_norms(cfg: RunConfig) -> tuple[ExperimentReport, bool]:
             f"{label} p={p}: lp={row[2]:.12g} weak={row[3]:.12g} hardy={row[4]:.12g}"
             + (f" mean[{cfg.mean},n={cfg.mean_n}]={mean_lp:.12g}" if mean_lp is not None else "")
         )
-    return report, True
+    return {"": report}, True
 
 
 # ---------------------------------------------------------------------------
@@ -475,7 +475,7 @@ def cmd_norms(cfg: RunConfig) -> tuple[ExperimentReport, bool]:
 # ---------------------------------------------------------------------------
 
 
-def cmd_case(cfg: RunConfig) -> tuple[ExperimentReport, bool]:
+def cmd_case(cfg: RunConfig) -> tuple[dict[str, ExperimentReport], bool]:
     if cfg.nk is None:
         raise ConfigError("case needs --nk")
     seq = _build_seq(cfg, min_depth=2 * cfg.nk + 1)
@@ -483,34 +483,32 @@ def cmd_case(cfg: RunConfig) -> tuple[ExperimentReport, bool]:
     case = build_case(cfg.nk, seq)
     report = ExperimentReport(columns=list(SWEEP_COLUMNS))
     _echo_config(report, cfg, "case")
-    all_ok = True
-    for p in cfg.p:
-        cc = verify_coefficients(case)
-        ps = verify_partial_sums(case)
-        hb = verify_hardy_bound(case, p)
-        li = l_mean_identity(case)
-        ok = cc.ok and ps.ok and hb.ok and li.ok
-        all_ok = all_ok and ok
-        print(f"case n_k={cfg.nk}: M_lo={case.m_lo} M_hi={case.m_hi} n*={case.n_star}")
-        print(f"  [{_status(cc.ok)}] coefficients: max err {cc.max_abs_error:.3e}")
-        print(
-            f"  [{_status(ps.ok)}] partial sums: zero {ps.max_err_zero:.3e} "
-            f"middle {ps.max_err_middle:.3e} tail {ps.max_err_tail:.3e}"
-        )
+    cc = verify_coefficients(case)
+    ps = verify_partial_sums(case)
+    hardy = [verify_hardy_bound(case, p) for p in cfg.p]
+    li = l_mean_identity(case)
+    all_ok = cc.ok and ps.ok and li.ok and all(hb.ok for hb in hardy)
+    print(f"case n_k={cfg.nk}: M_lo={case.m_lo} M_hi={case.m_hi} n*={case.n_star}")
+    print(f"  [{_status(cc.ok)}] coefficients: max err {cc.max_abs_error:.3e}")
+    print(
+        f"  [{_status(ps.ok)}] partial sums: zero {ps.max_err_zero:.3e} "
+        f"middle {ps.max_err_middle:.3e} tail {ps.max_err_tail:.3e}"
+    )
+    for p, hb in zip(cfg.p, hardy):
         print(
             f"  [{_status(hb.ok)}] hardy p={p}: measured {hb.measured:.12g} "
             f"closed {hb.closed_value:.12g} bound {hb.upper_bound:.12g}"
         )
-        print(
-            f"  [{_status(li.ok)}] log-mean identity: modulus {li.modulus:.12g} "
-            f"predicted {li.predicted:.12g} levelset {li.levelset_measure:g}"
-        )
         report.add_row(*sweep_row(1, cfg.nk, seq, p, weight))
+    print(
+        f"  [{_status(li.ok)}] log-mean identity: modulus {li.modulus:.12g} "
+        f"predicted {li.predicted:.12g} levelset {li.levelset_measure:g}"
+    )
     if cfg.save_fn:
         with _writing(cfg.save_fn):
             save_step_function(case.func, cfg.save_fn)
         print(f"saved case function to {cfg.save_fn}")
-    return report, all_ok
+    return {"": report}, all_ok
 
 
 # ---------------------------------------------------------------------------
@@ -518,28 +516,44 @@ def cmd_case(cfg: RunConfig) -> tuple[ExperimentReport, bool]:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(sub, *names):
-    flags = {
-        "radices": ("--radices", "comma-separated radix pattern, cycled to depth"),
-        "depth": ("--depth", "number of retained coordinates N"),
-        "p": ("--p", "comma-separated exponent list"),
-        "weight": ("--weight", "maximal-operator weight: power:<alpha> | log | custom:<file>"),
-        "nmax": ("--nmax", "maximal-operator truncation order"),
-        "samples": ("--samples", "number of random samples"),
-        "seed": ("--seed", "master RNG seed"),
-        "out": ("--out", "CSV output path"),
-        "k_list": ("--k-list", "comma-separated case indices n_k"),
-        "fn": ("--fn", "function spec: file:<path> | dirichlet:<n> | case:<nk>"),
-        "mean": ("--mean", "Norlund weight family: ones | log | custom:<file>"),
-        "mean_n": ("--mean-n", "Norlund mean order"),
-        "save_fn": ("--save-fn", "write the case function to this path"),
-        "nk": ("--nk", "case index n_k"),
-        "theta_samples": ("--theta-samples", "atom samples for the theta bracket"),
-    }
-    sub.add_argument("--config", help="flat key=value config file")
-    for name in names:
-        flag, desc = flags[name]
-        sub.add_argument(flag, dest=name, help=desc)
+# Each command: (handler, defaults, option names, help).  A handler returns
+# its reports keyed by sibling tag ("" for the --out file) and whether every
+# assertion row passed.
+_COMMANDS = {
+    "transform": (
+        cmd_transform,
+        RunConfig(depth=_DefaultDepth(12), samples=3),
+        ("radices", "depth", "samples", "seed", "out"),
+        "round trip, Parseval and op-count table (defaults: radices=2, depth=12, samples=3)",
+    ),
+    "theorem-a": (
+        cmd_theorem_a,
+        RunConfig(depth=_DefaultDepth(8), nmax=200, samples=20),
+        ("radices", "depth", "p", "weight", "nmax", "samples", "seed", "out"),
+        "domination checks and atom ratio sweep "
+        "(defaults: radices=2, depth=8, p=0.5, nmax=200, samples=20, weight=power:(1/p-1))",
+    ),
+    "theorem-b": (
+        cmd_theorem_b,
+        RunConfig(p=(0.5,), weight="log"),
+        ("radices", "depth", "p", "weight", "k_list", "seed", "out", "theta_samples"),
+        "case verifications, divergence sweep and theta bracket "
+        "(defaults: radices=2, k-list=1..6, p=0.5, weight=log)",
+    ),
+    "norms": (
+        cmd_norms,
+        RunConfig(depth=_DefaultDepth(6)),
+        ("radices", "depth", "p", "fn", "mean", "mean_n", "out"),
+        "quasi-norm table for a stored or built-in function "
+        "(defaults: radices=2, depth=6, p=0.5)",
+    ),
+    "case": (
+        cmd_case,
+        RunConfig(weight="log"),
+        ("radices", "depth", "p", "weight", "nk", "save_fn", "out"),
+        "single divergence case in detail (defaults: radices=2, p=0.5, weight=log)",
+    ),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -549,79 +563,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"vlab {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
-
-    s = subs.add_parser(
-        "transform",
-        help="round trip, Parseval and op-count table (defaults: radices=2, depth=12, samples=3)",
-    )
-    _add_common(s, "radices", "depth", "samples", "seed", "out")
-
-    s = subs.add_parser(
-        "theorem-a",
-        help="domination checks and atom ratio sweep "
-        "(defaults: radices=2, depth=8, p=0.5, nmax=200, samples=20, weight=power:(1/p-1))",
-    )
-    _add_common(s, "radices", "depth", "p", "weight", "nmax", "samples", "seed", "out")
-
-    s = subs.add_parser(
-        "theorem-b",
-        help="case verifications, divergence sweep and theta bracket "
-        "(defaults: radices=2, k-list=1..6, p=0.5, weight=log)",
-    )
-    _add_common(s, "radices", "depth", "p", "weight", "k_list", "seed", "out", "theta_samples")
-
-    s = subs.add_parser(
-        "norms",
-        help="quasi-norm table for a stored or built-in function "
-        "(defaults: radices=2, depth=6, p=0.5)",
-    )
-    _add_common(s, "radices", "depth", "p", "fn", "mean", "mean_n", "out")
-
-    s = subs.add_parser(
-        "case",
-        help="single divergence case in detail (defaults: radices=2, p=0.5, weight=log)",
-    )
-    _add_common(s, "radices", "depth", "p", "weight", "nk", "save_fn", "out")
+    for command, (_, _, names, help_text) in _COMMANDS.items():
+        sub = subs.add_parser(command, help=help_text)
+        sub.add_argument("--config", help="flat key=value config file")
+        for name in names:
+            sub.add_argument("--" + name.replace("_", "-"), dest=name, help=_OPTIONS[name][1])
     return parser
 
 
-_DEFAULTS = {
-    "transform": RunConfig(depth=_DefaultDepth(12), samples=3),
-    "theorem-a": RunConfig(depth=_DefaultDepth(8), nmax=200, samples=20),
-    "theorem-b": RunConfig(p=(0.5,), weight="log"),
-    "norms": RunConfig(depth=_DefaultDepth(6)),
-    "case": RunConfig(weight="log"),
-}
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    handler, defaults, _, _ = _COMMANDS[args.command]
     try:
-        cfg = resolve_config(_DEFAULTS[args.command], args)
-        if args.command == "transform":
-            report, ok = cmd_transform(cfg)
-            reports = {cfg.out: report}
-        elif args.command == "theorem-a":
-            atoms, dom, ok = cmd_theorem_a(cfg)
-            reports = {cfg.out: atoms}
-            if cfg.out:
-                reports[_sibling(cfg.out, "domination")] = dom
-        elif args.command == "theorem-b":
-            master, thetas, ok = cmd_theorem_b(cfg)
-            reports = {cfg.out: master}
-            if cfg.out:
-                for i, theta in enumerate(thetas):
-                    tag = "theta" if len(thetas) == 1 else f"theta{i}"
-                    reports[_sibling(cfg.out, tag)] = theta
-        elif args.command == "norms":
-            report, ok = cmd_norms(cfg)
-            reports = {cfg.out: report}
-        else:
-            report, ok = cmd_case(cfg)
-            reports = {cfg.out: report}
-        for path, rep in reports.items():
-            if path:
+        cfg = resolve_config(defaults, args)
+        reports, ok = handler(cfg)
+        if cfg.out:
+            for tag, rep in reports.items():
+                path = _sibling(cfg.out, tag) if tag else cfg.out
                 with _writing(path):
                     rep.write(path)
                 print(f"wrote {path}")

@@ -130,29 +130,23 @@ def absolute(f: StepFunction) -> StepFunction:
 
 
 # ---------------------------------------------------------------------------
-# File format: header `radices=<csv>;N=<int>[;kind=coeffs]`, then M_N lines
+# File format: header `radices=<csv>;N=<int>`, then exactly M_N lines
 # `re,im` with 17 significant digits (bit-exact round trip for doubles).
 # ---------------------------------------------------------------------------
 
 
-def write_value_file(path, seq: RadixSequence, values: np.ndarray, kind: str | None = None) -> None:
-    vals = np.asarray(values, dtype=np.complex128).reshape(-1)
-    if vals.shape[0] != seq.size:
-        raise ResolutionMismatch(f"{vals.shape[0]} values for group of size {seq.size}")
-    header = f"radices={seq};N={seq.depth}"
-    if kind:
-        header += f";kind={kind}"
+def save_step_function(f: StepFunction, path) -> None:
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(header + "\n")
-        for v in vals:
+        fh.write(f"radices={f.radix_seq};N={f.radix_seq.depth}\n")
+        for v in f.values:
             fh.write(f"{format(v.real, FLOAT_FMT)},{format(v.imag, FLOAT_FMT)}\n")
 
 
-def read_value_file(path) -> tuple[RadixSequence, np.ndarray, str | None]:
+def load_step_function(path) -> StepFunction:
     with open(path, "r", encoding="ascii") as fh:
         header = fh.readline().strip()
         fields = dict(part.split("=", 1) for part in header.split(";") if part)
-        if "radices" not in fields or "N" not in fields:
+        if fields.keys() != {"radices", "N"}:
             raise ValueError(f"malformed header: {header!r}")
         seq = build_radix(
             tuple(int(r) for r in fields["radices"].split(",")), depth=int(fields["N"])
@@ -164,15 +158,6 @@ def read_value_file(path) -> tuple[RadixSequence, np.ndarray, str | None]:
                 raise ValueError(f"expected {seq.size} value lines, got {i}")
             re_s, im_s = line.strip().split(",")
             vals[i] = complex(float(re_s), float(im_s))
-    return seq, vals, fields.get("kind")
-
-
-def save_step_function(f: StepFunction, path) -> None:
-    write_value_file(path, f.radix_seq, f.values, kind=None)
-
-
-def load_step_function(path) -> StepFunction:
-    seq, vals, kind = read_value_file(path)
-    if kind is not None:
-        raise ValueError(f"file holds kind={kind}, not a step function")
+        if fh.read().strip():
+            raise ValueError(f"more than {seq.size} value lines")
     return StepFunction(seq, vals)

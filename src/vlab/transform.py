@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import IndexOutOfRange, RankOutOfRange, ResolutionMismatch
 from .group_core import GroupPoint, RadixSequence, decompose, digit_table
-from .step_functions import StepFunction, read_value_file, write_value_file
+from .step_functions import StepFunction
 
 
 @dataclass
@@ -219,14 +219,3 @@ def dirichlet_closed_MN(seq: RadixSequence, n: int) -> StepFunction:
     vals = np.zeros(seq.size, dtype=np.complex128)
     vals[::m_n] = m_n  # indices congruent to 0 mod M_n form I_n
     return StepFunction(seq, vals)
-
-
-def save_coefficients(cv: CoefficientVector, path) -> None:
-    write_value_file(path, cv.radix_seq, cv.coeffs, kind="coeffs")
-
-
-def load_coefficients(path) -> CoefficientVector:
-    seq, vals, kind = read_value_file(path)
-    if kind != "coeffs":
-        raise ValueError(f"file holds kind={kind!r}, not coefficients")
-    return CoefficientVector(seq, vals)

@@ -9,6 +9,7 @@ from vlab.cli import (
     ATOM_COLUMNS,
     DOMINATION_COLUMNS,
     RunConfig,
+    build_parser,
     load_config_file,
     main,
     resolve_config,
@@ -195,6 +196,8 @@ def test_norms_needs_fn():
         ["norms", "--fn", "dirichlet:3", "--mean", "log"],
         ["norms", "--fn", "dirichlet:3", "--mean", "log", "--mean-n", "0"],
         ["norms", "--fn", "dirichlet:3", "--mean-n", "3"],
+        ["norms", "--fn", "file:{coeffs}"],
+        ["norms", "--fn", "file:{long}"],
     ],
 )
 def test_bad_input_is_one_line_exit_two(tmp_path, capsys, argv):
@@ -203,6 +206,8 @@ def test_bad_input_is_one_line_exit_two(tmp_path, capsys, argv):
         "deep": "radices=2;N=2\n",  # depth beyond the listed radices
         "short": "radices=2;N=1\n0,0\n",  # one of two value lines
         "garbage": "garbage\n",
+        "coeffs": "radices=2;N=1;kind=coeffs\n1,0\n0,0\n",  # not a step function
+        "long": "radices=2;N=1\n1,0\n0,0\n0,0\n",  # three of two value lines
     }
     paths = {"missing": tmp_path / "missing.txt", "latin": tmp_path / "latin.cfg"}
     for name, text in files.items():
@@ -253,10 +258,27 @@ def test_failing_assertion_rows_give_exit_one(monkeypatch):
     from vlab.report import ExperimentReport
 
     def broken(cfg):
-        return ExperimentReport(columns=["x"]), False
+        return {"": ExperimentReport(columns=["x"])}, False
 
-    monkeypatch.setattr(cli_mod, "cmd_transform", broken)
+    _, defaults, names, help_text = cli_mod._COMMANDS["transform"]
+    monkeypatch.setitem(cli_mod._COMMANDS, "transform", (broken, defaults, names, help_text))
     assert run(["transform"]) == 1
+
+
+def test_option_and_command_tables_agree():
+    import argparse
+    from dataclasses import fields
+
+    import vlab.cli as cli_mod
+
+    assert set(cli_mod._OPTIONS) == {f.name for f in fields(RunConfig)}
+    subs = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(subs.choices) == list(cli_mod._COMMANDS)
+    for command, (_, defaults, names, _) in cli_mod._COMMANDS.items():
+        assert isinstance(defaults, RunConfig)
+        assert set(names) <= set(cli_mod._OPTIONS)
+        dests = {a.dest for a in subs.choices[command]._actions if a.dest != "help"}
+        assert dests == {"config", *names}
 
 
 def test_config_file_and_flag_precedence(tmp_path):

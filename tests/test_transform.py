@@ -21,9 +21,7 @@ from vlab.transform import (
     forward_naive,
     forward_naive_many,
     inverse,
-    load_coefficients,
     partial_sum,
-    save_coefficients,
     vilenkin_char,
 )
 
@@ -323,25 +321,6 @@ def test_batch_partial_sums_buffer_is_cumulative():
         step = stack[k] - stack[k - 1]
         assert np.max(np.abs(step - coeffs[k - 1] * character_rows(seq, k - 1, k)[0])) <= 1e-9
         assert np.max(np.abs(stack[k] - partial_sum(f, k).values)) <= 1e-9
-
-
-def test_coefficient_file_round_trip(tmp_path):
-    seq = build_radix((2, 3))
-    cv = forward_fast(random_function(seq, 1))
-    path = tmp_path / "f.coeffs"
-    save_coefficients(cv, path)
-    back = load_coefficients(path)
-    assert back.radix_seq == seq
-    assert np.array_equal(back.coeffs, cv.coeffs)
-    assert path.read_text().splitlines()[0] == "radices=2,3;N=2;kind=coeffs"
-    from vlab.step_functions import load_step_function, save_step_function
-
-    with pytest.raises(ValueError):
-        load_step_function(path)  # kind=coeffs is not a step function
-    step_path = tmp_path / "f.step"
-    save_step_function(random_function(seq, 2), step_path)
-    with pytest.raises(ValueError):
-        load_coefficients(step_path)
 
 
 def test_lp_norm_identity_for_scale_kernels():
