@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 from .errors import (
     CapacityExceeded,
     ConfigError,
-    CoordinateOutOfRange,
     DegenerateInput,
     DepthTooSmall,
     DigitOutOfRange,

@@ -215,9 +215,10 @@ def _build_seq(cfg: RunConfig, min_depth: int = 0):
 def _echo_config(report: ExperimentReport, cfg: RunConfig, command: str) -> None:
     report.add_meta("tool_version", __version__)
     report.add_meta("command", command)
+    names = _COMMANDS[command][2]
     for f in fields(RunConfig):
         value = getattr(cfg, f.name)
-        if value is None:
+        if value is None or f.name not in names:
             continue
         if isinstance(value, tuple):
             value = ",".join(str(v) for v in value)
@@ -367,28 +368,29 @@ def cmd_theorem_a(cfg: RunConfig) -> tuple[dict[str, ExperimentReport], bool]:
 def cmd_theorem_b(cfg: RunConfig) -> tuple[dict[str, ExperimentReport], bool]:
     need = 2 * max(cfg.k_list) + 1
     seq = _build_seq(cfg, min_depth=need)
-    weight_spec = cfg.weight or "log"
-    weight = parse_weight_spec(weight_spec)
+    weight = parse_weight_spec(cfg.weight or "log")
     master = ExperimentReport(columns=list(SWEEP_COLUMNS))
     _echo_config(master, cfg, "theorem-b")
+    cases = [build_case(n_k, seq) for n_k in cfg.k_list]
+    # coefficients, partial sums and the log-mean identity do not depend on p
+    fixed = [
+        (verify_coefficients(case), verify_partial_sums(case), l_mean_identity(case))
+        for case in cases
+    ]
     all_ok = True
     reports = {"": master}
     for i, p in enumerate(cfg.p):
-        for n_k in cfg.k_list:
-            case = build_case(n_k, seq)
-            cc = verify_coefficients(case)
-            ps = verify_partial_sums(case)
+        for case, (cc, ps, li) in zip(cases, fixed):
             hb = verify_hardy_bound(case, p)
-            li = l_mean_identity(case)
             case_ok = cc.ok and ps.ok and hb.ok and li.ok
             all_ok = all_ok and case_ok
             print(
-                f"[{_status(case_ok)}] case n_k={n_k}, p={p}: coeffs {_status(cc.ok)}, "
+                f"[{_status(case_ok)}] case n_k={case.n_k}, p={p}: coeffs {_status(cc.ok)}, "
                 f"partial sums {_status(ps.ok)}, hardy {_status(hb.ok)}, "
                 f"log-mean identity {_status(li.ok)}"
             )
-            master.add_meta(f"verify_nk{n_k}_p{p}", case_ok)
-        sweep = divergence_sweep(seq, cfg.k_list, p, weight)
+            master.add_meta(f"verify_nk{case.n_k}_p{p}", case_ok)
+        sweep = divergence_sweep(cases, p, weight)
         for row in sweep.rows:
             master.add_row(*row)
         verdict = sweep.meta["condition6"]
@@ -400,7 +402,7 @@ def cmd_theorem_b(cfg: RunConfig) -> tuple[dict[str, ExperimentReport], bool]:
         else:
             print(f"[ok] condition6 {verdict} for weight {weight.spec}; growth not asserted, p={p}")
         tag = "theta" if len(cfg.p) == 1 else f"theta{i}"
-        reports[tag] = theta_bracket(seq, p, cfg.k_list, samples=cfg.theta_samples, seed=cfg.seed)
+        reports[tag] = theta_bracket(seq, p, cases, samples=cfg.theta_samples, seed=cfg.seed)
     return reports, all_ok
 
 
@@ -417,16 +419,17 @@ def _spec_int(spec: str) -> int:
 
 
 def _resolve_fn(cfg: RunConfig) -> tuple[StepFunction, RunConfig]:
-    """The function named by ``--fn``, and ``cfg`` echoing the depth it was built at."""
+    """The function named by ``--fn``, and ``cfg`` echoing the group it lives on."""
     spec = cfg.fn
     if not spec:
         raise ConfigError("norms needs --fn (file:<path> | dirichlet:<n> | case:<nk>)")
     if spec.startswith("file:"):
         path = spec.split(":", 1)[1]
         try:
-            return load_step_function(path), cfg
+            f = load_step_function(path)
         except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot load step function {path}: {exc}") from None
+        return f, replace(cfg, radices=str(f.radix_seq), depth=f.radix_seq.depth)
     if spec.startswith("dirichlet:"):
         n = _spec_int(spec)
         seq = _build_seq(cfg)
@@ -499,7 +502,7 @@ def cmd_case(cfg: RunConfig) -> tuple[dict[str, ExperimentReport], bool]:
             f"  [{_status(hb.ok)}] hardy p={p}: measured {hb.measured:.12g} "
             f"closed {hb.closed_value:.12g} bound {hb.upper_bound:.12g}"
         )
-        report.add_row(*sweep_row(1, cfg.nk, seq, p, weight))
+        report.add_row(*sweep_row(1, case, p, weight))
     print(
         f"  [{_status(li.ok)}] log-mean identity: modulus {li.modulus:.12g} "
         f"predicted {li.predicted:.12g} levelset {li.levelset_measure:g}"

@@ -7,13 +7,15 @@ indicator of [M_lo, M_hi); its partial sums collapse to three branches
 function equals |f| pointwise; and at the probe order n* = M_lo + 2 the
 logarithmic mean collapses to a single character over the harmonic number,
 so |L_{n*} f| is constant on the whole group.  Those exact facts drive the
-weak-type ratio sweep R_k and the exploratory bracket fit.
+weak-type ratio sweep R_k and the exploratory bracket fit.  A case carries
+L_{n*} f and f*, each computed once, when first read.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -29,12 +31,7 @@ from .operators import (
     power_weight,
 )
 from .report import ExperimentReport
-from .step_functions import (
-    StepFunction,
-    hardy_quasinorm,
-    lp_quasinorm,
-    maximal_function,
-)
+from .step_functions import StepFunction, lp_quasinorm, maximal_function
 from .transform import character_rows, dirichlet_closed_MN, forward_fast
 
 SWEEP_COLUMNS = [
@@ -68,6 +65,16 @@ class CounterexampleCase:
     m_hi: int  # M_{2 n_k + 1}
     func: StepFunction
     n_star: int  # probe order M_{2 n_k} + 2
+
+    @cached_property
+    def mean(self) -> StepFunction:
+        """L_{n*} f, the logarithmic mean at the probe order."""
+        return log_mean(self.func, self.n_star)
+
+    @cached_property
+    def maximal(self) -> StepFunction:
+        """f*, the martingale maximal function."""
+        return maximal_function(self.func)
 
 
 def build_case(n_k: int, radix_seq: RadixSequence) -> CounterexampleCase:
@@ -166,7 +173,7 @@ def hardy_closed_value(case: CounterexampleCase, p: float) -> float:
 def verify_hardy_bound(case: CounterexampleCase, p: float, rel_tol: float = 1e-12) -> HardyCheck:
     """Measured Hardy norm against the closed value and the uniform bound."""
     p = check_p_unit(p)
-    fstar = maximal_function(case.func)
+    fstar = case.maximal
     gap = float(np.max(np.abs(fstar.values - np.abs(case.func.values))))
     measured = lp_quasinorm(fstar, p)
     closed = hardy_closed_value(case, p)
@@ -215,7 +222,7 @@ def l_mean_identity(case: CounterexampleCase, tol: float = 1e-9) -> LogMeanIdent
     """
     ell = harmonic_l(case.n_star)
     predicted = 1.0 / ell
-    computed = log_mean(case.func, case.n_star)
+    computed = case.mean
     target = character_rows(case.radix_seq, case.m_lo, case.m_lo + 1)[0] / ell
     gap = float(np.max(np.abs(computed.values - target)))
     moduli = np.abs(computed.values)
@@ -233,22 +240,20 @@ def l_mean_identity(case: CounterexampleCase, tol: float = 1e-9) -> LogMeanIdent
     )
 
 
-def sweep_row(position, n_k, radix_seq, p, weight):
+def sweep_row(position, case, p, weight):
     """One divergence-sweep report row for the given case."""
-    case = build_case(n_k, radix_seq)
     ell = harmonic_l(case.n_star)
     phi = weight.phi(case.n_star + 1)
     threshold = 1.0 / (ell * phi)
-    mean = log_mean(case.func, case.n_star)
-    modulus = float(np.mean(np.abs(mean.values)))
-    measure = levelset_measure(mean, threshold)
+    modulus = float(np.mean(np.abs(case.mean.values)))
+    measure = levelset_measure(case.mean, threshold)
     lp_norm = lp_quasinorm(case.func, p)
-    hardy = hardy_quasinorm(case.func, p)
+    hardy = lp_quasinorm(case.maximal, p)
     ratio = threshold * measure ** (1.0 / p) / lp_norm
     comparator = case.m_lo ** (1.0 / p - 1.0) / (math.log(case.m_lo + 2.0) * phi)
     return (
         position,
-        n_k,
+        case.n_k,
         case.m_lo,
         case.n_star,
         p,
@@ -261,12 +266,7 @@ def sweep_row(position, n_k, radix_seq, p, weight):
     )
 
 
-def divergence_sweep(
-    radix_seq: RadixSequence,
-    k_list,
-    p: float,
-    weight: WeightFunction,
-) -> ExperimentReport:
+def divergence_sweep(cases, p: float, weight: WeightFunction) -> ExperimentReport:
     """Weak-type ratio R_k per case, with the analytic comparator.
 
     R_k = threshold * mu{|L_{n*} f| >= threshold}^{1/p} / ||f||_p where
@@ -275,13 +275,11 @@ def divergence_sweep(
     condition; otherwise the report records the verdict and skips it.
     """
     p = check_p_unit(p)
-    k_list = [int(k) for k in k_list]
     verdict = condition6_advisory(weight, p)
-    rows = [sweep_row(pos + 1, n_k, radix_seq, p, weight) for pos, n_k in enumerate(k_list)]
+    rows = [sweep_row(pos + 1, case, p, weight) for pos, case in enumerate(cases)]
     ratios = [row[9] for row in rows]
     monotone = all(b > a for a, b in zip(ratios, ratios[1:]))
     report = ExperimentReport(columns=list(SWEEP_COLUMNS))
-    report.add_meta("radices", str(radix_seq))
     report.add_meta("p", p)
     report.add_meta("weight", weight.spec)
     report.add_meta("condition6", verdict)
@@ -295,7 +293,7 @@ def divergence_sweep(
 def theta_bracket(
     radix_seq: RadixSequence,
     p: float,
-    k_list,
+    cases,
     samples: int = 5,
     seed: int = 0,
     grid_size: int = 25,
@@ -312,8 +310,7 @@ def theta_bracket(
     p = check_p_unit(p)
     expo = 1.0 / p - 1.0
     points = []
-    for n_k in k_list:
-        case = build_case(int(n_k), radix_seq)
+    for case in cases:
         y = 1.0 / (harmonic_l(case.n_star) * lp_quasinorm(case.func, p))
         points.append((case.n_star, y, "sweep"))
     atom_seq = truncate(radix_seq, min(radix_seq.depth, 8))

@@ -25,10 +25,6 @@ class RankOutOfRange(VilenkinError):
     """A cylinder rank lies outside 0..N."""
 
 
-class CoordinateOutOfRange(VilenkinError):
-    """A coordinate index lies outside the truncation depth."""
-
-
 class InvalidExponent(VilenkinError):
     """A quasi-norm exponent p is outside its admissible range."""
 

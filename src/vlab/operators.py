@@ -3,8 +3,8 @@
 The weighted maximal operator of a transform family T_n is the pointwise
 sup over n of |T_n f| / phi(n+1), where phi is a non-decreasing weight
 with phi >= 1.  Partial sums enter at n = 1, logarithmic means at n = 2.
-The built-in power family phi(n) = n^alpha with alpha = 1/p - 1 is the
-critical weight for 0 < p < 1.
+The power weight phi(n) = n^alpha with alpha = 1/p - 1 is the critical
+weight for 0 < p < 1.
 """
 
 from __future__ import annotations
@@ -29,26 +29,29 @@ from .step_functions import (
     lp_quasinorm,
 )
 
-_FAMILIES = ("power", "log", "custom")
 _KINDS = ("partial_sum", "log_mean")
 
 
 @dataclass(frozen=True, eq=False)
 class WeightFunction:
-    """Non-decreasing weight phi: {1, 2, ...} -> [1, inf)."""
+    """Non-decreasing weight phi: {1, 2, ...} -> [1, inf).
 
-    family: str
-    alpha: float | None = None
+    Closed weights are phi(n) = max(1, n^alpha * log(n+1)^(-beta)) with
+    alpha >= 0 and beta <= 0, a product of non-decreasing factors; a
+    ``table`` of values phi(1), phi(2), ... replaces the formula.
+    """
+
+    alpha: float = 0.0
+    beta: float = 0.0
     table: np.ndarray | None = None
     spec: str = ""
 
     def __post_init__(self):
-        if self.family not in _FAMILIES:
-            raise InvalidWeight(f"unknown weight family {self.family!r}")
-        if self.family == "power":
-            if self.alpha is None or self.alpha < 0 or not np.isfinite(self.alpha):
-                raise InvalidWeight(f"power weight needs alpha >= 0, got {self.alpha}")
-        if self.family == "custom":
+        if not (np.isfinite(self.alpha) and self.alpha >= 0):
+            raise InvalidWeight(f"power weight needs alpha >= 0, got {self.alpha}")
+        if not (np.isfinite(self.beta) and self.beta <= 0):
+            raise InvalidWeight(f"log weight needs beta <= 0, got {self.beta}")
+        if self.table is not None:
             vals = np.asarray(self.table, dtype=np.float64).reshape(-1).copy()
             if vals.size == 0 or not np.isfinite(vals).all():
                 raise InvalidWeight("custom weight table must be non-empty and finite")
@@ -56,23 +59,14 @@ class WeightFunction:
                 raise InvalidWeight("custom weight table must be >= 1 and non-decreasing")
             vals.flags.writeable = False
             object.__setattr__(self, "table", vals)
-        if not self.spec:
-            object.__setattr__(self, "spec", self._default_spec())
-
-    def _default_spec(self) -> str:
-        if self.family == "power":
-            return f"power:{self.alpha:g}"
-        return self.family
 
     def phi(self, n):
         """Evaluate the weight; accepts scalars or integer arrays (n >= 1)."""
         arr = np.asarray(n, dtype=np.float64)
         if np.any(arr < 1):
             raise InvalidWeight(f"weight argument must be >= 1, got {n}")
-        if self.family == "power":
-            out = arr**self.alpha
-        elif self.family == "log":
-            out = np.maximum(1.0, np.log(arr + 1.0))
+        if self.table is None:
+            out = np.maximum(1.0, arr**self.alpha * np.log(arr + 1.0) ** -self.beta)
         else:
             idx = np.asarray(n, dtype=np.int64) - 1
             if np.any(idx >= self.table.shape[0]):
@@ -85,16 +79,17 @@ class WeightFunction:
 
 
 def power_weight(alpha: float) -> WeightFunction:
-    return WeightFunction(family="power", alpha=float(alpha))
+    alpha = float(alpha)
+    return WeightFunction(alpha=alpha, spec=f"power:{alpha:g}")
 
 
 def log_weight() -> WeightFunction:
     """phi(n) = max(1, ln(n+1)); satisfies the divergence condition for p < 1."""
-    return WeightFunction(family="log")
+    return WeightFunction(beta=-1.0, spec="log")
 
 
-def custom_weight(values) -> WeightFunction:
-    return WeightFunction(family="custom", table=np.asarray(values, dtype=np.float64))
+def custom_weight(values, spec: str = "custom") -> WeightFunction:
+    return WeightFunction(table=np.asarray(values, dtype=np.float64), spec=spec)
 
 
 def critical_power_weight(p: float) -> WeightFunction:
@@ -114,9 +109,7 @@ def parse_weight_spec(spec: str) -> WeightFunction:
             raise InvalidWeight(f"bad power weight spec {spec!r}") from None
         return power_weight(alpha)
     if spec.startswith("custom:"):
-        w = custom_weight(weights_from_file(spec.split(":", 1)[1]).values)
-        object.__setattr__(w, "spec", spec)
-        return w
+        return custom_weight(weights_from_file(spec.split(":", 1)[1]).values, spec)
     raise InvalidWeight(f"unknown weight spec {spec!r}")
 
 
@@ -268,12 +261,11 @@ def boundedness_ratio(f: StepFunction, p: float, weight: WeightFunction, n_max: 
 def condition6_advisory(weight: WeightFunction, p: float) -> str:
     """Symbolic verdict on limsup n^{1/p-1} / (log n * phi(n)) = infinity.
 
-    Only the built-in families admit a closed answer; finite custom tables
-    cannot decide a limsup and return ``unknown``.
+    For a closed weight the ratio grows like n^{1/p-1-alpha} / (log n)^{1-beta};
+    with beta <= 0 the limsup is infinite iff alpha < 1/p - 1.  Finite custom
+    tables cannot decide a limsup and return ``unknown``.
     """
     gap = 1.0 / check_exponent(p) - 1.0
-    if weight.family == "power":
-        return "satisfied" if weight.alpha < gap else "violated"
-    if weight.family == "log":
-        return "satisfied" if gap > 0 else "violated"
-    return "unknown"
+    if weight.table is not None:
+        return "unknown"
+    return "satisfied" if weight.alpha < gap else "violated"

@@ -155,7 +155,7 @@ def test_c07_exact_case_values():
 def test_c08_divergence_sweep():
     seq = build_radix((2,) * 9)
     weight = log_weight()
-    report = divergence_sweep(seq, [1, 2, 3, 4], 0.5, weight)
+    report = divergence_sweep([build_case(k, seq) for k in [1, 2, 3, 4]], 0.5, weight)
     ratios = [row[9] for row in report.rows]
 
     # independent recomputation: the level set is the whole group, so

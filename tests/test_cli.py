@@ -9,6 +9,8 @@ from vlab.cli import (
     ATOM_COLUMNS,
     DOMINATION_COLUMNS,
     RunConfig,
+    _COMMANDS,
+    _echo_config,
     build_parser,
     load_config_file,
     main,
@@ -161,6 +163,18 @@ def test_norms_round_trips_function_file(tmp_path):
     assert float(rows[0].split(",")[2]) == pytest.approx(lp_quasinorm(f, 0.5), rel=1e-12)
 
 
+def test_norms_file_report_echoes_the_files_group(tmp_path):
+    from vlab.step_functions import StepFunction
+
+    path = tmp_path / "f.step"
+    save_step_function(StepFunction(build_radix((2, 3, 2)), np.arange(12.0)), path)
+    out = tmp_path / "n.csv"
+    assert run(["norms", "--fn", f"file:{path}", "--out", str(out)]) == 0
+    meta = [l for l in out.read_text().splitlines() if l.startswith("#")]
+    # the report names the group the file lives on, not the command's default
+    assert "# radices=2,3,2" in meta and "# depth=3" in meta
+
+
 def test_norms_with_mean_families(tmp_path):
     wfile = tmp_path / "w.txt"
     wfile.write_text("\n".join("1" for _ in range(10)) + "\n")
@@ -281,6 +295,23 @@ def test_option_and_command_tables_agree():
         assert dests == {"config", *names}
 
 
+@pytest.mark.parametrize("command", list(_COMMANDS))
+def test_reports_echo_only_the_options_a_command_takes(command):
+    from dataclasses import fields
+
+    from vlab.report import ExperimentReport
+
+    # every field set, so only the command's option list can drop one
+    cfg = RunConfig(depth=3, weight="log", out="x.csv", fn="dirichlet:1", mean="ones",
+                    mean_n=2, save_fn="f.step", nk=1)
+    report = ExperimentReport(columns=["x"])
+    _echo_config(report, cfg, command)
+    names = _COMMANDS[command][2]
+    assert list(report.meta) == [
+        "tool_version", "command", *(f.name for f in fields(RunConfig) if f.name in names)
+    ]
+
+
 def test_config_file_and_flag_precedence(tmp_path):
     cfg_path = tmp_path / "run.cfg"
     cfg_path.write_text("# comment\nradices=2,3\ndepth=4\nsamples=2\nseed=9\n")
@@ -338,6 +369,41 @@ def test_theorem_a_builds_character_rows_once(monkeypatch):
     argv = ["theorem-a", "--radices", "2,3", "--depth", "8", "--nmax", "300", "--samples", "4"]
     assert run(argv) == 0
     assert len(calls) == 6
+
+
+def test_theorem_b_builds_each_case_once(monkeypatch):
+    # each case is built, averaged at n* and maximized once per run; only
+    # the Hardy check, the sweep and the bracket repeat per p
+    import collections
+
+    import vlab.cli as cli_mod
+    import vlab.counterexample as cx_mod
+    import vlab.step_functions as sf_mod
+
+    calls = collections.Counter()
+    names = ["build_case", "log_mean", "maximal_function", "verify_coefficients",
+             "verify_partial_sums", "l_mean_identity", "verify_hardy_bound"]
+    for module in (cli_mod, cx_mod, sf_mod):
+        for name in names:
+            if hasattr(module, name):
+                real = getattr(module, name)
+
+                def counting(*args, _real=real, _name=name, **kwargs):
+                    calls[_name] += 1
+                    return _real(*args, **kwargs)
+
+                monkeypatch.setattr(module, name, counting)
+    argv = ["theorem-b", "--k-list", "1,2,3", "--p", "0.4,0.6", "--theta-samples", "0"]
+    assert run(argv) == 0
+    assert calls == {
+        "build_case": 3,
+        "log_mean": 3,
+        "maximal_function": 3,
+        "verify_coefficients": 3,
+        "verify_partial_sums": 3,
+        "l_mean_identity": 3,
+        "verify_hardy_bound": 6,
+    }
 
 
 def test_stack_beyond_physical_memory_is_exit_two(monkeypatch, capsys):

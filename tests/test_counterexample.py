@@ -268,7 +268,7 @@ def _expected_ratio(case, p, weight):
 def test_divergence_sweep_rows_match_oracle():
     seq = dyadic(9)
     weight = log_weight()
-    report = divergence_sweep(seq, [1, 2, 3, 4], 0.5, weight)
+    report = divergence_sweep([build_case(k, seq) for k in [1, 2, 3, 4]], 0.5, weight)
     assert report.columns == SWEEP_COLUMNS
     assert len(report.rows) == 4
     for pos, row in enumerate(report.rows, start=1):
@@ -280,7 +280,7 @@ def test_divergence_sweep_rows_match_oracle():
 
 
 def test_divergence_sweep_strictly_increasing():
-    report = divergence_sweep(dyadic(9), [1, 2, 3, 4], 0.5, log_weight())
+    report = divergence_sweep([build_case(k, dyadic(9)) for k in [1, 2, 3, 4]], 0.5, log_weight())
     ratios = [row[9] for row in report.rows]
     assert all(b > a for a, b in zip(ratios, ratios[1:]))
     assert report.meta["condition6"] == "satisfied"
@@ -288,7 +288,7 @@ def test_divergence_sweep_strictly_increasing():
 
 
 def test_divergence_sweep_ratio_dominates_comparator():
-    report = divergence_sweep(dyadic(9), [1, 2, 3, 4], 0.5, log_weight())
+    report = divergence_sweep([build_case(k, dyadic(9)) for k in [1, 2, 3, 4]], 0.5, log_weight())
     for row in report.rows:
         assert row[9] >= row[10] * 0.4  # same growth order, modest constant
 
@@ -296,20 +296,22 @@ def test_divergence_sweep_ratio_dominates_comparator():
 def test_divergence_sweep_flags_violating_weight():
     # alpha = 1/p - 1 fails the divergence condition; the sweep still runs
     # but growth is not asserted
-    report = divergence_sweep(dyadic(9), [1, 2, 3], 0.5, power_weight(1.0))
+    cases = [build_case(k, dyadic(9)) for k in [1, 2, 3]]
+    report = divergence_sweep(cases, 0.5, power_weight(1.0))
     assert report.meta["condition6"] == "violated"
     assert report.meta["monotone_checked"] == "false"
     assert len(report.rows) == 3
 
 
 def test_hardy_column_uniformly_bounded():
-    report = divergence_sweep(dyadic(11), [1, 2, 3, 4, 5], 0.5, log_weight())
+    cases = [build_case(k, dyadic(11)) for k in [1, 2, 3, 4, 5]]
+    report = divergence_sweep(cases, 0.5, log_weight())
     assert max(row[8] for row in report.rows) <= 2 ** (1 / 0.5)
 
 
 def test_theta_bracket_structure():
     seq = dyadic(9)
-    report = theta_bracket(seq, 0.5, [1, 2, 3, 4], samples=3, seed=1)
+    report = theta_bracket(seq, 0.5, [build_case(k, seq) for k in [1, 2, 3, 4]], samples=3, seed=1)
     text = report.to_csv_text()
     assert "exploratory" in report.meta["note"]
     assert "sharp" not in text.lower()
@@ -330,15 +332,15 @@ def test_theta_bracket_structure():
 
 def test_theta_bracket_deterministic():
     seq = dyadic(9)
-    a = theta_bracket(seq, 0.5, [1, 2], samples=3, seed=7)
-    b = theta_bracket(seq, 0.5, [1, 2], samples=3, seed=7)
+    a = theta_bracket(seq, 0.5, [build_case(k, seq) for k in [1, 2]], samples=3, seed=7)
+    b = theta_bracket(seq, 0.5, [build_case(k, seq) for k in [1, 2]], samples=3, seed=7)
     assert a.to_csv_text() == b.to_csv_text()
 
 
 def test_sweep_vs_module_norms():
     # hardy_norm column reproduces the step_functions measurement
     seq = dyadic(9)
-    report = divergence_sweep(seq, [1, 2], 0.5, log_weight())
+    report = divergence_sweep([build_case(k, seq) for k in [1, 2]], 0.5, log_weight())
     for row in report.rows:
         case = build_case(row[1], seq)
         assert row[8] == pytest.approx(hardy_quasinorm(case.func, 0.5), rel=1e-12)

@@ -11,6 +11,7 @@ from vlab.errors import (
 from vlab.group_core import build_radix, cycle_radices
 from vlab.means import partial_sum_stack
 from vlab.operators import (
+    WeightFunction,
     _log_mean_blocks,
     boundedness_ratio,
     condition6_advisory,
@@ -54,12 +55,18 @@ def test_power_weight_values():
     assert w.phi(1) == 1.0
     assert w.phi(3) == 9.0
     assert np.allclose(w.phi(np.array([1, 2, 4])), [1.0, 4.0, 16.0])
+    # the closed formula reproduces the plain power bit for bit
+    n = np.arange(1, 10**5 + 1)
+    for alpha in (0.0, 0.5, 1.0, 1 / 0.3 - 1):
+        assert np.array_equal(power_weight(alpha).phi(n), n.astype(np.float64) ** alpha)
 
 
 def test_log_weight_floors_at_one():
     w = log_weight()
     assert w.phi(1) == 1.0  # ln 2 < 1 gets clamped
     assert w.phi(10) == pytest.approx(np.log(11.0))
+    n = np.arange(1, 10**5 + 1)
+    assert np.array_equal(w.phi(n), np.maximum(1, np.log(n + 1)))
 
 
 def test_custom_weight_validation():
@@ -71,10 +78,12 @@ def test_custom_weight_validation():
         custom_weight([2.0, 1.5])
     with pytest.raises(InvalidWeight):
         w.phi(9)
+    with pytest.raises(InvalidWeight):
+        WeightFunction(beta=0.5)  # a falling log factor would break monotonicity
 
 
 def test_weight_spec_parsing(tmp_path):
-    assert parse_weight_spec("log").family == "log"
+    assert parse_weight_spec("log").spec == "log"
     assert parse_weight_spec("power:1.5").alpha == 1.5
     path = tmp_path / "w.txt"
     path.write_text("1.0\n2.0\n3.0\n")
@@ -103,6 +112,13 @@ def test_condition6_verdicts():
     assert condition6_advisory(custom_weight([1.0, 2.0]), 0.5) == "unknown"
     with pytest.raises(InvalidExponent):
         condition6_advisory(log_weight(), 0.0)
+    # closed weights n^alpha log(n+1)^(-beta), beta <= 0: satisfied iff alpha < 1/p - 1
+    for p in (0.3, 0.5, 0.8):
+        gap = 1 / p - 1
+        for alpha in (0.0, gap / 2, gap, 2 * gap):
+            for beta in (0.0, -1.0):
+                verdict = condition6_advisory(WeightFunction(alpha=alpha, beta=beta), p)
+                assert verdict == ("satisfied" if alpha < gap else "violated")
 
 
 # ---------------------------------------------------------------------------
