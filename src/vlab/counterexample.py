@@ -8,7 +8,7 @@ function equals |f| pointwise; and at the probe order n* = M_lo + 2 the
 logarithmic mean collapses to a single character over the harmonic number,
 so |L_{n*} f| is constant on the whole group.  Those exact facts drive the
 weak-type ratio sweep R_k and the exploratory bracket fit.  A case carries
-L_{n*} f and f*, each computed once, when first read.
+its coefficients, L_{n*} f and f*, each computed once, when first read.
 """
 
 from __future__ import annotations
@@ -67,6 +67,11 @@ class CounterexampleCase:
     n_star: int  # probe order M_{2 n_k} + 2
 
     @cached_property
+    def coeffs(self) -> np.ndarray:
+        """Analysis coefficients of the case function (read-only)."""
+        return forward_fast(self.func).coeffs
+
+    @cached_property
     def mean(self) -> StepFunction:
         """L_{n*} f, the logarithmic mean at the probe order."""
         return log_mean(self.func, self.n_star)
@@ -109,10 +114,9 @@ class CoefficientCheck:
 
 def verify_coefficients(case: CounterexampleCase, tol: float = 1e-9) -> CoefficientCheck:
     """Coefficients must be 1 on [M_lo, M_hi) and 0 elsewhere."""
-    coeffs = forward_fast(case.func).coeffs
     expected = np.zeros(case.radix_seq.size, dtype=np.complex128)
     expected[case.m_lo : case.m_hi] = 1.0
-    err = float(np.max(np.abs(coeffs - expected)))
+    err = float(np.max(np.abs(case.coeffs - expected)))
     return CoefficientCheck(ok=err <= tol, max_abs_error=err, tol=tol)
 
 
@@ -133,7 +137,7 @@ def verify_partial_sums(case: CounterexampleCase, tol: float = 1e-9) -> PartialS
     so each error is sum_{k<i} delta_k psi_k with delta = c - e; as |psi_k| = 1
     it is at most the l1 mass of delta below the branch's last order.
     """
-    delta = forward_fast(case.func).coeffs.copy()
+    delta = case.coeffs.copy()
     delta[case.m_lo : case.m_hi] -= 1.0
     mass = np.cumsum(np.abs(delta))
     err_zero = float(mass[case.m_lo - 1])

@@ -7,6 +7,11 @@ The logarithmic family q_k = 1/k normalizes by the harmonic number l_n and
 never touches q_0:
 
     L_n f = (1/l_n) sum_{k=0}^{n-1} S_k f / (n - k),   S_0 f = 0.
+
+Single means are coefficient multipliers on the whole group.  Stacks of
+every S_n f and L_n f up to an order n_max live on the rank-r quotient
+(:func:`quotient`, M_r >= n_max): they are constant on rank-r cylinders,
+so their work and memory grow with M_r, not M_N.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import CapacityExceeded, IndexOutOfRange, InvalidWeight, ZeroTotalWeight
-from .group_core import RadixSequence
+from .group_core import RadixSequence, truncate
 from .step_functions import StepFunction
 from .transform import ROW_BLOCK, character_rows, forward_fast, synthesize_multiplier
 
@@ -115,75 +120,137 @@ def _physical_memory() -> int:
     return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
-def _check_stack_fits(seq: RadixSequence, n_max: int) -> None:
-    """Refuse a stack whose rows plus partial sums would not fit in physical memory.
+def quotient(seq: RadixSequence, n: int) -> RadixSequence:
+    """The rank-r truncation of ``seq``, r the smallest rank with M_r >= n.
 
-    Both are (n_max + 1) x M_N complex arrays at most; the check runs before
-    either is allocated.
+    psi_k depends only on the first r digits when k < M_r, so every S_k f
+    and L_k f with k <= n is constant on rank-r cylinders: its values at
+    the M_N points are those at the M_r points of the quotient, repeated
+    M_N / M_r times (the linear index i of a point fixes its first r
+    digits through i mod M_r).  When n > M_{N-1} the quotient is the
+    whole group.
     """
-    need = 2 * (n_max + 1) * seq.size * np.dtype(np.complex128).itemsize
+    return truncate(seq, next(r for r, m in enumerate(seq.scales) if m >= n))
+
+
+def _check_stack_fits(group: RadixSequence, n_max: int) -> None:
+    """Refuse a stack whose working set would not fit in physical memory.
+
+    ``group`` is the quotient the stack lives on.  The rows and the
+    partial sums are (n_max + 1) x M_r complex arrays at most, and the
+    log-mean triangles of :func:`log_mean_blocks` hold at most n_max x
+    n_max reals; the check runs before any of them is allocated.
+    """
+    rows_and_sums = 2 * (n_max + 1) * group.size * np.dtype(np.complex128).itemsize
+    need = rows_and_sums + n_max * n_max * np.dtype(np.float64).itemsize
     budget = _physical_memory()
     if need > budget:
         raise CapacityExceeded(
-            f"partial-sum stack for n_max={n_max}, M_N={seq.size} needs {need} bytes, "
+            f"partial-sum stack for n_max={n_max}, M_r={group.size} needs {need} bytes, "
             f"physical memory is {budget}"
         )
 
 
 @lru_cache(maxsize=1)
-def leading_rows(seq: RadixSequence, n: int) -> np.ndarray:
-    """Read-only (n, M_N) array whose row k holds psi_k, k < n.
+def leading_rows(group: RadixSequence, n: int) -> np.ndarray:
+    """Read-only (n, M) array whose row k holds psi_k on ``group``, k < n.
 
-    Filled one block of at most ROW_BLOCK entries of :func:`character_rows`
-    at a time.  One entry is cached: every stack of a run shares its group
-    and n, so the rows are built once per run and at most one row set is
+    ``group`` is the :func:`quotient` of a stack, so M = M_r.  Filled one
+    block of at most ROW_BLOCK entries of :func:`character_rows` at a
+    time.  One entry is cached: every stack of a run shares its group and
+    n, so the rows are built once per run and at most one row set is
     held.
     """
-    rows = np.empty((n, seq.size), dtype=np.complex128)
-    step = max(1, ROW_BLOCK // seq.size)
+    rows = np.empty((n, group.size), dtype=np.complex128)
+    step = max(1, ROW_BLOCK // group.size)
     for lo in range(0, n, step):
         hi = min(lo + step, n)
-        rows[lo:hi] = character_rows(seq, lo, hi)
+        rows[lo:hi] = character_rows(group, lo, hi)
     rows.flags.writeable = False
     return rows
 
 
 def partial_sum_stack(f: StepFunction, n_max: int) -> np.ndarray:
-    """(n_max + 1, M_N) array whose row n holds S_n f (row 0 is zero).
+    """(n_max + 1, M_r) array whose row n holds S_n f (row 0 is zero).
+
+    The stack lives on the :func:`quotient` for n_max: entry i of a row is
+    S_n f at every point whose linear index is i mod M_r.
+    ``np.tile(row, M_N // M_r)`` is the row on the whole group.
 
     Row k + 1 first receives c_k psi_k, from the rows of
-    :func:`leading_rows`, which are built once per (group, n_max); a
+    :func:`leading_rows`, which are built once per (quotient, n_max); a
     running sum down the rows then turns the terms into partial sums.
     """
     seq = f.radix_seq
     if n_max < 0 or n_max > seq.size:
         raise IndexOutOfRange(f"n_max {n_max} outside 0..{seq.size}")
-    _check_stack_fits(seq, n_max)
+    group = quotient(seq, n_max)
+    _check_stack_fits(group, n_max)
     coeffs = forward_fast(f).coeffs
-    stack = np.zeros((n_max + 1, seq.size), dtype=np.complex128)
-    np.multiply(coeffs[:n_max, None], leading_rows(seq, n_max), out=stack[1:])
+    stack = np.zeros((n_max + 1, group.size), dtype=np.complex128)
+    np.multiply(coeffs[:n_max, None], leading_rows(group, n_max), out=stack[1:])
     return np.cumsum(stack, axis=0, out=stack)
 
 
-def log_mean_rows(s_stack: np.ndarray, ns) -> np.ndarray:
-    """Rows L_n f for the orders in ``ns`` from a :func:`partial_sum_stack`.
-
-    Applies the triangle T[n, k] = 1/((n - k) l_n), 1 <= k < n, so the
-    stack needs rows up to max(ns) - 1; later rows are ignored.  The
-    triangle is real, so it multiplies the interleaved real and imaginary
-    parts of rows 0..max(ns) - 1 as one real matrix product.
-    """
-    ns = np.asarray(ns, dtype=np.int64).reshape(-1)
-    if ns.size == 0 or ns.min() < 2 or ns.max() > s_stack.shape[0]:
-        raise IndexOutOfRange(f"log mean orders need 2 <= n <= {s_stack.shape[0]}")
+def _log_mean_triangle(ns: np.ndarray) -> np.ndarray:
+    """(len(ns), max(ns)) triangle T[i, k] = 1/((ns[i] - k) l_{ns[i]}), 1 <= k < ns[i]."""
     top = int(ns.max())
     ks = np.arange(top)
     ell = harmonic_numbers(top)[ns - 1]
     gap = ns[:, None] - ks
     tri = np.zeros(gap.shape, dtype=np.float64)
     np.divide(1.0, gap * ell[:, None], out=tri, where=(gap > 0) & (ks >= 1))
-    parts = np.ascontiguousarray(s_stack[:top], dtype=np.complex128).view(np.float64)
+    return tri
+
+
+def _apply_triangle(tri: np.ndarray, s_stack: np.ndarray) -> np.ndarray:
+    # the triangle is real, so it multiplies the interleaved real and
+    # imaginary parts of the stack rows it reaches as one real product
+    parts = np.ascontiguousarray(s_stack[: tri.shape[1]], dtype=np.complex128).view(np.float64)
     return (tri @ parts).view(np.complex128)
+
+
+def log_mean_rows(s_stack: np.ndarray, ns) -> np.ndarray:
+    """Rows L_n f for the orders in ``ns`` from a :func:`partial_sum_stack`.
+
+    Applies the triangle T[n, k] = 1/((n - k) l_n), 1 <= k < n, so the
+    stack needs rows up to max(ns) - 1; later rows are ignored.  The rows
+    have the stack's width.
+    """
+    ns = np.asarray(ns, dtype=np.int64).reshape(-1)
+    if ns.size == 0 or ns.min() < 2 or ns.max() > s_stack.shape[0]:
+        raise IndexOutOfRange(f"log mean orders need 2 <= n <= {s_stack.shape[0]}")
+    return _apply_triangle(_log_mean_triangle(ns), s_stack)
+
+
+# Orders per block of :func:`log_mean_blocks`.  Each block holds its
+# log-mean rows and their moduli, about _BLOCK * M_r complex plus
+# float entries, beside the stack and its shared character rows.
+_BLOCK = 64
+
+
+@lru_cache(maxsize=1)
+def _log_mean_triangles(n_max: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """(ns, triangle) for n = 2..n_max, _BLOCK orders at a time.
+
+    One entry is cached: every stack of a run shares n_max, so each
+    block's triangle is built once per run.
+    """
+    blocks = []
+    for start in range(2, n_max + 1, _BLOCK):
+        ns = np.arange(start, min(start + _BLOCK, n_max + 1))
+        tri = _log_mean_triangle(ns)
+        ns.flags.writeable = tri.flags.writeable = False
+        blocks.append((ns, tri))
+    return tuple(blocks)
+
+
+def log_mean_blocks(s_stack: np.ndarray, n_max: int):
+    """Yield (ns, log_mean_rows(s_stack, ns)) for n = 2..n_max, one block at a time."""
+    if n_max > s_stack.shape[0]:
+        raise IndexOutOfRange(f"log mean orders need n <= {s_stack.shape[0]}")
+    for ns, tri in _log_mean_triangles(n_max):
+        yield ns, _apply_triangle(tri, s_stack)
 
 
 def norlund_mean(f: StepFunction, n: int, weights: WeightSequence) -> StepFunction:

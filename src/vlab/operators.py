@@ -4,7 +4,8 @@ The weighted maximal operator of a transform family T_n is the pointwise
 sup over n of |T_n f| / phi(n+1), where phi is a non-decreasing weight
 with phi >= 1.  Partial sums enter at n = 1, logarithmic means at n = 2.
 The power weight phi(n) = n^alpha with alpha = 1/p - 1 is the critical
-weight for 0 < p < 1.
+weight for 0 < p < 1.  The maximal operators and the domination chain
+work on the M_r points of the quotient group of ``means.quotient``.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .errors import (
     RankOutOfRange,
 )
 from .group_core import Cylinder, GroupPoint, RadixSequence, cylinder_of
-from .means import log_mean_rows, partial_sum_stack, weights_from_file
+from .means import log_mean_blocks, partial_sum_stack, weights_from_file
 from .step_functions import (
     StepFunction,
     check_exponent,
@@ -121,19 +122,6 @@ def check_p_unit(p: float) -> float:
     return p
 
 
-# Orders per block of the log-mean accumulation.  Each block holds its
-# log-mean rows and their moduli, about _BLOCK * M_N complex plus float
-# entries, beside the stack and its shared character rows.
-_BLOCK = 64
-
-
-def _log_mean_blocks(s_stack: np.ndarray, n_max: int):
-    """Yield (ns, log_mean_rows(s_stack, ns)) for n = 2..n_max, _BLOCK orders at a time."""
-    for start in range(2, n_max + 1, _BLOCK):
-        ns = np.arange(start, min(start + _BLOCK, n_max + 1))
-        yield ns, log_mean_rows(s_stack, ns)
-
-
 def weighted_maximal(
     f: StepFunction, transform_kind: str, weight: WeightFunction, n_max: int
 ) -> StepFunction:
@@ -141,7 +129,9 @@ def weighted_maximal(
 
     Truncation is exact for partial sums once n_max = M_N (higher partial
     sums reproduce f while the weight keeps growing); for log means it is
-    a lower bound on the sup over all n.
+    a lower bound on the sup over all n.  The sup is taken at the M_r
+    points of the stack's quotient group and tiled out to M_N only at
+    the end.
     """
     if transform_kind not in _KINDS:
         raise InvalidWeight(f"unknown transform kind {transform_kind!r}")
@@ -158,12 +148,12 @@ def weighted_maximal(
         ws = weight.phi(np.arange(2, n_max + 2))
         best = np.max(np.abs(s_stack[1:]) / ws[:, None], axis=0)
     else:
-        best = np.zeros(seq.size, dtype=np.float64)
-        for ns, rows in _log_mean_blocks(s_stack, n_max):
+        best = np.zeros(s_stack.shape[1], dtype=np.float64)
+        for ns, rows in log_mean_blocks(s_stack, n_max):
             cand = np.abs(rows)
             cand /= weight.phi(ns + 1)[:, None]
             np.maximum(best, cand.max(axis=0), out=best)
-    return StepFunction(seq, best)
+    return StepFunction(seq, np.tile(best, seq.size // best.size))
 
 
 @dataclass(frozen=True)
@@ -177,8 +167,10 @@ def domination_check(f: StepFunction, p: float, n_max: int, tol: float = 1e-12) 
     """Verify |L_n f|/(n+1)^{1/p-1} <= sup_{1<=k<=n} |S_k f|/(k+1)^{1/p-1}.
 
     Checked pointwise for every n <= n_max; n = 1 holds trivially because
-    L_1 f = 0.  Returns the largest violation found (negative or tiny
-    positive slack means the chain holds).
+    L_1 f = 0.  Both sides are constant on the cylinders of the stack's
+    quotient group, so checking its M_r points checks all M_N.  Returns
+    the largest violation found (negative or tiny positive slack means
+    the chain holds).
     """
     p = check_p_unit(p)
     seq = f.radix_seq
@@ -190,7 +182,7 @@ def domination_check(f: StepFunction, p: float, n_max: int, tol: float = 1e-12) 
     # sup over 1 <= k < ns[0] of |S_k| / (k+1)^expo, carried from block to block
     best = np.abs(s_stack[1]) / k_weights[0]
     worst = -np.inf
-    for ns, rows in _log_mean_blocks(s_stack, n_max):
+    for ns, rows in log_mean_blocks(s_stack, n_max):
         # running[i] = sup over 1 <= k <= ns[i] of |S_k| / (k+1)^expo
         running = np.abs(s_stack[ns[0] : ns[-1] + 1])
         running /= k_weights[ns - 1, None]

@@ -345,7 +345,8 @@ def test_vlab_threads_same_bytes(tmp_path, monkeypatch):
     monkeypatch.setenv("VLAB_THREADS", "3")
     means_mod.leading_rows.cache_clear()  # workers may all miss the shared rows at once
     assert run(argv + ["--out", str(b)]) == 0
-    shared = means_mod.leading_rows(build_radix(cycle_radices((2, 3), 5)), 40)
+    group = means_mod.quotient(build_radix(cycle_radices((2, 3), 5)), 40)
+    shared = means_mod.leading_rows(group, 40)
     assert shared.flags.writeable is False
     assert a.read_bytes().replace(b"a.csv", b"") == b.read_bytes().replace(b"b.csv", b"")
     dom_a = (tmp_path / "a.domination.csv").read_bytes()
@@ -354,7 +355,8 @@ def test_vlab_threads_same_bytes(tmp_path, monkeypatch):
 
 
 def test_theorem_a_builds_character_rows_once(monkeypatch):
-    # M_N = 1296 takes 50-row blocks, so psi_0..psi_299 are 6 builds; every
+    # nmax = 300 puts the stacks on the quotient with M_7 = 432 points,
+    # which takes 151-row blocks, so psi_0..psi_299 are 2 builds; every
     # domination check and atom maximal of the run shares them
     calls = []
     real = means_mod.character_rows
@@ -368,22 +370,25 @@ def test_theorem_a_builds_character_rows_once(monkeypatch):
     means_mod.leading_rows.cache_clear()
     argv = ["theorem-a", "--radices", "2,3", "--depth", "8", "--nmax", "300", "--samples", "4"]
     assert run(argv) == 0
-    assert len(calls) == 6
+    assert calls == [(0, 151), (151, 300)]
 
 
 def test_theorem_b_builds_each_case_once(monkeypatch):
-    # each case is built, averaged at n* and maximized once per run; only
-    # the Hardy check, the sweep and the bracket repeat per p
+    # each case is built, transformed, averaged at n* and maximized once
+    # per run (the mean runs its own forward pass); only the Hardy check,
+    # the sweep and the bracket repeat per p
     import collections
 
     import vlab.cli as cli_mod
     import vlab.counterexample as cx_mod
     import vlab.step_functions as sf_mod
+    import vlab.transform as transform_mod
 
     calls = collections.Counter()
-    names = ["build_case", "log_mean", "maximal_function", "verify_coefficients",
-             "verify_partial_sums", "l_mean_identity", "verify_hardy_bound"]
-    for module in (cli_mod, cx_mod, sf_mod):
+    names = ["build_case", "forward_fast", "log_mean", "maximal_function",
+             "verify_coefficients", "verify_partial_sums", "l_mean_identity",
+             "verify_hardy_bound"]
+    for module in (cli_mod, cx_mod, sf_mod, transform_mod):
         for name in names:
             if hasattr(module, name):
                 real = getattr(module, name)
@@ -397,6 +402,7 @@ def test_theorem_b_builds_each_case_once(monkeypatch):
     assert run(argv) == 0
     assert calls == {
         "build_case": 3,
+        "forward_fast": 6,
         "log_mean": 3,
         "maximal_function": 3,
         "verify_coefficients": 3,

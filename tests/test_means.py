@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from vlab.errors import IndexOutOfRange, InvalidWeight, ZeroTotalWeight
+from vlab.errors import CapacityExceeded, IndexOutOfRange, InvalidWeight, ZeroTotalWeight
 from vlab.group_core import build_radix
 import vlab.means as means_mod
 import vlab.transform as transform_mod
@@ -12,6 +12,7 @@ from vlab.means import (
     harmonic_l,
     harmonic_numbers,
     log_mean,
+    log_mean_blocks,
     log_mean_rows,
     log_weights,
     norlund_mean,
@@ -306,9 +307,11 @@ def test_means_cost_one_transform_pair(monkeypatch):
 
 
 def test_partial_sum_stack_builds_rows_one_block_at_a_time(monkeypatch):
-    # M_N = 1296 takes 50-row blocks: the first call makes 6 builds for 300
-    # rows and holds them beside the stack; a second call on the same group
-    # and n_max reuses them and needs little more than the stack itself
+    # n_max = 300 puts the stack on the quotient with M_r = 432 of the
+    # M_N = 1296 points, which takes 151-row blocks: the first call makes 2
+    # builds for 300 rows and holds them beside the stack; a second call on
+    # the same group and n_max reuses them and needs little more than the
+    # stack itself
     seq = build_radix((2, 3) * 4)
     n_max = 300
     f = random_function(seq, 29)
@@ -330,8 +333,9 @@ def test_partial_sum_stack_builds_rows_one_block_at_a_time(monkeypatch):
     monkeypatch.setattr(means_mod, "character_rows", counting)
     means_mod.leading_rows.cache_clear()
     stack, peak = traced_stack()
-    step = ROW_BLOCK // seq.size
-    assert len(spans) == -(-n_max // step) == 6
+    assert stack.shape == (n_max + 1, 432)
+    step = ROW_BLOCK // stack.shape[1]
+    assert len(spans) == -(-n_max // step) == 2
     assert [lo for lo, _ in spans] == list(range(0, n_max, step))
     assert spans[-1][1] == n_max
     assert peak < 2 * stack.nbytes + 4 * 2**20
@@ -341,6 +345,42 @@ def test_partial_sum_stack_builds_rows_one_block_at_a_time(monkeypatch):
     assert spans == []
     assert peak < stack.nbytes + 2**20
     assert np.array_equal(again, stack)
+
+
+def test_stack_memory_check_counts_quotient_points(monkeypatch):
+    # M_N = 7776, but n_max = 300 needs only M_7 = 432 points: rows and
+    # partial sums of 2 * 301 * 432 complex values, plus 300^2 reals of
+    # log-mean triangles; the whole group would need 18x the rows and sums
+    need = 2 * 301 * 432 * 16 + 300 * 300 * 8
+    f = constant(build_radix((2, 3) * 5), 1.0)
+    monkeypatch.setattr(means_mod, "_physical_memory", lambda: need)
+    assert partial_sum_stack(f, 300).shape == (301, 432)
+    monkeypatch.setattr(means_mod, "_physical_memory", lambda: need - 1)
+    with pytest.raises(CapacityExceeded):
+        partial_sum_stack(f, 300)
+
+
+def test_log_mean_triangles_are_built_once_per_n_max(monkeypatch):
+    # orders 2..300 fall in 5 blocks of at most 64; the stacks of a run
+    # share n_max, so each block's triangle is built once, and the rows
+    # are bitwise those of log_mean_rows, which builds its own triangle
+    built = []
+    real = means_mod._log_mean_triangle
+
+    def counting(ns):
+        built.append(int(ns[0]))
+        return real(ns)
+
+    monkeypatch.setattr(means_mod, "_log_mean_triangle", counting)
+    means_mod._log_mean_triangles.cache_clear()
+    seq = build_radix((2, 3) * 4)
+    stacks = [partial_sum_stack(random_function(seq, seed), 300) for seed in (1, 2, 3)]
+    blocks = [list(log_mean_blocks(stack, 300)) for stack in stacks]
+    assert built == [2, 66, 130, 194, 258]
+    for stack, stack_blocks in zip(stacks, blocks):
+        assert [int(ns[-1]) for ns, _ in stack_blocks] == [65, 129, 193, 257, 300]
+        for ns, rows in stack_blocks:
+            assert np.array_equal(rows, log_mean_rows(stack, ns))
 
 
 def test_log_mean_rows_real_product_matches_complex_product():

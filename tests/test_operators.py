@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,10 +11,10 @@ from vlab.errors import (
     RankOutOfRange,
 )
 from vlab.group_core import build_radix, cycle_radices
-from vlab.means import partial_sum_stack
+import vlab.means as means_mod
+from vlab.means import log_mean_blocks, partial_sum_stack
 from vlab.operators import (
     WeightFunction,
-    _log_mean_blocks,
     boundedness_ratio,
     condition6_advisory,
     critical_power_weight,
@@ -32,7 +34,7 @@ from vlab.step_functions import (
     scale,
     zero,
 )
-from vlab.transform import character_rows, dirichlet_closed_MN
+from vlab.transform import character_rows, dirichlet_closed_MN, forward_fast, partial_sum
 from vlab.means import harmonic_l
 
 
@@ -220,14 +222,13 @@ def test_domination_on_random_functions():
         assert res.max_slack <= 1e-12
 
 
-def _full_accumulate_slack(f, p, n_max):
+def _full_accumulate_slack(s_stack, p, n_max):
     # the running sup of |S_k| / (k+1)^(1/p-1) as one accumulate over every order
     expo = 1.0 / p - 1.0
-    s_stack = partial_sum_stack(f, n_max)
     k_weights = (np.arange(1, n_max + 1) + 1.0) ** expo
     running = np.maximum.accumulate(np.abs(s_stack[1:]) / k_weights[:, None], axis=0)
     worst = -np.inf
-    for ns, rows in _log_mean_blocks(s_stack, n_max):
+    for ns, rows in log_mean_blocks(s_stack, n_max):
         lhs = np.abs(rows) / ((ns + 1.0) ** expo)[:, None]
         worst = max(worst, float(np.max(lhs - running[ns - 1])))
     return worst
@@ -243,7 +244,80 @@ def test_blocked_running_max_matches_full_accumulate(radices, n_max):
     seq = build_radix(radices)
     for seed, p in ((14, 0.5), (15, 0.8)):
         f = random_function(seq, seed)
-        assert domination_check(f, p, n_max).max_slack == _full_accumulate_slack(f, p, n_max)
+        want = _full_accumulate_slack(partial_sum_stack(f, n_max), p, n_max)
+        assert domination_check(f, p, n_max).max_slack == want
+
+
+def _whole_group_stack(f, n_max):
+    # partial sums at all M_N points, from the characters of the whole group
+    seq = f.radix_seq
+    stack = np.zeros((n_max + 1, seq.size), dtype=np.complex128)
+    np.multiply(forward_fast(f).coeffs[:n_max, None], character_rows(seq, 0, n_max), out=stack[1:])
+    return np.cumsum(stack, axis=0, out=stack)
+
+
+# M_r of the quotient for each n_max; on (3,5,3) cycled to depth 5,
+# 300 > M_4 = 135, so that quotient is the whole group, M_5 = 675
+_QUOTIENT_WIDTHS = [
+    ("2,3x4", (2, 3) * 4, {2: 2, 3: 6, 7: 12, 37: 72, 300: 432}),
+    ("3,5,3", cycle_radices((3, 5, 3), 5), {2: 3, 3: 3, 7: 15, 37: 45, 300: 675}),
+]
+
+
+@pytest.mark.parametrize(
+    "radices, n_max, width",
+    [
+        pytest.param(radices, n, m, id=f"{name}-{n}")
+        for name, radices, widths in _QUOTIENT_WIDTHS
+        for n, m in widths.items()
+    ],
+)
+def test_quotient_stack_matches_whole_group(radices, n_max, width):
+    # a stack of order n_max lives on the M_r = width points of the rank-r
+    # quotient; tiled M_N / M_r times it is the stack on the whole group,
+    # and the maximal functions and the domination slack are those of the
+    # whole-group stack.  Matrix products of different widths may round the
+    # last bit of an entry differently, so the comparisons are relative,
+    # far below the O(1) gap a misplaced copy (np.repeat) would leave
+    seq = build_radix(radices)
+    f = random_function(seq, 41)
+    stack = partial_sum_stack(f, n_max)
+    assert stack.shape == (n_max + 1, width)
+    copies = seq.size // width
+    for n in range(n_max + 1):
+        assert np.max(np.abs(np.tile(stack[n], copies) - partial_sum(f, n).values)) <= 1e-12
+    full = _whole_group_stack(f, n_max)
+    np.testing.assert_allclose(np.tile(stack, copies), full, rtol=1e-12, atol=0)
+
+    weight = power_weight(1.0)
+    ps_want = np.max(np.abs(full[1:]) / weight.phi(np.arange(2, n_max + 2))[:, None], axis=0)
+    lm_want = np.zeros(seq.size)
+    for ns, rows in log_mean_blocks(full, n_max):
+        lm_want = np.maximum(lm_want, np.max(np.abs(rows) / weight.phi(ns + 1)[:, None], axis=0))
+    for kind, want in (("partial_sum", ps_want), ("log_mean", lm_want)):
+        got = weighted_maximal(f, kind, weight, n_max).values
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+    for p in (0.5, 0.8):
+        want = _full_accumulate_slack(full, p, n_max)
+        assert abs(domination_check(f, p, n_max).max_slack - want) <= 1e-12 * abs(want)
+
+
+def test_log_mean_maximal_memory_does_not_grow_with_the_group():
+    # M_N = 46656, but n_max = 300 needs only the M_7 = 432 points of the
+    # quotient; rows and stack on the whole group would take 2 * 301 * 46656
+    # complex values (429 MiB)
+    seq = build_radix((2, 3) * 6)
+    f = random_function(seq, 43)
+    assert partial_sum_stack(f, 300).shape == (301, 432)
+    means_mod.leading_rows.cache_clear()
+    means_mod._log_mean_triangles.cache_clear()
+    tracemalloc.start()
+    try:
+        weighted_maximal(f, "log_mean", log_weight(), 300)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_domination_on_kernel_difference():
