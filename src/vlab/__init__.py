@@ -33,21 +33,16 @@ from .group_core import (
     cycle_radices,
     cylinder_of,
     decompose,
-    enumerate_points,
     parse_radices,
-    point_from_index,
     truncate,
 )
 from .step_functions import (
     StepFunction,
-    absolute,
-    add,
     hardy_quasinorm,
     load_step_function,
     lp_quasinorm,
     maximal_function,
     save_step_function,
-    scale,
     weak_lp_quasinorm,
 )
 from .transform import (

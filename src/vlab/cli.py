@@ -333,8 +333,8 @@ def cmd_theorem_a(cfg: RunConfig) -> tuple[dict[str, ExperimentReport], bool]:
         results = _parallel_map(dom_one, range(cfg.samples))
         for i, res in enumerate(results):
             dom_report.add_row(i, p, nmax, res.max_slack, res.passed)
-            all_ok = all_ok and res.passed
         dom_ok = all(r.passed for r in results)
+        all_ok = all_ok and dom_ok
         print(f"[{_status(dom_ok)}] domination chain, p={p}, {cfg.samples} samples, n<= {nmax}")
 
         def atom_one(i):
@@ -346,15 +346,14 @@ def cmd_theorem_a(cfg: RunConfig) -> tuple[dict[str, ExperimentReport], bool]:
             return hardy, maximal
 
         atom_rows = _parallel_map(atom_one, range(cfg.samples))
-        for i, (hardy, maximal) in enumerate(atom_rows):
-            ratio = maximal / hardy
-            ok = math.isfinite(ratio)
-            all_ok = all_ok and ok
+        ratios = [maximal / hardy for hardy, maximal in atom_rows]
+        for i, ((hardy, maximal), ratio) in enumerate(zip(atom_rows, ratios)):
             atom_report.add_row(i, p, weight.spec, nmax, hardy, maximal, ratio)
-        ratios = [m / h for h, m in atom_rows]
+        atoms_ok = all(math.isfinite(r) for r in ratios)
+        all_ok = all_ok and atoms_ok
         if ratios:
             print(
-                f"[{_status(all(math.isfinite(r) for r in ratios))}] atom sweep, p={p}: "
+                f"[{_status(atoms_ok)}] atom sweep, p={p}: "
                 f"max ratio {max(ratios):.6g} (truncated at n<={nmax})"
             )
     return {"": atom_report, "domination": dom_report}, all_ok
@@ -393,12 +392,11 @@ def cmd_theorem_b(cfg: RunConfig) -> tuple[dict[str, ExperimentReport], bool]:
         sweep = divergence_sweep(cases, p, weight)
         for row in sweep.rows:
             master.add_row(*row)
-        verdict = sweep.meta["condition6"]
+        verdict = sweep.condition6
         master.add_meta(f"condition6_p{p}", verdict)
         if verdict == "satisfied":
-            mono = sweep.meta["monotone_ok"] == "true"
-            all_ok = all_ok and mono
-            print(f"[{_status(mono)}] divergence ratios strictly increasing, p={p}")
+            all_ok = all_ok and sweep.monotone
+            print(f"[{_status(sweep.monotone)}] divergence ratios strictly increasing, p={p}")
         else:
             print(f"[ok] condition6 {verdict} for weight {weight.spec}; growth not asserted, p={p}")
         tag = "theta" if len(cfg.p) == 1 else f"theta{i}"

@@ -54,6 +54,14 @@ THETA_COLUMNS = ["n", "lower", "upper", "measured_ratio", "source"]
 # |L| matches the threshold only up to roundoff.
 LEVELSET_SLACK = 1e-12
 
+# Absolute tolerance of the coefficient, partial-sum and log-mean-identity
+# checks, and relative tolerance of the Hardy-norm check.
+CASE_TOL = 1e-9
+HARDY_REL_TOL = 1e-12
+
+# Points of the theta bracket's geometric grid before duplicates merge.
+THETA_GRID = 25
+
 
 @dataclass(frozen=True)
 class CounterexampleCase:
@@ -109,15 +117,14 @@ def build_case(n_k: int, radix_seq: RadixSequence) -> CounterexampleCase:
 class CoefficientCheck:
     ok: bool
     max_abs_error: float
-    tol: float
 
 
-def verify_coefficients(case: CounterexampleCase, tol: float = 1e-9) -> CoefficientCheck:
+def verify_coefficients(case: CounterexampleCase) -> CoefficientCheck:
     """Coefficients must be 1 on [M_lo, M_hi) and 0 elsewhere."""
     expected = np.zeros(case.radix_seq.size, dtype=np.complex128)
     expected[case.m_lo : case.m_hi] = 1.0
     err = float(np.max(np.abs(case.coeffs - expected)))
-    return CoefficientCheck(ok=err <= tol, max_abs_error=err, tol=tol)
+    return CoefficientCheck(ok=err <= CASE_TOL, max_abs_error=err)
 
 
 @dataclass(frozen=True)
@@ -126,10 +133,9 @@ class PartialSumCheck:
     max_err_zero: float
     max_err_middle: float
     max_err_tail: float
-    tol: float
 
 
-def verify_partial_sums(case: CounterexampleCase, tol: float = 1e-9) -> PartialSumCheck:
+def verify_partial_sums(case: CounterexampleCase) -> PartialSumCheck:
     """Certify the partial-sum branches from the coefficients, in O(M_N).
 
     S_i = 0 for i <= M_lo, D_i - D_{M_lo} for M_lo < i < M_hi, f for i >= M_hi.
@@ -143,9 +149,9 @@ def verify_partial_sums(case: CounterexampleCase, tol: float = 1e-9) -> PartialS
     err_zero = float(mass[case.m_lo - 1])
     err_middle = float(mass[case.m_hi - 2])
     err_tail = float(mass[-1])
-    ok = max(err_zero, err_middle, err_tail) <= tol
+    ok = max(err_zero, err_middle, err_tail) <= CASE_TOL
     return PartialSumCheck(
-        ok=ok, max_err_zero=err_zero, max_err_middle=err_middle, max_err_tail=err_tail, tol=tol
+        ok=ok, max_err_zero=err_zero, max_err_middle=err_middle, max_err_tail=err_tail
     )
 
 
@@ -157,7 +163,6 @@ class HardyCheck:
     upper_bound: float
     uniform_bound: float
     max_pointwise_gap: float
-    rel_tol: float
 
 
 def hardy_closed_value(case: CounterexampleCase, p: float) -> float:
@@ -174,7 +179,7 @@ def hardy_closed_value(case: CounterexampleCase, p: float) -> float:
     return power ** (1.0 / p)
 
 
-def verify_hardy_bound(case: CounterexampleCase, p: float, rel_tol: float = 1e-12) -> HardyCheck:
+def verify_hardy_bound(case: CounterexampleCase, p: float) -> HardyCheck:
     """Measured Hardy norm against the closed value and the uniform bound."""
     p = check_p_unit(p)
     fstar = case.maximal
@@ -184,10 +189,10 @@ def verify_hardy_bound(case: CounterexampleCase, p: float, rel_tol: float = 1e-1
     upper = 2.0 ** (1.0 / p) * case.m_lo ** (1.0 - 1.0 / p)
     uniform = 2.0 ** (1.0 / p)
     ok = (
-        gap <= rel_tol * max(1.0, case.m_hi)
-        and abs(measured - closed) <= rel_tol * closed
-        and measured <= upper * (1.0 + rel_tol)
-        and upper <= uniform * (1.0 + rel_tol)
+        gap <= HARDY_REL_TOL * max(1.0, case.m_hi)
+        and abs(measured - closed) <= HARDY_REL_TOL * closed
+        and measured <= upper * (1.0 + HARDY_REL_TOL)
+        and upper <= uniform * (1.0 + HARDY_REL_TOL)
     )
     return HardyCheck(
         ok=ok,
@@ -196,7 +201,6 @@ def verify_hardy_bound(case: CounterexampleCase, p: float, rel_tol: float = 1e-1
         upper_bound=upper,
         uniform_bound=uniform,
         max_pointwise_gap=gap,
-        rel_tol=rel_tol,
     )
 
 
@@ -208,7 +212,6 @@ class LogMeanIdentityCheck:
     max_function_gap: float
     modulus_variance: float
     levelset_measure: float
-    tol: float
 
 
 def levelset_measure(f: StepFunction, threshold: float) -> float:
@@ -217,7 +220,7 @@ def levelset_measure(f: StepFunction, threshold: float) -> float:
     return count / f.radix_seq.size
 
 
-def l_mean_identity(case: CounterexampleCase, tol: float = 1e-9) -> LogMeanIdentityCheck:
+def l_mean_identity(case: CounterexampleCase) -> LogMeanIdentityCheck:
     """L_{n*} f must equal psi_{M_lo} / l_{n*} with constant modulus 1/l_{n*}.
 
     Only the k = M_lo + 1 partial sum survives in the mean (its neighbors
@@ -232,7 +235,7 @@ def l_mean_identity(case: CounterexampleCase, tol: float = 1e-9) -> LogMeanIdent
     moduli = np.abs(computed.values)
     variance = float(np.var(moduli))
     measure = levelset_measure(computed, predicted)
-    ok = gap <= tol and variance <= 1e-18 and measure == 1.0
+    ok = gap <= CASE_TOL and variance <= 1e-18 and measure == 1.0
     return LogMeanIdentityCheck(
         ok=ok,
         modulus=float(np.mean(moduli)),
@@ -240,7 +243,6 @@ def l_mean_identity(case: CounterexampleCase, tol: float = 1e-9) -> LogMeanIdent
         max_function_gap=gap,
         modulus_variance=variance,
         levelset_measure=measure,
-        tol=tol,
     )
 
 
@@ -270,37 +272,33 @@ def sweep_row(position, case, p, weight):
     )
 
 
-def divergence_sweep(cases, p: float, weight: WeightFunction) -> ExperimentReport:
+@dataclass(frozen=True)
+class DivergenceSweep:
+    """Rows under SWEEP_COLUMNS, the condition-6 verdict, and whether R_k strictly increases."""
+
+    rows: tuple[tuple, ...]
+    condition6: str
+    monotone: bool
+
+
+def divergence_sweep(cases, p: float, weight: WeightFunction) -> DivergenceSweep:
     """Weak-type ratio R_k per case, with the analytic comparator.
 
     R_k = threshold * mu{|L_{n*} f| >= threshold}^{1/p} / ||f||_p where
-    threshold = 1/(l_{n*} phi(n*+1)).  Strict growth of R_k along the sweep
-    is asserted only when the weight family satisfies the divergence
-    condition; otherwise the report records the verdict and skips it.
+    threshold = 1/(l_{n*} phi(n*+1)).  Strict growth of R_k is expected
+    only when the weight's verdict is ``satisfied``, so callers assert
+    ``monotone`` in that case alone.
     """
     p = check_p_unit(p)
     verdict = condition6_advisory(weight, p)
-    rows = [sweep_row(pos + 1, case, p, weight) for pos, case in enumerate(cases)]
+    rows = tuple(sweep_row(pos + 1, case, p, weight) for pos, case in enumerate(cases))
     ratios = [row[9] for row in rows]
     monotone = all(b > a for a, b in zip(ratios, ratios[1:]))
-    report = ExperimentReport(columns=list(SWEEP_COLUMNS))
-    report.add_meta("p", p)
-    report.add_meta("weight", weight.spec)
-    report.add_meta("condition6", verdict)
-    report.add_meta("monotone_checked", verdict == "satisfied")
-    report.add_meta("monotone_ok", monotone if verdict == "satisfied" else "")
-    for row in rows:
-        report.add_row(*row)
-    return report
+    return DivergenceSweep(rows=rows, condition6=verdict, monotone=monotone)
 
 
 def theta_bracket(
-    radix_seq: RadixSequence,
-    p: float,
-    cases,
-    samples: int = 5,
-    seed: int = 0,
-    grid_size: int = 25,
+    radix_seq: RadixSequence, p: float, cases, samples: int = 5, seed: int = 0
 ) -> ExperimentReport:
     """Exploratory envelope C_1 n^{1/p-1}/log(n+1) .. C_2 n^{1/p-1}.
 
@@ -330,7 +328,7 @@ def theta_bracket(
     c2 = max(y / n**expo for n, y, _ in points)
     c1 = min(min(y * math.log(n + 1.0) / n**expo for n, y, _ in points), c2)
     top = max(n for n, _, _ in points)
-    grid = np.unique(np.geomspace(2, max(top, 4), grid_size).astype(np.int64))
+    grid = np.unique(np.geomspace(2, max(top, 4), THETA_GRID).astype(np.int64))
     report = ExperimentReport(columns=list(THETA_COLUMNS))
     report.add_meta("p", p)
     report.add_meta("C1", c1)

@@ -10,7 +10,7 @@ class RadixTooSmall(VilenkinError):
 
 
 class CapacityExceeded(VilenkinError):
-    """The scale table would exceed the configured capacity bound."""
+    """The scale table would exceed the capacity bound ``group_core.CAPACITY``."""
 
 
 class IndexOutOfRange(VilenkinError):

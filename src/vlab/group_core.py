@@ -30,7 +30,8 @@ from .errors import (
     RankOutOfRange,
 )
 
-DEFAULT_CAPACITY = 2**31
+# Largest scale M_k that build_radix accepts; read at call time.
+CAPACITY = 2**31
 
 
 @dataclass(frozen=True)
@@ -54,10 +55,10 @@ class RadixSequence:
         return ",".join(str(r) for r in self.radices)
 
 
-def build_radix(radices, depth: int | None = None, capacity: int = DEFAULT_CAPACITY) -> RadixSequence:
+def build_radix(radices, depth: int | None = None) -> RadixSequence:
     """Validate a generating sequence and compute its scale table.
 
-    Scales are exact Python integers; exceeding ``capacity`` raises
+    Scales are exact Python integers; exceeding :data:`CAPACITY` raises
     CapacityExceeded rather than wrapping around.  Only the first ``depth``
     radices are retained.
     """
@@ -72,8 +73,8 @@ def build_radix(radices, depth: int | None = None, capacity: int = DEFAULT_CAPAC
     scales = [1]
     for r in rads:
         scales.append(scales[-1] * r)
-        if scales[-1] > capacity:
-            raise CapacityExceeded(f"M_{len(scales) - 1} = {scales[-1]} exceeds capacity {capacity}")
+        if scales[-1] > CAPACITY:
+            raise CapacityExceeded(f"M_{len(scales) - 1} = {scales[-1]} exceeds capacity {CAPACITY}")
     return RadixSequence(radices=rads, depth=depth, scales=tuple(scales))
 
 
@@ -169,10 +170,6 @@ class GroupPoint:
         return compose(self.digits, self.radix_seq)
 
 
-def point_from_index(i: int, seq: RadixSequence) -> GroupPoint:
-    return GroupPoint(digits=decompose(i, seq).digits, radix_seq=seq)
-
-
 @dataclass(frozen=True)
 class Cylinder:
     """Rank-n cylinder: all points sharing the first n digits of its anchor."""
@@ -205,11 +202,6 @@ def cylinder_of(point: GroupPoint, rank: int) -> Cylinder:
         measure=Fraction(1, seq.scales[rank]),
         radix_seq=seq,
     )
-
-
-def enumerate_points(seq: RadixSequence) -> list[GroupPoint]:
-    """All M_N rank-N anchors in linear-index order (digit 0 fastest)."""
-    return [point_from_index(i, seq) for i in range(seq.size)]
 
 
 @functools.lru_cache(maxsize=16)

@@ -67,11 +67,6 @@ class WeightSequence:
     def _cumsum(self) -> np.ndarray:
         return np.cumsum(self.values)
 
-    def q(self, k: int) -> float:
-        if k < 1 or k > len(self):
-            raise IndexOutOfRange(f"weight index {k} outside 1..{len(self)}")
-        return float(self.values[k - 1])
-
     def total(self, n: int) -> float:
         """Q_n = q_1 + ... + q_n."""
         if n < 1 or n > len(self):

@@ -32,6 +32,9 @@ from .step_functions import (
 
 _KINDS = ("partial_sum", "log_mean")
 
+# Largest slack domination_check lets pass: the chain holds up to roundoff.
+DOMINATION_TOL = 1e-12
+
 
 @dataclass(frozen=True, eq=False)
 class WeightFunction:
@@ -160,10 +163,9 @@ def weighted_maximal(
 class DominationResult:
     passed: bool
     max_slack: float
-    tol: float
 
 
-def domination_check(f: StepFunction, p: float, n_max: int, tol: float = 1e-12) -> DominationResult:
+def domination_check(f: StepFunction, p: float, n_max: int) -> DominationResult:
     """Verify |L_n f|/(n+1)^{1/p-1} <= sup_{1<=k<=n} |S_k f|/(k+1)^{1/p-1}.
 
     Checked pointwise for every n <= n_max; n = 1 holds trivially because
@@ -172,28 +174,29 @@ def domination_check(f: StepFunction, p: float, n_max: int, tol: float = 1e-12) 
     the largest violation found (negative or tiny positive slack means
     the chain holds).
     """
-    p = check_p_unit(p)
+    weight = critical_power_weight(p)
     seq = f.radix_seq
     if n_max < 2 or n_max > seq.size:
         raise IndexOutOfRange(f"n_max {n_max} outside 2..{seq.size}")
-    expo = 1.0 / p - 1.0
     s_stack = partial_sum_stack(f, n_max)
-    k_weights = (np.arange(1, n_max + 1) + 1.0) ** expo
-    # sup over 1 <= k < ns[0] of |S_k| / (k+1)^expo, carried from block to block
+    # k_weights[k - 1] = phi(k+1) = (k+1)^{1/p-1} for k = 1..n_max
+    k_weights = weight.phi(np.arange(2, n_max + 2))
+    # sup over 1 <= k < ns[0] of |S_k| / phi(k+1), carried from block to block
     best = np.abs(s_stack[1]) / k_weights[0]
     worst = -np.inf
     for ns, rows in log_mean_blocks(s_stack, n_max):
-        # running[i] = sup over 1 <= k <= ns[i] of |S_k| / (k+1)^expo
+        # running[i] = sup over 1 <= k <= ns[i] of |S_k| / phi(k+1)
+        ws = k_weights[ns - 1, None]
         running = np.abs(s_stack[ns[0] : ns[-1] + 1])
-        running /= k_weights[ns - 1, None]
+        running /= ws
         np.maximum(running[0], best, out=running[0])
         np.maximum.accumulate(running, axis=0, out=running)
         best = running[-1].copy()
         lhs = np.abs(rows)
-        lhs /= ((ns + 1.0) ** expo)[:, None]
+        lhs /= ws
         lhs -= running
         worst = max(worst, float(np.max(lhs)))
-    return DominationResult(passed=worst <= tol, max_slack=worst, tol=tol)
+    return DominationResult(passed=worst <= DOMINATION_TOL, max_slack=worst)
 
 
 @dataclass(frozen=True)

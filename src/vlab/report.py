@@ -14,7 +14,7 @@ import io
 import math
 from dataclasses import dataclass, field
 
-FLOAT_FMT = ".17g"
+FLOAT_FMT = ".17g"  # round-trips IEEE doubles exactly
 
 
 def format_cell(value) -> str:

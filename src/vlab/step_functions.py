@@ -16,8 +16,7 @@ import numpy as np
 
 from .errors import InvalidExponent, ResolutionMismatch
 from .group_core import RadixSequence, build_radix
-
-FLOAT_FMT = ".17g"  # round-trips IEEE doubles exactly
+from .report import FLOAT_FMT
 
 
 @dataclass(frozen=True, eq=False)
@@ -37,19 +36,6 @@ class StepFunction:
             raise ValueError("step function values must be finite")
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
-
-
-def constant(seq: RadixSequence, c: complex) -> StepFunction:
-    return StepFunction(seq, np.full(seq.size, c, dtype=np.complex128))
-
-
-def zero(seq: RadixSequence) -> StepFunction:
-    return StepFunction(seq, np.zeros(seq.size, dtype=np.complex128))
-
-
-def _check_compatible(f: StepFunction, g: StepFunction) -> None:
-    if f.radix_seq != g.radix_seq:
-        raise ResolutionMismatch("operands live on different radix sequences")
 
 
 def check_exponent(p: float) -> float:
@@ -114,19 +100,6 @@ def hardy_quasinorm(f: StepFunction, p: float) -> float:
     """L_p quasi-norm of the maximal function f*."""
     p = check_exponent(p)
     return lp_quasinorm(maximal_function(f), p)
-
-
-def add(f: StepFunction, g: StepFunction) -> StepFunction:
-    _check_compatible(f, g)
-    return StepFunction(f.radix_seq, f.values + g.values)
-
-
-def scale(f: StepFunction, c: complex) -> StepFunction:
-    return StepFunction(f.radix_seq, f.values * c)
-
-
-def absolute(f: StepFunction) -> StepFunction:
-    return StepFunction(f.radix_seq, np.abs(f.values))
 
 
 # ---------------------------------------------------------------------------

@@ -137,24 +137,23 @@ def dft_kernel(m: int, sign: int) -> np.ndarray:
     return mat
 
 
-def _axis_pass(flat: np.ndarray, seq: RadixSequence, j: int, kernel: np.ndarray) -> np.ndarray:
-    # Index layout i = high*M_{j+1} + b*M_j + low puts digit j on the middle
-    # axis of a (M_N/M_{j+1}, m_j, M_j) reshape.
-    m_j = seq.radices[j]
-    lo = seq.scales[j]
-    tensor = flat.reshape(seq.size // (lo * m_j), m_j, lo)
-    return np.einsum("ab,hbl->hal", kernel, tensor).reshape(seq.size)
+def _axis_passes(flat: np.ndarray, seq: RadixSequence, sign: int, ops: OpCount | None):
+    """Apply dft_kernel(m_j, sign) along every digit axis j, counting M_N m_j per pass."""
+    for j, m_j in enumerate(seq.radices):
+        # Index layout i = high*M_{j+1} + b*M_j + low puts digit j on the middle
+        # axis of a (M_N/M_{j+1}, m_j, M_j) reshape.
+        lo = seq.scales[j]
+        tensor = flat.reshape(seq.size // (lo * m_j), m_j, lo)
+        flat = np.einsum("ab,hbl->hal", dft_kernel(m_j, sign), tensor).reshape(seq.size)
+        if ops is not None:
+            ops.add(seq.size * m_j)
+    return flat
 
 
 def forward_fast(f: StepFunction, ops: OpCount | None = None) -> CoefficientVector:
     """Same coefficients as :func:`forward_naive` via per-axis DFT kernels."""
     seq = f.radix_seq
-    flat = f.values
-    for j in range(seq.depth):
-        flat = _axis_pass(flat, seq, j, dft_kernel(seq.radices[j], -1))
-        if ops is not None:
-            ops.add(seq.size * seq.radices[j])
-    coeffs = flat / seq.size
+    coeffs = _axis_passes(f.values, seq, -1, ops) / seq.size
     if ops is not None:
         ops.add(seq.size)
     return CoefficientVector(seq, coeffs)
@@ -162,13 +161,7 @@ def forward_fast(f: StepFunction, ops: OpCount | None = None) -> CoefficientVect
 
 def inverse(cv: CoefficientVector, ops: OpCount | None = None) -> StepFunction:
     """Unnormalized synthesis sum_k c_k psi_k; inverts ``forward_fast``."""
-    seq = cv.radix_seq
-    flat = cv.coeffs
-    for j in range(seq.depth):
-        flat = _axis_pass(flat, seq, j, dft_kernel(seq.radices[j], +1))
-        if ops is not None:
-            ops.add(seq.size * seq.radices[j])
-    return StepFunction(seq, flat)
+    return StepFunction(cv.radix_seq, _axis_passes(cv.coeffs, cv.radix_seq, +1, ops))
 
 
 def fast_op_bound(seq: RadixSequence) -> int:

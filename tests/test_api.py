@@ -1,0 +1,74 @@
+"""Every public name of vlab has a caller in the library or the benchmark.
+
+A public module-level function or class of ``src/vlab``, and every name
+``vlab/__init__.py`` exports, must be loaded (read as a name or an
+attribute) somewhere in ``src/vlab`` or ``bench/`` outside its own
+definition.  Tests do not count as callers, so an API kept only for the
+tests fails here.  The exceptions are reference implementations that
+tests compare the fast paths against.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "vlab"
+
+# Reference implementations with no caller outside the tests, on purpose.
+REFERENCES = {"partial_sum", "vilenkin_char", "log_mean_rows"}
+
+
+def _trees(*dirs):
+    paths = [path for d in dirs for path in sorted(d.glob("*.py"))]
+    return {path: ast.parse(path.read_text(), str(path)) for path in paths}
+
+
+def _public_names(trees):
+    """{name: defining file} of public module-level functions and classes, plus the exports."""
+    names = {}
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    for path, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, defs) and not node.name.startswith("_"):
+                names[node.name] = path
+    init = trees[PACKAGE / "__init__.py"]
+    for node in init.body:
+        if isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                names.setdefault(alias.asname or alias.name, init)
+    return names
+
+
+def _loaded_names(trees):
+    """Names and attributes read anywhere, skipping reads of a definition's own name in its body."""
+    loaded = set()
+    for tree in trees.values():
+        for node in tree.body:
+            own = getattr(node, "name", None)
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+                    name = sub.id
+                elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+                    name = sub.attr
+                else:
+                    continue
+                if name != own:
+                    loaded.add(name)
+    return loaded
+
+
+def test_every_public_name_has_a_caller():
+    trees = _trees(PACKAGE, ROOT / "bench")
+    public = _public_names({p: t for p, t in trees.items() if p.parent == PACKAGE})
+    loaded = _loaded_names(trees)
+    unused = sorted(
+        f"{path.name}: {name}"
+        for name, path in public.items()
+        if name not in loaded and name not in REFERENCES
+    )
+    assert not unused, f"public names with no caller in src/vlab or bench/: {unused}"
+
+
+def test_references_are_still_defined():
+    public = _public_names(_trees(PACKAGE))
+    assert REFERENCES <= public.keys()

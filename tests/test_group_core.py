@@ -11,17 +11,17 @@ from vlab.errors import (
     RankOutOfRange,
 )
 from vlab.group_core import (
+    GroupPoint,
     build_radix,
     compose,
     cycle_radices,
     cylinder_of,
     decompose,
     digit_table,
-    enumerate_points,
     parse_radices,
-    point_from_index,
     truncate,
 )
+import vlab.group_core as group_core_mod
 
 
 def test_build_radix_scale_table():
@@ -40,10 +40,11 @@ def test_build_radix_rejects_small_radix():
         build_radix((1, 2), 2)
 
 
-def test_build_radix_capacity():
+def test_build_radix_capacity(monkeypatch):
     with pytest.raises(CapacityExceeded):
         build_radix((2,) * 40, 40)
-    build_radix((2,) * 40, 40, capacity=2**50)
+    monkeypatch.setattr(group_core_mod, "CAPACITY", 2**50)
+    build_radix((2,) * 40, 40)
 
 
 def test_build_radix_bad_depth():
@@ -114,7 +115,7 @@ def test_order_bracket_and_exhaustive_round_trip():
 
 def test_cylinder_rank_zero_is_whole_group():
     seq = build_radix((2, 3))
-    cyl = cylinder_of(point_from_index(4, seq), 0)
+    cyl = cylinder_of(GroupPoint((0, 2), seq), 0)
     assert cyl.measure == Fraction(1)
     assert cyl.anchor == ()
     assert len(cyl.member_indices()) == seq.size
@@ -122,14 +123,14 @@ def test_cylinder_rank_zero_is_whole_group():
 
 def test_cylinder_measure():
     seq = build_radix((2, 3, 2))
-    x0 = point_from_index(0, seq)
+    x0 = GroupPoint((0, 0, 0), seq)
     for n in range(seq.depth + 1):
         assert cylinder_of(x0, n).measure == Fraction(1, seq.scales[n])
 
 
 def test_cylinder_dyadic_example():
     seq = build_radix((2, 2))
-    cyl = cylinder_of(point_from_index(1, seq), 1)
+    cyl = cylinder_of(GroupPoint((1, 0), seq), 1)
     assert cyl.anchor == (1,)
     assert cyl.measure == Fraction(1, 2)
     assert sorted(cyl.member_indices().tolist()) == [1, 3]
@@ -138,35 +139,28 @@ def test_cylinder_dyadic_example():
 def test_cylinder_rank_out_of_range():
     seq = build_radix((2, 2))
     with pytest.raises(RankOutOfRange):
-        cylinder_of(point_from_index(0, seq), 3)
+        cylinder_of(GroupPoint((0, 0), seq), 3)
 
 
 def test_measure_additivity_over_children():
     seq = build_radix((2, 3, 2))
     for rank in range(seq.depth):
         for a in range(seq.scales[rank]):
-            parent = cylinder_of(point_from_index(a, seq), rank)
-            children = [
-                cylinder_of(point_from_index(a + seq.scales[rank] * c, seq), rank + 1)
+            points = [
+                GroupPoint(decompose(a + seq.scales[rank] * c, seq).digits, seq)
                 for c in range(seq.radices[rank])
             ]
+            parent = cylinder_of(points[0], rank)
+            children = [cylinder_of(pt, rank + 1) for pt in points]
             # children anchors must be distinct and their measures add up
             assert len({ch.anchor for ch in children}) == seq.radices[rank]
             assert sum(ch.measure for ch in children) == parent.measure
 
 
-def test_enumerate_points_digit0_fastest():
-    seq = build_radix((2, 2))
-    assert [pt.digits for pt in enumerate_points(seq)] == [(0, 0), (1, 0), (0, 1), (1, 1)]
-    assert [pt.digits for pt in enumerate_points(build_radix((3,)))] == [(0,), (1,), (2,)]
-    assert len(enumerate_points(build_radix((2, 3, 2)))) == 12
-
-
-def test_enumerate_points_match_decompose():
+def test_group_point_index_matches_decompose():
     seq = build_radix((2, 3, 2))
-    for i, pt in enumerate(enumerate_points(seq)):
-        assert pt.digits == decompose(i, seq).digits
-        assert pt.index == i
+    for i in range(seq.size):
+        assert GroupPoint(decompose(i, seq).digits, seq).index == i
 
 
 def test_parse_radices():

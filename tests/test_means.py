@@ -21,7 +21,7 @@ from vlab.means import (
     weight_sequence_from_spec,
     weights_from_file,
 )
-from vlab.step_functions import StepFunction, add, constant, scale
+from vlab.step_functions import StepFunction
 from vlab.transform import ROW_BLOCK, character_rows, dirichlet_closed_MN, forward_fast, partial_sum
 
 
@@ -48,7 +48,7 @@ def walk_partial_sums(f, n_max):
 def walk_norlund(f, n, weights):
     """Oracle: the Norlund mean by its definition over the walked partial sums."""
     s = walk_partial_sums(f, n)
-    acc = sum(weights.q(n - k) * s[k] for k in range(1, n))
+    acc = sum(weights.values[n - k - 1] * s[k] for k in range(1, n))
     if weights.q0 is not None:
         acc = acc + weights.q0 * s[n]
     return acc / weights.total(n)
@@ -80,10 +80,9 @@ def test_weight_sequence_validation():
     with pytest.raises(InvalidWeight):
         WeightSequence(values=np.array([1.0]), q0=-1.0)
     w = WeightSequence(values=np.array([3.0, 1.0, 2.0]))
-    assert w.q(1) == 3.0
     assert w.total(3) == 6.0
     with pytest.raises(IndexOutOfRange):
-        w.q(4)
+        w.total(4)
     with pytest.raises(IndexOutOfRange):
         w.total(0)
 
@@ -92,11 +91,11 @@ def test_weight_families_from_spec(tmp_path):
     assert weight_sequence_from_spec("ones", 4).q0 == 1.0
     lw = weight_sequence_from_spec("log", 4)
     assert lw.q0 is None
-    assert lw.q(3) == pytest.approx(1 / 3)
+    assert lw.values[2] == pytest.approx(1 / 3)
     path = tmp_path / "w.txt"
     path.write_text("1.0\n0.5\n0.25\n")
     cw = weight_sequence_from_spec(f"custom:{path}", 3)
-    assert cw.q(2) == 0.5
+    assert cw.values[1] == 0.5
     with pytest.raises(InvalidWeight):
         weight_sequence_from_spec(f"custom:{path}", 5)
     with pytest.raises(InvalidWeight):
@@ -117,7 +116,7 @@ def test_weights_from_file_rejects_empty(tmp_path):
 
 def test_norlund_arithmetic_mean_of_constant():
     seq = build_radix((2, 3, 2))
-    one = constant(seq, 1.0)
+    one = StepFunction(seq, np.ones(seq.size))
     for n in (1, 2, 5, 12):
         got = norlund_mean(one, n, ones_weights(n))
         assert np.max(np.abs(got.values - 1.0)) <= 1e-12
@@ -137,7 +136,7 @@ def test_norlund_concentrated_weight_picks_first_partial_sum():
 def test_norlund_zero_total_weight():
     seq = build_radix((2, 3))
     with pytest.raises(ZeroTotalWeight):
-        norlund_mean(constant(seq, 1.0), 2, WeightSequence(values=np.zeros(2)))
+        norlund_mean(StepFunction(seq, np.ones(seq.size)), 2, WeightSequence(values=np.zeros(2)))
 
 
 def test_norlund_log_weights_reproduce_log_mean():
@@ -152,7 +151,7 @@ def test_norlund_log_weights_reproduce_log_mean():
 
 def test_log_mean_of_constant():
     seq = build_radix((2, 3, 2))
-    one = constant(seq, 1.0)
+    one = StepFunction(seq, np.ones(seq.size))
     for n in (2, 5, 9):
         want = 1.0 - 1.0 / (n * harmonic_l(n))
         got = log_mean(one, n)
@@ -172,13 +171,13 @@ def test_log_mean_single_surviving_term():
 
 def test_log_mean_of_zero():
     seq = build_radix((2, 3))
-    z = constant(seq, 0.0)
+    z = StepFunction(seq, np.zeros(seq.size))
     assert np.max(np.abs(log_mean(z, 4).values)) == 0.0
 
 
 def test_log_mean_first_order_needs_flag():
     seq = build_radix((2, 3))
-    one = constant(seq, 1.0)
+    one = StepFunction(seq, np.ones(seq.size))
     with pytest.raises(IndexOutOfRange):
         log_mean(one, 1)
     with pytest.raises(IndexOutOfRange):
@@ -189,10 +188,10 @@ def test_log_mean_linearity():
     seq = build_radix((2, 3, 2))
     f = random_function(seq, 2)
     g = random_function(seq, 3)
-    combo = add(scale(f, 2.0 - 1j), scale(g, 0.5))
+    combo = StepFunction(seq, f.values * (2.0 - 1j) + g.values * 0.5)
     got = log_mean(combo, 7)
-    want = add(scale(log_mean(f, 7), 2.0 - 1j), scale(log_mean(g, 7), 0.5))
-    assert np.max(np.abs(got.values - want.values)) <= 1e-9
+    want = log_mean(f, 7).values * (2.0 - 1j) + log_mean(g, 7).values * 0.5
+    assert np.max(np.abs(got.values - want)) <= 1e-9
 
 
 def test_norlund_weight_normalization_property():
@@ -200,7 +199,7 @@ def test_norlund_weight_normalization_property():
     # q_0 equals c * (sum of used weights) / Q_n
     seq = build_radix((2, 3))
     c = 2.5 - 1.5j
-    f = constant(seq, c)
+    f = StepFunction(seq, np.full(seq.size, c))
     q = np.array([2.0, 3.0, 4.0, 5.0, 6.0])
     n = 5
     got = norlund_mean(f, n, WeightSequence(values=q))
@@ -232,8 +231,8 @@ def test_batch_stabilizes_after_last_coefficient():
 def test_batch_out_of_range():
     seq = build_radix((2, 3))
     with pytest.raises(IndexOutOfRange):
-        partial_sum_stack(constant(seq, 1.0), seq.size + 1)
-    stack = partial_sum_stack(constant(seq, 1.0), 3)
+        partial_sum_stack(StepFunction(seq, np.ones(seq.size)), seq.size + 1)
+    stack = partial_sum_stack(StepFunction(seq, np.ones(seq.size)), 3)
     for ns in ([1, 2], [2, 5], []):
         with pytest.raises(IndexOutOfRange):
             log_mean_rows(stack, ns)
@@ -352,7 +351,8 @@ def test_stack_memory_check_counts_quotient_points(monkeypatch):
     # partial sums of 2 * 301 * 432 complex values, plus 300^2 reals of
     # log-mean triangles; the whole group would need 18x the rows and sums
     need = 2 * 301 * 432 * 16 + 300 * 300 * 8
-    f = constant(build_radix((2, 3) * 5), 1.0)
+    seq = build_radix((2, 3) * 5)
+    f = StepFunction(seq, np.ones(seq.size))
     monkeypatch.setattr(means_mod, "_physical_memory", lambda: need)
     assert partial_sum_stack(f, 300).shape == (301, 432)
     monkeypatch.setattr(means_mod, "_physical_memory", lambda: need - 1)

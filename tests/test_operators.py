@@ -28,11 +28,8 @@ from vlab.operators import (
 )
 from vlab.step_functions import (
     StepFunction,
-    constant,
     hardy_quasinorm,
     lp_quasinorm,
-    scale,
-    zero,
 )
 from vlab.transform import character_rows, dirichlet_closed_MN, forward_fast, partial_sum
 from vlab.means import harmonic_l
@@ -131,7 +128,7 @@ def test_condition6_verdicts():
 def test_weighted_maximal_of_zero():
     seq = dyadic(4)
     for kind in ("partial_sum", "log_mean"):
-        out = weighted_maximal(zero(seq), kind, log_weight(), seq.size)
+        out = weighted_maximal(StepFunction(seq, np.zeros(seq.size)), kind, log_weight(), seq.size)
         assert np.max(np.abs(out.values)) == 0.0
 
 
@@ -195,7 +192,7 @@ def test_weighted_maximal_scaling_exact_for_power_of_two():
     f = random_function(seq, 12)
     w = log_weight()
     base = weighted_maximal(f, "log_mean", w, seq.size)
-    scaled = weighted_maximal(scale(f, 4.0), "log_mean", w, seq.size)
+    scaled = weighted_maximal(StepFunction(seq, f.values * 4.0), "log_mean", w, seq.size)
     assert np.array_equal(scaled.values, base.values * 4.0)
 
 
@@ -204,7 +201,7 @@ def test_boundedness_ratio_scaling_invariance():
     f = random_function(seq, 13)
     w = log_weight()
     r1 = boundedness_ratio(f, 0.5, w, seq.size)
-    r2 = boundedness_ratio(scale(f, 3.0), 0.5, w, seq.size)
+    r2 = boundedness_ratio(StepFunction(seq, f.values * 3.0), 0.5, w, seq.size)
     assert r2 == pytest.approx(r1, rel=1e-12)
 
 
@@ -329,7 +326,7 @@ def test_domination_on_kernel_difference():
 
 def test_domination_of_zero_function():
     seq = dyadic(4)
-    res = domination_check(zero(seq), 0.5, 10)
+    res = domination_check(StepFunction(seq, np.zeros(seq.size)), 0.5, 10)
     assert res.passed
     assert res.max_slack <= 0.0
 
@@ -411,7 +408,7 @@ def test_ratio_of_constant_is_bounded_by_mean_formula():
     seq = dyadic(5)
     p = 0.5
     w = critical_power_weight(p)
-    ratio = boundedness_ratio(constant(seq, 3.0), p, w, seq.size)
+    ratio = boundedness_ratio(StepFunction(seq, np.full(seq.size, 3.0)), p, w, seq.size)
     bound = max(
         (1.0 - 1.0 / (n * harmonic_l(n))) / (n + 1.0) ** (1.0 / p - 1.0)
         for n in range(2, seq.size + 1)
@@ -423,4 +420,4 @@ def test_ratio_of_constant_is_bounded_by_mean_formula():
 def test_ratio_of_zero_is_degenerate():
     seq = dyadic(3)
     with pytest.raises(DegenerateInput):
-        boundedness_ratio(zero(seq), 0.5, log_weight(), seq.size)
+        boundedness_ratio(StepFunction(seq, np.zeros(seq.size)), 0.5, log_weight(), seq.size)

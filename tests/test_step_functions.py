@@ -8,18 +8,13 @@ from vlab.errors import InvalidExponent, ResolutionMismatch
 from vlab.group_core import build_radix
 from vlab.step_functions import (
     StepFunction,
-    absolute,
-    add,
     conditional_average,
-    constant,
     hardy_quasinorm,
     load_step_function,
     lp_quasinorm,
     maximal_function,
     save_step_function,
-    scale,
     weak_lp_quasinorm,
-    zero,
 )
 from vlab.transform import character_rows, dirichlet_closed_MN
 
@@ -44,7 +39,7 @@ def test_values_are_validated():
         StepFunction(seq, np.zeros(3))
     with pytest.raises(ValueError):
         StepFunction(seq, np.array([0, np.nan, 0, 0]))
-    f = constant(seq, 2.0)
+    f = StepFunction(seq, np.full(seq.size, 2.0))
     with pytest.raises(ValueError):
         f.values[0] = 1.0
 
@@ -52,7 +47,8 @@ def test_values_are_validated():
 def test_lp_of_constant():
     seq = dyadic(3)
     for p in (0.3, 1.0, 2.0, 5.0):
-        assert lp_quasinorm(constant(seq, -3.0 + 4j), p) == pytest.approx(5.0, rel=1e-12)
+        f = StepFunction(seq, np.full(seq.size, -3.0 + 4j))
+        assert lp_quasinorm(f, p) == pytest.approx(5.0, rel=1e-12)
 
 
 def test_lp_of_dirichlet_block():
@@ -72,9 +68,9 @@ def test_lp_of_character_is_one():
 def test_lp_rejects_bad_exponent():
     seq = dyadic(2)
     with pytest.raises(InvalidExponent):
-        lp_quasinorm(constant(seq, 1.0), 0.0)
+        lp_quasinorm(StepFunction(seq, np.ones(seq.size)), 0.0)
     with pytest.raises(InvalidExponent):
-        weak_lp_quasinorm(constant(seq, 1.0), -1.0)
+        weak_lp_quasinorm(StepFunction(seq, np.ones(seq.size)), -1.0)
 
 
 def test_weak_lp_examples():
@@ -83,7 +79,7 @@ def test_weak_lp_examples():
     assert weak_lp_quasinorm(psi, 0.7) == pytest.approx(1.0, rel=1e-12)
     d4 = dirichlet_closed_MN(seq, 2)
     assert weak_lp_quasinorm(d4, 0.5) == pytest.approx(0.25, rel=1e-12)
-    assert weak_lp_quasinorm(zero(seq), 0.5) == 0.0
+    assert weak_lp_quasinorm(StepFunction(seq, np.zeros(seq.size)), 0.5) == 0.0
 
 
 def test_weak_lp_below_strong_lp():
@@ -110,7 +106,7 @@ def test_weak_lp_matches_brute_force_sup():
 
 def test_martingale_of_constant():
     seq = dyadic(3)
-    f = constant(seq, 2.5)
+    f = StepFunction(seq, np.full(seq.size, 2.5))
     for n in range(seq.depth + 1):
         assert np.allclose(conditional_average(f, n).values, 2.5)
 
@@ -155,7 +151,7 @@ def test_adaptedness_on_random_functions():
 
 def test_maximal_function_of_constant():
     seq = dyadic(2)
-    fstar = maximal_function(constant(seq, -2.0))
+    fstar = maximal_function(StepFunction(seq, np.full(seq.size, -2.0)))
     assert np.allclose(fstar.values, 2.0)
 
 
@@ -201,7 +197,8 @@ def test_maximal_agrees_with_averaging_form():
 
 def test_hardy_of_constant():
     seq = dyadic(3)
-    assert hardy_quasinorm(constant(seq, 1.5), 0.5) == pytest.approx(1.5, rel=1e-12)
+    f = StepFunction(seq, np.full(seq.size, 1.5))
+    assert hardy_quasinorm(f, 0.5) == pytest.approx(1.5, rel=1e-12)
 
 
 def test_hardy_of_kernel_difference():
@@ -231,21 +228,6 @@ def test_hardy_memory_is_one_level_at_a_time():
     assert peak < 16 * 2**20
 
 
-def test_pointwise_arithmetic():
-    seq = build_radix((2, 3))
-    f = random_function(seq, 4)
-    assert np.max(np.abs(add(f, scale(f, -1)).values)) == 0.0
-    psi = StepFunction(seq, character(seq, 2))
-    assert np.allclose(absolute(psi).values, 1.0)
-
-
-def test_arithmetic_resolution_mismatch():
-    f = constant(build_radix((2, 2)), 1.0)
-    g = constant(build_radix((2, 3)), 1.0)
-    with pytest.raises(ResolutionMismatch):
-        add(f, g)
-
-
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 2**31 - 1), st.floats(0.1, 0.95))
 def test_p_power_triangle_inequality(seed, p):
@@ -253,7 +235,7 @@ def test_p_power_triangle_inequality(seed, p):
     rng = np.random.default_rng(seed)
     f = StepFunction(seq, rng.standard_normal(seq.size) + 1j * rng.standard_normal(seq.size))
     g = StepFunction(seq, rng.standard_normal(seq.size) + 1j * rng.standard_normal(seq.size))
-    lhs = lp_quasinorm(add(f, g), p) ** p
+    lhs = lp_quasinorm(StepFunction(seq, f.values + g.values), p) ** p
     rhs = lp_quasinorm(f, p) ** p + lp_quasinorm(g, p) ** p
     assert lhs <= rhs * (1 + 1e-12)
 
@@ -265,7 +247,8 @@ def test_triangle_inequality_p_at_least_one(seed, p):
     rng = np.random.default_rng(seed)
     f = StepFunction(seq, rng.standard_normal(seq.size) + 1j * rng.standard_normal(seq.size))
     g = StepFunction(seq, rng.standard_normal(seq.size) + 1j * rng.standard_normal(seq.size))
-    assert lp_quasinorm(add(f, g), p) <= (lp_quasinorm(f, p) + lp_quasinorm(g, p)) * (1 + 1e-12)
+    lhs = lp_quasinorm(StepFunction(seq, f.values + g.values), p)
+    assert lhs <= (lp_quasinorm(f, p) + lp_quasinorm(g, p)) * (1 + 1e-12)
 
 
 def test_file_round_trip_is_bit_exact(tmp_path):
@@ -283,7 +266,7 @@ def test_file_round_trip_is_bit_exact(tmp_path):
 def test_file_header_format(tmp_path):
     seq = build_radix((2, 3))
     path = tmp_path / "f.step"
-    save_step_function(constant(seq, 1.0), path)
+    save_step_function(StepFunction(seq, np.ones(seq.size)), path)
     lines = path.read_text().splitlines()
     assert lines[0] == "radices=2,3;N=2"
     assert lines[1] == "1,0"

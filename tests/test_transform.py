@@ -6,9 +6,9 @@ import pytest
 
 from vlab import transform
 from vlab.errors import IndexOutOfRange, RankOutOfRange, ResolutionMismatch
-from vlab.group_core import build_radix, point_from_index
+from vlab.group_core import GroupPoint, build_radix, decompose
 from vlab.means import partial_sum_stack
-from vlab.step_functions import StepFunction, conditional_average, constant, lp_quasinorm
+from vlab.step_functions import StepFunction, conditional_average, lp_quasinorm
 from vlab.transform import (
     ROW_BLOCK,
     CoefficientVector,
@@ -34,12 +34,12 @@ def random_function(seq, seed=0):
 def test_char_zero_is_one():
     seq = build_radix((2, 3, 2))
     for i in range(seq.size):
-        assert vilenkin_char(0, point_from_index(i, seq)) == pytest.approx(1.0)
+        assert vilenkin_char(0, GroupPoint(decompose(i, seq).digits, seq)) == pytest.approx(1.0)
 
 
 def test_char_at_origin_is_one():
     seq = build_radix((2, 3, 2))
-    x0 = point_from_index(0, seq)
+    x0 = GroupPoint((0, 0, 0), seq)
     for n in range(seq.size):
         assert vilenkin_char(n, x0) == pytest.approx(1.0)
 
@@ -48,8 +48,8 @@ def test_char_mixed_radix_example():
     # n = 3 has digits (1, 1) over (2, 3); at x = (1, 2) the factors are
     # (-1) and exp(4 pi i / 3)
     seq = build_radix((2, 3))
-    x = point_from_index(1 + 2 * 2, seq)
-    assert x.digits == (1, 2)
+    x = GroupPoint((1, 2), seq)
+    assert x.index == 1 + 2 * 2
     want = -cmath.exp(4j * cmath.pi / 3)
     assert vilenkin_char(3, x) == pytest.approx(want)
 
@@ -57,7 +57,7 @@ def test_char_mixed_radix_example():
 def test_char_out_of_range():
     seq = build_radix((2, 3))
     with pytest.raises(IndexOutOfRange):
-        vilenkin_char(6, point_from_index(0, seq))
+        vilenkin_char(6, GroupPoint((0, 0), seq))
 
 
 def test_character_row_matches_pointwise():
@@ -68,7 +68,7 @@ def test_character_row_matches_pointwise():
         assert rows.shape == (hi - lo, seq.size)
         for n in range(lo, hi):
             for i in range(seq.size):
-                want = vilenkin_char(n, point_from_index(i, seq))
+                want = vilenkin_char(n, GroupPoint(decompose(i, seq).digits, seq))
                 assert rows[n - lo, i] == pytest.approx(want, abs=1e-12)
     for lo, hi in ((-1, 2), (4, 3), (0, seq.size + 1), (seq.size + 1, seq.size + 2)):
         with pytest.raises(IndexOutOfRange):
@@ -94,7 +94,7 @@ def test_forward_naive_on_characters():
 
 def test_forward_naive_constant():
     seq = build_radix((2, 3, 2))
-    coeffs = forward_naive(constant(seq, 1.0)).coeffs
+    coeffs = forward_naive(StepFunction(seq, np.ones(seq.size))).coeffs
     assert coeffs[0] == pytest.approx(1.0)
     assert np.max(np.abs(coeffs[1:])) <= 1e-12
 
@@ -281,7 +281,7 @@ def test_dirichlet_range_errors():
 
 def test_partial_sum_of_constant():
     seq = build_radix((2, 3, 2))
-    one = constant(seq, 1.0)
+    one = StepFunction(seq, np.ones(seq.size))
     for n in (1, 3, seq.size):
         assert np.max(np.abs(partial_sum(one, n).values - 1.0)) <= 1e-12
 
