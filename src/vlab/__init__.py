@@ -13,7 +13,6 @@ from .errors import (
     ConfigError,
     DegenerateInput,
     DepthTooSmall,
-    DigitOutOfRange,
     IndexOutOfRange,
     InvalidExponent,
     InvalidWeight,
@@ -24,14 +23,9 @@ from .errors import (
     ZeroTotalWeight,
 )
 from .group_core import (
-    Cylinder,
-    GroupPoint,
-    MixedRadixIndex,
     RadixSequence,
     build_radix,
-    compose,
     cycle_radices,
-    cylinder_of,
     decompose,
     parse_radices,
     truncate,

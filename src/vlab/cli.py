@@ -166,6 +166,10 @@ def load_config_file(path) -> dict[str, str]:
 def resolve_config(defaults: RunConfig, args: argparse.Namespace) -> RunConfig:
     cfg = defaults
     file_vals = load_config_file(args.config) if getattr(args, "config", None) else {}
+    if getattr(args, "command", None):
+        for key in file_vals:
+            if key not in _COMMANDS[args.command][2]:
+                raise ConfigError(f"{args.config}: {args.command} takes no option {key!r}")
     for source in (file_vals, _cli_values(args)):
         updates = {}
         for key, value in source.items():

@@ -17,10 +17,6 @@ class IndexOutOfRange(VilenkinError):
     """A frequency or summation index lies outside its admissible range."""
 
 
-class DigitOutOfRange(VilenkinError):
-    """A digit vector violates its per-coordinate radix bound."""
-
-
 class RankOutOfRange(VilenkinError):
     """A cylinder rank lies outside 0..N."""
 

@@ -1,30 +1,28 @@
-"""Mixed-radix arithmetic, group points, cylinders and Haar measure.
+"""Mixed-radix arithmetic: scale tables, digits and the linear index.
 
 A generating sequence m = (m_0, m_1, ...) of integers >= 2, truncated at
 depth N, induces the scale table M_0 = 1, M_{k+1} = m_k * M_k.  A point of
 the depth-N group is a digit vector x = (x_0, ..., x_{N-1}) with
-0 <= x_k < m_k, and its linear index is i = sum_j x_j M_j, so digit 0
-varies fastest.  Natural numbers n < M_N decompose the same way.  The
-rank-n cylinder through x fixes x_0 ... x_{n-1} and carries Haar measure
-exactly 1/M_n.
+0 <= x_k < m_k, and vlab names it by its linear index i = sum_j x_j M_j,
+so digit 0 varies fastest.  Natural numbers n < M_N decompose the same
+way.  The rank-n cylinder through x fixes x_0 ... x_{n-1}: it is the index
+set {a + t*M_n : 0 <= t < M_N / M_n} for its anchor a = i mod M_n, and
+carries Haar measure 1/M_n.
 
-Everything downstream (step functions, characters, transforms) relies on
-this linear indexing convention; in particular a rank-n cylinder is the
-index set {a + t*M_n : t} for its anchor index a < M_n.
+Everything downstream (step functions, characters, transforms) works on
+linear indices.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .errors import (
     CapacityExceeded,
     ConfigError,
-    DigitOutOfRange,
     IndexOutOfRange,
     RadixTooSmall,
     RankOutOfRange,
@@ -106,102 +104,16 @@ def cycle_radices(pattern, depth: int) -> tuple[int, ...]:
     return tuple(pat[i % len(pat)] for i in range(depth))
 
 
-@dataclass(frozen=True)
-class MixedRadixIndex:
-    """A natural number n together with its digits and order |n|.
-
-    ``order`` is the largest j with n_j != 0, and -1 for n = 0 (zero has no
-    nonzero digit; callers must branch on the sentinel before using it).
-    """
-
-    value: int
-    digits: tuple[int, ...]
-    order: int
-
-
-def decompose(n: int, seq: RadixSequence) -> MixedRadixIndex:
-    """Digits of n in the generalized number system of ``seq``."""
+def decompose(n: int, seq: RadixSequence) -> tuple[int, ...]:
+    """Digits (n_0, ..., n_{N-1}) of n in the generalized number system of ``seq``."""
     n = int(n)
     if n < 0 or n >= seq.size:
         raise IndexOutOfRange(f"index {n} outside 0..{seq.size - 1}")
     digits = []
-    rem = n
     for r in seq.radices:
-        digits.append(rem % r)
-        rem //= r
-    order = max((j for j, d in enumerate(digits) if d != 0), default=-1)
-    return MixedRadixIndex(value=n, digits=tuple(digits), order=order)
-
-
-def compose(digits, seq: RadixSequence) -> int:
-    """Inverse of :func:`decompose`; accepts up to ``depth`` digits."""
-    digs = tuple(int(d) for d in digits)
-    if len(digs) > seq.depth:
-        raise DigitOutOfRange(f"{len(digs)} digits but depth is {seq.depth}")
-    n = 0
-    for j, d in enumerate(digs):
-        if d < 0 or d >= seq.radices[j]:
-            raise DigitOutOfRange(f"digit {d} at position {j} outside 0..{seq.radices[j] - 1}")
-        n += d * seq.scales[j]
-    return n
-
-
-@dataclass(frozen=True)
-class GroupPoint:
-    """A point of the truncated group: one digit per retained coordinate."""
-
-    digits: tuple[int, ...]
-    radix_seq: RadixSequence
-
-    def __post_init__(self):
-        object.__setattr__(self, "digits", tuple(int(d) for d in self.digits))
-        if len(self.digits) != self.radix_seq.depth:
-            raise DigitOutOfRange(
-                f"point has {len(self.digits)} digits, depth is {self.radix_seq.depth}"
-            )
-        for j, d in enumerate(self.digits):
-            if d < 0 or d >= self.radix_seq.radices[j]:
-                raise DigitOutOfRange(
-                    f"digit {d} at position {j} outside 0..{self.radix_seq.radices[j] - 1}"
-                )
-
-    @property
-    def index(self) -> int:
-        return compose(self.digits, self.radix_seq)
-
-
-@dataclass(frozen=True)
-class Cylinder:
-    """Rank-n cylinder: all points sharing the first n digits of its anchor."""
-
-    rank: int
-    anchor: tuple[int, ...]
-    measure: Fraction
-    radix_seq: RadixSequence
-
-    @property
-    def anchor_index(self) -> int:
-        """Linear index of the anchor inside 0..M_rank-1."""
-        return compose(self.anchor, truncate(self.radix_seq, self.rank)) if self.rank else 0
-
-    def member_indices(self) -> np.ndarray:
-        """Linear indices of all rank-N cylinders contained in this one."""
-        m_rank = self.radix_seq.scales[self.rank]
-        count = self.radix_seq.size // m_rank
-        return self.anchor_index + m_rank * np.arange(count)
-
-
-def cylinder_of(point: GroupPoint, rank: int) -> Cylinder:
-    """The rank-``rank`` cylinder through ``point``; measure exactly 1/M_rank."""
-    seq = point.radix_seq
-    if rank < 0 or rank > seq.depth:
-        raise RankOutOfRange(f"rank {rank} outside 0..{seq.depth}")
-    return Cylinder(
-        rank=rank,
-        anchor=point.digits[:rank],
-        measure=Fraction(1, seq.scales[rank]),
-        radix_seq=seq,
-    )
+        digits.append(n % r)
+        n //= r
+    return tuple(digits)
 
 
 @functools.lru_cache(maxsize=16)

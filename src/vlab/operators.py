@@ -21,7 +21,7 @@ from .errors import (
     InvalidWeight,
     RankOutOfRange,
 )
-from .group_core import Cylinder, GroupPoint, RadixSequence, cylinder_of
+from .group_core import RadixSequence
 from .means import log_mean_blocks, partial_sum_stack, weights_from_file
 from .step_functions import (
     StepFunction,
@@ -204,8 +204,6 @@ class Atom:
     """Mean-zero function supported on one cylinder with sup-norm control."""
 
     function: StepFunction
-    cylinder: Cylinder
-    exponent: float
 
 
 def make_atom(rng: np.random.Generator, seq: RadixSequence, rank: int, p: float) -> Atom:
@@ -223,11 +221,11 @@ def make_atom(rng: np.random.Generator, seq: RadixSequence, rank: int, p: float)
     p = float(p)
     if not 0 < p <= 1:
         raise InvalidExponent(f"atom exponent needs 0 < p <= 1, got {p}")
-    anchor = tuple(int(rng.integers(0, seq.radices[j])) for j in range(rank))
-    anchor_full = anchor + tuple(0 for _ in range(seq.depth - rank))
-    cyl = cylinder_of(GroupPoint(anchor_full, seq), rank)
-    members = cyl.member_indices()
-    target = float(seq.scales[rank]) ** (1.0 / p)
+    # the cylinder {anchor + t*M_rank}, its anchor digits drawn one by one
+    anchor = sum(int(rng.integers(0, seq.radices[j])) * seq.scales[j] for j in range(rank))
+    m_rank = seq.scales[rank]
+    members = anchor + m_rank * np.arange(seq.size // m_rank)
+    target = float(m_rank) ** (1.0 / p)
     while True:
         raw = rng.standard_normal(members.size)
         raw -= raw.mean()
@@ -241,7 +239,7 @@ def make_atom(rng: np.random.Generator, seq: RadixSequence, rank: int, p: float)
         vals *= target / peak
     full = np.zeros(seq.size, dtype=np.complex128)
     full[members] = vals
-    return Atom(function=StepFunction(seq, full), cylinder=cyl, exponent=p)
+    return Atom(function=StepFunction(seq, full))
 
 
 def boundedness_ratio(f: StepFunction, p: float, weight: WeightFunction, n_max: int) -> float:

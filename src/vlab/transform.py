@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IndexOutOfRange, RankOutOfRange, ResolutionMismatch
-from .group_core import GroupPoint, RadixSequence, decompose, digit_table
+from .group_core import RadixSequence, decompose, digit_table
 from .step_functions import StepFunction
 
 
@@ -63,11 +63,11 @@ class CoefficientVector:
         object.__setattr__(self, "coeffs", vals)
 
 
-def vilenkin_char(n: int, x: GroupPoint) -> complex:
-    """psi_n(x) = prod_k r_k(x)^{n_k}, evaluated via one accumulated phase."""
-    seq = x.radix_seq
-    idx = decompose(n, seq)  # raises IndexOutOfRange for n >= M_N
-    phase = sum(nj * xj / mj for nj, xj, mj in zip(idx.digits, x.digits, seq.radices))
+def vilenkin_char(n: int, i: int, seq: RadixSequence) -> complex:
+    """psi_n at the point of linear index i, evaluated via one accumulated phase."""
+    # decompose raises IndexOutOfRange for n or i outside 0..M_N-1
+    digits = zip(decompose(n, seq), decompose(i, seq), seq.radices)
+    phase = sum(nj * xj / mj for nj, xj, mj in digits)
     return cmath.exp(2j * cmath.pi * phase)
 
 

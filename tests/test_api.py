@@ -1,11 +1,13 @@
-"""Every public name of vlab has a caller in the library or the benchmark.
+"""Every public name and every dataclass field of vlab has a reader.
 
 A public module-level function or class of ``src/vlab``, and every name
 ``vlab/__init__.py`` exports, must be loaded (read as a name or an
 attribute) somewhere in ``src/vlab`` or ``bench/`` outside its own
-definition.  Tests do not count as callers, so an API kept only for the
-tests fails here.  The exceptions are reference implementations that
-tests compare the fast paths against.
+definition.  Every field of a dataclass defined in ``src/vlab`` must be
+read as an attribute (``x.field``) somewhere in ``src/vlab`` or
+``bench/``.  Tests do not count as callers, so an API or a result field
+kept only for the tests fails here.  The exceptions are reference
+implementations that tests compare the fast paths against.
 """
 
 import ast
@@ -72,3 +74,34 @@ def test_every_public_name_has_a_caller():
 def test_references_are_still_defined():
     public = _public_names(_trees(PACKAGE))
     assert REFERENCES <= public.keys()
+
+
+def _dataclass_fields(trees):
+    """[(class, field)] of every annotated field of a ``@dataclass`` class."""
+    found = []
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+            if not any(getattr(d, "id", None) == "dataclass" for d in decorators):
+                continue
+            found += [
+                (node.name, item.target.id)
+                for item in node.body
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+            ]
+    return found
+
+
+def test_every_dataclass_field_is_read():
+    trees = _trees(PACKAGE, ROOT / "bench")
+    read = {
+        sub.attr
+        for tree in trees.values()
+        for sub in ast.walk(tree)
+        if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)
+    }
+    fields = _dataclass_fields({p: t for p, t in trees.items() if p.parent == PACKAGE})
+    unread = sorted(f"{cls}.{name}" for cls, name in fields if name not in read)
+    assert not unread, f"dataclass fields never read in src/vlab or bench/: {unread}"

@@ -438,6 +438,20 @@ def test_cli_config_file_end_to_end(tmp_path):
     assert out.exists()
 
 
+def test_config_file_rejects_keys_the_command_does_not_take(tmp_path, capsys):
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text("k_list=1,2\nnk=3\n")
+    argv = ["theorem-a", "--config", str(cfg_path), "--depth", "3", "--nmax", "4",
+            "--samples", "1"]
+    assert run(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:")
+    assert "theorem-a" in err[0] and "'k_list'" in err[0]
+    with pytest.raises(SystemExit) as exc:  # the same option as a flag
+        run(argv[:3] + ["--k-list", "1"])
+    assert exc.value.code == 2
+
+
 # -- fuzz: a small grammar of flags, config files and paths -----------------
 
 # name -> (usual values, odd values); an odd value is drawn one time in four,

@@ -5,17 +5,13 @@ from hypothesis import given, strategies as st
 from vlab.errors import (
     CapacityExceeded,
     ConfigError,
-    DigitOutOfRange,
     IndexOutOfRange,
     RadixTooSmall,
     RankOutOfRange,
 )
 from vlab.group_core import (
-    GroupPoint,
     build_radix,
-    compose,
     cycle_radices,
-    cylinder_of,
     decompose,
     digit_table,
     parse_radices,
@@ -62,13 +58,10 @@ def test_scales_strictly_increasing():
 
 
 def test_decompose_examples():
-    assert decompose(3, build_radix((2, 3))).digits == (1, 1)
-    assert decompose(3, build_radix((2, 3))).order == 1
-    idx = decompose(0, build_radix((2, 3, 2)))
-    assert idx.digits == (0, 0, 0)
-    assert idx.order == -1
-    assert decompose(5, build_radix((2, 2, 2))).digits == (1, 0, 1)
-    assert decompose(5, build_radix((2, 2, 2))).order == 2
+    assert decompose(3, build_radix((2, 3))) == (1, 1)
+    assert decompose(5, build_radix((2, 3))) == (1, 2)
+    assert decompose(0, build_radix((2, 3, 2))) == (0, 0, 0)
+    assert decompose(5, build_radix((2, 2, 2))) == (1, 0, 1)
 
 
 def test_decompose_out_of_range():
@@ -79,88 +72,70 @@ def test_decompose_out_of_range():
         decompose(-1, seq)
 
 
-def test_compose_examples():
-    seq = build_radix((2, 3))
-    assert compose((1, 1), seq) == 3
-    assert compose((0, 0), seq) == 0
-    assert compose((1, 2), seq) == 5
-
-
-def test_compose_rejects_bad_digits():
-    seq = build_radix((2, 3))
-    with pytest.raises(DigitOutOfRange):
-        compose((2, 0), seq)
-    with pytest.raises(DigitOutOfRange):
-        compose((0, -1), seq)
-    with pytest.raises(DigitOutOfRange):
-        compose((0, 0, 0), seq)
-
-
 @given(st.data())
 def test_round_trip_decompose_compose(data):
     radices = data.draw(st.lists(st.integers(2, 6), min_size=1, max_size=6))
     seq = build_radix(tuple(radices))
     n = data.draw(st.integers(0, seq.size - 1))
-    assert compose(decompose(n, seq).digits, seq) == n
+    digits = decompose(n, seq)
+    assert all(0 <= d < r for d, r in zip(digits, seq.radices))
+    assert sum(d * m for d, m in zip(digits, seq.scales)) == n
 
 
 def test_order_bracket_and_exhaustive_round_trip():
     seq = build_radix((2, 3, 2, 4))
     for n in range(seq.size):
-        idx = decompose(n, seq)
-        assert compose(idx.digits, seq) == n
+        digits = decompose(n, seq)
+        assert sum(d * m for d, m in zip(digits, seq.scales)) == n
         if n >= 1:
-            assert seq.scales[idx.order] <= n < seq.scales[idx.order + 1]
+            order = max(j for j, d in enumerate(digits) if d != 0)
+            assert seq.scales[order] <= n < seq.scales[order + 1]
+
+
+def _cylinder(seq, rank, i):
+    """I_rank(i) by its definition: the indices whose first ``rank`` digits are those of i."""
+    prefix = decompose(i, seq)[:rank]
+    return [j for j in range(seq.size) if decompose(j, seq)[:rank] == prefix]
 
 
 def test_cylinder_rank_zero_is_whole_group():
     seq = build_radix((2, 3))
-    cyl = cylinder_of(GroupPoint((0, 2), seq), 0)
-    assert cyl.measure == Fraction(1)
-    assert cyl.anchor == ()
-    assert len(cyl.member_indices()) == seq.size
+    assert _cylinder(seq, 0, 5) == list(range(seq.size))
 
 
 def test_cylinder_measure():
+    # I_n(a) for a < M_n is the index set {a + t*M_n}, 1/M_n of the group
     seq = build_radix((2, 3, 2))
-    x0 = GroupPoint((0, 0, 0), seq)
     for n in range(seq.depth + 1):
-        assert cylinder_of(x0, n).measure == Fraction(1, seq.scales[n])
+        for a in range(seq.scales[n]):
+            cells = _cylinder(seq, n, a)
+            assert cells == list(range(a, seq.size, seq.scales[n]))
+            assert Fraction(len(cells), seq.size) == Fraction(1, seq.scales[n])
 
 
 def test_cylinder_dyadic_example():
-    seq = build_radix((2, 2))
-    cyl = cylinder_of(GroupPoint((1, 0), seq), 1)
-    assert cyl.anchor == (1,)
-    assert cyl.measure == Fraction(1, 2)
-    assert sorted(cyl.member_indices().tolist()) == [1, 3]
+    assert _cylinder(build_radix((2, 2)), 1, 1) == [1, 3]
 
 
 def test_cylinder_rank_out_of_range():
+    # truncating at rank n leaves the group of rank-n cylinders
     seq = build_radix((2, 2))
-    with pytest.raises(RankOutOfRange):
-        cylinder_of(GroupPoint((0, 0), seq), 3)
+    for rank in (-1, 3):
+        with pytest.raises(RankOutOfRange):
+            truncate(seq, rank)
 
 
 def test_measure_additivity_over_children():
+    # the m_n children I_{n+1}(a + c*M_n) of I_n(a) are disjoint and cover it
     seq = build_radix((2, 3, 2))
     for rank in range(seq.depth):
         for a in range(seq.scales[rank]):
-            points = [
-                GroupPoint(decompose(a + seq.scales[rank] * c, seq).digits, seq)
+            children = [
+                _cylinder(seq, rank + 1, a + c * seq.scales[rank])
                 for c in range(seq.radices[rank])
             ]
-            parent = cylinder_of(points[0], rank)
-            children = [cylinder_of(pt, rank + 1) for pt in points]
-            # children anchors must be distinct and their measures add up
-            assert len({ch.anchor for ch in children}) == seq.radices[rank]
-            assert sum(ch.measure for ch in children) == parent.measure
-
-
-def test_group_point_index_matches_decompose():
-    seq = build_radix((2, 3, 2))
-    for i in range(seq.size):
-        assert GroupPoint(decompose(i, seq).digits, seq).index == i
+            merged = sorted(j for child in children for j in child)
+            assert merged == _cylinder(seq, rank, a)
 
 
 def test_parse_radices():
@@ -190,6 +165,6 @@ def test_digit_table_matches_decompose():
     table = digit_table(seq)
     assert table.shape == (12, 3)
     for i in range(12):
-        assert tuple(table[i]) == decompose(i, seq).digits
+        assert tuple(table[i]) == decompose(i, seq)
     with pytest.raises(ValueError):
         table[0, 0] = 5

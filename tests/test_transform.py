@@ -6,7 +6,7 @@ import pytest
 
 from vlab import transform
 from vlab.errors import IndexOutOfRange, RankOutOfRange, ResolutionMismatch
-from vlab.group_core import GroupPoint, build_radix, decompose
+from vlab.group_core import build_radix
 from vlab.means import partial_sum_stack
 from vlab.step_functions import StepFunction, conditional_average, lp_quasinorm
 from vlab.transform import (
@@ -34,30 +34,29 @@ def random_function(seq, seed=0):
 def test_char_zero_is_one():
     seq = build_radix((2, 3, 2))
     for i in range(seq.size):
-        assert vilenkin_char(0, GroupPoint(decompose(i, seq).digits, seq)) == pytest.approx(1.0)
+        assert vilenkin_char(0, i, seq) == pytest.approx(1.0)
 
 
 def test_char_at_origin_is_one():
     seq = build_radix((2, 3, 2))
-    x0 = GroupPoint((0, 0, 0), seq)
     for n in range(seq.size):
-        assert vilenkin_char(n, x0) == pytest.approx(1.0)
+        assert vilenkin_char(n, 0, seq) == pytest.approx(1.0)
 
 
 def test_char_mixed_radix_example():
-    # n = 3 has digits (1, 1) over (2, 3); at x = (1, 2) the factors are
-    # (-1) and exp(4 pi i / 3)
+    # n = 3 has digits (1, 1) over (2, 3); the point x = (1, 2) has index
+    # i = 1 + 2 * 2 = 5, and the factors are (-1) and exp(4 pi i / 3)
     seq = build_radix((2, 3))
-    x = GroupPoint((1, 2), seq)
-    assert x.index == 1 + 2 * 2
     want = -cmath.exp(4j * cmath.pi / 3)
-    assert vilenkin_char(3, x) == pytest.approx(want)
+    assert vilenkin_char(3, 5, seq) == pytest.approx(want)
 
 
 def test_char_out_of_range():
     seq = build_radix((2, 3))
     with pytest.raises(IndexOutOfRange):
-        vilenkin_char(6, GroupPoint((0, 0), seq))
+        vilenkin_char(6, 0, seq)
+    with pytest.raises(IndexOutOfRange):
+        vilenkin_char(0, 6, seq)
 
 
 def test_character_row_matches_pointwise():
@@ -68,7 +67,7 @@ def test_character_row_matches_pointwise():
         assert rows.shape == (hi - lo, seq.size)
         for n in range(lo, hi):
             for i in range(seq.size):
-                want = vilenkin_char(n, GroupPoint(decompose(i, seq).digits, seq))
+                want = vilenkin_char(n, i, seq)
                 assert rows[n - lo, i] == pytest.approx(want, abs=1e-12)
     for lo, hi in ((-1, 2), (4, 3), (0, seq.size + 1), (seq.size + 1, seq.size + 2)):
         with pytest.raises(IndexOutOfRange):
