@@ -10,7 +10,11 @@ class RadixTooSmall(VilenkinError):
 
 
 class CapacityExceeded(VilenkinError):
-    """The scale table would exceed the capacity bound ``group_core.CAPACITY``."""
+    """A group exceeds a capacity bound.
+
+    Its scale table would pass ``group_core.CAPACITY``, its integer
+    character phases 2^53, or a partial-sum stack the physical memory.
+    """
 
 
 class IndexOutOfRange(VilenkinError):

@@ -6,11 +6,17 @@ factorizes over coordinates.  Analysis coefficients are integrals
 c_k = int f conj(psi_k) dmu; at resolution N these are exact finite sums
 over the M_N cylinders.
 
-Characters are built as arrays in one place: ``character_rows`` gives a
-block of rows psi_lo .. psi_{hi-1} from the digit table, at most ROW_BLOCK
-entries at a time.  The naive oracle conjugates its blocks; ``means``
-gathers its blocks into the rows its partial-sum stacks share and scales
-them by the coefficients.
+With L = lcm(m_j), psi_n(x) = exp(2 pi i q / L) for the integer phase
+q = sum_j n_j x_j (L / m_j) mod L, so every character value is one of the
+L roots of unity.  Characters are built as arrays in one place: the phases
+of a block of rows psi_lo .. psi_{hi-1} come from the digit table in exact
+integer arithmetic, at most ROW_BLOCK entries at a time, and index a table
+of the L roots.  ``character_rows`` gathers the complex roots;
+``means`` gathers its blocks into the rows its partial-sum stacks share and
+scales them by the coefficients.  The naive oracle gathers the cosines and
+negated sines of the same roots into real blocks, and skips the sines when
+L <= 2, where every root is real.  ``vilenkin_char`` keeps a float phase
+and serves as the independent scalar oracle.
 
 Two transform paths are provided.  ``forward_naive`` applies the full
 character matrix (M_N^2 multiply-adds), one block of rows at a time, and
@@ -25,11 +31,12 @@ from __future__ import annotations
 
 import cmath
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IndexOutOfRange, RankOutOfRange, ResolutionMismatch
+from .errors import CapacityExceeded, IndexOutOfRange, RankOutOfRange, ResolutionMismatch
 from .group_core import RadixSequence, decompose, digit_table
 from .step_functions import StepFunction
 
@@ -64,32 +71,70 @@ class CoefficientVector:
 
 
 def vilenkin_char(n: int, i: int, seq: RadixSequence) -> complex:
-    """psi_n at the point of linear index i, evaluated via one accumulated phase."""
+    """psi_n at the point of linear index i, evaluated via one accumulated float phase.
+
+    The scalar oracle for :func:`character_rows`, which shares none of its
+    integer-phase arithmetic.
+    """
     # decompose raises IndexOutOfRange for n or i outside 0..M_N-1
     digits = zip(decompose(n, seq), decompose(i, seq), seq.radices)
     phase = sum(nj * xj / mj for nj, xj, mj in digits)
     return cmath.exp(2j * cmath.pi * phase)
 
 
-# Entries of psi_k(x) built at once: 2^16 complex values (1 MiB), rounded
-# down to whole rows k, and one row when M_N is larger.  Bounds the scratch
-# of the naive oracle and of the rows behind the partial-sum stacks alike.
+# Entries of psi_k(x) built at once: 2^16 phases, rounded down to whole
+# rows k, and one row when M_N is larger.  A block holds 1 MiB of complex
+# rows or of real cosine and negated-sine rows, and bounds the scratch of
+# the naive oracle and of the rows behind the partial-sum stacks alike.
 ROW_BLOCK = 1 << 16
+
+
+@functools.lru_cache(maxsize=16)
+def _roots(period: int) -> np.ndarray:
+    """Read-only exp(2 pi i q / L) for q < L = ``period``; quarter turns exact.
+
+    q / L is rounded before the exponential, and division is correctly
+    rounded, so equal fractions give equal roots whatever L is.
+    """
+    table = np.exp(2j * np.pi * (np.arange(period) / period))
+    for k, root in enumerate((1, 1j, -1, -1j)):
+        if k * period % 4 == 0:
+            table[k * period // 4] = root
+    table.flags.writeable = False
+    return table
+
+
+def _phases(seq: RadixSequence, lo: int, hi: int) -> tuple[np.ndarray, int]:
+    """Integer phases of rows lo..hi-1 and their period L = lcm(m_j).
+
+    Entry (k - lo, x) is q = sum_j k_j x_j (L / m_j) mod L, so that
+    psi_k(x) = ``_roots(L)[q]``.  The unreduced phases are integers
+    below L sum_j m_j < 2^53, so the float product is exact whatever the
+    BLAS blocking, and so is the reduction mod L.
+    """
+    if not 0 <= lo <= hi <= seq.size:
+        raise IndexOutOfRange(f"character rows {lo}..{hi} outside 0..{seq.size}")
+    period = math.lcm(*seq.radices)
+    if period * sum(seq.radices) >= 2**53:
+        raise CapacityExceeded(f"character phases of radices {seq} exceed 2^53")
+    digits = digit_table(seq)
+    weights = np.array([period // m for m in seq.radices], dtype=np.float64)
+    phases = (digits[lo:hi] * weights) @ digits.T
+    turns = phases / period
+    np.floor(turns, out=turns)
+    turns *= period
+    phases -= turns
+    return phases.astype(np.intp), period
 
 
 def character_rows(seq: RadixSequence, lo: int, hi: int) -> np.ndarray:
     """(hi - lo, M_N) array whose row k - lo holds psi_k, lo <= k < hi.
 
-    The phase sum_j k_j x_j / m_j is symmetric in (k, x), so the rows come
-    from one digit table: the block of its rows lo..hi-1, scaled by 1/m_j,
-    times the whole table.
+    The roots of unity gathered at :func:`_phases`; rows are
+    bitwise independent of the block they are built in.
     """
-    if not 0 <= lo <= hi <= seq.size:
-        raise IndexOutOfRange(f"character rows {lo}..{hi} outside 0..{seq.size}")
-    digits = digit_table(seq)
-    inv_m = np.array([1.0 / r for r in seq.radices], dtype=np.float64)
-    rows = 2j * np.pi * ((digits[lo:hi] * inv_m) @ digits.T)
-    return np.exp(rows, out=rows)
+    phases, period = _phases(seq, lo, hi)
+    return _roots(period)[phases]
 
 
 def forward_naive_many(
@@ -97,11 +142,13 @@ def forward_naive_many(
 ) -> list[CoefficientVector]:
     """Coefficients of every f in ``fs`` by the definition (the oracle).
 
-    c_k = (1/M_N) sum_x f(x) conj(psi_k(x)).  Each block of conjugated
-    :func:`character_rows` is applied to the whole batch before the next
-    block is built: memory is O(ROW_BLOCK + S M_N) for S functions and
-    M_N^2 ``exp`` calls are shared by the batch.  All functions must share
-    one group.
+    c_k = (1/M_N) sum_x f(x) conj(psi_k(x)).  conj(psi_k) = C + iT, with
+    the cosine rows C and the negated-sine rows T gathered at
+    :func:`_phases`; T is built only when L > 2, since otherwise
+    every root is +-1.  Each block is applied to the whole batch before the
+    next block is built: memory is O(ROW_BLOCK + S M_N) for S functions,
+    and the phases are shared by the batch.  All functions must share one
+    group.
     """
     if not fs:
         return []
@@ -109,14 +156,33 @@ def forward_naive_many(
     if any(f.radix_seq != seq for f in fs):
         raise ResolutionMismatch("batch functions live on different radix sequences")
     coeffs = np.empty((len(fs), seq.size), dtype=np.complex128)
+    # column 0 holds Re f and column 1 Im f
+    parts = [f.values.view(np.float64).reshape(seq.size, 2) for f in fs]
+    period = math.lcm(*seq.radices)
+    roots = _roots(period)
+    cos = np.ascontiguousarray(roots.real)
+    neg_sin = -roots.imag if period > 2 else None
     step = max(1, ROW_BLOCK // seq.size)
     for lo in range(0, seq.size, step):
-        block = character_rows(seq, lo, min(lo + step, seq.size))
-        np.conj(block, out=block)
-        # one matrix-vector product per function, so each c_k sums its M_N
-        # terms in the same order whatever the block or batch size
-        for row, f in zip(coeffs, fs):
-            row[lo : lo + step] = block @ f.values
+        hi = min(lo + step, seq.size)
+        phases, _ = _phases(seq, lo, hi)
+        if neg_sin is None:
+            block = cos[phases]
+        else:
+            n = hi - lo
+            block = np.empty((2 * n, seq.size))
+            np.take(cos, phases, out=block[:n])
+            np.take(neg_sin, phases, out=block[n:])
+        # one product per function, so each c_k sums its M_N terms in the
+        # same order whatever the batch size
+        for row, v in zip(coeffs, parts):
+            prod = block @ v
+            if neg_sin is None:
+                row[lo:hi] = prod.view(np.complex128)[:, 0]
+            else:
+                # (C + iT)(a + ib) = (Ca - Tb) + i(Cb + Ta)
+                row[lo:hi].real = prod[:n, 0] - prod[n:, 1]
+                row[lo:hi].imag = prod[:n, 1] + prod[n:, 0]
     coeffs /= seq.size
     if ops is not None:
         ops.add(len(fs) * seq.size * seq.size)

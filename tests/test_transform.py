@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from vlab import transform
-from vlab.errors import IndexOutOfRange, RankOutOfRange, ResolutionMismatch
-from vlab.group_core import build_radix
+from vlab.errors import CapacityExceeded, IndexOutOfRange, RankOutOfRange, ResolutionMismatch
+from vlab.group_core import build_radix, cycle_radices
 from vlab.means import partial_sum_stack
 from vlab.step_functions import StepFunction, conditional_average, lp_quasinorm
 from vlab.transform import (
@@ -60,18 +60,40 @@ def test_char_out_of_range():
 
 
 def test_character_row_matches_pointwise():
-    # blocks from 0, from an interior lo, up to M_N, and an empty one
-    seq = build_radix((2, 3, 2))
-    for lo, hi in ((0, 3), (5, 9), (10, 12), (7, 7)):
-        rows = character_rows(seq, lo, hi)
-        assert rows.shape == (hi - lo, seq.size)
-        for n in range(lo, hi):
-            for i in range(seq.size):
-                want = vilenkin_char(n, i, seq)
-                assert rows[n - lo, i] == pytest.approx(want, abs=1e-12)
-    for lo, hi in ((-1, 2), (4, 3), (0, seq.size + 1), (seq.size + 1, seq.size + 2)):
-        with pytest.raises(IndexOutOfRange):
-            character_rows(seq, lo, hi)
+    # blocks from 0, from an interior lo, up to M_N, and an empty one; on
+    # (2, 3, 5, 7) the period L = lcm(m_j) is M_N itself
+    for radices in ((2, 3, 2), (2, 3, 5, 7)):
+        seq = build_radix(radices)
+        size = seq.size
+        for lo, hi in ((0, 3), (5, 9), (size - 2, size), (7, 7)):
+            rows = character_rows(seq, lo, hi)
+            assert rows.shape == (hi - lo, size)
+            want = [[vilenkin_char(n, i, seq) for i in range(size)] for n in range(lo, hi)]
+            want = np.array(want).reshape(hi - lo, size)
+            assert np.max(np.abs(rows - want), initial=0.0) <= 1e-13
+        for lo, hi in ((-1, 2), (4, 3), (0, size + 1), (size + 1, size + 2)):
+            with pytest.raises(IndexOutOfRange):
+                character_rows(seq, lo, hi)
+
+
+def test_character_rows_are_block_independent():
+    # phases are exact integers, so a row does not depend on the block or
+    # the BLAS thread count; M_N = 675 and blocks of 97 and 300 rows
+    seq = build_radix(cycle_radices((3, 5, 3), 5))
+    assert np.array_equal(character_rows(seq, 0, 97), character_rows(seq, 0, 300)[:97])
+
+
+def test_dyadic_and_quaternary_rows_are_exact():
+    rows = character_rows(build_radix((2,) * 6), 0, 64)
+    assert np.all(np.abs(rows.real) == 1.0) and np.all(rows.imag == 0.0)
+    rows = character_rows(build_radix((4, 4, 4)), 0, 64)
+    assert set(np.unique(rows).tolist()) == {1, -1, 1j, -1j}
+
+
+def test_character_phases_beyond_2_53_are_refused():
+    # L * sum(m_j) = 2^54: the float phase product would no longer be exact
+    with pytest.raises(CapacityExceeded):
+        character_rows(build_radix((2**27,)), 0, 1)
 
 
 def test_orthonormality_exhaustive():
@@ -140,8 +162,11 @@ def dense_reference(fs):
 
 
 # (2,3,2,4) and (3,5) at depth 4 fit one block; (3,5) at depth 5 has
-# M_N = 675, which 97-row blocks do not divide.
-@pytest.mark.parametrize("radices", [(2, 3, 2, 4), (3, 5, 3, 5), (3, 5, 3, 5, 3)])
+# M_N = 675, which 97-row blocks do not divide.  (2,)*9 takes the real
+# cosine-only blocks, (4,4,4) the sine rows with exact quarter turns.
+@pytest.mark.parametrize(
+    "radices", [(2, 3, 2, 4), (3, 5, 3, 5), (3, 5, 3, 5, 3), (2,) * 9, (4, 4, 4)]
+)
 def test_naive_oracle_matches_dense_reference(radices):
     seq = build_radix(radices)
     assert seq.size < ROW_BLOCK
