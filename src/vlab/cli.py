@@ -10,7 +10,6 @@ field needs one ``_OPTIONS`` entry, and a command is one ``_COMMANDS`` entry.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import contextlib
 import math
 import os
@@ -185,23 +184,6 @@ def _cli_values(args: argparse.Namespace) -> dict[str, str]:
     return {k: v for k, v in vars(args).items() if k in _OPTIONS and v is not None}
 
 
-def _threads() -> int:
-    raw = os.environ.get("VLAB_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ConfigError(f"VLAB_THREADS must be an integer, got {raw!r}") from None
-
-
-def _parallel_map(fn, items):
-    workers = _threads()
-    items = list(items)
-    if workers <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 class _DefaultDepth(int):
     """A per-command default depth: a floor, raised to what the command needs."""
 
@@ -322,36 +304,34 @@ def cmd_theorem_a(cfg: RunConfig) -> tuple[dict[str, ExperimentReport], bool]:
     _echo_config(atom_report, cfg, "theorem-a")
     _echo_config(dom_report, cfg, "theorem-a")
     all_ok = True
+    # only the default weight depends on p, so a weight file is read once
+    fixed_weight = parse_weight_spec(cfg.weight) if cfg.weight else None
     for p in cfg.p:
         p = check_p_unit(p)  # before p seeds the sample draws
-        weight = parse_weight_spec(cfg.weight) if cfg.weight else critical_power_weight(p)
+        weight = fixed_weight or critical_power_weight(p)
         children = np.random.SeedSequence((cfg.seed, int(p * 1e9))).spawn(max(2 * cfg.samples, 1))
-
-        def dom_one(i):
+        results = []
+        for i in range(cfg.samples):
             rng = np.random.default_rng(children[i])
             f = StepFunction(
                 seq, rng.standard_normal(seq.size) + 1j * rng.standard_normal(seq.size)
             )
-            return domination_check(f, p, nmax)
-
-        results = _parallel_map(dom_one, range(cfg.samples))
-        for i, res in enumerate(results):
+            res = domination_check(f, p, nmax)
             dom_report.add_row(i, p, nmax, res.max_slack, res.passed)
+            results.append(res)
         dom_ok = all(r.passed for r in results)
         all_ok = all_ok and dom_ok
         print(f"[{_status(dom_ok)}] domination chain, p={p}, {cfg.samples} samples, n<= {nmax}")
 
-        def atom_one(i):
+        ratios = []
+        for i in range(cfg.samples):
             rng = np.random.default_rng(children[cfg.samples + i])
             rank = int(rng.integers(0, seq.depth))
             atom = make_atom(rng, seq, rank, p)
             hardy = hardy_quasinorm(atom.function, p)
             maximal = lp_quasinorm(weighted_maximal(atom.function, "log_mean", weight, nmax), p)
-            return hardy, maximal
-
-        atom_rows = _parallel_map(atom_one, range(cfg.samples))
-        ratios = [maximal / hardy for hardy, maximal in atom_rows]
-        for i, ((hardy, maximal), ratio) in enumerate(zip(atom_rows, ratios)):
+            ratio = maximal / hardy
+            ratios.append(ratio)
             atom_report.add_row(i, p, weight.spec, nmax, hardy, maximal, ratio)
         atoms_ok = all(math.isfinite(r) for r in ratios)
         all_ok = all_ok and atoms_ok

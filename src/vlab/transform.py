@@ -24,7 +24,8 @@ serves as the oracle; ``forward_naive_many`` shares each block across a
 batch of functions.
 ``forward_fast`` runs one small DFT kernel along each digit axis, costing
 M_N * sum_k m_k multiply-adds; radices are small and bounded, so no
-in-axis FFT is needed.  Both count their work into an optional OpCount.
+in-axis FFT is needed.  ``forward_fast`` and ``forward_naive_many`` count
+their work into an optional OpCount.
 """
 
 from __future__ import annotations
@@ -189,9 +190,9 @@ def forward_naive_many(
     return [CoefficientVector(seq, row) for row in coeffs]
 
 
-def forward_naive(f: StepFunction, ops: OpCount | None = None) -> CoefficientVector:
+def forward_naive(f: StepFunction) -> CoefficientVector:
     """Coefficients by the definition: c_k = (1/M_N) sum_x f(x) conj(psi_k(x))."""
-    return forward_naive_many([f], ops)[0]
+    return forward_naive_many([f])[0]
 
 
 @functools.lru_cache(maxsize=64)
@@ -225,9 +226,9 @@ def forward_fast(f: StepFunction, ops: OpCount | None = None) -> CoefficientVect
     return CoefficientVector(seq, coeffs)
 
 
-def inverse(cv: CoefficientVector, ops: OpCount | None = None) -> StepFunction:
+def inverse(cv: CoefficientVector) -> StepFunction:
     """Unnormalized synthesis sum_k c_k psi_k; inverts ``forward_fast``."""
-    return StepFunction(cv.radix_seq, _axis_passes(cv.coeffs, cv.radix_seq, +1, ops))
+    return StepFunction(cv.radix_seq, _axis_passes(cv.coeffs, cv.radix_seq, +1, None))
 
 
 def fast_op_bound(seq: RadixSequence) -> int:

@@ -7,7 +7,9 @@ definition.  Every field of a dataclass defined in ``src/vlab`` must be
 read as an attribute (``x.field``) somewhere in ``src/vlab`` or
 ``bench/``.  Tests do not count as callers, so an API or a result field
 kept only for the tests fails here.  The exceptions are reference
-implementations that tests compare the fast paths against.
+implementations that tests compare the fast paths against.  No module of
+``src/vlab`` reads the environment: a run is set by its flags and config
+file alone.
 """
 
 import ast
@@ -105,3 +107,17 @@ def test_every_dataclass_field_is_read():
     fields = _dataclass_fields({p: t for p, t in trees.items() if p.parent == PACKAGE})
     unread = sorted(f"{cls}.{name}" for cls, name in fields if name not in read)
     assert not unread, f"dataclass fields never read in src/vlab or bench/: {unread}"
+
+
+ENV_READS = {"environ", "environb", "getenv", "getenvb"}
+
+
+def test_no_module_reads_the_environment():
+    reads = sorted(
+        f"{path.name}:{sub.lineno}"
+        for path, tree in _trees(PACKAGE).items()
+        for sub in ast.walk(tree)
+        if (isinstance(sub, ast.Attribute) and sub.attr in ENV_READS)
+        or (isinstance(sub, ast.ImportFrom) and ENV_READS & {a.name for a in sub.names})
+    )
+    assert not reads, f"environment reads in src/vlab: {reads}"

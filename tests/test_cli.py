@@ -337,13 +337,12 @@ def test_config_file_rejects_unknown_keys(tmp_path):
         resolve_config(RunConfig(), argparse.Namespace(config=str(cfg_path)))
 
 
-def test_vlab_threads_same_bytes(tmp_path, monkeypatch):
+def test_theorem_a_reruns_same_bytes(tmp_path):
+    # the first run builds the cached leading rows, the second reads them
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     argv = ["theorem-a", "--radices", "2,3", "--depth", "5", "--nmax", "40", "--samples", "4"]
-    monkeypatch.delenv("VLAB_THREADS", raising=False)
+    means_mod.leading_rows.cache_clear()
     assert run(argv + ["--out", str(a)]) == 0
-    monkeypatch.setenv("VLAB_THREADS", "3")
-    means_mod.leading_rows.cache_clear()  # workers may all miss the shared rows at once
     assert run(argv + ["--out", str(b)]) == 0
     group = means_mod.quotient(build_radix(cycle_radices((2, 3), 5)), 40)
     shared = means_mod.leading_rows(group, 40)
@@ -352,6 +351,25 @@ def test_vlab_threads_same_bytes(tmp_path, monkeypatch):
     dom_a = (tmp_path / "a.domination.csv").read_bytes()
     dom_b = (tmp_path / "b.domination.csv").read_bytes()
     assert dom_a.replace(b"a.csv", b"") == dom_b.replace(b"b.csv", b"")
+
+
+def test_theorem_a_reads_a_weight_file_once(tmp_path, monkeypatch):
+    import vlab.operators as operators_mod
+
+    wfile = tmp_path / "w.txt"
+    wfile.write_text("\n".join(str(1 + n) for n in range(40)) + "\n")
+    reads = []
+    real = operators_mod.weights_from_file
+
+    def counting(path):
+        reads.append(path)
+        return real(path)
+
+    monkeypatch.setattr(operators_mod, "weights_from_file", counting)
+    argv = ["theorem-a", "--depth", "4", "--nmax", "12", "--samples", "2",
+            "--p", "0.5,0.7", "--weight", f"custom:{wfile}"]
+    assert run(argv) == 0
+    assert reads == [str(wfile)]
 
 
 def test_theorem_a_builds_character_rows_once(monkeypatch):
@@ -366,7 +384,6 @@ def test_theorem_a_builds_character_rows_once(monkeypatch):
         return real(seq, lo, hi)
 
     monkeypatch.setattr(means_mod, "character_rows", counting)
-    monkeypatch.delenv("VLAB_THREADS", raising=False)
     means_mod.leading_rows.cache_clear()
     argv = ["theorem-a", "--radices", "2,3", "--depth", "8", "--nmax", "300", "--samples", "4"]
     assert run(argv) == 0

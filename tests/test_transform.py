@@ -150,7 +150,7 @@ def test_op_count_instrumentation():
     assert ops.madds == expected
     assert ops.madds <= fast_op_bound(seq)
     naive_ops = OpCount()
-    forward_naive(random_function(seq), naive_ops)
+    forward_naive_many([random_function(seq)], naive_ops)
     assert naive_ops.madds == seq.size**2
 
 
