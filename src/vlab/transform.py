@@ -15,17 +15,20 @@ of the L roots.  ``character_rows`` gathers the complex roots;
 ``means`` gathers its blocks into the rows its partial-sum stacks share and
 scales them by the coefficients.  The naive oracle gathers the cosines and
 negated sines of the same roots into real blocks, and skips the sines when
-L <= 2, where every root is real.  ``vilenkin_char`` keeps a float phase
-and serves as the independent scalar oracle.
+L <= 2, where every root is real; its cosine-only blocks take the rows of
+two builds.  ``vilenkin_char`` keeps a float phase and serves as the
+independent scalar oracle.
 
 Two transform paths are provided.  ``forward_naive`` applies the full
 character matrix (M_N^2 multiply-adds), one block of rows at a time, and
 serves as the oracle; ``forward_naive_many`` shares each block across a
-batch of functions.
-``forward_fast`` runs one small DFT kernel along each digit axis, costing
-M_N * sum_k m_k multiply-adds; radices are small and bounded, so no
-in-axis FFT is needed.  ``forward_fast`` and ``forward_naive_many`` count
-their work into an optional OpCount.
+batch of functions, which it holds in panels of PANEL functions, so that
+every BLAS product has one fixed shape and batch results equal single
+calls bit for bit.
+``forward_fast`` runs one small DFT kernel along each digit axis as m_j
+broadcast multiply-adds, costing M_N * sum_k m_k multiply-adds; radices
+are small and bounded, so no in-axis FFT is needed.  ``forward_fast`` and
+``forward_naive_many`` count their work into an optional OpCount.
 """
 
 from __future__ import annotations
@@ -84,10 +87,23 @@ def vilenkin_char(n: int, i: int, seq: RadixSequence) -> complex:
 
 
 # Entries of psi_k(x) built at once: 2^16 phases, rounded down to whole
-# rows k, and one row when M_N is larger.  A block holds 1 MiB of complex
-# rows or of real cosine and negated-sine rows, and bounds the scratch of
-# the naive oracle and of the rows behind the partial-sum stacks alike.
+# rows k, and one row when M_N is larger.  A 1 MiB block holds the complex
+# rows of one build, the real cosine and negated-sine rows of one build,
+# or the real cosine rows of two builds; it bounds the scratch of the
+# naive oracle and of the rows behind the partial-sum stacks alike.
 ROW_BLOCK = 1 << 16
+
+# Functions per product in the naive oracle.  Every product has this
+# width, so BLAS sums each coefficient in one order whatever the batch.
+PANEL = 8
+
+# Multiply-adds per product in the naive oracle: an (h, M_N) @ (M_N, 2 PANEL)
+# product takes h = 2^18 / (2 PANEL M_N) rows, and one row when M_N is
+# larger.  OpenBLAS runs products this small on one thread.  Its threaded
+# driver splits the sum over x elsewhere when M_N is no multiple of its
+# inner block (seen at M_N = 1296), so larger products would tie the last
+# bits of c_k to the BLAS thread count.
+PRODUCT_MADDS = 1 << 18
 
 
 @functools.lru_cache(maxsize=16)
@@ -146,48 +162,65 @@ def forward_naive_many(
     c_k = (1/M_N) sum_x f(x) conj(psi_k(x)).  conj(psi_k) = C + iT, with
     the cosine rows C and the negated-sine rows T gathered at
     :func:`_phases`; T is built only when L > 2, since otherwise
-    every root is +-1.  Each block is applied to the whole batch before the
-    next block is built: memory is O(ROW_BLOCK + S M_N) for S functions,
-    and the phases are shared by the batch.  All functions must share one
-    group.
+    every root is +-1.  The batch is copied once into zero-padded panels of
+    PANEL functions, each an (M_N, 2 PANEL) real array with the Re and Im
+    columns of every function side by side.  Each block of rows meets each
+    panel in products of at most PRODUCT_MADDS multiply-adds, whose shape
+    does not depend on the batch, so each c_k sums its M_N terms in one
+    order whatever the batch size or the function's place in it: batch
+    results equal single calls bit for bit.  Memory is
+    O(ROW_BLOCK + S M_N) for S functions, and the phases are shared by the
+    batch.  All functions must share one group.
     """
     if not fs:
         return []
     seq = fs[0].radix_seq
     if any(f.radix_seq != seq for f in fs):
         raise ResolutionMismatch("batch functions live on different radix sequences")
-    coeffs = np.empty((len(fs), seq.size), dtype=np.complex128)
-    # column 0 holds Re f and column 1 Im f
-    parts = [f.values.view(np.float64).reshape(seq.size, 2) for f in fs]
+    size = seq.size
+    panels = np.zeros((-(-len(fs) // PANEL), size, 2 * PANEL))
+    for i, f in enumerate(fs):
+        p, s = divmod(i, PANEL)
+        panels[p, :, 2 * s : 2 * s + 2] = f.values.view(np.float64).reshape(size, 2)
+    # same layout as the panels: Re c_k and Im c_k of each function side by side
+    out = np.empty_like(panels)
     period = math.lcm(*seq.radices)
     roots = _roots(period)
     cos = np.ascontiguousarray(roots.real)
     neg_sin = -roots.imag if period > 2 else None
-    step = max(1, ROW_BLOCK // seq.size)
-    for lo in range(0, seq.size, step):
-        hi = min(lo + step, seq.size)
-        phases, _ = _phases(seq, lo, hi)
+    step = max(1, ROW_BLOCK // size)
+    height = max(1, PRODUCT_MADDS // (2 * PANEL * size))
+    # a cosine-only block holds as many rows as a cosine and sine block
+    rows = step if neg_sin is not None else 2 * step
+    for lo in range(0, size, rows):
+        hi = min(lo + rows, size)
+        n = hi - lo
         if neg_sin is None:
-            block = cos[phases]
+            block = np.empty((n, size))
+            for r in range(lo, hi, step):
+                phases, _ = _phases(seq, r, min(r + step, hi))
+                np.take(cos, phases, out=block[r - lo : r - lo + len(phases)])
         else:
-            n = hi - lo
-            block = np.empty((2 * n, seq.size))
+            phases, _ = _phases(seq, lo, hi)
+            block = np.empty((2 * n, size))
             np.take(cos, phases, out=block[:n])
             np.take(neg_sin, phases, out=block[n:])
-        # one product per function, so each c_k sums its M_N terms in the
-        # same order whatever the batch size
-        for row, v in zip(coeffs, parts):
-            prod = block @ v
+        prod = np.empty((len(block), 2 * PANEL))
+        for panel, res in zip(panels, out):
+            for r in range(0, len(block), height):
+                np.matmul(block[r : r + height], panel, out=prod[r : r + height])
             if neg_sin is None:
-                row[lo:hi] = prod.view(np.complex128)[:, 0]
+                res[lo:hi] = prod
             else:
                 # (C + iT)(a + ib) = (Ca - Tb) + i(Cb + Ta)
-                row[lo:hi].real = prod[:n, 0] - prod[n:, 1]
-                row[lo:hi].imag = prod[:n, 1] + prod[n:, 0]
-    coeffs /= seq.size
+                np.subtract(prod[:n, 0::2], prod[n:, 1::2], out=res[lo:hi, 0::2])
+                np.add(prod[:n, 1::2], prod[n:, 0::2], out=res[lo:hi, 1::2])
+    del panels, panel  # the loop's view of the last panel would keep them alive
+    coeffs = out.view(np.complex128)
+    coeffs /= size
     if ops is not None:
-        ops.add(len(fs) * seq.size * seq.size)
-    return [CoefficientVector(seq, row) for row in coeffs]
+        ops.add(len(fs) * size * size)
+    return [CoefficientVector(seq, coeffs[i // PANEL, :, i % PANEL]) for i in range(len(fs))]
 
 
 def forward_naive(f: StepFunction) -> CoefficientVector:
@@ -207,11 +240,16 @@ def dft_kernel(m: int, sign: int) -> np.ndarray:
 def _axis_passes(flat: np.ndarray, seq: RadixSequence, sign: int, ops: OpCount | None):
     """Apply dft_kernel(m_j, sign) along every digit axis j, counting M_N m_j per pass."""
     for j, m_j in enumerate(seq.radices):
-        # Index layout i = high*M_{j+1} + b*M_j + low puts digit j on the middle
-        # axis of a (M_N/M_{j+1}, m_j, M_j) reshape.
+        # Index layout i = high*M_{j+1} + b*M_j + low puts digit j on axis 2
+        # of a (M_N/M_{j+1}, 1, m_j, M_j) reshape; axis 1 broadcasts over a.
         lo = seq.scales[j]
-        tensor = flat.reshape(seq.size // (lo * m_j), m_j, lo)
-        flat = np.einsum("ab,hbl->hal", dft_kernel(m_j, sign), tensor).reshape(seq.size)
+        tensor = flat.reshape(seq.size // (lo * m_j), 1, m_j, lo)
+        kernel = dft_kernel(m_j, sign)
+        # out[h, a, l] = sum_b K[a, b] t[h, b, l]
+        out = kernel[:, 0, None] * tensor[:, :, 0]
+        for b in range(1, m_j):
+            out += kernel[:, b, None] * tensor[:, :, b]
+        flat = out.reshape(seq.size)
         if ops is not None:
             ops.add(seq.size * m_j)
     return flat

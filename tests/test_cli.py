@@ -1,5 +1,8 @@
 import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +19,7 @@ from vlab.cli import (
     main,
     resolve_config,
 )
+import vlab
 import vlab.means as means_mod
 from vlab.counterexample import SWEEP_COLUMNS
 from vlab.errors import ConfigError
@@ -61,6 +65,25 @@ def test_transform_deterministic(tmp_path):
 def test_transform_empty_radices_is_config_error(tmp_path):
     code = run(["transform", "--radices", "", "--out", str(tmp_path / "t.csv")])
     assert code == 2
+
+
+# M_N = 288 and 1296, neither a multiple of OpenBLAS's inner block; at 1296
+# the oracle's products would split their sums by thread count if they
+# exceeded transform.PRODUCT_MADDS
+@pytest.mark.parametrize("argv", [
+    ["--radices", "2,3,2,4", "--depth", "6", "--samples", "10", "--seed", "7"],
+    ["--radices", "2,3", "--depth", "8", "--samples", "4", "--seed", "7"],
+])
+def test_transform_report_is_independent_of_blas_threads(tmp_path, argv):
+    src = Path(vlab.__file__).resolve().parents[1]
+    reports = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"t{threads}.csv"
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": str(src)}
+        subprocess.run([sys.executable, "-m", "vlab", "transform", *argv, "--out", str(out)],
+                       env=env, check=True, capture_output=True, timeout=120)
+        reports.append([l for l in out.read_text().splitlines() if not l.startswith("# out=")])
+    assert reports[0] == reports[1]
 
 
 def test_transform_default_scale_op_ratio(tmp_path):

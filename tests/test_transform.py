@@ -10,6 +10,7 @@ from vlab.group_core import build_radix, cycle_radices
 from vlab.means import partial_sum_stack
 from vlab.step_functions import StepFunction, conditional_average, lp_quasinorm
 from vlab.transform import (
+    PANEL,
     ROW_BLOCK,
     CoefficientVector,
     OpCount,
@@ -196,6 +197,43 @@ def test_naive_oracle_batch_is_bitwise_single_calls():
         assert np.array_equal(got.coeffs, forward_naive(f).coeffs)
 
 
+# (2,)*9 takes the cosine-only blocks, (2, 3, 2, 4, 5) the sine rows
+@pytest.mark.parametrize("radices", [(2,) * 9, (2, 3, 2, 4, 5)])
+def test_naive_oracle_panels_are_bitwise_single_calls(radices):
+    # two full panels and a zero-padded third; reversing the batch moves
+    # every function to another panel and column
+    seq = build_radix(radices)
+    fs = [random_function(seq, seed) for seed in range(2 * PANEL + 3)]
+    batch = forward_naive_many(fs)
+    backwards = forward_naive_many(fs[::-1])[::-1]
+    for got, back, f in zip(batch, backwards, fs):
+        assert np.array_equal(got.coeffs, forward_naive(f).coeffs)
+        assert np.array_equal(got.coeffs, back.coeffs)
+
+
+@pytest.mark.parametrize("block", [1, 100, 640])
+def test_naive_oracle_cosine_partial_blocks(monkeypatch, block):
+    # cosine-only blocks of two phase builds: one row each for 1 and 100;
+    # 640 builds 5 rows, so the last 8-row block ends on a 3-row build
+    seq = build_radix((2,) * 7)
+    fs = [random_function(seq, seed) for seed in range(2)]
+    want = dense_reference(fs)
+    monkeypatch.setattr(transform, "ROW_BLOCK", block)
+    for got, ref in zip(forward_naive_many(fs), want):
+        assert np.max(np.abs(got.coeffs - ref)) <= 1e-12
+
+
+@pytest.mark.parametrize("radices", [(2,) * 7, (3, 5, 3)])
+def test_naive_oracle_short_products(monkeypatch, radices):
+    # 3-row products inside each block, the last one shorter
+    seq = build_radix(radices)
+    fs = [random_function(seq, seed) for seed in range(2)]
+    want = dense_reference(fs)
+    monkeypatch.setattr(transform, "PRODUCT_MADDS", 3 * 2 * PANEL * seq.size)
+    for got, ref in zip(forward_naive_many(fs), want):
+        assert np.max(np.abs(got.coeffs - ref)) <= 1e-12
+
+
 def test_naive_oracle_counts_batch_work():
     seq = build_radix((2, 3, 2, 4))
     ops = OpCount()
@@ -222,6 +260,20 @@ def test_naive_oracle_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+def test_naive_oracle_batch_memory_is_bounded():
+    # 100 functions at M_N = 4096: panels, results and one block, where a
+    # dense character matrix would need 256 MiB
+    seq = build_radix((2,) * 12)
+    fs = [random_function(seq, seed) for seed in range(100)]
+    tracemalloc.start()
+    try:
+        forward_naive_many(fs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2**20
 
 
 def test_inverse_of_unit_vector_is_character():
