@@ -36,7 +36,6 @@ from .step_functions import (
     load_step_function,
     lp_quasinorm,
     maximal_function,
-    save_step_function,
     weak_lp_quasinorm,
 )
 from .transform import (

@@ -25,7 +25,6 @@ from .counterexample import (
     build_case,
     divergence_sweep,
     l_mean_identity,
-    sweep_row,
     theta_bracket,
     verify_coefficients,
     verify_hardy_bound,
@@ -48,7 +47,6 @@ from .step_functions import (
     StepFunction,
     load_step_function,
     lp_quasinorm,
-    save_step_function,
     weak_lp_quasinorm,
 )
 from .transform import (
@@ -91,8 +89,6 @@ class RunConfig:
     fn: str | None = None
     mean: str | None = None
     mean_n: int | None = None
-    save_fn: str | None = None
-    nk: int | None = None
     theta_samples: int = 5
 
 
@@ -134,8 +130,6 @@ _OPTIONS = {
     "fn": (str, "function spec: file:<path> | dirichlet:<n> | case:<nk>"),
     "mean": (str, "Norlund weight family: ones | log | custom:<file>"),
     "mean_n": (_parse_count, "Norlund mean order"),
-    "save_fn": (str, "write the case function to this path"),
-    "nk": (int, "case index n_k"),
     "theta_samples": (_parse_count, "atom samples for the theta bracket"),
 }
 
@@ -305,7 +299,7 @@ def cmd_theorem_a(cfg: RunConfig) -> tuple[dict[str, ExperimentReport], bool]:
     _echo_config(dom_report, cfg, "theorem-a")
     all_ok = True
     # only the default weight depends on p, so a weight file is read once
-    fixed_weight = parse_weight_spec(cfg.weight) if cfg.weight else None
+    fixed_weight = parse_weight_spec(cfg.weight) if cfg.weight is not None else None
     for p in cfg.p:
         p = check_p_unit(p)  # before p seeds the sample draws
         weight = fixed_weight or critical_power_weight(p)
@@ -351,7 +345,7 @@ def cmd_theorem_a(cfg: RunConfig) -> tuple[dict[str, ExperimentReport], bool]:
 def cmd_theorem_b(cfg: RunConfig) -> tuple[dict[str, ExperimentReport], bool]:
     need = 2 * max(cfg.k_list) + 1
     seq = _build_seq(cfg, min_depth=need)
-    weight = parse_weight_spec(cfg.weight or "log")
+    weight = parse_weight_spec(cfg.weight)
     master = ExperimentReport(columns=list(SWEEP_COLUMNS))
     _echo_config(master, cfg, "theorem-b")
     cases = [build_case(n_k, seq) for n_k in cfg.k_list]
@@ -368,9 +362,14 @@ def cmd_theorem_b(cfg: RunConfig) -> tuple[dict[str, ExperimentReport], bool]:
             case_ok = cc.ok and ps.ok and hb.ok and li.ok
             all_ok = all_ok and case_ok
             print(
-                f"[{_status(case_ok)}] case n_k={case.n_k}, p={p}: coeffs {_status(cc.ok)}, "
-                f"partial sums {_status(ps.ok)}, hardy {_status(hb.ok)}, "
-                f"log-mean identity {_status(li.ok)}"
+                f"[{_status(case_ok)}] case n_k={case.n_k}, p={p}: "
+                f"coeffs {_status(cc.ok)} (max err {cc.max_abs_error:.3e}), "
+                f"partial sums {_status(ps.ok)} (zero {ps.max_err_zero:.3e} "
+                f"middle {ps.max_err_middle:.3e} tail {ps.max_err_tail:.3e}), "
+                f"hardy {_status(hb.ok)} (measured {hb.measured:.12g} "
+                f"closed {hb.closed_value:.12g} bound {hb.upper_bound:.12g}), "
+                f"log-mean identity {_status(li.ok)} (modulus {li.modulus:.12g} "
+                f"predicted {li.predicted:.12g} levelset {li.levelset_measure:g})"
             )
             master.add_meta(f"verify_nk{case.n_k}_p{p}", case_ok)
         sweep = divergence_sweep(cases, p, weight)
@@ -403,7 +402,7 @@ def _spec_int(spec: str) -> int:
 def _resolve_fn(cfg: RunConfig) -> tuple[StepFunction, RunConfig]:
     """The function named by ``--fn``, and ``cfg`` echoing the group it lives on."""
     spec = cfg.fn
-    if not spec:
+    if spec is None:
         raise ConfigError("norms needs --fn (file:<path> | dirichlet:<n> | case:<nk>)")
     if spec.startswith("file:"):
         path = spec.split(":", 1)[1]
@@ -424,7 +423,7 @@ def _resolve_fn(cfg: RunConfig) -> tuple[StepFunction, RunConfig]:
 
 
 def cmd_norms(cfg: RunConfig) -> tuple[dict[str, ExperimentReport], bool]:
-    if bool(cfg.mean) != (cfg.mean_n is not None):
+    if (cfg.mean is None) != (cfg.mean_n is None):
         raise ConfigError("--mean and --mean-n must be given together")
     if cfg.mean_n == 0:
         raise ConfigError("--mean-n must be at least 1")
@@ -433,7 +432,7 @@ def cmd_norms(cfg: RunConfig) -> tuple[dict[str, ExperimentReport], bool]:
     report = ExperimentReport(columns=list(NORMS_COLUMNS))
     _echo_config(report, cfg, "norms")
     mean = None
-    if cfg.mean:
+    if cfg.mean is not None:
         mean = norlund_mean(f, cfg.mean_n, weight_sequence_from_spec(cfg.mean, cfg.mean_n))
     for p in cfg.p:
         mean_lp = None if mean is None else lp_quasinorm(mean, p)
@@ -453,47 +452,6 @@ def cmd_norms(cfg: RunConfig) -> tuple[dict[str, ExperimentReport], bool]:
             + (f" mean[{cfg.mean},n={cfg.mean_n}]={mean_lp:.12g}" if mean_lp is not None else "")
         )
     return {"": report}, True
-
-
-# ---------------------------------------------------------------------------
-# case: single counterexample case in detail
-# ---------------------------------------------------------------------------
-
-
-def cmd_case(cfg: RunConfig) -> tuple[dict[str, ExperimentReport], bool]:
-    if cfg.nk is None:
-        raise ConfigError("case needs --nk")
-    seq = _build_seq(cfg, min_depth=2 * cfg.nk + 1)
-    weight = parse_weight_spec(cfg.weight or "log")
-    case = build_case(cfg.nk, seq)
-    report = ExperimentReport(columns=list(SWEEP_COLUMNS))
-    _echo_config(report, cfg, "case")
-    cc = verify_coefficients(case)
-    ps = verify_partial_sums(case)
-    hardy = [verify_hardy_bound(case, p) for p in cfg.p]
-    li = l_mean_identity(case)
-    all_ok = cc.ok and ps.ok and li.ok and all(hb.ok for hb in hardy)
-    print(f"case n_k={cfg.nk}: M_lo={case.m_lo} M_hi={case.m_hi} n*={case.n_star}")
-    print(f"  [{_status(cc.ok)}] coefficients: max err {cc.max_abs_error:.3e}")
-    print(
-        f"  [{_status(ps.ok)}] partial sums: zero {ps.max_err_zero:.3e} "
-        f"middle {ps.max_err_middle:.3e} tail {ps.max_err_tail:.3e}"
-    )
-    for p, hb in zip(cfg.p, hardy):
-        print(
-            f"  [{_status(hb.ok)}] hardy p={p}: measured {hb.measured:.12g} "
-            f"closed {hb.closed_value:.12g} bound {hb.upper_bound:.12g}"
-        )
-        report.add_row(*sweep_row(1, case, p, weight))
-    print(
-        f"  [{_status(li.ok)}] log-mean identity: modulus {li.modulus:.12g} "
-        f"predicted {li.predicted:.12g} levelset {li.levelset_measure:g}"
-    )
-    if cfg.save_fn:
-        with _writing(cfg.save_fn):
-            save_step_function(case.func, cfg.save_fn)
-        print(f"saved case function to {cfg.save_fn}")
-    return {"": report}, all_ok
 
 
 # ---------------------------------------------------------------------------
@@ -532,12 +490,6 @@ _COMMANDS = {
         "quasi-norm table for a stored or built-in function "
         "(defaults: radices=2, depth=6, p=0.5)",
     ),
-    "case": (
-        cmd_case,
-        RunConfig(weight="log"),
-        ("radices", "depth", "p", "weight", "nk", "save_fn", "out"),
-        "single divergence case in detail (defaults: radices=2, p=0.5, weight=log)",
-    ),
 }
 
 
@@ -562,7 +514,7 @@ def main(argv=None) -> int:
     try:
         cfg = resolve_config(defaults, args)
         reports, ok = handler(cfg)
-        if cfg.out:
+        if cfg.out is not None:
             for tag, rep in reports.items():
                 path = _sibling(cfg.out, tag) if tag else cfg.out
                 with _writing(path):

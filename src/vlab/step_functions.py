@@ -16,7 +16,6 @@ import numpy as np
 
 from .errors import InvalidExponent, ResolutionMismatch
 from .group_core import RadixSequence, build_radix
-from .report import FLOAT_FMT
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,13 +105,6 @@ def hardy_quasinorm(f: StepFunction, p: float) -> float:
 # File format: header `radices=<csv>;N=<int>`, then exactly M_N lines
 # `re,im` with 17 significant digits (bit-exact round trip for doubles).
 # ---------------------------------------------------------------------------
-
-
-def save_step_function(f: StepFunction, path) -> None:
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(f"radices={f.radix_seq};N={f.radix_seq.depth}\n")
-        for v in f.values:
-            fh.write(f"{format(v.real, FLOAT_FMT)},{format(v.imag, FLOAT_FMT)}\n")
 
 
 def load_step_function(path) -> StepFunction:

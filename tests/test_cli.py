@@ -21,10 +21,12 @@ from vlab.cli import (
 )
 import vlab
 import vlab.means as means_mod
-from vlab.counterexample import SWEEP_COLUMNS
+from vlab.counterexample import SWEEP_COLUMNS, build_case, sweep_row
 from vlab.errors import ConfigError
 from vlab.group_core import build_radix, cycle_radices
-from vlab.step_functions import load_step_function, lp_quasinorm, save_step_function
+from vlab.operators import log_weight
+from vlab.report import format_cell
+from vlab.step_functions import lp_quasinorm
 
 
 def run(argv):
@@ -170,7 +172,7 @@ def test_norms_on_dirichlet(tmp_path):
     assert lp == pytest.approx(0.25, rel=1e-6)  # ||D_4||_{1/2} on the dyadic group
 
 
-def test_norms_round_trips_function_file(tmp_path):
+def test_norms_round_trips_function_file(tmp_path, write_step):
     from vlab.group_core import build_radix
     from vlab.step_functions import StepFunction
 
@@ -178,7 +180,7 @@ def test_norms_round_trips_function_file(tmp_path):
     rng = np.random.default_rng(1)
     f = StepFunction(seq, rng.standard_normal(seq.size))
     path = tmp_path / "f.step"
-    save_step_function(f, path)
+    write_step(path, f)
     out = tmp_path / "n.csv"
     code = run(["norms", "--fn", f"file:{path}", "--p", "0.5", "--out", str(out)])
     assert code == 0
@@ -186,11 +188,11 @@ def test_norms_round_trips_function_file(tmp_path):
     assert float(rows[0].split(",")[2]) == pytest.approx(lp_quasinorm(f, 0.5), rel=1e-12)
 
 
-def test_norms_file_report_echoes_the_files_group(tmp_path):
+def test_norms_file_report_echoes_the_files_group(tmp_path, write_step):
     from vlab.step_functions import StepFunction
 
     path = tmp_path / "f.step"
-    save_step_function(StepFunction(build_radix((2, 3, 2)), np.arange(12.0)), path)
+    write_step(path, StepFunction(build_radix((2, 3, 2)), np.arange(12.0)))
     out = tmp_path / "n.csv"
     assert run(["norms", "--fn", f"file:{path}", "--out", str(out)]) == 0
     meta = [l for l in out.read_text().splitlines() if l.startswith("#")]
@@ -224,7 +226,6 @@ def test_norms_needs_fn():
         ["norms", "--fn", "file:{short}"],
         ["norms", "--fn", "file:{garbage}"],
         ["norms", "--fn", "dirichlet:3", "--out", "{missing}/x.csv"],
-        ["case", "--nk", "1", "--save-fn", "{missing}/x.step"],
         ["transform", "--depth", "2", "--samples", "1", "--seed", "-1"],
         ["theorem-b", "--k-list", "1", "--theta-samples", "-1"],
         ["theorem-a", "--depth", "2", "--samples", "0", "--weight", "log", "--p", "inf"],
@@ -235,6 +236,11 @@ def test_norms_needs_fn():
         ["norms", "--fn", "dirichlet:3", "--mean-n", "3"],
         ["norms", "--fn", "file:{coeffs}"],
         ["norms", "--fn", "file:{long}"],
+        # an empty value is an error, not the default
+        ["theorem-a", "--depth", "3", "--samples", "1", "--nmax", "4", "--weight", ""],
+        ["theorem-b", "--k-list", "1", "--theta-samples", "0", "--weight", ""],
+        ["norms", "--fn", "dirichlet:2", "--mean", "", "--mean-n", "3"],
+        ["norms", "--fn", "dirichlet:2", "--out", ""],
     ],
 )
 def test_bad_input_is_one_line_exit_two(tmp_path, capsys, argv):
@@ -258,18 +264,22 @@ def test_bad_input_is_one_line_exit_two(tmp_path, capsys, argv):
     assert "Traceback" not in err
 
 
-def test_case_subcommand(tmp_path, capsys):
-    out = tmp_path / "c.csv"
-    fn_path = tmp_path / "case.step"
-    code = run(["case", "--nk", "1", "--save-fn", str(fn_path), "--out", str(out)])
-    assert code == 0
+def test_theorem_b_single_case(tmp_path, capsys):
+    # --k-list <nk> is the one-case run: one sweep row per p, and the
+    # console line carries the magnitudes behind each check
+    out = tmp_path / "b.csv"
+    assert run(["theorem-b", "--k-list", "1", "--p", "0.5,0.3", "--out", str(out)]) == 0
     header, rows = read_rows(out)
     assert header == SWEEP_COLUMNS
-    assert len(rows) == 1
-    f = load_step_function(fn_path)
-    assert sorted(np.unique(f.values.real).tolist()) == [-4.0, 0.0, 4.0]
-    text = capsys.readouterr().out
-    assert "log-mean identity" in text
+    case = build_case(1, build_radix((2, 2, 2)))
+    assert rows == [
+        ",".join(format_cell(c) for c in sweep_row(1, case, p, log_weight())) for p in (0.5, 0.3)
+    ]
+    lines = [l for l in capsys.readouterr().out.splitlines() if l.startswith("[ok] case n_k=1")]
+    assert len(lines) == 2
+    for word in ("max err", "zero", "middle", "tail", "measured", "closed", "bound",
+                 "modulus", "predicted", "levelset 1"):
+        assert all(word in line for line in lines), word
 
 
 def test_default_depth_is_a_floor(tmp_path):
@@ -284,10 +294,6 @@ def test_default_depth_is_a_floor(tmp_path):
     cfg_path = tmp_path / "run.cfg"
     cfg_path.write_text("depth=6\n")
     assert run(["norms", "--fn", "case:3", "--config", str(cfg_path)]) == 2
-
-
-def test_case_needs_nk():
-    assert run(["case"]) == 2
 
 
 def test_failing_assertion_rows_give_exit_one(monkeypatch):
@@ -326,7 +332,7 @@ def test_reports_echo_only_the_options_a_command_takes(command):
 
     # every field set, so only the command's option list can drop one
     cfg = RunConfig(depth=3, weight="log", out="x.csv", fn="dirichlet:1", mean="ones",
-                    mean_n=2, save_fn="f.step", nk=1)
+                    mean_n=2)
     report = ExperimentReport(columns=["x"])
     _echo_config(report, cfg, command)
     names = _COMMANDS[command][2]
@@ -480,7 +486,7 @@ def test_cli_config_file_end_to_end(tmp_path):
 
 def test_config_file_rejects_keys_the_command_does_not_take(tmp_path, capsys):
     cfg_path = tmp_path / "run.cfg"
-    cfg_path.write_text("k_list=1,2\nnk=3\n")
+    cfg_path.write_text("k_list=1,2\n")
     argv = ["theorem-a", "--config", str(cfg_path), "--depth", "3", "--nmax", "4",
             "--samples", "1"]
     assert run(argv) == 2
@@ -512,16 +518,13 @@ _FUZZ_VALUES = {
             "file:{missing}", "nope"]),
     "mean": (["ones", "log", "custom:{weights}"], ["custom:{bad}", "bogus"]),
     "mean_n": (["1", "3"], ["0", "-1"]),
-    "nk": (["1"], ["-1", "0", "q"]),
     "out": (["{dir}/o.csv"], ["{missing}/o.csv", "{dir}", "{dir}/\u00e9.csv"]),
-    "save_fn": (["{dir}/f.step"], ["{missing}/f.step", "{dir}"]),
 }
 _FUZZ_FLAGS = {
     "transform": ("radices", "samples", "seed", "out"),
     "theorem-a": ("radices", "p", "weight", "nmax", "samples", "seed", "out"),
     "theorem-b": ("radices", "p", "weight", "seed", "out", "theta_samples"),
     "norms": ("radices", "p", "fn", "mean", "mean_n", "out"),
-    "case": ("radices", "p", "weight", "nk", "save_fn", "out"),
 }
 # Flags always given: the sizes keep every run small (depth <= 4,
 # samples <= 2, n_k <= 1), and every run writes a report.
@@ -530,13 +533,12 @@ _FUZZ_PINNED = {
     "theorem-a": ("depth", "samples", "nmax", "out"),
     "theorem-b": ("k_list", "theta_samples", "out"),
     "norms": ("depth", "out"),
-    "case": ("nk", "out"),
 }
 _FUZZ_CONFIG_LINES = ["depth=3", "depth=abc", "samples=1", "p=0.5", "p=", "# note", "",
-                      "garbage", "volume=11", "seed=4", "radices=2,3", "nk=1"]
+                      "garbage", "volume=11", "seed=4", "radices=2,3", "k_list=1"]
 
 
-def _fuzz_files(root):
+def _fuzz_files(root, write_step):
     paths = {name: root / name for name in ("weights", "bad", "step", "dir", "missing", "cfg")}
     paths["weights"].write_text("1\n2\n3\n")
     paths["bad"].write_text("abc\n")
@@ -544,7 +546,7 @@ def _fuzz_files(root):
     from vlab.step_functions import StepFunction
 
     seq = build_radix((2, 3))
-    save_step_function(StepFunction(seq, np.arange(seq.size, dtype=float)), paths["step"])
+    write_step(paths["step"], StepFunction(seq, np.arange(seq.size, dtype=float)))
     paths["dir"].mkdir()
     paths["latin"] = root / "latin.cfg"
     paths["latin"].write_bytes(b"depth=3\nfn=caf\xe9\n")
@@ -560,11 +562,11 @@ def _fuzz_value(data, name):
 @settings(max_examples=100, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
-def test_cli_fuzz_exit_codes(tmp_path_factory, data):
+def test_cli_fuzz_exit_codes(tmp_path_factory, write_step, data):
     import contextlib
     import io
 
-    paths = _fuzz_files(tmp_path_factory.mktemp("fuzz"))
+    paths = _fuzz_files(tmp_path_factory.mktemp("fuzz"), write_step)
     command = data.draw(st.sampled_from(sorted(_FUZZ_FLAGS)))
     chosen = {name: _fuzz_value(data, name) for name in _FUZZ_PINNED[command]}
     for name in _FUZZ_FLAGS[command]:
@@ -589,3 +591,18 @@ def test_cli_fuzz_exit_codes(tmp_path_factory, data):
             code = exc.code
     assert code in (0, 1, 2), (argv, code, err.getvalue())
     assert "Traceback" not in err.getvalue(), argv
+
+
+def test_readme_lists_the_commands():
+    # the CLI section's code block shows one `vlab <command>` line per
+    # command, in _COMMANDS order, under the count the text states
+    import re
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```\n", 2)[1]
+    shown = [line.split()[1] for line in block.splitlines() if line.startswith("vlab ")]
+    assert shown == list(_COMMANDS)
+    count = re.search(r"exposes (\w+) subcommands", section).group(1)
+    words = ["zero", "one", "two", "three", "four", "five", "six", "seven", "eight", "nine"]
+    assert count in (words[len(_COMMANDS)], str(len(_COMMANDS)))
