@@ -218,6 +218,13 @@ def _writing(path):
         raise ConfigError(f"cannot write {path}: {exc}") from None
 
 
+def _check_writable(path: str) -> None:
+    """Refuse an --out path whose directory, shared by its siblings, cannot take it."""
+    folder = os.path.dirname(path) or "."
+    if not path or os.path.isdir(path) or not os.access(folder, os.W_OK | os.X_OK):
+        raise ConfigError(f"cannot write {path}")
+
+
 def _sibling(path: str, tag: str) -> str:
     root, ext = os.path.splitext(path)
     return f"{root}.{tag}{ext or '.csv'}"
@@ -240,11 +247,10 @@ def cmd_transform(cfg: RunConfig) -> tuple[dict[str, ExperimentReport], bool]:
         for r in rngs
     ]
     # one batched oracle call: its M_N^2 character values are shared by all samples
-    ops_batch = OpCount()
     t0 = time.perf_counter()
-    naives = forward_naive_many(fs, ops_batch)
+    naives = forward_naive_many(fs)
     naive_time = time.perf_counter() - t0
-    ops_naive = ops_batch.madds // max(len(fs), 1)  # M_N^2 per transform
+    ops_naive = seq.size * seq.size  # the definition's multiply-adds per transform
     all_ok = True
     fast_times = []
     for i, (f, naive) in enumerate(zip(fs, naives)):
@@ -323,7 +329,7 @@ def cmd_theorem_a(cfg: RunConfig) -> tuple[dict[str, ExperimentReport], bool]:
             rank = int(rng.integers(0, seq.depth))
             atom = make_atom(rng, seq, rank, p)
             hardy = hardy_quasinorm(atom.function, p)
-            maximal = lp_quasinorm(weighted_maximal(atom.function, "log_mean", weight, nmax), p)
+            maximal = lp_quasinorm(weighted_maximal(atom.function, weight, nmax), p)
             ratio = maximal / hardy
             ratios.append(ratio)
             atom_report.add_row(i, p, weight.spec, nmax, hardy, maximal, ratio)
@@ -343,6 +349,8 @@ def cmd_theorem_a(cfg: RunConfig) -> tuple[dict[str, ExperimentReport], bool]:
 
 
 def cmd_theorem_b(cfg: RunConfig) -> tuple[dict[str, ExperimentReport], bool]:
+    if any(b <= a for a, b in zip(cfg.k_list, cfg.k_list[1:])):
+        raise ConfigError(f"k_list must be strictly increasing, got {cfg.k_list}")
     need = 2 * max(cfg.k_list) + 1
     seq = _build_seq(cfg, min_depth=need)
     weight = parse_weight_spec(cfg.weight)
@@ -513,6 +521,8 @@ def main(argv=None) -> int:
     handler, defaults, _, _ = _COMMANDS[args.command]
     try:
         cfg = resolve_config(defaults, args)
+        if cfg.out is not None:
+            _check_writable(cfg.out)
         reports, ok = handler(cfg)
         if cfg.out is not None:
             for tag, rep in reports.items():

@@ -28,18 +28,6 @@ from .step_functions import StepFunction
 from .transform import ROW_BLOCK, character_rows, forward_fast, synthesize_multiplier
 
 
-def harmonic_l(n: int) -> float:
-    """n-th harmonic number by forward summation in double precision."""
-    return float(harmonic_numbers(n)[-1])
-
-
-def harmonic_numbers(n_max: int) -> np.ndarray:
-    """Array [l_1, ..., l_{n_max}] via a running sum."""
-    if n_max < 1:
-        raise IndexOutOfRange(f"need n_max >= 1, got {n_max}")
-    return np.cumsum(1.0 / np.arange(1, n_max + 1))
-
-
 @dataclass(frozen=True, eq=False)
 class WeightSequence:
     """Weights q_1, q_2, ... (1-indexed) with an optional leading q_0.
@@ -82,6 +70,11 @@ def ones_weights(n: int) -> WeightSequence:
 def log_weights(n: int) -> WeightSequence:
     """q_k = 1/k; q_0 is undefined for this family."""
     return WeightSequence(values=1.0 / np.arange(1, n + 1), q0=None)
+
+
+def harmonic_l(n: int) -> float:
+    """n-th harmonic number l_n = Q_n of :func:`log_weights`, a forward running sum."""
+    return log_weights(n).total(n)
 
 
 def weights_from_file(path) -> WeightSequence:
@@ -191,31 +184,11 @@ def _log_mean_triangle(ns: np.ndarray) -> np.ndarray:
     """(len(ns), max(ns)) triangle T[i, k] = 1/((ns[i] - k) l_{ns[i]}), 1 <= k < ns[i]."""
     top = int(ns.max())
     ks = np.arange(top)
-    ell = harmonic_numbers(top)[ns - 1]
+    ell = log_weights(top)._cumsum[ns - 1]
     gap = ns[:, None] - ks
     tri = np.zeros(gap.shape, dtype=np.float64)
     np.divide(1.0, gap * ell[:, None], out=tri, where=(gap > 0) & (ks >= 1))
     return tri
-
-
-def _apply_triangle(tri: np.ndarray, s_stack: np.ndarray) -> np.ndarray:
-    # the triangle is real, so it multiplies the interleaved real and
-    # imaginary parts of the stack rows it reaches as one real product
-    parts = np.ascontiguousarray(s_stack[: tri.shape[1]], dtype=np.complex128).view(np.float64)
-    return (tri @ parts).view(np.complex128)
-
-
-def log_mean_rows(s_stack: np.ndarray, ns) -> np.ndarray:
-    """Rows L_n f for the orders in ``ns`` from a :func:`partial_sum_stack`.
-
-    Applies the triangle T[n, k] = 1/((n - k) l_n), 1 <= k < n, so the
-    stack needs rows up to max(ns) - 1; later rows are ignored.  The rows
-    have the stack's width.
-    """
-    ns = np.asarray(ns, dtype=np.int64).reshape(-1)
-    if ns.size == 0 or ns.min() < 2 or ns.max() > s_stack.shape[0]:
-        raise IndexOutOfRange(f"log mean orders need 2 <= n <= {s_stack.shape[0]}")
-    return _apply_triangle(_log_mean_triangle(ns), s_stack)
 
 
 # Orders per block of :func:`log_mean_blocks`.  Each block holds its
@@ -241,11 +214,17 @@ def _log_mean_triangles(n_max: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]
 
 
 def log_mean_blocks(s_stack: np.ndarray, n_max: int):
-    """Yield (ns, log_mean_rows(s_stack, ns)) for n = 2..n_max, one block at a time."""
+    """Yield (ns, rows L_n f for n in ns) for n = 2..n_max from a :func:`partial_sum_stack`.
+
+    The stack needs rows up to n_max - 1; the rows have its width.
+    """
     if n_max > s_stack.shape[0]:
         raise IndexOutOfRange(f"log mean orders need n <= {s_stack.shape[0]}")
     for ns, tri in _log_mean_triangles(n_max):
-        yield ns, _apply_triangle(tri, s_stack)
+        # the triangle is real, so it multiplies the interleaved real and
+        # imaginary parts of the stack rows it reaches as one real product
+        parts = np.ascontiguousarray(s_stack[: tri.shape[1]], dtype=np.complex128).view(np.float64)
+        yield ns, (tri @ parts).view(np.complex128)
 
 
 def norlund_mean(f: StepFunction, n: int, weights: WeightSequence) -> StepFunction:

@@ -1,10 +1,10 @@
 """Weighted maximal operators, the domination chain, p-atoms, ratio sweeps.
 
-The weighted maximal operator of a transform family T_n is the pointwise
-sup over n of |T_n f| / phi(n+1), where phi is a non-decreasing weight
-with phi >= 1.  Partial sums enter at n = 1, logarithmic means at n = 2.
+The weighted maximal operator is the pointwise sup over n >= 2 of
+|L_n f| / phi(n+1) over the logarithmic means L_n, where phi is a
+non-decreasing weight with phi >= 1.
 The power weight phi(n) = n^alpha with alpha = 1/p - 1 is the critical
-weight for 0 < p < 1.  The maximal operators and the domination chain
+weight for 0 < p < 1.  The maximal operator and the domination chain
 work on the M_r points of the quotient group of ``means.quotient``.
 """
 
@@ -29,8 +29,6 @@ from .step_functions import (
     hardy_quasinorm,
     lp_quasinorm,
 )
-
-_KINDS = ("partial_sum", "log_mean")
 
 # Largest slack domination_check lets pass: the chain holds up to roundoff.
 DOMINATION_TOL = 1e-12
@@ -125,37 +123,26 @@ def check_p_unit(p: float) -> float:
     return p
 
 
-def weighted_maximal(
-    f: StepFunction, transform_kind: str, weight: WeightFunction, n_max: int
-) -> StepFunction:
-    """Pointwise sup over n <= n_max of |T_n f| / phi(n+1).
+def weighted_maximal(f: StepFunction, weight: WeightFunction, n_max: int) -> StepFunction:
+    """Pointwise sup over 2 <= n <= n_max of |L_n f| / phi(n+1).
 
-    Truncation is exact for partial sums once n_max = M_N (higher partial
-    sums reproduce f while the weight keeps growing); for log means it is
-    a lower bound on the sup over all n.  The sup is taken at the M_r
-    points of the stack's quotient group and tiled out to M_N only at
-    the end.
+    Truncation at n_max gives a lower bound on the sup over all n.  The
+    sup is taken at the M_r points of the stack's quotient group and
+    tiled out to M_N only at the end.
     """
-    if transform_kind not in _KINDS:
-        raise InvalidWeight(f"unknown transform kind {transform_kind!r}")
     if not isinstance(weight, WeightFunction):
         raise InvalidWeight(f"weight must be a WeightFunction, got {type(weight)}")
     seq = f.radix_seq
-    lo = 1 if transform_kind == "partial_sum" else 2
-    if n_max < lo or n_max > seq.size:
-        raise IndexOutOfRange(f"n_max {n_max} outside {lo}..{seq.size}")
-    # both kinds ask for n_max rows, as domination_check does, so they
-    # share the cached characters of partial_sum_stack
+    if n_max < 2 or n_max > seq.size:
+        raise IndexOutOfRange(f"n_max {n_max} outside 2..{seq.size}")
+    # n_max rows, as domination_check asks for, so both share the cached
+    # characters of partial_sum_stack
     s_stack = partial_sum_stack(f, n_max)
-    if transform_kind == "partial_sum":
-        ws = weight.phi(np.arange(2, n_max + 2))
-        best = np.max(np.abs(s_stack[1:]) / ws[:, None], axis=0)
-    else:
-        best = np.zeros(s_stack.shape[1], dtype=np.float64)
-        for ns, rows in log_mean_blocks(s_stack, n_max):
-            cand = np.abs(rows)
-            cand /= weight.phi(ns + 1)[:, None]
-            np.maximum(best, cand.max(axis=0), out=best)
+    best = np.zeros(s_stack.shape[1], dtype=np.float64)
+    for ns, rows in log_mean_blocks(s_stack, n_max):
+        cand = np.abs(rows)
+        cand /= weight.phi(ns + 1)[:, None]
+        np.maximum(best, cand.max(axis=0), out=best)
     return StepFunction(seq, np.tile(best, seq.size // best.size))
 
 
@@ -248,7 +235,7 @@ def boundedness_ratio(f: StepFunction, p: float, weight: WeightFunction, n_max: 
     h = hardy_quasinorm(f, p)
     if h == 0.0:
         raise DegenerateInput("zero Hardy norm")
-    return lp_quasinorm(weighted_maximal(f, "log_mean", weight, n_max), p) / h
+    return lp_quasinorm(weighted_maximal(f, weight, n_max), p) / h
 
 
 def condition6_advisory(weight: WeightFunction, p: float) -> str:

@@ -27,8 +27,8 @@ every BLAS product has one fixed shape and batch results equal single
 calls bit for bit.
 ``forward_fast`` runs one small DFT kernel along each digit axis as m_j
 broadcast multiply-adds, costing M_N * sum_k m_k multiply-adds; radices
-are small and bounded, so no in-axis FFT is needed.  ``forward_fast`` and
-``forward_naive_many`` count their work into an optional OpCount.
+are small and bounded, so no in-axis FFT is needed.  ``forward_fast``
+counts its work into an optional OpCount.
 """
 
 from __future__ import annotations
@@ -154,9 +154,7 @@ def character_rows(seq: RadixSequence, lo: int, hi: int) -> np.ndarray:
     return _roots(period)[phases]
 
 
-def forward_naive_many(
-    fs: list[StepFunction], ops: OpCount | None = None
-) -> list[CoefficientVector]:
+def forward_naive_many(fs: list[StepFunction]) -> list[CoefficientVector]:
     """Coefficients of every f in ``fs`` by the definition (the oracle).
 
     c_k = (1/M_N) sum_x f(x) conj(psi_k(x)).  conj(psi_k) = C + iT, with
@@ -218,8 +216,6 @@ def forward_naive_many(
     del panels, panel  # the loop's view of the last panel would keep them alive
     coeffs = out.view(np.complex128)
     coeffs /= size
-    if ops is not None:
-        ops.add(len(fs) * size * size)
     return [CoefficientVector(seq, coeffs[i // PANEL, :, i % PANEL]) for i in range(len(fs))]
 
 

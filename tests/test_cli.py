@@ -97,6 +97,7 @@ def test_transform_default_scale_op_ratio(tmp_path):
     header, rows = read_rows(out)
     ratio = float(rows[0].split(",")[header.index("ops_ratio")])
     assert ratio < 0.1
+    assert int(rows[0].split(",")[header.index("ops_naive")]) == 4096**2
 
 
 def test_theorem_a_small(tmp_path):
@@ -241,6 +242,10 @@ def test_norms_needs_fn():
         ["theorem-b", "--k-list", "1", "--theta-samples", "0", "--weight", ""],
         ["norms", "--fn", "dirichlet:2", "--mean", "", "--mean-n", "3"],
         ["norms", "--fn", "dirichlet:2", "--out", ""],
+        # case indices must be strictly increasing
+        ["theorem-b", "--k-list", "1,1", "--theta-samples", "0"],
+        ["theorem-b", "--k-list", "3,1,2", "--theta-samples", "0"],
+        ["theorem-b", "--config", "{unordered}", "--theta-samples", "0"],
     ],
 )
 def test_bad_input_is_one_line_exit_two(tmp_path, capsys, argv):
@@ -251,6 +256,7 @@ def test_bad_input_is_one_line_exit_two(tmp_path, capsys, argv):
         "garbage": "garbage\n",
         "coeffs": "radices=2;N=1;kind=coeffs\n1,0\n0,0\n",  # not a step function
         "long": "radices=2;N=1\n1,0\n0,0\n0,0\n",  # three of two value lines
+        "unordered": "k_list=2,1\n",
     }
     paths = {"missing": tmp_path / "missing.txt", "latin": tmp_path / "latin.cfg"}
     for name, text in files.items():
@@ -262,6 +268,18 @@ def test_bad_input_is_one_line_exit_two(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("out", ["{tmp}/missing/x.csv", "{tmp}"], ids=["no_dir", "is_dir"])
+def test_unwritable_out_fails_before_the_run(tmp_path, capsys, out):
+    # a missing directory or a directory as the path is refused before
+    # any case is verified, and no file is created
+    out = out.format(tmp=tmp_path)
+    assert run(["theorem-b", "--k-list", "1", "--out", out]) == 2
+    captured = capsys.readouterr()
+    assert "[ok]" not in captured.out
+    assert captured.err.strip().splitlines() == [f"config error: cannot write {out}"]
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_theorem_b_single_case(tmp_path, capsys):
@@ -511,7 +529,7 @@ _FUZZ_VALUES = {
                ["power:-1", "power:abc", "bogus", "custom:{bad}", "custom:{missing}"]),
     "nmax": (["2", "8"], ["0", "1", "-3"]),
     "seed": (["0", "7"], ["-1", "z"]),
-    "k_list": (["1", "1,1"], ["0", "-1", "a", ","]),
+    "k_list": (["1"], ["1,1", "0", "-1", "a", ","]),
     "theta_samples": (["0", "1"], ["-1"]),
     "fn": (["dirichlet:1", "dirichlet:3", "case:1", "file:{step}"],
            ["dirichlet:0", "dirichlet:999", "dirichlet:abc", "case:abc", "file:{bad}",

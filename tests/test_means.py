@@ -10,10 +10,8 @@ import vlab.transform as transform_mod
 from vlab.means import (
     WeightSequence,
     harmonic_l,
-    harmonic_numbers,
     log_mean,
     log_mean_blocks,
-    log_mean_rows,
     log_weights,
     norlund_mean,
     ones_weights,
@@ -62,16 +60,15 @@ def test_harmonic_values():
         harmonic_l(0)
 
 
-def test_harmonic_numbers_match_scalar():
-    hs = harmonic_numbers(30)
-    for n in (1, 7, 30):
-        assert hs[n - 1] == pytest.approx(harmonic_l(n), rel=1e-15)
-    # forward summation, term by term
+def test_harmonic_l_is_forward_summation():
+    # forward summation, term by term, bit for bit; the log-mean
+    # triangles read the same running sums of log_weights
     total = 0.0
-    for n in range(1, 3001):
+    for n in range(1, 4099):
         total += 1.0 / n
-        if n in (1, 2, 999, 3000):
+        if n in (1, 2, 5, 300, 999, 4098):
             assert harmonic_l(n) == total
+            assert log_weights(4098)._cumsum[n - 1] == total
 
 
 def test_weight_sequence_validation():
@@ -233,16 +230,16 @@ def test_batch_out_of_range():
     with pytest.raises(IndexOutOfRange):
         partial_sum_stack(StepFunction(seq, np.ones(seq.size)), seq.size + 1)
     stack = partial_sum_stack(StepFunction(seq, np.ones(seq.size)), 3)
-    for ns in ([1, 2], [2, 5], []):
-        with pytest.raises(IndexOutOfRange):
-            log_mean_rows(stack, ns)
+    with pytest.raises(IndexOutOfRange):
+        next(log_mean_blocks(stack, 5))
 
 
 def test_log_mean_stack_matches_single_calls():
     seq = build_radix((2, 3, 2, 3))
     f = random_function(seq, 11)
     n_max = 20
-    rows = log_mean_rows(partial_sum_stack(f, n_max - 1), np.arange(2, n_max + 1))
+    ((ns, rows),) = log_mean_blocks(partial_sum_stack(f, n_max - 1), n_max)
+    assert list(ns) == list(range(2, n_max + 1))
     assert rows.shape == (n_max - 1, seq.size)
     for n in range(2, n_max + 1):
         want = log_mean(f, n)
@@ -271,8 +268,8 @@ def test_log_mean_stacks_match_walk():
     f = random_function(seq, 22)
     walk = walk_partial_sums(f, seq.size)
     assert np.max(np.abs(partial_sum_stack(f, seq.size) - walk)) <= 1e-12
-    ns = np.arange(2, seq.size + 1)
-    rows = log_mean_rows(walk[:-1], ns)
+    ((ns, rows),) = log_mean_blocks(walk[:-1], seq.size)
+    assert list(ns) == list(range(2, seq.size + 1))
     for n in ns:
         want = sum(walk[k] / (n - k) for k in range(1, n)) / harmonic_l(n)
         assert np.max(np.abs(log_mean(f, n).values - want)) <= 1e-12
@@ -360,10 +357,25 @@ def test_stack_memory_check_counts_quotient_points(monkeypatch):
         partial_sum_stack(f, 300)
 
 
+def assert_near_dense(rows, stack, ns):
+    """``rows`` are L_n f for the orders ``ns`` to relative 1e-15: the reference
+    applies the triangle 1/((n - k) l_n), 1 <= k < n, to every row of
+    ``stack`` as one complex product."""
+    ks = np.arange(stack.shape[0])
+    ell = np.cumsum(1.0 / np.arange(1, ns.max() + 1))[ns - 1]
+    gap = ns[:, None] - ks
+    tri = np.zeros(gap.shape)
+    np.divide(1.0, gap * ell[:, None], out=tri, where=(gap > 0) & (ks >= 1))
+    want = tri.astype(np.complex128) @ stack
+    assert rows.shape == want.shape
+    scale_ = np.max(np.abs(want), axis=1, keepdims=True)
+    assert np.all(np.abs(rows - want) <= 1e-15 * scale_)
+
+
 def test_log_mean_triangles_are_built_once_per_n_max(monkeypatch):
     # orders 2..300 fall in 5 blocks of at most 64; the stacks of a run
-    # share n_max, so each block's triangle is built once, and the rows
-    # are bitwise those of log_mean_rows, which builds its own triangle
+    # share n_max, so each block's triangle is built once, and every
+    # block's rows match the dense reference
     built = []
     real = means_mod._log_mean_triangle
 
@@ -380,23 +392,17 @@ def test_log_mean_triangles_are_built_once_per_n_max(monkeypatch):
     for stack, stack_blocks in zip(stacks, blocks):
         assert [int(ns[-1]) for ns, _ in stack_blocks] == [65, 129, 193, 257, 300]
         for ns, rows in stack_blocks:
-            assert np.array_equal(rows, log_mean_rows(stack, ns))
+            assert_near_dense(rows, stack, ns)
 
 
-def test_log_mean_rows_real_product_matches_complex_product():
-    # the triangle is applied to interleaved real and imaginary parts over
-    # the columns k < max(ns) only; the complex product over every column
-    # of the stack is the reference
+def test_log_mean_blocks_real_product_matches_complex_product():
+    # each block's triangle is applied to interleaved real and imaginary
+    # parts over the columns k < max(ns) only; the complex product over
+    # every column of the stack is the reference
     seq = build_radix((2, 3) * 4)
     stack = partial_sum_stack(random_function(seq, 31), 300)
-    ks = np.arange(stack.shape[0])
-    for ns in (np.arange(2, 66), np.arange(66, 130), np.arange(2, 301), np.array([7, 3, 300, 2])):
-        ell = harmonic_numbers(300)[ns - 1]
-        gap = ns[:, None] - ks
-        tri = np.zeros(gap.shape)
-        np.divide(1.0, gap * ell[:, None], out=tri, where=(gap > 0) & (ks >= 1))
-        want = tri.astype(np.complex128) @ stack
-        got = log_mean_rows(stack, ns)
-        assert got.shape == want.shape
-        scale_ = np.max(np.abs(want), axis=1, keepdims=True)
-        assert np.all(np.abs(got - want) <= 1e-15 * scale_)
+    orders = []
+    for ns, rows in log_mean_blocks(stack, 300):
+        assert_near_dense(rows, stack, ns)
+        orders += list(ns)
+    assert orders == list(range(2, 301))

@@ -125,20 +125,29 @@ def test_condition6_verdicts():
 # ---------------------------------------------------------------------------
 
 
+def partial_sum_maximal(f, weight):
+    """max over 1 <= n <= M_N of |S_n f| / phi(n+1) at the M_N points of the group."""
+    s_stack = partial_sum_stack(f, f.radix_seq.size)
+    ws = weight.phi(np.arange(2, len(s_stack) + 1))
+    return np.max(np.abs(s_stack[1:]) / ws[:, None], axis=0)
+
+
 def test_weighted_maximal_of_zero():
     seq = dyadic(4)
-    for kind in ("partial_sum", "log_mean"):
-        out = weighted_maximal(StepFunction(seq, np.zeros(seq.size)), kind, log_weight(), seq.size)
-        assert np.max(np.abs(out.values)) == 0.0
+    out = weighted_maximal(StepFunction(seq, np.zeros(seq.size)), log_weight(), seq.size)
+    assert np.max(np.abs(out.values)) == 0.0
 
 
 def test_weighted_maximal_of_character_partial_sums():
-    # S_n psi_1 = psi_1 for n >= 2, else 0; the critical weight at p = 1/2
-    # divides by n + 1, so the sup is 1/3 at n = 2
+    # S_k psi_1 = psi_1 for k >= 2, else 0, so L_2 psi_1 = 0 and
+    # L_n psi_1 = psi_1 l_{n-2} / l_n for n >= 3; the critical weight at
+    # p = 1/2 divides by n + 1, and the sup is 18/125 at n = 4
     seq = dyadic(4)
     psi1 = StepFunction(seq, character_rows(seq, 1, 2)[0])
-    out = weighted_maximal(psi1, "partial_sum", critical_power_weight(0.5), seq.size)
-    assert np.max(np.abs(out.values - 1.0 / 3.0)) <= 1e-12
+    out = weighted_maximal(psi1, critical_power_weight(0.5), seq.size)
+    closed = [harmonic_l(n - 2) / ((n + 1) * harmonic_l(n)) for n in range(3, seq.size + 1)]
+    assert max(closed) == closed[1] == pytest.approx(18 / 125, rel=1e-15)
+    assert np.max(np.abs(out.values - 18 / 125)) <= 1e-15
 
 
 def test_weighted_maximal_domination_log_vs_partial():
@@ -146,9 +155,9 @@ def test_weighted_maximal_domination_log_vs_partial():
     for seed in range(5):
         f = random_function(seq, seed)
         for weight in (critical_power_weight(0.5), log_weight()):
-            log_side = weighted_maximal(f, "log_mean", weight, seq.size)
-            sum_side = weighted_maximal(f, "partial_sum", weight, seq.size)
-            assert np.all(log_side.values.real <= sum_side.values.real + 1e-12)
+            log_side = weighted_maximal(f, weight, seq.size)
+            sum_side = partial_sum_maximal(f, weight)
+            assert np.all(log_side.values.real <= sum_side + 1e-12)
 
 
 def test_weighted_maximal_monotone_in_nmax():
@@ -157,42 +166,29 @@ def test_weighted_maximal_monotone_in_nmax():
     w = log_weight()
     prev = None
     for n_max in (2, 4, 8, 16, 32):
-        cur = weighted_maximal(f, "log_mean", w, n_max)
+        cur = weighted_maximal(f, w, n_max)
         if prev is not None:
             assert np.all(cur.values.real >= prev.values.real - 1e-15)
         prev = cur
-
-
-def test_weighted_maximal_partial_sum_stabilizes_at_full_order():
-    # beyond n_max = M_N every partial sum equals f while the weight keeps
-    # growing, so the computed sup already dominates the whole tail
-    seq = dyadic(4)
-    f = random_function(seq, 4)
-    w = critical_power_weight(0.5)
-    full = weighted_maximal(f, "partial_sum", w, seq.size)
-    tail_term = np.abs(f.values) / w.phi(seq.size + 2)
-    assert np.all(full.values.real >= tail_term - 1e-15)
 
 
 def test_weighted_maximal_errors():
     seq = dyadic(3)
     f = random_function(seq)
     with pytest.raises(InvalidWeight):
-        weighted_maximal(f, "cesaro", log_weight(), 4)
-    with pytest.raises(InvalidWeight):
-        weighted_maximal(f, "log_mean", "log", 4)
+        weighted_maximal(f, "log", 4)
     with pytest.raises(IndexOutOfRange):
-        weighted_maximal(f, "log_mean", log_weight(), seq.size + 1)
+        weighted_maximal(f, log_weight(), seq.size + 1)
     with pytest.raises(IndexOutOfRange):
-        weighted_maximal(f, "log_mean", log_weight(), 1)
+        weighted_maximal(f, log_weight(), 1)
 
 
 def test_weighted_maximal_scaling_exact_for_power_of_two():
     seq = dyadic(4)
     f = random_function(seq, 12)
     w = log_weight()
-    base = weighted_maximal(f, "log_mean", w, seq.size)
-    scaled = weighted_maximal(StepFunction(seq, f.values * 4.0), "log_mean", w, seq.size)
+    base = weighted_maximal(f, w, seq.size)
+    scaled = weighted_maximal(StepFunction(seq, f.values * 4.0), w, seq.size)
     assert np.array_equal(scaled.values, base.values * 4.0)
 
 
@@ -272,9 +268,9 @@ _QUOTIENT_WIDTHS = [
 def test_quotient_stack_matches_whole_group(radices, n_max, width):
     # a stack of order n_max lives on the M_r = width points of the rank-r
     # quotient; tiled M_N / M_r times it is the stack on the whole group,
-    # and the maximal functions and the domination slack are those of the
+    # and the maximal function and the domination slack are those of the
     # whole-group stack.  The stacks are equal bit for bit; the log-mean
-    # rows behind the maximal functions come from triangle products of
+    # rows behind the maximal function come from triangle products of
     # different widths, which may round the last bit differently
     seq = build_radix(radices)
     f = random_function(seq, 41)
@@ -287,13 +283,11 @@ def test_quotient_stack_matches_whole_group(radices, n_max, width):
     assert np.array_equal(np.tile(stack, copies), full)
 
     weight = power_weight(1.0)
-    ps_want = np.max(np.abs(full[1:]) / weight.phi(np.arange(2, n_max + 2))[:, None], axis=0)
-    lm_want = np.zeros(seq.size)
+    want = np.zeros(seq.size)
     for ns, rows in log_mean_blocks(full, n_max):
-        lm_want = np.maximum(lm_want, np.max(np.abs(rows) / weight.phi(ns + 1)[:, None], axis=0))
-    for kind, want in (("partial_sum", ps_want), ("log_mean", lm_want)):
-        got = weighted_maximal(f, kind, weight, n_max).values
-        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+        want = np.maximum(want, np.max(np.abs(rows) / weight.phi(ns + 1)[:, None], axis=0))
+    got = weighted_maximal(f, weight, n_max).values
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
     for p in (0.5, 0.8):
         want = _full_accumulate_slack(full, p, n_max)
         assert abs(domination_check(f, p, n_max).max_slack - want) <= 1e-12 * abs(want)
@@ -310,7 +304,7 @@ def test_log_mean_maximal_memory_does_not_grow_with_the_group():
     means_mod._log_mean_triangles.cache_clear()
     tracemalloc.start()
     try:
-        weighted_maximal(f, "log_mean", log_weight(), 300)
+        weighted_maximal(f, log_weight(), 300)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -398,7 +392,7 @@ def test_ratio_log_mean_below_partial_sum_version():
         f = random_function(seq, seed)
         h = hardy_quasinorm(f, 0.5)
         log_ratio = boundedness_ratio(f, 0.5, w, seq.size)
-        sum_ratio = lp_quasinorm(weighted_maximal(f, "partial_sum", w, seq.size), 0.5) / h
+        sum_ratio = lp_quasinorm(StepFunction(seq, partial_sum_maximal(f, w)), 0.5) / h
         assert log_ratio <= sum_ratio * (1 + 1e-12)
 
 
