@@ -323,14 +323,13 @@ def theta_bracket(
     c2 = max(y / n**expo for n, y, _ in points)
     c1 = min(min(y * math.log(n + 1.0) / n**expo for n, y, _ in points), c2)
     top = max(n for n, _, _ in points)
-    grid = np.unique(np.geomspace(2, max(top, 4), THETA_GRID).astype(np.int64))
+    grid = sorted({int(n) for n in np.geomspace(2, max(top, 4), THETA_GRID).astype(np.int64)})
     report = ExperimentReport(columns=list(THETA_COLUMNS))
     report.add_meta("p", p)
     report.add_meta("C1", c1)
     report.add_meta("C2", c2)
     report.add_meta("note", "exploratory envelope fit from finite data; no optimality claim")
     for n in grid:
-        n = int(n)
         report.add_row(n, c1 * n**expo / math.log(n + 1.0), c2 * n**expo, None, "grid")
     for n, y, source in points:
         n = int(n)

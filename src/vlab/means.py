@@ -11,7 +11,11 @@ never touches q_0:
 Single means are coefficient multipliers on the whole group.  Stacks of
 every S_n f and L_n f up to an order n_max live on the rank-r quotient
 (:func:`quotient`, M_r >= n_max): they are constant on rank-r cylinders,
-so their work and memory grow with M_r, not M_N.
+so their work and memory grow with M_r, not M_N.  The same identity,
+applied one level at a time, shapes the log-mean product of
+:func:`log_mean_blocks`: S_k with M_{s-1} < k <= M_s is constant on
+rank-s cylinders, so those rows meet the log-mean triangle on their
+first M_s points only.
 """
 
 from __future__ import annotations
@@ -22,7 +26,13 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import CapacityExceeded, IndexOutOfRange, InvalidWeight, ZeroTotalWeight
+from .errors import (
+    CapacityExceeded,
+    IndexOutOfRange,
+    InvalidWeight,
+    ResolutionMismatch,
+    ZeroTotalWeight,
+)
 from .group_core import RadixSequence, truncate
 from .step_functions import StepFunction
 from .transform import ROW_BLOCK, character_rows, forward_fast, synthesize_multiplier
@@ -191,40 +201,68 @@ def _log_mean_triangle(ns: np.ndarray) -> np.ndarray:
     return tri
 
 
-# Orders per block of :func:`log_mean_blocks`.  Each block holds its
-# log-mean rows and their moduli, about _BLOCK * M_r complex plus
-# float entries, beside the stack and its shared character rows.
+# Orders per block of :func:`log_mean_blocks`, and the least scale that
+# gets a level of its own in a block's product.  Each block holds its
+# log-mean rows and their moduli, at most _BLOCK * M_r complex plus float
+# entries, beside the stack and its shared character rows.
 _BLOCK = 64
 
 
 @lru_cache(maxsize=1)
-def _log_mean_triangles(n_max: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """(ns, triangle) for n = 2..n_max, _BLOCK orders at a time.
+def _log_mean_plan(scales: tuple[int, ...], n_max: int):
+    """(ns, triangle, levels) for n = 2..n_max, _BLOCK orders at a time.
 
-    One entry is cached: every stack of a run shares n_max, so each
-    block's triangle is built once per run.
+    A block reaches the stack rows k = 1..max(ns) - 1.  Row k <= M_s is
+    S_k f, constant on rank-s cylinders, so the rows k in (M_{s-1}, M_s]
+    form a level that needs only the first M_s points of the stack.  The
+    levels are cut at the ``scales`` >= _BLOCK; the rows below the first
+    cut form one level.  ``levels`` holds (lo, hi, m) for the rows
+    lo..hi-1 at width m, the smallest scale >= hi - 1, widest first.
+
+    One entry is cached: every stack of a run shares its quotient and
+    n_max, so each block is planned once per run.
     """
     blocks = []
     for start in range(2, n_max + 1, _BLOCK):
         ns = np.arange(start, min(start + _BLOCK, n_max + 1))
         tri = _log_mean_triangle(ns)
         ns.flags.writeable = tri.flags.writeable = False
-        blocks.append((ns, tri))
+        top = int(ns[-1]) - 1  # the last stack row the block reaches
+        bounds = [1, *(m + 1 for m in scales if _BLOCK <= m < top), top + 1]
+        levels = tuple(
+            (lo, hi, next(m for m in scales if m >= hi - 1))
+            for lo, hi in zip(bounds, bounds[1:])
+        )
+        blocks.append((ns, tri, levels[::-1]))
     return tuple(blocks)
 
 
-def log_mean_blocks(s_stack: np.ndarray, n_max: int):
+def log_mean_blocks(s_stack: np.ndarray, group: RadixSequence, n_max: int):
     """Yield (ns, rows L_n f for n in ns) for n = 2..n_max from a :func:`partial_sum_stack`.
 
-    The stack needs rows up to n_max - 1; the rows have its width.
+    ``group`` is the quotient the stack lives on, and the stack needs rows
+    up to n_max - 1.  A block's rows have width w, the smallest scale of
+    ``group`` >= max(ns) - 1: entry i of a row is L_n f at every point
+    whose linear index is i mod w.
     """
+    if s_stack.shape[1] != group.size:
+        raise ResolutionMismatch(f"stack of width {s_stack.shape[1]} is not on M_r = {group.size}")
     if n_max > s_stack.shape[0]:
         raise IndexOutOfRange(f"log mean orders need n <= {s_stack.shape[0]}")
-    for ns, tri in _log_mean_triangles(n_max):
-        # the triangle is real, so it multiplies the interleaved real and
-        # imaginary parts of the stack rows it reaches as one real product
-        parts = np.ascontiguousarray(s_stack[: tri.shape[1]], dtype=np.complex128).view(np.float64)
-        yield ns, (tri @ parts).view(np.complex128)
+    parts = np.ascontiguousarray(s_stack, dtype=np.complex128).view(np.float64)
+    for ns, tri, levels in _log_mean_plan(group.scales, n_max):
+        # the triangle is real, so each level multiplies the interleaved
+        # real and imaginary parts of its rows' first m points as one real
+        # product; a narrower level repeats across the widest one
+        rows = None
+        for lo, hi, m in levels:
+            part = (tri[:, lo:hi] @ parts[lo:hi, : 2 * m]).view(np.complex128)
+            if rows is None:
+                rows = part
+            else:
+                folded = rows.reshape(len(ns), -1, m)
+                folded += part[:, None, :]
+        yield ns, rows
 
 
 def norlund_mean(f: StepFunction, n: int, weights: WeightSequence) -> StepFunction:

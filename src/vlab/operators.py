@@ -22,7 +22,7 @@ from .errors import (
     RankOutOfRange,
 )
 from .group_core import RadixSequence
-from .means import log_mean_blocks, partial_sum_stack, weights_from_file
+from .means import log_mean_blocks, partial_sum_stack, quotient, weights_from_file
 from .step_functions import (
     StepFunction,
     check_exponent,
@@ -137,12 +137,15 @@ def weighted_maximal(f: StepFunction, weight: WeightFunction, n_max: int) -> Ste
         raise IndexOutOfRange(f"n_max {n_max} outside 2..{seq.size}")
     # n_max rows, as domination_check asks for, so both share the cached
     # characters of partial_sum_stack
+    group = quotient(seq, n_max)
     s_stack = partial_sum_stack(f, n_max)
-    best = np.zeros(s_stack.shape[1], dtype=np.float64)
-    for ns, rows in log_mean_blocks(s_stack, n_max):
+    best = np.zeros(group.size, dtype=np.float64)
+    for ns, rows in log_mean_blocks(s_stack, group, n_max):
         cand = np.abs(rows)
         cand /= weight.phi(ns + 1)[:, None]
-        np.maximum(best, cand.max(axis=0), out=best)
+        # the rows repeat every w points, so they fold into every copy
+        folded = best.reshape(-1, rows.shape[1])
+        np.maximum(folded, cand.max(axis=0), out=folded)
     return StepFunction(seq, np.tile(best, seq.size // best.size))
 
 
@@ -165,24 +168,31 @@ def domination_check(f: StepFunction, p: float, n_max: int) -> DominationResult:
     seq = f.radix_seq
     if n_max < 2 or n_max > seq.size:
         raise IndexOutOfRange(f"n_max {n_max} outside 2..{seq.size}")
+    group = quotient(seq, n_max)
     s_stack = partial_sum_stack(f, n_max)
     # k_weights[k - 1] = phi(k+1) = (k+1)^{1/p-1} for k = 1..n_max
     k_weights = weight.phi(np.arange(2, n_max + 2))
-    # sup over 1 <= k < ns[0] of |S_k| / phi(k+1), carried from block to block
-    best = np.abs(s_stack[1]) / k_weights[0]
+    # sup over 1 <= k < ns[0] of |S_k| / phi(k+1), carried from block to
+    # block; S_1 f is constant
+    best = np.abs(s_stack[1, :1]) / k_weights[0]
     worst = -np.inf
-    for ns, rows in log_mean_blocks(s_stack, n_max):
+    for ns, rows in log_mean_blocks(s_stack, group, n_max):
+        # S_n f for n in ns lives on the first m points, the log means one
+        # order lower on the first w, and w divides m
+        m = quotient(group, int(ns[-1])).size
+        w = rows.shape[1]
         # running[i] = sup over 1 <= k <= ns[i] of |S_k| / phi(k+1)
         ws = k_weights[ns - 1, None]
-        running = np.abs(s_stack[ns[0] : ns[-1] + 1])
+        running = np.abs(s_stack[ns[0] : ns[-1] + 1, :m])
         running /= ws
-        np.maximum(running[0], best, out=running[0])
+        np.maximum(running[0], np.tile(best, m // best.size), out=running[0])
         np.maximum.accumulate(running, axis=0, out=running)
         best = running[-1].copy()
         lhs = np.abs(rows)
         lhs /= ws
-        lhs -= running
-        worst = max(worst, float(np.max(lhs)))
+        slack = running.reshape(len(ns), m // w, w)
+        np.subtract(lhs[:, None, :], slack, out=slack)
+        worst = max(worst, float(np.max(slack)))
     return DominationResult(passed=worst <= DOMINATION_TOL, max_slack=worst)
 
 

@@ -60,14 +60,14 @@ def weak_lp_quasinorm(f: StepFunction, p: float) -> float:
     of v * mu{|f| >= v}^{1/p}; that finite max is what is computed here.
     """
     p = check_exponent(p)
-    a = np.abs(f.values)
-    vs = np.unique(a)
-    vs = vs[vs > 0]
-    if vs.size == 0:
+    a_sorted = np.sort(np.abs(f.values))
+    # the first position of each distinct value v counts mu{|f| >= v}
+    first = np.flatnonzero(np.diff(a_sorted, prepend=-1.0))
+    first = first[a_sorted[first] > 0]
+    if first.size == 0:
         return 0.0
-    a_sorted = np.sort(a)
-    count_ge = a.size - np.searchsorted(a_sorted, vs, side="left")
-    return float(np.max(vs * (count_ge / a.size) ** (1.0 / p)))
+    count_ge = a_sorted.size - first
+    return float(np.max(a_sorted[first] * (count_ge / a_sorted.size) ** (1.0 / p)))
 
 
 def conditional_average(f: StepFunction, rank: int) -> StepFunction:

@@ -69,6 +69,23 @@ def test_transform_empty_radices_is_config_error(tmp_path):
     assert code == 2
 
 
+def _reports_under_blas_threads(tmp_path, argv, names):
+    """Run ``vlab <argv> --out r.csv`` in a fresh process under 1 and 2
+    OpenBLAS threads; the reports ``names`` of each run, without the
+    ``# out=`` line."""
+    src = Path(vlab.__file__).resolve().parents[1]
+    runs = []
+    for threads in ("1", "2"):
+        work = tmp_path / f"t{threads}"
+        work.mkdir()
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": str(src)}
+        subprocess.run([sys.executable, "-m", "vlab", *argv, "--out", str(work / "r.csv")],
+                       env=env, check=True, capture_output=True, timeout=120)
+        runs.append([[l for l in (work / name).read_text().splitlines()
+                      if not l.startswith("# out=")] for name in names])
+    return runs
+
+
 # M_N = 288 and 1296, neither a multiple of OpenBLAS's inner block; at 1296
 # the oracle's products would split their sums by thread count if they
 # exceeded transform.PRODUCT_MADDS
@@ -77,15 +94,40 @@ def test_transform_empty_radices_is_config_error(tmp_path):
     ["--radices", "2,3", "--depth", "8", "--samples", "4", "--seed", "7"],
 ])
 def test_transform_report_is_independent_of_blas_threads(tmp_path, argv):
+    one, two = _reports_under_blas_threads(tmp_path, ["transform", *argv], ["r.csv"])
+    assert one == two
+
+
+# theorem-a's log-mean blocks are products of several shapes: at nmax 150
+# on (2,3) the blocks cross the level cut at M_5 = 72, and at nmax = M_N
+# = 512 dyadic every scale from 64 up cuts a level
+@pytest.mark.parametrize("argv, names", [
+    (["theorem-a", "--radices", "2,3", "--depth", "6", "--nmax", "150", "--samples", "10",
+      "--seed", "7"], ["r.csv", "r.domination.csv"]),
+    (["theorem-a", "--radices", "2", "--depth", "9", "--nmax", "512", "--samples", "6",
+      "--seed", "7"], ["r.csv", "r.domination.csv"]),
+    (["theorem-b", "--radices", "2", "--k-list", "1,2,3,4,5,6", "--theta-samples", "5",
+      "--seed", "7"], ["r.csv", "r.theta.csv"]),
+], ids=["theorem-a-2,3-150", "theorem-a-2-MN", "theorem-b"])
+def test_mean_reports_are_independent_of_blas_threads(tmp_path, argv, names):
+    one, two = _reports_under_blas_threads(tmp_path, argv, names)
+    assert one == two
+
+
+@pytest.mark.parametrize("argv", [
+    ["theorem-b", "--k-list", "1,2,3", "--theta-samples", "2"],
+    ["norms", "--fn", "dirichlet:5"],
+])
+def test_commands_leave_numpy_ma_unimported(tmp_path, argv):
+    # numpy imports numpy.ma on the first np.unique call, 10-15 ms of a
+    # short command's start-up
     src = Path(vlab.__file__).resolve().parents[1]
-    reports = []
-    for threads in ("1", "2"):
-        out = tmp_path / f"t{threads}.csv"
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": str(src)}
-        subprocess.run([sys.executable, "-m", "vlab", "transform", *argv, "--out", str(out)],
-                       env=env, check=True, capture_output=True, timeout=120)
-        reports.append([l for l in out.read_text().splitlines() if not l.startswith("# out=")])
-    assert reports[0] == reports[1]
+    code = ("import sys; from vlab.cli import main; "
+            "print(main(sys.argv[1:]), 'numpy.ma' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", code, *argv, "--out", str(tmp_path / "r.csv")],
+                         env=env, check=True, capture_output=True, text=True, timeout=120)
+    assert out.stdout.splitlines()[-1] == "0 False"
 
 
 def test_transform_default_scale_op_ratio(tmp_path):

@@ -3,8 +3,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from vlab.errors import CapacityExceeded, IndexOutOfRange, InvalidWeight, ZeroTotalWeight
-from vlab.group_core import build_radix
+from vlab.errors import (
+    CapacityExceeded,
+    IndexOutOfRange,
+    InvalidWeight,
+    ResolutionMismatch,
+    ZeroTotalWeight,
+)
+from vlab.group_core import build_radix, cycle_radices
 import vlab.means as means_mod
 import vlab.transform as transform_mod
 from vlab.means import (
@@ -16,6 +22,7 @@ from vlab.means import (
     norlund_mean,
     ones_weights,
     partial_sum_stack,
+    quotient,
     weight_sequence_from_spec,
     weights_from_file,
 )
@@ -231,14 +238,19 @@ def test_batch_out_of_range():
         partial_sum_stack(StepFunction(seq, np.ones(seq.size)), seq.size + 1)
     stack = partial_sum_stack(StepFunction(seq, np.ones(seq.size)), 3)
     with pytest.raises(IndexOutOfRange):
-        next(log_mean_blocks(stack, 5))
+        next(log_mean_blocks(stack, seq, 5))
+    # a stack of order 2 lives on the M_1 = 2 points of its quotient
+    stack = partial_sum_stack(StepFunction(seq, np.ones(seq.size)), 2)
+    with pytest.raises(ResolutionMismatch):
+        next(log_mean_blocks(stack, seq, 2))
 
 
 def test_log_mean_stack_matches_single_calls():
     seq = build_radix((2, 3, 2, 3))
     f = random_function(seq, 11)
     n_max = 20
-    ((ns, rows),) = log_mean_blocks(partial_sum_stack(f, n_max - 1), n_max)
+    stack = partial_sum_stack(f, n_max - 1)
+    ((ns, rows),) = log_mean_blocks(stack, quotient(seq, n_max - 1), n_max)
     assert list(ns) == list(range(2, n_max + 1))
     assert rows.shape == (n_max - 1, seq.size)
     for n in range(2, n_max + 1):
@@ -268,7 +280,7 @@ def test_log_mean_stacks_match_walk():
     f = random_function(seq, 22)
     walk = walk_partial_sums(f, seq.size)
     assert np.max(np.abs(partial_sum_stack(f, seq.size) - walk)) <= 1e-12
-    ((ns, rows),) = log_mean_blocks(walk[:-1], seq.size)
+    ((ns, rows),) = log_mean_blocks(walk[:-1], seq, seq.size)
     assert list(ns) == list(range(2, seq.size + 1))
     for n in ns:
         want = sum(walk[k] / (n - k) for k in range(1, n)) / harmonic_l(n)
@@ -357,25 +369,28 @@ def test_stack_memory_check_counts_quotient_points(monkeypatch):
         partial_sum_stack(f, 300)
 
 
-def assert_near_dense(rows, stack, ns):
-    """``rows`` are L_n f for the orders ``ns`` to relative 1e-15: the reference
-    applies the triangle 1/((n - k) l_n), 1 <= k < n, to every row of
-    ``stack`` as one complex product."""
+def assert_near_dense(rows, stack, group, ns, rtol=1e-15):
+    """``rows`` are L_n f for the orders ``ns`` to relative ``rtol``, on the
+    first w points of ``group``, w its smallest scale >= max(ns) - 1: the
+    reference applies the triangle 1/((n - k) l_n), 1 <= k < n, to every
+    row of ``stack`` as one complex product at every point."""
     ks = np.arange(stack.shape[0])
     ell = np.cumsum(1.0 / np.arange(1, ns.max() + 1))[ns - 1]
     gap = ns[:, None] - ks
     tri = np.zeros(gap.shape)
     np.divide(1.0, gap * ell[:, None], out=tri, where=(gap > 0) & (ks >= 1))
     want = tri.astype(np.complex128) @ stack
-    assert rows.shape == want.shape
+    width = quotient(group, int(ns[-1]) - 1).size
+    assert rows.shape == (len(ns), width)
+    got = np.tile(rows, group.size // width)
     scale_ = np.max(np.abs(want), axis=1, keepdims=True)
-    assert np.all(np.abs(rows - want) <= 1e-15 * scale_)
+    assert np.all(np.abs(got - want) <= rtol * scale_)
 
 
 def test_log_mean_triangles_are_built_once_per_n_max(monkeypatch):
     # orders 2..300 fall in 5 blocks of at most 64; the stacks of a run
-    # share n_max, so each block's triangle is built once, and every
-    # block's rows match the dense reference
+    # share their quotient and n_max, so each block's triangle is built
+    # once, and every block's rows match the dense reference
     built = []
     real = means_mod._log_mean_triangle
 
@@ -384,25 +399,53 @@ def test_log_mean_triangles_are_built_once_per_n_max(monkeypatch):
         return real(ns)
 
     monkeypatch.setattr(means_mod, "_log_mean_triangle", counting)
-    means_mod._log_mean_triangles.cache_clear()
+    means_mod._log_mean_plan.cache_clear()
     seq = build_radix((2, 3) * 4)
-    stacks = [partial_sum_stack(random_function(seq, seed), 300) for seed in (1, 2, 3)]
-    blocks = [list(log_mean_blocks(stack, 300)) for stack in stacks]
+    group = quotient(seq, 300)
+    stacks = [partial_sum_stack(random_function(seq, seed), 300) for seed in (1, 2, 3, 31)]
+    blocks = [list(log_mean_blocks(stack, group, 300)) for stack in stacks]
     assert built == [2, 66, 130, 194, 258]
     for stack, stack_blocks in zip(stacks, blocks):
         assert [int(ns[-1]) for ns, _ in stack_blocks] == [65, 129, 193, 257, 300]
+        assert [int(n) for ns, _ in stack_blocks for n in ns] == list(range(2, 301))
         for ns, rows in stack_blocks:
-            assert_near_dense(rows, stack, ns)
+            assert_near_dense(rows, stack, group, ns)
 
 
-def test_log_mean_blocks_real_product_matches_complex_product():
-    # each block's triangle is applied to interleaved real and imaginary
-    # parts over the columns k < max(ns) only; the complex product over
-    # every column of the stack is the reference
-    seq = build_radix((2, 3) * 4)
-    stack = partial_sum_stack(random_function(seq, 31), 300)
+# n_max at a scale M_s >= 64 and one and two past it: on (2,3)x4 at
+# M_5 = 72 and M_6 = 216, on (3,5,3) cycled to depth 5 at M_4 = 135, and
+# dyadic at M_N = 1024
+_LEVEL_CASES = [
+    *(pytest.param((2, 3) * 4, n, id=f"2,3x4-{n}") for n in (72, 73, 74, 216, 217, 218)),
+    *(pytest.param(cycle_radices((3, 5, 3), 5), n, id=f"3,5,3-{n}") for n in (135, 136, 137)),
+    pytest.param((2,) * 10, 1024, id="2x10-1024"),
+]
+
+
+@pytest.mark.parametrize("radices, n_max", _LEVEL_CASES)
+def test_level_product_matches_dense_reference(radices, n_max):
+    # each level of a block's triangle meets only the first M_s points of
+    # its stack rows; the rows, repeated over the quotient, are the dense
+    # product over every row and point
+    seq = build_radix(radices)
+    group = quotient(seq, n_max)
+    stack = partial_sum_stack(random_function(seq, 37), n_max)
     orders = []
-    for ns, rows in log_mean_blocks(stack, 300):
-        assert_near_dense(rows, stack, ns)
+    for ns, rows in log_mean_blocks(stack, group, n_max):
+        assert_near_dense(rows, stack, group, ns, rtol=1e-12)
         orders += list(ns)
-    assert orders == list(range(2, 301))
+    assert orders == list(range(2, n_max + 1))
+
+
+def test_level_plan_cuts_the_product_work():
+    # at the domination parameters (n_max = 300 on (2,3)x4, M_r = 432) the
+    # levels are cut at the scales 72 and 216; the full-width product of
+    # every block reaches (max(ns) columns) x 432 points per order
+    group = quotient(build_radix((2, 3) * 4), 300)
+    plan = means_mod._log_mean_plan(group.scales, 300)
+    assert plan[-1][2] == ((217, 300, 432), (73, 217, 216), (1, 73, 72))
+    assert [levels[0][2] for _, _, levels in plan] == [72, 216, 216, 432, 432]
+    full = sum(len(ns) * int(ns[-1]) * group.size for ns, _, _ in plan)
+    levelled = sum(len(ns) * (hi - lo) * m for ns, _, levels in plan for lo, hi, m in levels)
+    assert full == 23_378_112
+    assert levelled <= 0.45 * full

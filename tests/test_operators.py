@@ -12,7 +12,7 @@ from vlab.errors import (
 )
 from vlab.group_core import build_radix, cycle_radices
 import vlab.means as means_mod
-from vlab.means import log_mean_blocks, partial_sum_stack
+from vlab.means import log_mean_blocks, partial_sum_stack, quotient
 from vlab.operators import (
     WeightFunction,
     boundedness_ratio,
@@ -215,29 +215,36 @@ def test_domination_on_random_functions():
         assert res.max_slack <= 1e-12
 
 
-def _full_accumulate_slack(s_stack, p, n_max):
-    # the running sup of |S_k| / (k+1)^(1/p-1) as one accumulate over every order
+def _full_accumulate_slack(s_stack, group, p, n_max):
+    # the running sup of |S_k| / (k+1)^(1/p-1) as one accumulate over every
+    # order, at every point of the stack
     expo = 1.0 / p - 1.0
     k_weights = (np.arange(1, n_max + 1) + 1.0) ** expo
     running = np.maximum.accumulate(np.abs(s_stack[1:]) / k_weights[:, None], axis=0)
     worst = -np.inf
-    for ns, rows in log_mean_blocks(s_stack, n_max):
+    for ns, rows in log_mean_blocks(s_stack, group, n_max):
         lhs = np.abs(rows) / ((ns + 1.0) ** expo)[:, None]
+        lhs = np.tile(lhs, group.size // rows.shape[1])
         worst = max(worst, float(np.max(lhs - running[ns - 1])))
     return worst
 
 
-@pytest.mark.parametrize("radices", [(2, 3) * 4, cycle_radices((3, 5, 3), 5)], ids=["2,3x4", "3,5,3"])
+@pytest.mark.parametrize(
+    "radices", [(2, 3) * 4, cycle_radices((3, 5, 3), 5), (2,) * 9], ids=["2,3x4", "3,5,3", "2x9"]
+)
 @pytest.mark.parametrize("n_max", [2, 64, 65, 129, 300])
 def test_blocked_running_max_matches_full_accumulate(radices, n_max):
     # orders 2..65 fill the first block of 64 and 66..129 the second, so 65
     # and 129 end on a block boundary and 300 carries the running sup across
     # four; the log-mean rows come from the same blocks, so only the running
-    # sup differs from the reference
+    # sup differs from the reference.  Dyadic, the blocks ending at 65 and
+    # 129 give log means on 64 and 128 points, while S_65 and S_129 take
+    # 128 and 256
     seq = build_radix(radices)
     for seed, p in ((14, 0.5), (15, 0.8)):
         f = random_function(seq, seed)
-        want = _full_accumulate_slack(partial_sum_stack(f, n_max), p, n_max)
+        stack = partial_sum_stack(f, n_max)
+        want = _full_accumulate_slack(stack, quotient(seq, n_max), p, n_max)
         assert domination_check(f, p, n_max).max_slack == want
 
 
@@ -284,12 +291,13 @@ def test_quotient_stack_matches_whole_group(radices, n_max, width):
 
     weight = power_weight(1.0)
     want = np.zeros(seq.size)
-    for ns, rows in log_mean_blocks(full, n_max):
-        want = np.maximum(want, np.max(np.abs(rows) / weight.phi(ns + 1)[:, None], axis=0))
+    for ns, rows in log_mean_blocks(full, seq, n_max):
+        cand = np.max(np.abs(rows) / weight.phi(ns + 1)[:, None], axis=0)
+        want = np.maximum(want, np.tile(cand, seq.size // rows.shape[1]))
     got = weighted_maximal(f, weight, n_max).values
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
     for p in (0.5, 0.8):
-        want = _full_accumulate_slack(full, p, n_max)
+        want = _full_accumulate_slack(full, seq, p, n_max)
         assert abs(domination_check(f, p, n_max).max_slack - want) <= 1e-12 * abs(want)
 
 
@@ -301,7 +309,7 @@ def test_log_mean_maximal_memory_does_not_grow_with_the_group():
     f = random_function(seq, 43)
     assert partial_sum_stack(f, 300).shape == (301, 432)
     means_mod.leading_rows.cache_clear()
-    means_mod._log_mean_triangles.cache_clear()
+    means_mod._log_mean_plan.cache_clear()
     tracemalloc.start()
     try:
         weighted_maximal(f, log_weight(), 300)
@@ -309,6 +317,20 @@ def test_log_mean_maximal_memory_does_not_grow_with_the_group():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+def test_domination_reads_each_partial_sum_on_its_cylinders():
+    # f = 1 + psi_64 on dyadic(7): S_k = 1 for 1 <= k <= 64, and S_65 is 2
+    # on the first 64 points and 0 on the other 64, where the running sup
+    # stays 1/phi(2).  The log means below order 66 are l_{n-1}/l_n
+    # everywhere, and with phi(n) = n^(1/999) the slack grows with n, so
+    # the largest slack is at n = 65 on the second half of the group
+    seq = dyadic(7)
+    f = StepFunction(seq, 1.0 + character_rows(seq, 64, 65)[0])
+    p = 0.999
+    alpha = 1.0 / p - 1.0
+    want = harmonic_l(64) / (harmonic_l(65) * 66.0**alpha) - 2.0**-alpha
+    assert domination_check(f, p, 65).max_slack == pytest.approx(want, rel=1e-12, abs=0)
 
 
 def test_domination_on_kernel_difference():

@@ -81,6 +81,16 @@ def test_weak_lp_examples():
     assert weak_lp_quasinorm(StepFunction(seq, np.zeros(seq.size)), 0.5) == 0.0
 
 
+def test_weak_lp_counts_tied_values_from_their_first_position():
+    # |f| sorted is 0, 1, 1, 1, 2, 2, 2, 3: mu{|f| >= v} is 7/8, 4/8 and
+    # 1/8 at v = 1, 2, 3, each the maximizer at one p; the zero is skipped
+    seq = dyadic(3)
+    f = StepFunction(seq, np.array([0, 1, -1j, 2, 2j, -2, 3, 1]))
+    assert weak_lp_quasinorm(f, 0.5) == 49 / 64
+    assert weak_lp_quasinorm(f, 1.0) == 1.0
+    assert weak_lp_quasinorm(f, 4.0) == 3 * 0.125**0.25
+
+
 def test_weak_lp_below_strong_lp():
     seq = build_radix((2, 3, 2, 2))
     for seed in range(5):
