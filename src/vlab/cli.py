@@ -296,7 +296,17 @@ def cmd_transform(cfg: RunConfig) -> tuple[dict[str, ExperimentReport], bool]:
 # ---------------------------------------------------------------------------
 
 
+def _p_list(cfg: RunConfig) -> tuple[float, ...]:
+    """The exponents of a theorem command, all checked before any work:
+    each in 0 < p < 1 and none repeated."""
+    ps = tuple(check_p_unit(p) for p in cfg.p)
+    if len(set(ps)) < len(ps):
+        raise ConfigError(f"p list must not repeat a value, got {cfg.p}")
+    return ps
+
+
 def cmd_theorem_a(cfg: RunConfig) -> tuple[dict[str, ExperimentReport], bool]:
+    p_list = _p_list(cfg)
     seq = _build_seq(cfg, min_depth=2)
     nmax = min(cfg.nmax, seq.size)
     atom_report = ExperimentReport(columns=list(ATOM_COLUMNS))
@@ -306,8 +316,7 @@ def cmd_theorem_a(cfg: RunConfig) -> tuple[dict[str, ExperimentReport], bool]:
     all_ok = True
     # only the default weight depends on p, so a weight file is read once
     fixed_weight = parse_weight_spec(cfg.weight) if cfg.weight is not None else None
-    for p in cfg.p:
-        p = check_p_unit(p)  # before p seeds the sample draws
+    for p in p_list:
         weight = fixed_weight or critical_power_weight(p)
         children = np.random.SeedSequence((cfg.seed, int(p * 1e9))).spawn(max(2 * cfg.samples, 1))
         results = []
@@ -351,6 +360,7 @@ def cmd_theorem_a(cfg: RunConfig) -> tuple[dict[str, ExperimentReport], bool]:
 def cmd_theorem_b(cfg: RunConfig) -> tuple[dict[str, ExperimentReport], bool]:
     if any(b <= a for a, b in zip(cfg.k_list, cfg.k_list[1:])):
         raise ConfigError(f"k_list must be strictly increasing, got {cfg.k_list}")
+    p_list = _p_list(cfg)
     need = 2 * max(cfg.k_list) + 1
     seq = _build_seq(cfg, min_depth=need)
     weight = parse_weight_spec(cfg.weight)
@@ -364,7 +374,7 @@ def cmd_theorem_b(cfg: RunConfig) -> tuple[dict[str, ExperimentReport], bool]:
     ]
     all_ok = True
     reports = {"": master}
-    for i, p in enumerate(cfg.p):
+    for i, p in enumerate(p_list):
         for case, (cc, ps, li) in zip(cases, fixed):
             hb = verify_hardy_bound(case, p)
             case_ok = cc.ok and ps.ok and hb.ok and li.ok
@@ -390,7 +400,7 @@ def cmd_theorem_b(cfg: RunConfig) -> tuple[dict[str, ExperimentReport], bool]:
             print(f"[{_status(sweep.monotone)}] divergence ratios strictly increasing, p={p}")
         else:
             print(f"[ok] condition6 {verdict} for weight {weight.spec}; growth not asserted, p={p}")
-        tag = "theta" if len(cfg.p) == 1 else f"theta{i}"
+        tag = "theta" if len(p_list) == 1 else f"theta{i}"
         reports[tag] = theta_bracket(seq, p, cases, samples=cfg.theta_samples, seed=cfg.seed)
     return reports, all_ok
 

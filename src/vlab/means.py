@@ -12,10 +12,12 @@ Single means are coefficient multipliers on the whole group.  Stacks of
 every S_n f and L_n f up to an order n_max live on the rank-r quotient
 (:func:`quotient`, M_r >= n_max): they are constant on rank-r cylinders,
 so their work and memory grow with M_r, not M_N.  The same identity,
-applied one level at a time, shapes the log-mean product of
-:func:`log_mean_blocks`: S_k with M_{s-1} < k <= M_s is constant on
-rank-s cylinders, so those rows meet the log-mean triangle on their
-first M_s points only.
+applied one level at a time, packs the stack: S_k f with
+M_{s-1} < k <= M_s is constant on rank-s cylinders, so
+:func:`partial_sum_stack` stores it on its first M_s points only, the
+levels back to back in one array (:func:`stack_levels` views them), and
+those rows meet the log-mean triangle of :func:`log_mean_blocks` on the
+same M_s points.
 """
 
 from __future__ import annotations
@@ -131,16 +133,52 @@ def quotient(seq: RadixSequence, n: int) -> RadixSequence:
     return truncate(seq, next(r for r, m in enumerate(seq.scales) if m >= n))
 
 
+# Orders per block of :func:`log_mean_blocks`, and the least scale that
+# cuts a level of the packed stack.  Each block holds its log-mean rows
+# and their moduli, at most _BLOCK * M_r complex plus float entries,
+# beside the stack and its shared character rows.
+_BLOCK = 64
+
+
+def _levels(scales: tuple[int, ...], top: int) -> tuple[tuple[int, int, int], ...]:
+    """(lo, hi, m) for the partial sums S_lo .. S_{hi-1} at width m, over 1..top.
+
+    S_k f with k <= M_s is constant on rank-s cylinders, so the sums k in
+    (M_{s-1}, M_s] form a level that needs only the first M_s points.  The
+    levels are cut at the ``scales`` >= _BLOCK below ``top``; the sums
+    below the first cut form one level.  m is the smallest scale >= hi - 1,
+    and the levels run from the narrowest to the widest.
+    """
+    bounds = [1, *(m + 1 for m in scales if _BLOCK <= m < top), top + 1]
+    return tuple(
+        (lo, hi, next(m for m in scales if m >= hi - 1))
+        for lo, hi in zip(bounds, bounds[1:])
+        if lo < hi
+    )
+
+
+def _blocks(n_max: int) -> list[tuple[int, int]]:
+    """(start, stop) of the orders start..stop-1 of each block, n = 2..n_max."""
+    return [(start, min(start + _BLOCK, n_max + 1)) for start in range(2, n_max + 1, _BLOCK)]
+
+
+def _entries(levels) -> int:
+    """Entries of a packed stack with these levels."""
+    return sum((hi - lo) * m for lo, hi, m in levels)
+
+
 def _check_stack_fits(group: RadixSequence, n_max: int) -> None:
     """Refuse a stack whose working set would not fit in physical memory.
 
-    ``group`` is the quotient the stack lives on.  The rows and the
-    partial sums are (n_max + 1) x M_r complex arrays at most, and the
-    log-mean triangles of :func:`log_mean_blocks` hold at most n_max x
-    n_max reals; the check runs before any of them is allocated.
+    ``group`` is the quotient the stack lives on.  The working set is the
+    packed stack and its packed character rows, complex arrays laid out by
+    :func:`_levels`, plus the log-mean triangles of :func:`log_mean_blocks`,
+    one (len(ns), max(ns)) real array per block; the check runs before any
+    of them is allocated.
     """
-    rows_and_sums = 2 * (n_max + 1) * group.size * np.dtype(np.complex128).itemsize
-    need = rows_and_sums + n_max * n_max * np.dtype(np.float64).itemsize
+    rows_and_sums = 2 * _entries(_levels(group.scales, n_max)) * np.dtype(np.complex128).itemsize
+    triangles = sum((stop - start) * (stop - 1) for start, stop in _blocks(n_max))
+    need = rows_and_sums + triangles * np.dtype(np.float64).itemsize
     budget = _physical_memory()
     if need > budget:
         raise CapacityExceeded(
@@ -149,35 +187,56 @@ def _check_stack_fits(group: RadixSequence, n_max: int) -> None:
         )
 
 
-@lru_cache(maxsize=1)
-def leading_rows(group: RadixSequence, n: int) -> np.ndarray:
-    """Read-only (n, M) array whose row k holds psi_k on ``group``, k < n.
+def _split(flat: np.ndarray, levels) -> list[tuple[int, int, np.ndarray]]:
+    """(lo, hi, rows) for each level of a packed ``flat``: rows is its (hi - lo, m) view."""
+    views, start = [], 0
+    for lo, hi, m in levels:
+        views.append((lo, hi, flat[start : start + (hi - lo) * m].reshape(hi - lo, m)))
+        start += (hi - lo) * m
+    return views
 
-    ``group`` is the :func:`quotient` of a stack, so M = M_r.  Filled one
-    block of at most ROW_BLOCK entries of :func:`character_rows` at a
-    time.  One entry is cached: every stack of a run shares its group and
-    n, so the rows are built once per run and at most one row set is
-    held.
+
+@lru_cache(maxsize=1)
+def packed_character_rows(group: RadixSequence, n_max: int) -> np.ndarray:
+    """Read-only psi_0 .. psi_{n_max-1} in the packed layout of :func:`partial_sum_stack`.
+
+    The row of S_k holds psi_{k-1} on the first m points of its level;
+    k - 1 < m, so psi_{k-1} repeats every m points.  A level of width
+    m = M_s is built on the rank-s truncation of ``group``, one block of
+    at most ROW_BLOCK entries of :func:`character_rows` at a time; its
+    roots are exact, so the rows equal the first m points of the rows on
+    ``group`` bit for bit.  One entry is cached: every stack of a run
+    shares its group and n_max, so the rows are built once per run and
+    at most one row set is held.
     """
-    rows = np.empty((n, group.size), dtype=np.complex128)
-    step = max(1, ROW_BLOCK // group.size)
-    for lo in range(0, n, step):
-        hi = min(lo + step, n)
-        rows[lo:hi] = character_rows(group, lo, hi)
-    rows.flags.writeable = False
-    return rows
+    levels = _levels(group.scales, n_max)
+    flat = np.empty(_entries(levels), dtype=np.complex128)
+    for lo, hi, rows in _split(flat, levels):
+        m = rows.shape[1]
+        level_group = truncate(group, group.scales.index(m))
+        step = max(1, ROW_BLOCK // m)
+        for i in range(0, hi - lo, step):
+            k = lo - 1 + i  # psi_k goes in the row of S_{k+1}
+            rows[i : i + step] = character_rows(level_group, k, min(k + step, hi - 1))
+    flat.flags.writeable = False
+    return flat
 
 
 def partial_sum_stack(f: StepFunction, n_max: int) -> np.ndarray:
-    """(n_max + 1, M_r) array whose row n holds S_n f (row 0 is zero).
+    """S_1 f .. S_{n_max} f packed level by level into one complex array.
 
-    The stack lives on the :func:`quotient` for n_max: entry i of a row is
-    S_n f at every point whose linear index is i mod M_r.
-    ``np.tile(row, M_N // M_r)`` is the row on the whole group.
+    The stack lives on the :func:`quotient` for n_max, and the levels of
+    :func:`_levels` cut it further: S_k f in the level of width m is
+    stored on the first m points only, and entry i is S_k f at every point
+    whose linear index is i mod m.  :func:`stack_levels` gives the
+    (rows, m) view of each level.
 
-    Row k + 1 first receives c_k psi_k, from the rows of
-    :func:`leading_rows`, which are built once per (quotient, n_max); a
-    running sum down the rows then turns the terms into partial sums.
+    Each level first receives c_{k-1} psi_{k-1} in the row of S_k, from
+    :func:`packed_character_rows`; its first row then gets the previous
+    level's last row (S_0 f = 0 before the first), repeated to width m,
+    and a running sum down the rows turns the terms into partial sums.
+    Every S_k f equals, bit for bit, the first m points of a running sum
+    over full-width rows.
     """
     seq = f.radix_seq
     if n_max < 0 or n_max > seq.size:
@@ -185,9 +244,34 @@ def partial_sum_stack(f: StepFunction, n_max: int) -> np.ndarray:
     group = quotient(seq, n_max)
     _check_stack_fits(group, n_max)
     coeffs = forward_fast(f).coeffs
-    stack = np.zeros((n_max + 1, group.size), dtype=np.complex128)
-    np.multiply(coeffs[:n_max, None], leading_rows(group, n_max), out=stack[1:])
-    return np.cumsum(stack, axis=0, out=stack)
+    chars = packed_character_rows(group, n_max)
+    stack = np.empty_like(chars)
+    levels = _levels(group.scales, n_max)
+    prev = np.zeros(1, dtype=np.complex128)  # S_0 f
+    for (lo, hi, rows), (_, _, terms) in zip(_split(stack, levels), _split(chars, levels)):
+        np.multiply(coeffs[lo - 1 : hi - 1, None], terms, out=rows)
+        first = rows[0].reshape(-1, prev.size)
+        first += prev
+        np.cumsum(rows, axis=0, out=rows)
+        prev = rows[-1]
+    return stack
+
+
+def stack_levels(s_stack: np.ndarray, group: RadixSequence) -> list[tuple[int, int, np.ndarray]]:
+    """[(lo, hi, rows)] of a :func:`partial_sum_stack` on its quotient ``group``.
+
+    ``rows`` is a (hi - lo, m) view whose row k - lo holds S_k f on the
+    first m points, lo <= k < hi.  The stack's top order is read off its
+    length: every level but the last is fixed by ``group``, and the last
+    is M_r wide.
+    """
+    flat = np.ascontiguousarray(s_stack, dtype=np.complex128)
+    *fixed, (lo, _, _) = _levels(group.scales, group.size)
+    count, rest = divmod(flat.size - _entries(fixed), group.size)
+    top = lo - 1 + count
+    if flat.ndim != 1 or rest or not 0 <= top <= group.size or quotient(group, top).size != group.size:
+        raise ResolutionMismatch(f"{flat.shape} array is no partial-sum stack on M_r = {group.size}")
+    return _split(flat, _levels(group.scales, top))
 
 
 def _log_mean_triangle(ns: np.ndarray) -> np.ndarray:
@@ -201,39 +285,23 @@ def _log_mean_triangle(ns: np.ndarray) -> np.ndarray:
     return tri
 
 
-# Orders per block of :func:`log_mean_blocks`, and the least scale that
-# gets a level of its own in a block's product.  Each block holds its
-# log-mean rows and their moduli, at most _BLOCK * M_r complex plus float
-# entries, beside the stack and its shared character rows.
-_BLOCK = 64
-
-
 @lru_cache(maxsize=1)
 def _log_mean_plan(scales: tuple[int, ...], n_max: int):
-    """(ns, triangle, levels) for n = 2..n_max, _BLOCK orders at a time.
+    """(ns, triangle, levels) for each block of :func:`_blocks`.
 
-    A block reaches the stack rows k = 1..max(ns) - 1.  Row k <= M_s is
-    S_k f, constant on rank-s cylinders, so the rows k in (M_{s-1}, M_s]
-    form a level that needs only the first M_s points of the stack.  The
-    levels are cut at the ``scales`` >= _BLOCK; the rows below the first
-    cut form one level.  ``levels`` holds (lo, hi, m) for the rows
-    lo..hi-1 at width m, the smallest scale >= hi - 1, widest first.
+    A block reaches the stack rows k = 1..max(ns) - 1, and ``levels``
+    holds their :func:`_levels`, widest first.  Each is a row prefix of a
+    level of the stack, and a column prefix when it is narrower.
 
     One entry is cached: every stack of a run shares its quotient and
     n_max, so each block is planned once per run.
     """
     blocks = []
-    for start in range(2, n_max + 1, _BLOCK):
-        ns = np.arange(start, min(start + _BLOCK, n_max + 1))
+    for start, stop in _blocks(n_max):
+        ns = np.arange(start, stop)
         tri = _log_mean_triangle(ns)
         ns.flags.writeable = tri.flags.writeable = False
-        top = int(ns[-1]) - 1  # the last stack row the block reaches
-        bounds = [1, *(m + 1 for m in scales if _BLOCK <= m < top), top + 1]
-        levels = tuple(
-            (lo, hi, next(m for m in scales if m >= hi - 1))
-            for lo, hi in zip(bounds, bounds[1:])
-        )
-        blocks.append((ns, tri, levels[::-1]))
+        blocks.append((ns, tri, _levels(scales, stop - 2)[::-1]))
     return tuple(blocks)
 
 
@@ -245,24 +313,34 @@ def log_mean_blocks(s_stack: np.ndarray, group: RadixSequence, n_max: int):
     ``group`` >= max(ns) - 1: entry i of a row is L_n f at every point
     whose linear index is i mod w.
     """
-    if s_stack.shape[1] != group.size:
-        raise ResolutionMismatch(f"stack of width {s_stack.shape[1]} is not on M_r = {group.size}")
-    if n_max > s_stack.shape[0]:
-        raise IndexOutOfRange(f"log mean orders need n <= {s_stack.shape[0]}")
-    parts = np.ascontiguousarray(s_stack, dtype=np.complex128).view(np.float64)
-    for ns, tri, levels in _log_mean_plan(group.scales, n_max):
-        # the triangle is real, so each level multiplies the interleaved
-        # real and imaginary parts of its rows' first m points as one real
-        # product; a narrower level repeats across the widest one
-        rows = None
-        for lo, hi, m in levels:
-            part = (tri[:, lo:hi] @ parts[lo:hi, : 2 * m]).view(np.complex128)
-            if rows is None:
-                rows = part
-            else:
-                folded = rows.reshape(len(ns), -1, m)
-                folded += part[:, None, :]
-        yield ns, rows
+    levels = stack_levels(s_stack, group)
+    top = sum(len(rows) for _, _, rows in levels)
+    if n_max > top + 1:
+        raise IndexOutOfRange(f"log mean orders need n <= {top + 1}")
+    parts = {lo: rows.view(np.float64) for lo, _, rows in levels}
+    for ns, tri, block_levels in _log_mean_plan(group.scales, n_max):
+        # built in a call of its own, so that once the caller drops the
+        # rows nothing here holds them while the next block is built
+        yield ns, _block_rows(tri, block_levels, parts)
+
+
+def _block_rows(tri: np.ndarray, levels, parts: dict) -> np.ndarray:
+    """One block's log-mean rows from its triangle and its levels, widest first.
+
+    The triangle is real, so each level multiplies the interleaved real
+    and imaginary parts of its rows' first m points, ``parts[lo]``, as one
+    real product; a narrower level repeats across the widest one.
+    """
+
+    def product(lo, hi, m):
+        return (tri[:, lo:hi] @ parts[lo][: hi - lo, : 2 * m]).view(np.complex128)
+
+    (lo, hi, m), *narrower = levels
+    rows = product(lo, hi, m)
+    for lo, hi, m in narrower:
+        folded = rows.reshape(len(tri), -1, m)
+        folded += product(lo, hi, m)[:, None, :]
+    return rows
 
 
 def norlund_mean(f: StepFunction, n: int, weights: WeightSequence) -> StepFunction:

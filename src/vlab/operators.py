@@ -22,7 +22,7 @@ from .errors import (
     RankOutOfRange,
 )
 from .group_core import RadixSequence
-from .means import log_mean_blocks, partial_sum_stack, quotient, weights_from_file
+from .means import log_mean_blocks, partial_sum_stack, quotient, stack_levels, weights_from_file
 from .step_functions import (
     StepFunction,
     check_exponent,
@@ -146,6 +146,10 @@ def weighted_maximal(f: StepFunction, weight: WeightFunction, n_max: int) -> Ste
         # the rows repeat every w points, so they fold into every copy
         folded = best.reshape(-1, rows.shape[1])
         np.maximum(folded, cand.max(axis=0), out=folded)
+        # free the block before the next is built: glibc hands back free
+        # heap beyond twice the largest block it has freed (the stack), so
+        # a call that held two blocks would fault its pages in every time
+        del rows, cand
     return StepFunction(seq, np.tile(best, seq.size // best.size))
 
 
@@ -153,6 +157,22 @@ def weighted_maximal(f: StepFunction, weight: WeightFunction, n_max: int) -> Ste
 class DominationResult:
     passed: bool
     max_slack: float
+
+
+def _partial_sum_moduli(levels, first: int, stop: int) -> np.ndarray:
+    """|S_n f| for first <= n < stop from the :func:`stack_levels` ``levels``.
+
+    Each S_n f lives on the first m points of its level, and the rows come
+    out at the m of the widest level the orders reach; a narrower level,
+    below a cut the orders cross, repeats across it.
+    """
+    reached = [(lo, hi, sums) for lo, hi, sums in levels if lo < stop and hi > first]
+    moduli = np.empty((stop - first, reached[-1][2].shape[1]))
+    for lo, hi, sums in reached:
+        a, b = max(lo, first), min(hi, stop)
+        out = moduli[a - first : b - first].reshape(b - a, -1, sums.shape[1])
+        np.abs(sums[a - lo : b - lo, None, :], out=out)
+    return moduli
 
 
 def domination_check(f: StepFunction, p: float, n_max: int) -> DominationResult:
@@ -170,29 +190,31 @@ def domination_check(f: StepFunction, p: float, n_max: int) -> DominationResult:
         raise IndexOutOfRange(f"n_max {n_max} outside 2..{seq.size}")
     group = quotient(seq, n_max)
     s_stack = partial_sum_stack(f, n_max)
+    levels = stack_levels(s_stack, group)
     # k_weights[k - 1] = phi(k+1) = (k+1)^{1/p-1} for k = 1..n_max
     k_weights = weight.phi(np.arange(2, n_max + 2))
     # sup over 1 <= k < ns[0] of |S_k| / phi(k+1), carried from block to
     # block; S_1 f is constant
-    best = np.abs(s_stack[1, :1]) / k_weights[0]
+    best = np.abs(levels[0][2][0, :1]) / k_weights[0]
     worst = -np.inf
     for ns, rows in log_mean_blocks(s_stack, group, n_max):
-        # S_n f for n in ns lives on the first m points, the log means one
-        # order lower on the first w, and w divides m
-        m = quotient(group, int(ns[-1])).size
-        w = rows.shape[1]
-        # running[i] = sup over 1 <= k <= ns[i] of |S_k| / phi(k+1)
         ws = k_weights[ns - 1, None]
-        running = np.abs(s_stack[ns[0] : ns[-1] + 1, :m])
+        lhs = np.abs(rows)
+        lhs /= ws
+        del rows  # only its moduli are read
+        # running[i] = sup over 1 <= k <= ns[i] of |S_k| / phi(k+1), on the
+        # m points of S_max(ns); the log means one order lower live on the
+        # first w, and w divides m
+        running = _partial_sum_moduli(levels, int(ns[0]), int(ns[-1]) + 1)
+        m, w = running.shape[1], lhs.shape[1]
         running /= ws
         np.maximum(running[0], np.tile(best, m // best.size), out=running[0])
         np.maximum.accumulate(running, axis=0, out=running)
         best = running[-1].copy()
-        lhs = np.abs(rows)
-        lhs /= ws
         slack = running.reshape(len(ns), m // w, w)
         np.subtract(lhs[:, None, :], slack, out=slack)
         worst = max(worst, float(np.max(slack)))
+        del lhs, running, slack  # freed before the next block, as in weighted_maximal
     return DominationResult(passed=worst <= DOMINATION_TOL, max_slack=worst)
 
 

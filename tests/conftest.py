@@ -1,6 +1,9 @@
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from vlab.means import stack_levels
 
 
 @pytest.fixture
@@ -17,3 +20,19 @@ def write_step():
         Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
 
     return write
+
+
+@pytest.fixture
+def dense_stack():
+    """Unpacks a ``partial_sum_stack`` into its (n_max + 1, M_r) dense rows.
+
+    Row k is S_k f at the M_r points of the stack's quotient ``group``
+    (row 0 is zero): each level's rows repeated out from their m points.
+    """
+
+    def unpack(stack, group):
+        rows = [np.zeros((1, group.size), dtype=np.complex128)]
+        rows += [np.tile(sums, group.size // sums.shape[1]) for _, _, sums in stack_levels(stack, group)]
+        return np.concatenate(rows)
+
+    return unpack

@@ -312,6 +312,27 @@ def test_bad_input_is_one_line_exit_two(tmp_path, capsys, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["theorem-a", "--depth", "3", "--nmax", "8", "--samples", "2", "--p", "0.5,1.5"],
+        ["theorem-a", "--depth", "3", "--nmax", "8", "--samples", "2", "--p", "0.5,0.5"],
+        ["theorem-b", "--k-list", "1", "--theta-samples", "0", "--p", "0.5,1.5"],
+        ["theorem-b", "--k-list", "1", "--theta-samples", "0", "--p", "0.5,1"],
+        ["theorem-b", "--k-list", "1", "--theta-samples", "0", "--p", "0.5,0.3,0.50"],
+    ],
+    ids=["a-above-one", "a-repeat", "b-above-one", "b-one", "b-repeat"],
+)
+def test_p_list_is_checked_before_any_work(capsys, argv):
+    # an exponent outside 0 < p < 1 or a repeated one fails the run before
+    # the first p is worked on: no [ok] line, one error line
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1
+    assert "Traceback" not in captured.err
+
+
 @pytest.mark.parametrize("out", ["{tmp}/missing/x.csv", "{tmp}"], ids=["no_dir", "is_dir"])
 def test_unwritable_out_fails_before_the_run(tmp_path, capsys, out):
     # a missing directory or a directory as the path is refused before
@@ -427,14 +448,17 @@ def test_config_file_rejects_unknown_keys(tmp_path):
 
 
 def test_theorem_a_reruns_same_bytes(tmp_path):
-    # the first run builds the cached leading rows, the second reads them
+    # the first run builds the cached character rows, the second reads
+    # them: psi_0 .. psi_39 on the 72 points of the quotient, 40 * 72 entries
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     argv = ["theorem-a", "--radices", "2,3", "--depth", "5", "--nmax", "40", "--samples", "4"]
-    means_mod.leading_rows.cache_clear()
+    means_mod.packed_character_rows.cache_clear()
     assert run(argv + ["--out", str(a)]) == 0
     assert run(argv + ["--out", str(b)]) == 0
     group = means_mod.quotient(build_radix(cycle_radices((2, 3), 5)), 40)
-    shared = means_mod.leading_rows(group, 40)
+    assert means_mod.packed_character_rows.cache_info().misses == 1
+    shared = means_mod.packed_character_rows(group, 40)
+    assert shared.nbytes == 40 * 72 * 16
     assert shared.flags.writeable is False
     assert a.read_bytes().replace(b"a.csv", b"") == b.read_bytes().replace(b"b.csv", b"")
     dom_a = (tmp_path / "a.domination.csv").read_bytes()
@@ -463,8 +487,9 @@ def test_theorem_a_reads_a_weight_file_once(tmp_path, monkeypatch):
 
 def test_theorem_a_builds_character_rows_once(monkeypatch):
     # nmax = 300 puts the stacks on the quotient with M_7 = 432 points,
-    # which takes 151-row blocks, so psi_0..psi_299 are 2 builds; every
-    # domination check and atom maximal of the run shares them
+    # packed in levels of 72, 216 and 432 points that each fit one block,
+    # so psi_0..psi_299 are 3 builds; every domination check and atom
+    # maximal of the run shares them
     calls = []
     real = means_mod.character_rows
 
@@ -473,10 +498,10 @@ def test_theorem_a_builds_character_rows_once(monkeypatch):
         return real(seq, lo, hi)
 
     monkeypatch.setattr(means_mod, "character_rows", counting)
-    means_mod.leading_rows.cache_clear()
+    means_mod.packed_character_rows.cache_clear()
     argv = ["theorem-a", "--radices", "2,3", "--depth", "8", "--nmax", "300", "--samples", "4"]
     assert run(argv) == 0
-    assert calls == [(0, 151), (151, 300)]
+    assert calls == [(0, 72), (72, 216), (216, 300)]
 
 
 def test_theorem_b_builds_each_case_once(monkeypatch):
@@ -519,10 +544,11 @@ def test_theorem_b_builds_each_case_once(monkeypatch):
 
 
 def test_stack_beyond_physical_memory_is_exit_two(monkeypatch, capsys):
-    # rows plus stack would take 2 * 1025 * 1024 * 16 bytes (32 MiB); a 1 MiB
-    # budget stands in for physical memory, so nothing that size is allocated
+    # packed rows plus stack would take 2 * 700416 * 16 bytes (21 MiB); a
+    # 1 MiB budget stands in for physical memory, so nothing that size is
+    # allocated
     monkeypatch.setattr(means_mod, "_physical_memory", lambda: 2**20)
-    means_mod.leading_rows.cache_clear()
+    means_mod.packed_character_rows.cache_clear()
     argv = ["theorem-a", "--radices", "2", "--depth", "10", "--nmax", "1024", "--samples", "2"]
     tracemalloc.start()
     try:

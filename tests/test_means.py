@@ -23,6 +23,7 @@ from vlab.means import (
     ones_weights,
     partial_sum_stack,
     quotient,
+    stack_levels,
     weight_sequence_from_spec,
     weights_from_file,
 )
@@ -212,11 +213,14 @@ def test_norlund_weight_normalization_property():
     assert np.max(np.abs(got.values - want)) <= 1e-12
 
 
-def test_batch_partial_sums_match_individual():
+def test_batch_partial_sums_match_individual(dense_stack):
+    # no scale of dyadic(6) below M_N = 64 cuts a level, so S_1 .. S_64
+    # are stored at all 64 points
     seq = build_radix((2, 2, 2, 2, 2, 2))
     f = random_function(seq, 7)
-    stack = partial_sum_stack(f, seq.size)
-    assert stack.shape == (seq.size + 1, seq.size)
+    packed = partial_sum_stack(f, seq.size)
+    assert packed.shape == (seq.size * seq.size,)
+    stack = dense_stack(packed, seq)
     assert np.max(np.abs(stack[0])) == 0.0
     for k in range(1, seq.size + 1):
         want = partial_sum(f, k)
@@ -224,10 +228,10 @@ def test_batch_partial_sums_match_individual():
     assert np.max(np.abs(stack[-1] - f.values)) <= 1e-9
 
 
-def test_batch_stabilizes_after_last_coefficient():
+def test_batch_stabilizes_after_last_coefficient(dense_stack):
     seq = build_radix((2, 3))
     psi2 = StepFunction(seq, character(seq, 2))
-    stack = partial_sum_stack(psi2, seq.size)
+    stack = dense_stack(partial_sum_stack(psi2, seq.size), seq)
     for k in range(3, seq.size + 1):
         assert np.max(np.abs(stack[k] - psi2.values)) <= 1e-12
 
@@ -275,12 +279,14 @@ def test_norlund_mean_matches_walk(weights):
         assert np.max(np.abs(got.values - walk_norlund(f, n, weights))) <= 1e-12
 
 
-def test_log_mean_stacks_match_walk():
+def test_log_mean_stacks_match_walk(dense_stack):
+    # no scale of (2,3,2) cuts a level, so the walked rows S_1 .. S_11
+    # back to back are a packed stack of order 11
     seq = build_radix((2, 3, 2))
     f = random_function(seq, 22)
     walk = walk_partial_sums(f, seq.size)
-    assert np.max(np.abs(partial_sum_stack(f, seq.size) - walk)) <= 1e-12
-    ((ns, rows),) = log_mean_blocks(walk[:-1], seq, seq.size)
+    assert np.max(np.abs(dense_stack(partial_sum_stack(f, seq.size), seq) - walk)) <= 1e-12
+    ((ns, rows),) = log_mean_blocks(walk[1:-1].ravel(), seq, seq.size)
     assert list(ns) == list(range(2, seq.size + 1))
     for n in ns:
         want = sum(walk[k] / (n - k) for k in range(1, n)) / harmonic_l(n)
@@ -316,17 +322,18 @@ def test_means_cost_one_transform_pair(monkeypatch):
 
 def test_partial_sum_stack_builds_rows_one_block_at_a_time(monkeypatch):
     # n_max = 300 puts the stack on the quotient with M_r = 432 of the
-    # M_N = 1296 points, which takes 151-row blocks: the first call makes 2
-    # builds for 300 rows and holds them beside the stack; a second call on
-    # the same group and n_max reuses them and needs little more than the
-    # stack itself
+    # M_N = 1296 points, packed as S_1..S_72 on 72 points, S_73..S_216 on
+    # 216 and S_217..S_300 on 432; each level's rows fit in one block of
+    # ROW_BLOCK entries, so the first call makes 3 builds and holds them
+    # beside the stack; a second call on the same group and n_max reuses
+    # them and needs little more than the stack itself
     seq = build_radix((2, 3) * 4)
     n_max = 300
     f = random_function(seq, 29)
     spans = []
 
     def counting(seq_, lo, hi):
-        spans.append((lo, hi))
+        spans.append((seq_.size, lo, hi))
         return character_rows(seq_, lo, hi)
 
     def traced_stack():
@@ -339,13 +346,10 @@ def test_partial_sum_stack_builds_rows_one_block_at_a_time(monkeypatch):
         return stack, peak
 
     monkeypatch.setattr(means_mod, "character_rows", counting)
-    means_mod.leading_rows.cache_clear()
+    means_mod.packed_character_rows.cache_clear()
     stack, peak = traced_stack()
-    assert stack.shape == (n_max + 1, 432)
-    step = ROW_BLOCK // stack.shape[1]
-    assert len(spans) == -(-n_max // step) == 2
-    assert [lo for lo, _ in spans] == list(range(0, n_max, step))
-    assert spans[-1][1] == n_max
+    assert stack.nbytes == 1_161_216
+    assert spans == [(72, 0, 72), (216, 72, 216), (432, 216, 300)]
     assert peak < 2 * stack.nbytes + 4 * 2**20
 
     spans.clear()
@@ -354,16 +358,82 @@ def test_partial_sum_stack_builds_rows_one_block_at_a_time(monkeypatch):
     assert peak < stack.nbytes + 2**20
     assert np.array_equal(again, stack)
 
+    # dyadic at n_max = M_N = 1024, the widest levels take several
+    # blocks: 128 rows of 512 points at a time, then 64 of 1024
+    means_mod.packed_character_rows.cache_clear()
+    partial_sum_stack(random_function(build_radix((2,) * 10), 30), 1024)
+    assert spans == [
+        (64, 0, 64), (128, 64, 128), (256, 128, 256),
+        *((512, lo, lo + 128) for lo in range(256, 512, 128)),
+        *((1024, lo, lo + 64) for lo in range(512, 1024, 64)),
+    ]
+    assert all((hi - lo) * m <= ROW_BLOCK for m, lo, hi in spans)
+
+
+def test_packed_stack_sizes():
+    # at the domination parameters (n_max = 300 on (2,3)x4, M_r = 432) the
+    # stack and its character rows each hold 72 x 72 + 144 x 216 + 84 x 432
+    # complex entries, 55.8% of the dense 301 x 432 stack; dyadic at
+    # n_max = M_N = 1024, about 2/3 of the dense 1025 x 1024
+    seq = build_radix((2, 3) * 4)
+    assert partial_sum_stack(random_function(seq, 5), 300).nbytes == 1_161_216
+    assert means_mod.packed_character_rows(quotient(seq, 300), 300).nbytes == 1_161_216
+    seq = build_radix((2,) * 10)
+    packed = partial_sum_stack(random_function(seq, 6), 1024).size
+    assert packed == 64 * 64 + 64 * 128 + 128 * 256 + 256 * 512 + 512 * 1024
+    assert round(packed / (1025 * 1024), 3) == 0.667
+
+
+def dense_cumsum(f, group, n_max):
+    """Oracle: (n_max + 1, M_r) rows S_0 f .. S_{n_max} f on ``group``, a
+    running sum down full-width rows c_k psi_k."""
+    stack = np.zeros((n_max + 1, group.size), dtype=np.complex128)
+    np.multiply(forward_fast(f).coeffs[:n_max, None], character_rows(group, 0, n_max), out=stack[1:])
+    return np.cumsum(stack, axis=0, out=stack)
+
+
+# one level and a cut at 64 and one past it, dyadic; the domination
+# parameters; a first cut at M_4 = 135 on (3,5,3) cycled to depth 5
+_PACKED_CASES = [
+    pytest.param((2, 3) * 4, 300, id="2,3x4-300"),
+    *(pytest.param((2,) * 10, n, id=f"2x10-{n}") for n in (63, 64, 65, 1024)),
+    pytest.param(cycle_radices((3, 5, 3), 5), 675, id="3,5,3-675"),
+]
+
+
+@pytest.mark.parametrize("radices, n_max", _PACKED_CASES)
+def test_packed_stack_matches_dense_cumsum(radices, n_max):
+    # each level's rows are the first m points of the dense rows bit for
+    # bit, and the dense rows repeat with period m, so the level loses
+    # nothing
+    seq = build_radix(radices)
+    group = quotient(seq, n_max)
+    f = random_function(seq, 47)
+    dense = dense_cumsum(f, group, n_max).view(np.uint64)
+    packed = partial_sum_stack(f, n_max)
+    levels = stack_levels(packed, group)
+    assert [lo for lo, _, _ in levels] == [1, *(hi for _, hi, _ in levels[:-1])]
+    assert levels[-1][1] == n_max + 1
+    assert sum(rows.size for _, _, rows in levels) == packed.size
+    for lo, hi, rows in levels:
+        m = rows.shape[1]
+        assert np.array_equal(rows.view(np.uint64), dense[lo:hi, : 2 * m])
+        periods = dense[lo:hi].reshape(hi - lo, -1, 2 * m)
+        assert np.array_equal(periods, np.broadcast_to(periods[:, :1], periods.shape))
+
 
 def test_stack_memory_check_counts_quotient_points(monkeypatch):
-    # M_N = 7776, but n_max = 300 needs only M_7 = 432 points: rows and
-    # partial sums of 2 * 301 * 432 complex values, plus 300^2 reals of
-    # log-mean triangles; the whole group would need 18x the rows and sums
-    need = 2 * 301 * 432 * 16 + 300 * 300 * 8
+    # M_N = 7776, but n_max = 300 needs only M_7 = 432 points, and the
+    # packed stack keeps S_1..S_72 on 72 of them, S_73..S_216 on 216 and
+    # S_217..S_300 on 432; rows and partial sums hold that many complex
+    # values each, beside the log-mean triangles of the blocks ending at
+    # orders 65, 129, 193 and 257 (64 orders each) and 300 (43 orders)
+    packed = (72 * 72 + 144 * 216 + 84 * 432) * 16
+    need = 2 * packed + (64 * (65 + 129 + 193 + 257) + 43 * 300) * 8
     seq = build_radix((2, 3) * 5)
     f = StepFunction(seq, np.ones(seq.size))
     monkeypatch.setattr(means_mod, "_physical_memory", lambda: need)
-    assert partial_sum_stack(f, 300).shape == (301, 432)
+    assert partial_sum_stack(f, 300).nbytes == packed
     monkeypatch.setattr(means_mod, "_physical_memory", lambda: need - 1)
     with pytest.raises(CapacityExceeded):
         partial_sum_stack(f, 300)
@@ -373,7 +443,7 @@ def assert_near_dense(rows, stack, group, ns, rtol=1e-15):
     """``rows`` are L_n f for the orders ``ns`` to relative ``rtol``, on the
     first w points of ``group``, w its smallest scale >= max(ns) - 1: the
     reference applies the triangle 1/((n - k) l_n), 1 <= k < n, to every
-    row of ``stack`` as one complex product at every point."""
+    row of the dense ``stack`` as one complex product at every point."""
     ks = np.arange(stack.shape[0])
     ell = np.cumsum(1.0 / np.arange(1, ns.max() + 1))[ns - 1]
     gap = ns[:, None] - ks
@@ -387,7 +457,7 @@ def assert_near_dense(rows, stack, group, ns, rtol=1e-15):
     assert np.all(np.abs(got - want) <= rtol * scale_)
 
 
-def test_log_mean_triangles_are_built_once_per_n_max(monkeypatch):
+def test_log_mean_triangles_are_built_once_per_n_max(monkeypatch, dense_stack):
     # orders 2..300 fall in 5 blocks of at most 64; the stacks of a run
     # share their quotient and n_max, so each block's triangle is built
     # once, and every block's rows match the dense reference
@@ -409,7 +479,7 @@ def test_log_mean_triangles_are_built_once_per_n_max(monkeypatch):
         assert [int(ns[-1]) for ns, _ in stack_blocks] == [65, 129, 193, 257, 300]
         assert [int(n) for ns, _ in stack_blocks for n in ns] == list(range(2, 301))
         for ns, rows in stack_blocks:
-            assert_near_dense(rows, stack, group, ns)
+            assert_near_dense(rows, dense_stack(stack, group), group, ns)
 
 
 # n_max at a scale M_s >= 64 and one and two past it: on (2,3)x4 at
@@ -423,16 +493,17 @@ _LEVEL_CASES = [
 
 
 @pytest.mark.parametrize("radices, n_max", _LEVEL_CASES)
-def test_level_product_matches_dense_reference(radices, n_max):
+def test_level_product_matches_dense_reference(radices, n_max, dense_stack):
     # each level of a block's triangle meets only the first M_s points of
     # its stack rows; the rows, repeated over the quotient, are the dense
     # product over every row and point
     seq = build_radix(radices)
     group = quotient(seq, n_max)
     stack = partial_sum_stack(random_function(seq, 37), n_max)
+    dense = dense_stack(stack, group)
     orders = []
     for ns, rows in log_mean_blocks(stack, group, n_max):
-        assert_near_dense(rows, stack, group, ns, rtol=1e-12)
+        assert_near_dense(rows, dense, group, ns, rtol=1e-12)
         orders += list(ns)
     assert orders == list(range(2, n_max + 1))
 

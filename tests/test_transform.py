@@ -377,11 +377,11 @@ def test_martingale_bridge():
         assert np.max(np.abs(conditional_average(f, n).values - s.values)) <= 1e-9
 
 
-def test_batch_partial_sums_buffer_is_cumulative():
+def test_batch_partial_sums_buffer_is_cumulative(dense_stack):
     seq = build_radix((2, 3, 2))
     f = random_function(seq, 3)
     coeffs = forward_fast(f).coeffs
-    stack = partial_sum_stack(f, seq.size)
+    stack = dense_stack(partial_sum_stack(f, seq.size), seq)
     for k in range(1, seq.size + 1):
         step = stack[k] - stack[k - 1]
         assert np.max(np.abs(step - coeffs[k - 1] * character_rows(seq, k - 1, k)[0])) <= 1e-9
