@@ -22,13 +22,15 @@ independent scalar oracle.
 Two transform paths are provided.  ``forward_naive`` applies the full
 character matrix (M_N^2 multiply-adds), one block of rows at a time, and
 serves as the oracle; ``forward_naive_many`` shares each block across a
-batch of functions, which it holds in panels of PANEL functions, so that
-every BLAS product has one fixed shape and batch results equal single
-calls bit for bit.
+batch of functions, which it holds in panels of PANEL functions, and
+splits each sum over x into spans, so that no BLAS product's shape depends
+on the batch and batch results equal single calls bit for bit.
 ``forward_fast`` runs one small DFT kernel along each digit axis as m_j
 broadcast multiply-adds, costing M_N * sum_k m_k multiply-adds; radices
-are small and bounded, so no in-axis FFT is needed.  ``forward_fast``
-counts its work into an optional OpCount.
+are small and bounded, so no in-axis FFT is needed.  Each pass reads its
+digit as the fastest axis and writes it as the slowest, so the passes for
+digits 0..N-1 rotate the layout back to index order, and every inner loop
+is M_N / m_j long.  ``forward_fast`` counts its work into an optional OpCount.
 """
 
 from __future__ import annotations
@@ -97,12 +99,11 @@ ROW_BLOCK = 1 << 16
 # width, so BLAS sums each coefficient in one order whatever the batch.
 PANEL = 8
 
-# Multiply-adds per product in the naive oracle: an (h, M_N) @ (M_N, 2 PANEL)
-# product takes h = 2^18 / (2 PANEL M_N) rows, and one row when M_N is
-# larger.  OpenBLAS runs products this small on one thread.  Its threaded
-# driver splits the sum over x elsewhere when M_N is no multiple of its
-# inner block (seen at M_N = 1296), so larger products would tie the last
-# bits of c_k to the BLAS thread count.
+# Multiply-adds per naive-oracle product: h block rows meet a panel over
+# spans of s = max(1, 2^18 / (2 PANEL h)) points x.  OpenBLAS runs products
+# this small on one thread; its threaded driver splits the sum over x
+# elsewhere when M_N is no multiple of its inner block (seen at M_N = 1296),
+# so larger products would tie the last bits of c_k to the BLAS thread count.
 PRODUCT_MADDS = 1 << 18
 
 
@@ -163,12 +164,12 @@ def forward_naive_many(fs: list[StepFunction]) -> list[CoefficientVector]:
     every root is +-1.  The batch is copied once into zero-padded panels of
     PANEL functions, each an (M_N, 2 PANEL) real array with the Re and Im
     columns of every function side by side.  Each block of rows meets each
-    panel in products of at most PRODUCT_MADDS multiply-adds, whose shape
-    does not depend on the batch, so each c_k sums its M_N terms in one
-    order whatever the batch size or the function's place in it: batch
-    results equal single calls bit for bit.  Memory is
-    O(ROW_BLOCK + S M_N) for S functions, and the phases are shared by the
-    batch.  All functions must share one group.
+    panel in products of at most PRODUCT_MADDS multiply-adds over spans of
+    x, added in order, whose shapes do not depend on the batch; so each c_k
+    sums its M_N terms in one order whatever the batch: batch results equal
+    single calls bit for bit.  Memory is O(ROW_BLOCK + S M_N) for S
+    functions, and the phases are shared by the batch.  All functions must
+    share one group.
     """
     if not fs:
         return []
@@ -187,7 +188,6 @@ def forward_naive_many(fs: list[StepFunction]) -> list[CoefficientVector]:
     cos = np.ascontiguousarray(roots.real)
     neg_sin = -roots.imag if period > 2 else None
     step = max(1, ROW_BLOCK // size)
-    height = max(1, PRODUCT_MADDS // (2 * PANEL * size))
     # a cosine-only block holds as many rows as a cosine and sine block
     rows = step if neg_sin is not None else 2 * step
     for lo in range(0, size, rows):
@@ -203,10 +203,13 @@ def forward_naive_many(fs: list[StepFunction]) -> list[CoefficientVector]:
             block = np.empty((2 * n, size))
             np.take(cos, phases, out=block[:n])
             np.take(neg_sin, phases, out=block[n:])
-        prod = np.empty((len(block), 2 * PANEL))
+        span = max(1, PRODUCT_MADDS // (2 * PANEL * len(block)))
+        parts = np.empty((-(-size // span), len(block), 2 * PANEL))
+        prod = np.empty_like(parts[0])
         for panel, res in zip(panels, out):
-            for r in range(0, len(block), height):
-                np.matmul(block[r : r + height], panel, out=prod[r : r + height])
+            for part, x in zip(parts, range(0, size, span)):
+                np.matmul(block[:, x : x + span], panel[x : x + span], out=part)
+            np.sum(parts, axis=0, out=prod)
             if neg_sin is None:
                 res[lo:hi] = prod
             else:
@@ -235,16 +238,13 @@ def dft_kernel(m: int, sign: int) -> np.ndarray:
 
 def _axis_passes(flat: np.ndarray, seq: RadixSequence, sign: int, ops: OpCount | None):
     """Apply dft_kernel(m_j, sign) along every digit axis j, counting M_N m_j per pass."""
-    for j, m_j in enumerate(seq.radices):
-        # Index layout i = high*M_{j+1} + b*M_j + low puts digit j on axis 2
-        # of a (M_N/M_{j+1}, 1, m_j, M_j) reshape; axis 1 broadcasts over a.
-        lo = seq.scales[j]
-        tensor = flat.reshape(seq.size // (lo * m_j), 1, m_j, lo)
+    for m_j in seq.radices:
+        x = flat.reshape(seq.size // m_j, m_j)
         kernel = dft_kernel(m_j, sign)
-        # out[h, a, l] = sum_b K[a, b] t[h, b, l]
-        out = kernel[:, 0, None] * tensor[:, :, 0]
+        # out[a, r] = sum_b K[a, b] x[r, b]: digit j leaves as the slowest axis
+        out = kernel[:, 0, None] * x[:, 0]
         for b in range(1, m_j):
-            out += kernel[:, b, None] * tensor[:, :, b]
+            out += kernel[:, b, None] * x[:, b]
         flat = out.reshape(seq.size)
         if ops is not None:
             ops.add(seq.size * m_j)

@@ -88,10 +88,12 @@ def _reports_under_blas_threads(tmp_path, argv, names):
 
 # M_N = 288 and 1296, neither a multiple of OpenBLAS's inner block; at 1296
 # the oracle's products would split their sums by thread count if they
-# exceeded transform.PRODUCT_MADDS
+# exceeded transform.PRODUCT_MADDS.  At M_N = 4096 dyadic each sum is split
+# into 8 spans of 512.
 @pytest.mark.parametrize("argv", [
     ["--radices", "2,3,2,4", "--depth", "6", "--samples", "10", "--seed", "7"],
     ["--radices", "2,3", "--depth", "8", "--samples", "4", "--seed", "7"],
+    ["--radices", "2", "--depth", "12", "--samples", "2", "--seed", "7"],
 ])
 def test_transform_report_is_independent_of_blas_threads(tmp_path, argv):
     one, two = _reports_under_blas_threads(tmp_path, ["transform", *argv], ["r.csv"])

@@ -129,13 +129,20 @@ def test_forward_of_delta_has_unimodular_coefficients():
     assert np.max(np.abs(np.abs(forward_naive(f).coeffs) - 1.0)) <= 1e-9
 
 
-def test_fast_matches_naive_on_random_functions():
-    seq = build_radix((2, 3, 2, 4))
-    for seed in range(100):
-        f = random_function(seq, seed)
-        fast = forward_fast(f).coeffs
-        naive = forward_naive(f).coeffs
-        assert np.max(np.abs(fast - naive)) <= 1e-9
+# Mixed radices; 2x12, whose passes start on digits of two points; (3,5,3)
+# cycled to depth 5; and one digit, whose single pass ends in index order.
+fast_groups = pytest.mark.parametrize(
+    "radices", [(2, 3, 2, 4), (2,) * 12, cycle_radices((3, 5, 3), 5), (7,)],
+    ids=["2-3-2-4", "2x12", "3-5-3x5", "7"],
+)
+
+
+@fast_groups
+def test_fast_matches_naive_on_random_functions(radices):
+    seq = build_radix(radices)
+    fs = [random_function(seq, seed) for seed in range(100)]
+    for f, naive in zip(fs, forward_naive_many(fs)):
+        assert np.max(np.abs(forward_fast(f).coeffs - naive.coeffs)) <= 1e-9
 
 
 def test_fast_of_zero():
@@ -143,8 +150,9 @@ def test_fast_of_zero():
     assert np.max(np.abs(forward_fast(StepFunction(seq, np.zeros(seq.size))).coeffs)) == 0.0
 
 
-def test_op_count_instrumentation():
-    seq = build_radix((2, 3, 2, 4))
+@fast_groups
+def test_op_count_instrumentation(radices):
+    seq = build_radix(radices)
     ops = OpCount()
     forward_fast(random_function(seq), ops)
     expected = seq.size * sum(seq.radices) + seq.size
@@ -223,13 +231,43 @@ def test_naive_oracle_cosine_partial_blocks(monkeypatch, block):
 
 @pytest.mark.parametrize("radices", [(2,) * 7, (3, 5, 3)])
 def test_naive_oracle_short_products(monkeypatch, radices):
-    # 3-row products inside each block, the last one shorter
+    # One block holds every row: M_N cosine rows on (2,)*7, M_N cosine and
+    # M_N sine rows on (3,5,3).  Spans of 7 divide neither M_N = 128 nor 45,
+    # so each sum ends on a short span.
     seq = build_radix(radices)
+    height = seq.size if max(radices) == 2 else 2 * seq.size
+    assert seq.size % 7
     fs = [random_function(seq, seed) for seed in range(2)]
     want = dense_reference(fs)
-    monkeypatch.setattr(transform, "PRODUCT_MADDS", 3 * 2 * PANEL * seq.size)
+    monkeypatch.setattr(transform, "PRODUCT_MADDS", 7 * 2 * PANEL * height)
     for got, ref in zip(forward_naive_many(fs), want):
         assert np.max(np.abs(got.coeffs - ref)) <= 1e-12
+
+
+@pytest.mark.parametrize("radices", [(2,) * 7, (3, 5, 3)])
+def test_naive_oracle_products_stay_within_the_cap(monkeypatch, radices):
+    # One-row blocks, as for M_N > ROW_BLOCK, under a cap that a product
+    # over the whole sum would exceed: OpenBLAS runs products within the
+    # cap on one thread, which keeps reports independent of the thread count.
+    seq = build_radix(radices)
+    cap = PANEL * seq.size
+    fs = [random_function(seq, seed) for seed in range(2)]
+    want = dense_reference(fs)
+    madds = []
+    matmul = np.matmul
+
+    def counting_matmul(a, b, **kwargs):
+        madds.append(a.shape[0] * a.shape[1] * b.shape[1])
+        return matmul(a, b, **kwargs)
+
+    monkeypatch.setattr(transform, "ROW_BLOCK", 1)
+    monkeypatch.setattr(transform, "PRODUCT_MADDS", cap)
+    monkeypatch.setattr(np, "matmul", counting_matmul)
+    got = forward_naive_many(fs)
+    monkeypatch.undo()
+    assert madds and max(madds) <= cap
+    for cv, ref in zip(got, want):
+        assert np.max(np.abs(cv.coeffs - ref)) <= 1e-12
 
 
 def test_naive_oracle_rejects_mixed_groups():
@@ -274,8 +312,9 @@ def test_inverse_of_unit_vector_is_character():
         assert np.max(np.abs(got.values - character_rows(seq, j, j + 1)[0])) <= 1e-12
 
 
-def test_inverse_round_trip():
-    seq = build_radix((2, 3, 2, 4))
+@fast_groups
+def test_inverse_round_trip(radices):
+    seq = build_radix(radices)
     for seed in range(10):
         f = random_function(seq, seed)
         back = inverse(forward_fast(f))
