@@ -51,6 +51,7 @@ from .step_functions import (
 )
 from .transform import (
     OpCount,
+    check_oracle_fits,
     dirichlet_kernel,
     fast_op_bound,
     forward_fast,
@@ -240,6 +241,7 @@ def cmd_transform(cfg: RunConfig) -> tuple[dict[str, ExperimentReport], bool]:
     report = ExperimentReport(columns=list(TRANSFORM_COLUMNS))
     _echo_config(report, cfg, "transform")
     bound = fast_op_bound(seq)
+    check_oracle_fits(seq, cfg.samples)
     children = np.random.SeedSequence(cfg.seed).spawn(max(cfg.samples, 1))
     rngs = [np.random.default_rng(children[i]) for i in range(cfg.samples)]
     fs = [

@@ -16,6 +16,7 @@ linear indices.
 from __future__ import annotations
 
 import functools
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +31,11 @@ from .errors import (
 
 # Largest scale M_k that build_radix accepts; read at call time.
 CAPACITY = 2**31
+
+
+def _physical_memory() -> int:
+    """Bytes of physical memory on this machine."""
+    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
 @dataclass(frozen=True)

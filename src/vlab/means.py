@@ -22,7 +22,6 @@ same M_s points.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -35,7 +34,7 @@ from .errors import (
     ResolutionMismatch,
     ZeroTotalWeight,
 )
-from .group_core import RadixSequence, truncate
+from .group_core import RadixSequence, _physical_memory, truncate
 from .step_functions import StepFunction
 from .transform import ROW_BLOCK, character_rows, forward_fast, synthesize_multiplier
 
@@ -113,11 +112,6 @@ def weight_sequence_from_spec(spec: str, n: int) -> WeightSequence:
             raise InvalidWeight(f"custom weights provide {len(w)} entries, need {n}")
         return w
     raise InvalidWeight(f"unknown weight family {spec!r}")
-
-
-def _physical_memory() -> int:
-    """Bytes of physical memory on this machine."""
-    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
 def quotient(seq: RadixSequence, n: int) -> RadixSequence:

@@ -8,10 +8,11 @@ over the M_N cylinders.
 
 With L = lcm(m_j), psi_n(x) = exp(2 pi i q / L) for the integer phase
 q = sum_j n_j x_j (L / m_j) mod L, so every character value is one of the
-L roots of unity.  Characters are built as arrays in one place: the phases
-of a block of rows psi_lo .. psi_{hi-1} come from the digit table in exact
-integer arithmetic, at most ROW_BLOCK entries at a time, and index a table
-of the L roots.  ``character_rows`` gathers the complex roots;
+L roots of unity.  Characters are built as arrays in one place: a block of
+rows psi_lo .. psi_{hi-1}, at most ROW_BLOCK entries, takes as phases the
+broadcast sums of the exact phases of the low and the high digits, each
+mod L, and gathers a table of the L roots in wrap mode, which reads a
+phase q < 2L as q mod L.  ``character_rows`` gathers the complex roots;
 ``means`` gathers its blocks into the rows its partial-sum stacks share and
 scales them by the coefficients.  The naive oracle gathers the cosines and
 negated sines of the same roots into real blocks, and skips the sines when
@@ -43,7 +44,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityExceeded, IndexOutOfRange, RankOutOfRange, ResolutionMismatch
-from .group_core import RadixSequence, decompose, digit_table
+from .group_core import RadixSequence, build_radix, decompose, digit_table, truncate
+from .group_core import _physical_memory
 from .step_functions import StepFunction
 
 
@@ -122,27 +124,42 @@ def _roots(period: int) -> np.ndarray:
     return table
 
 
+@functools.lru_cache(maxsize=16)
+def _split(seq: RadixSequence) -> tuple[int, np.ndarray, np.ndarray]:
+    """M_s for the largest rank s with M_s^2 <= M_N; digit tables of m_0..m_{s-1}, m_s..m_{N-1}."""
+    s = max(r for r, m in enumerate(seq.scales) if m * m <= seq.size)
+    return seq.scales[s], digit_table(truncate(seq, s)), digit_table(build_radix(seq.radices[s:]))
+
+
 def _phases(seq: RadixSequence, lo: int, hi: int) -> tuple[np.ndarray, int]:
     """Integer phases of rows lo..hi-1 and their period L = lcm(m_j).
 
-    Entry (k - lo, x) is q = sum_j k_j x_j (L / m_j) mod L, so that
-    psi_k(x) = ``_roots(L)[q]``.  The unreduced phases are integers
-    below L sum_j m_j < 2^53, so the float product is exact whatever the
-    BLAS blocking, and so is the reduction mod L.
+    Entry (k - lo, x) is below 2L and congruent mod L to
+    q = sum_j k_j x_j (L / m_j), so psi_k(x) = ``_roots(L)[q % L]``, which
+    the gathers read with ``mode="wrap"``.  q is the sum of the phases of
+    the high and the low digits of :func:`_split` (k div M_s and x div M_s,
+    k mod M_s and x mod M_s), each reduced mod L.  Unreduced, either is an
+    integer below L sum_j m_j < 2^53, so the float products are exact
+    whatever the BLAS blocking, and so is the reduction.
     """
     if not 0 <= lo <= hi <= seq.size:
         raise IndexOutOfRange(f"character rows {lo}..{hi} outside 0..{seq.size}")
     period = math.lcm(*seq.radices)
     if period * sum(seq.radices) >= 2**53:
         raise CapacityExceeded(f"character phases of radices {seq} exceed 2^53")
-    digits = digit_table(seq)
+    m_s, low, high = _split(seq)
     weights = np.array([period // m for m in seq.radices], dtype=np.float64)
-    phases = (digits[lo:hi] * weights) @ digits.T
-    turns = phases / period
-    np.floor(turns, out=turns)
-    turns *= period
-    phases -= turns
-    return phases.astype(np.intp), period
+    ks, s = np.arange(lo, hi), low.shape[1]
+    parts = []
+    for digits, k, w in ((high, ks // m_s, weights[s:]), (low, ks % m_s, weights[:s])):
+        q = (digits[k] * w) @ digits.T
+        turns = q / period
+        np.floor(turns, out=turns)
+        turns *= period
+        q -= turns
+        parts.append(q.astype(np.intp))
+    phases = np.add(parts[0][:, :, None], parts[1][:, None, :])
+    return phases.reshape(hi - lo, seq.size), period
 
 
 def character_rows(seq: RadixSequence, lo: int, hi: int) -> np.ndarray:
@@ -152,7 +169,23 @@ def character_rows(seq: RadixSequence, lo: int, hi: int) -> np.ndarray:
     bitwise independent of the block they are built in.
     """
     phases, period = _phases(seq, lo, hi)
-    return _roots(period)[phases]
+    return np.take(_roots(period), phases, mode="wrap")
+
+
+def check_oracle_fits(seq: RadixSequence, count: int) -> None:
+    """Refuse ``count`` functions whose naive-oracle run would not fit in physical memory.
+
+    Callers check before drawing them.  Counted are the functions and their
+    coefficients, M_N complex values each, and the oracle's panels and output.
+    """
+    panels = -(-count // PANEL) * seq.size * 2 * PANEL * np.dtype(np.float64).itemsize
+    need = 2 * (count * seq.size * np.dtype(np.complex128).itemsize + panels)
+    budget = _physical_memory()
+    if need > budget:
+        raise CapacityExceeded(
+            f"naive oracle for {count} functions on M_N={seq.size} needs {need} bytes, "
+            f"physical memory is {budget}"
+        )
 
 
 def forward_naive_many(fs: list[StepFunction]) -> list[CoefficientVector]:
@@ -197,12 +230,12 @@ def forward_naive_many(fs: list[StepFunction]) -> list[CoefficientVector]:
             block = np.empty((n, size))
             for r in range(lo, hi, step):
                 phases, _ = _phases(seq, r, min(r + step, hi))
-                np.take(cos, phases, out=block[r - lo : r - lo + len(phases)])
+                np.take(cos, phases, out=block[r - lo : r - lo + len(phases)], mode="wrap")
         else:
             phases, _ = _phases(seq, lo, hi)
             block = np.empty((2 * n, size))
-            np.take(cos, phases, out=block[:n])
-            np.take(neg_sin, phases, out=block[n:])
+            np.take(cos, phases, out=block[:n], mode="wrap")
+            np.take(neg_sin, phases, out=block[n:], mode="wrap")
         span = max(1, PRODUCT_MADDS // (2 * PANEL * len(block)))
         parts = np.empty((-(-size // span), len(block), 2 * PANEL))
         prod = np.empty_like(parts[0])

@@ -21,6 +21,7 @@ from vlab.cli import (
 )
 import vlab
 import vlab.means as means_mod
+import vlab.transform as transform_mod
 from vlab.counterexample import SWEEP_COLUMNS, build_case, sweep_row
 from vlab.errors import ConfigError
 from vlab.group_core import build_radix, cycle_radices
@@ -555,6 +556,23 @@ def test_stack_beyond_physical_memory_is_exit_two(monkeypatch, capsys):
     tracemalloc.start()
     try:
         rc = run(argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "physical memory" in err[0]
+    assert peak < 2**20
+
+
+def test_oracle_beyond_physical_memory_is_exit_two(monkeypatch, capsys):
+    # the default transform draws 20 functions on M_N = 4096 (2.6 MiB with
+    # their coefficients) and its oracle needs 3 MiB of panels and output;
+    # the check runs before any draw
+    monkeypatch.setattr(transform_mod, "_physical_memory", lambda: 2**20)
+    tracemalloc.start()
+    try:
+        rc = run(["transform"])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -1,4 +1,5 @@
 import cmath
+import math
 import tracemalloc
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 from vlab import transform
 from vlab.errors import CapacityExceeded, IndexOutOfRange, RankOutOfRange, ResolutionMismatch
-from vlab.group_core import build_radix, cycle_radices
+from vlab.group_core import build_radix, cycle_radices, decompose, digit_table
 from vlab.means import partial_sum_stack
 from vlab.step_functions import StepFunction, conditional_average, lp_quasinorm
 from vlab.transform import (
@@ -89,6 +90,61 @@ def test_dyadic_and_quaternary_rows_are_exact():
     assert np.all(np.abs(rows.real) == 1.0) and np.all(rows.imag == 0.0)
     rows = character_rows(build_radix((4, 4, 4)), 0, 64)
     assert set(np.unique(rows).tolist()) == {1, -1, 1j, -1j}
+
+
+@pytest.mark.parametrize(
+    "radices, blocks",
+    [
+        ((), ((0, 1),)),
+        ((7,), ((0, 7), (3, 5))),  # s = 0: the low part is one point
+        ((64, 64), ((0, 3), (62, 67), (4094, 4096))),  # M_s = 64
+        ((2, 3, 5, 7), ((0, 210), (4, 9))),  # L = M_N = 210, M_s = 6
+        (cycle_radices((3, 5, 3), 5), ((13, 17), (44, 47), (670, 675))),  # M_s = 15
+        ((2,) * 9, ((14, 19), (30, 34), (510, 512))),  # M_s = 16, halves of 4 and 5 digits
+    ],
+)
+def test_character_rows_are_the_roots_at_exact_integer_phases(radices, blocks):
+    # q = sum_j k_j x_j (L / m_j) in Python integers; the blocks that
+    # straddle a multiple of M_s carry from the low digits into the high
+    seq = build_radix(radices)
+    period = math.lcm(*radices)
+    roots = transform._roots(period)
+    points = [decompose(x, seq) for x in range(seq.size)]
+
+    def phase(n, point):
+        return sum(k * x * (period // m) for k, x, m in zip(decompose(n, seq), point, radices))
+
+    for lo, hi in blocks:
+        want = [[roots[phase(n, p) % period] for p in points] for n in range(lo, hi)]
+        want = np.array(want).reshape(hi - lo, seq.size)
+        assert character_rows(seq, lo, hi).tobytes() == want.tobytes()
+
+
+def test_one_character_row_peaks_within_twice_its_size():
+    # one row of (2,)^16 holds 2^16 complex values; the phases come from two
+    # 256 x 8 digit tables, not from the (2^16, 16) table of the whole group
+    seq = build_radix((2,) * 16)
+    digit_table.cache_clear()
+    transform._split.cache_clear()
+    tracemalloc.start()
+    try:
+        row = character_rows(seq, 0, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * row.nbytes
+
+
+def test_oracle_memory_check_counts_functions_and_panels(monkeypatch):
+    # 9 functions on M_N = 16: they and their coefficients are 2 * 9 * 16
+    # complex values; the panels and the output are two panels each, 16 x 16 reals
+    need = 2 * 9 * 16 * 16 + 2 * (2 * 16 * 16 * 8)
+    seq = build_radix((2,) * 4)
+    monkeypatch.setattr(transform, "_physical_memory", lambda: need)
+    transform.check_oracle_fits(seq, 9)
+    monkeypatch.setattr(transform, "_physical_memory", lambda: need - 1)
+    with pytest.raises(CapacityExceeded):
+        transform.check_oracle_fits(seq, 9)
 
 
 def test_character_phases_beyond_2_53_are_refused():
