@@ -14,18 +14,19 @@ broadcast sums of the exact phases of the low and the high digits, each
 mod L, and gathers a table of the L roots in wrap mode, which reads a
 phase q < 2L as q mod L.  ``character_rows`` gathers the complex roots;
 ``means`` gathers its blocks into the rows its partial-sum stacks share and
-scales them by the coefficients.  The naive oracle gathers the cosines and
-negated sines of the same roots into real blocks, and skips the sines when
-L <= 2, where every root is real; its cosine-only blocks take the rows of
-two builds.  ``vilenkin_char`` keeps a float phase and serves as the
-independent scalar oracle.
+scales them by the coefficients, and the naive oracle conjugates the rows
+of the two groups it factors the character matrix into.  ``vilenkin_char``
+keeps a float phase and serves as the independent scalar oracle.
 
-Two transform paths are provided.  ``forward_naive`` applies the full
-character matrix (M_N^2 multiply-adds), one block of rows at a time, and
-serves as the oracle; ``forward_naive_many`` shares each block across a
-batch of functions, which it holds in panels of PANEL functions, and
-splits each sum over x into spans, so that no BLAS product's shape depends
-on the batch and batch results equal single calls bit for bit.
+Two transform paths are provided.  ``forward_naive`` is the oracle.  With
+s the largest rank with M_s^2 <= M_N, psi_k(x) is the product of a
+character of the low digits m_0..m_{s-1} and one of the high digits
+m_s..m_{N-1}, so the conj character matrix is the Kronecker product of
+the two groups' matrices, and the oracle applies them one after the other:
+M_N (M_s + M_N / M_s) multiply-adds per function, M_N^2 when s = 0.
+``forward_naive_many`` shares each block of factor rows across a batch of
+functions, and no BLAS product's shape depends on the batch, so batch
+results equal single calls bit for bit.
 ``forward_fast`` runs one small DFT kernel along each digit axis as m_j
 broadcast multiply-adds, costing M_N * sum_k m_k multiply-adds; radices
 are small and bounded, so no in-axis FFT is needed.  Each pass reads its
@@ -91,21 +92,15 @@ def vilenkin_char(n: int, i: int, seq: RadixSequence) -> complex:
 
 
 # Entries of psi_k(x) built at once: 2^16 phases, rounded down to whole
-# rows k, and one row when M_N is larger.  A 1 MiB block holds the complex
-# rows of one build, the real cosine and negated-sine rows of one build,
-# or the real cosine rows of two builds; it bounds the scratch of the
-# naive oracle and of the rows behind the partial-sum stacks alike.
+# rows k, and one row when the group is larger.  A 1 MiB block of complex
+# rows bounds the scratch of the naive oracle's factors and of the rows
+# behind the partial-sum stacks alike.
 ROW_BLOCK = 1 << 16
 
-# Functions per product in the naive oracle.  Every product has this
-# width, so BLAS sums each coefficient in one order whatever the batch.
-PANEL = 8
-
-# Multiply-adds per naive-oracle product: h block rows meet a panel over
-# spans of s = max(1, 2^18 / (2 PANEL h)) points x.  OpenBLAS runs products
-# this small on one thread; its threaded driver splits the sum over x
-# elsewhere when M_N is no multiple of its inner block (seen at M_N = 1296),
-# so larger products would tie the last bits of c_k to the BLAS thread count.
+# Multiply-adds per naive-oracle product.  OpenBLAS runs products this
+# small on one thread; its threaded driver splits sums elsewhere when their
+# length is no multiple of its inner block (seen at M_N = 1296), so larger
+# products would tie the last bits of c_k to the BLAS thread count.
 PRODUCT_MADDS = 1 << 18
 
 
@@ -124,10 +119,15 @@ def _roots(period: int) -> np.ndarray:
     return table
 
 
+def _half_rank(seq: RadixSequence) -> int:
+    """The largest rank s with M_s^2 <= M_N."""
+    return max(r for r, m in enumerate(seq.scales) if m * m <= seq.size)
+
+
 @functools.lru_cache(maxsize=16)
 def _split(seq: RadixSequence) -> tuple[int, np.ndarray, np.ndarray]:
-    """M_s for the largest rank s with M_s^2 <= M_N; digit tables of m_0..m_{s-1}, m_s..m_{N-1}."""
-    s = max(r for r, m in enumerate(seq.scales) if m * m <= seq.size)
+    """M_s for s = :func:`_half_rank`; digit tables of m_0..m_{s-1}, m_s..m_{N-1}."""
+    s = _half_rank(seq)
     return seq.scales[s], digit_table(truncate(seq, s)), digit_table(build_radix(seq.radices[s:]))
 
 
@@ -175,11 +175,13 @@ def character_rows(seq: RadixSequence, lo: int, hi: int) -> np.ndarray:
 def check_oracle_fits(seq: RadixSequence, count: int) -> None:
     """Refuse ``count`` functions whose naive-oracle run would not fit in physical memory.
 
-    Callers check before drawing them.  Counted are the functions and their
-    coefficients, M_N complex values each, and the oracle's panels and output.
+    Callers check before drawing them.  Counted are the functions, their
+    coefficients and the oracle's intermediate between its two factors, M_N
+    complex values each per function, and one block of factor rows, which
+    holds at most ROW_BLOCK entries or one row of the larger factor.
     """
-    panels = -(-count // PANEL) * seq.size * 2 * PANEL * np.dtype(np.float64).itemsize
-    need = 2 * (count * seq.size * np.dtype(np.complex128).itemsize + panels)
+    block = max(ROW_BLOCK, seq.size // seq.scales[_half_rank(seq)])
+    need = (3 * count * seq.size + block) * np.dtype(np.complex128).itemsize
     budget = _physical_memory()
     if need > budget:
         raise CapacityExceeded(
@@ -188,71 +190,58 @@ def check_oracle_fits(seq: RadixSequence, count: int) -> None:
         )
 
 
+def _conj_factor(group: RadixSequence, data: list[np.ndarray] | np.ndarray) -> np.ndarray:
+    """Apply the conj character matrix A of ``group`` to every row of ``data``.
+
+    A row v of M_N values, viewed as X, an (M_N / m, m) array for m the
+    order of ``group``, becomes A X^T, flattened: the group's digits move
+    from the fastest axis to the slowest.  A's rows come from
+    :func:`character_rows` in blocks of at most ROW_BLOCK entries, each
+    applied to every row of ``data`` before the next is built.  A product
+    takes as many rows as fit in PRODUCT_MADDS multiply-adds, and when one
+    row does not, spans of its sum that fit, added in order; no product's
+    shape depends on the number of rows of ``data``.
+    """
+    count, size = len(data), len(data[0])
+    m, n = group.size, size // group.size
+    rows = max(1, min(ROW_BLOCK // m, PRODUCT_MADDS // size))
+    span = max(1, PRODUCT_MADDS // (rows * n))
+    out = np.empty((count, m, n), dtype=np.complex128)
+    for lo in range(0, m, rows):
+        block = character_rows(group, lo, min(lo + rows, m))
+        np.conj(block, out=block)
+        for v, res in zip(data, out):
+            x, res = v.reshape(n, m).T, res[lo : lo + len(block)]
+            np.matmul(block[:, :span], x[:span], out=res)
+            for x0 in range(span, m, span):
+                res += np.matmul(block[:, x0 : x0 + span], x[x0 : x0 + span])
+    return out.reshape(count, size)
+
+
 def forward_naive_many(fs: list[StepFunction]) -> list[CoefficientVector]:
     """Coefficients of every f in ``fs`` by the definition (the oracle).
 
-    c_k = (1/M_N) sum_x f(x) conj(psi_k(x)).  conj(psi_k) = C + iT, with
-    the cosine rows C and the negated-sine rows T gathered at
-    :func:`_phases`; T is built only when L > 2, since otherwise
-    every root is +-1.  The batch is copied once into zero-padded panels of
-    PANEL functions, each an (M_N, 2 PANEL) real array with the Re and Im
-    columns of every function side by side.  Each block of rows meets each
-    panel in products of at most PRODUCT_MADDS multiply-adds over spans of
-    x, added in order, whose shapes do not depend on the batch; so each c_k
-    sums its M_N terms in one order whatever the batch: batch results equal
-    single calls bit for bit.  Memory is O(ROW_BLOCK + S M_N) for S
-    functions, and the phases are shared by the batch.  All functions must
-    share one group.
+    c_k = (1/M_N) sum_x f(x) conj(psi_k(x)).  With s = :func:`_half_rank`,
+    conj(psi_k(x)) = A_lo[k mod M_s, x mod M_s] A_hi[k div M_s, x div M_s],
+    where A_lo and A_hi are the conj character matrices of the groups of
+    the digits m_0..m_{s-1} and m_s..m_{N-1}.  So with f viewed as F, an
+    (M_N / M_s, M_s) array, the coefficients are A_hi (F A_lo^T) / M_N,
+    flattened, which :func:`_conj_factor` computes in two passes; a factor
+    with no digits is the identity and is skipped.  Memory is
+    O(ROW_BLOCK + S M_N) for S functions, and batch results equal single
+    calls bit for bit.  All functions must share one group.
     """
     if not fs:
         return []
     seq = fs[0].radix_seq
     if any(f.radix_seq != seq for f in fs):
         raise ResolutionMismatch("batch functions live on different radix sequences")
-    size = seq.size
-    panels = np.zeros((-(-len(fs) // PANEL), size, 2 * PANEL))
-    for i, f in enumerate(fs):
-        p, s = divmod(i, PANEL)
-        panels[p, :, 2 * s : 2 * s + 2] = f.values.view(np.float64).reshape(size, 2)
-    # same layout as the panels: Re c_k and Im c_k of each function side by side
-    out = np.empty_like(panels)
-    period = math.lcm(*seq.radices)
-    roots = _roots(period)
-    cos = np.ascontiguousarray(roots.real)
-    neg_sin = -roots.imag if period > 2 else None
-    step = max(1, ROW_BLOCK // size)
-    # a cosine-only block holds as many rows as a cosine and sine block
-    rows = step if neg_sin is not None else 2 * step
-    for lo in range(0, size, rows):
-        hi = min(lo + rows, size)
-        n = hi - lo
-        if neg_sin is None:
-            block = np.empty((n, size))
-            for r in range(lo, hi, step):
-                phases, _ = _phases(seq, r, min(r + step, hi))
-                np.take(cos, phases, out=block[r - lo : r - lo + len(phases)], mode="wrap")
-        else:
-            phases, _ = _phases(seq, lo, hi)
-            block = np.empty((2 * n, size))
-            np.take(cos, phases, out=block[:n], mode="wrap")
-            np.take(neg_sin, phases, out=block[n:], mode="wrap")
-        span = max(1, PRODUCT_MADDS // (2 * PANEL * len(block)))
-        parts = np.empty((-(-size // span), len(block), 2 * PANEL))
-        prod = np.empty_like(parts[0])
-        for panel, res in zip(panels, out):
-            for part, x in zip(parts, range(0, size, span)):
-                np.matmul(block[:, x : x + span], panel[x : x + span], out=part)
-            np.sum(parts, axis=0, out=prod)
-            if neg_sin is None:
-                res[lo:hi] = prod
-            else:
-                # (C + iT)(a + ib) = (Ca - Tb) + i(Cb + Ta)
-                np.subtract(prod[:n, 0::2], prod[n:, 1::2], out=res[lo:hi, 0::2])
-                np.add(prod[:n, 1::2], prod[n:, 0::2], out=res[lo:hi, 1::2])
-    del panels, panel  # the loop's view of the last panel would keep them alive
-    coeffs = out.view(np.complex128)
-    coeffs /= size
-    return [CoefficientVector(seq, coeffs[i // PANEL, :, i % PANEL]) for i in range(len(fs))]
+    s = _half_rank(seq)
+    data = [f.values for f in fs]
+    for group in (truncate(seq, s), build_radix(seq.radices[s:])):
+        if group.size > 1:
+            data = _conj_factor(group, data)
+    return [CoefficientVector(seq, c / seq.size) for c in data]
 
 
 def forward_naive(f: StepFunction) -> CoefficientVector:

@@ -89,12 +89,15 @@ def _reports_under_blas_threads(tmp_path, argv, names):
 
 # M_N = 288 and 1296, neither a multiple of OpenBLAS's inner block; at 1296
 # the oracle's products would split their sums by thread count if they
-# exceeded transform.PRODUCT_MADDS.  At M_N = 4096 dyadic each sum is split
-# into 8 spans of 512.
+# exceeded transform.PRODUCT_MADDS.  At M_N = 4096 dyadic each factor is one
+# 64-row product; at 2^14 each factor of 128 points takes 16-row products;
+# one digit of 1296 is a single factor whose rows sum over all 1296 points.
 @pytest.mark.parametrize("argv", [
     ["--radices", "2,3,2,4", "--depth", "6", "--samples", "10", "--seed", "7"],
     ["--radices", "2,3", "--depth", "8", "--samples", "4", "--seed", "7"],
     ["--radices", "2", "--depth", "12", "--samples", "2", "--seed", "7"],
+    ["--radices", "2", "--depth", "14", "--samples", "2", "--seed", "7"],
+    ["--radices", "1296", "--depth", "1", "--samples", "2", "--seed", "7"],
 ])
 def test_transform_report_is_independent_of_blas_threads(tmp_path, argv):
     one, two = _reports_under_blas_threads(tmp_path, ["transform", *argv], ["r.csv"])
@@ -566,9 +569,9 @@ def test_stack_beyond_physical_memory_is_exit_two(monkeypatch, capsys):
 
 
 def test_oracle_beyond_physical_memory_is_exit_two(monkeypatch, capsys):
-    # the default transform draws 20 functions on M_N = 4096 (2.6 MiB with
-    # their coefficients) and its oracle needs 3 MiB of panels and output;
-    # the check runs before any draw
+    # the default transform draws 3 functions on M_N = 4096; with their
+    # coefficients and the oracle's intermediate they take 576 KiB, and one
+    # block of factor rows 1 MiB; the check runs before any draw
     monkeypatch.setattr(transform_mod, "_physical_memory", lambda: 2**20)
     tracemalloc.start()
     try:

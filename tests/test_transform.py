@@ -11,7 +11,6 @@ from vlab.group_core import build_radix, cycle_radices, decompose, digit_table
 from vlab.means import partial_sum_stack
 from vlab.step_functions import StepFunction, conditional_average, lp_quasinorm
 from vlab.transform import (
-    PANEL,
     ROW_BLOCK,
     CoefficientVector,
     OpCount,
@@ -136,9 +135,10 @@ def test_one_character_row_peaks_within_twice_its_size():
 
 
 def test_oracle_memory_check_counts_functions_and_panels(monkeypatch):
-    # 9 functions on M_N = 16: they and their coefficients are 2 * 9 * 16
-    # complex values; the panels and the output are two panels each, 16 x 16 reals
-    need = 2 * 9 * 16 * 16 + 2 * (2 * 16 * 16 * 8)
+    # 9 functions on M_N = 16: they, their coefficients and the intermediate
+    # between the two factors are 3 * 9 * 16 complex values, and one block
+    # of factor rows holds up to ROW_BLOCK complex entries
+    need = (3 * 9 * 16 + ROW_BLOCK) * 16
     seq = build_radix((2,) * 4)
     monkeypatch.setattr(transform, "_physical_memory", lambda: need)
     transform.check_oracle_fits(seq, 9)
@@ -224,10 +224,14 @@ def dense_reference(fs):
 
 
 # (2,3,2,4) and (3,5) at depth 4 fit one block; (3,5) at depth 5 has
-# M_N = 675, which 97-row blocks do not divide.  (2,)*9 takes the real
-# cosine-only blocks, (4,4,4) the sine rows with exact quarter turns.
+# M_N = 675.  (2,)*9 has factors of 16 and 32 points, (4,4,4) exact
+# quarter turns.  The halves differ: (2,3,5,7) splits into 6 and 35
+# points, (3,5,3) cycled to depth 5 into 15 and 45, and (64,64) into
+# 64 and 64 with L = 64; (7,) has s = 0, one factor of every point.
 @pytest.mark.parametrize(
-    "radices", [(2, 3, 2, 4), (3, 5, 3, 5), (3, 5, 3, 5, 3), (2,) * 9, (4, 4, 4)]
+    "radices",
+    [(2, 3, 2, 4), (3, 5, 3, 5), (3, 5, 3, 5, 3), (2,) * 9, (4, 4, 4),
+     (2, 3, 5, 7), (7,), (64, 64), cycle_radices((3, 5, 3), 5)],
 )
 def test_naive_oracle_matches_dense_reference(radices):
     seq = build_radix(radices)
@@ -242,73 +246,34 @@ def test_naive_oracle_matches_dense_reference(radices):
 
 @pytest.mark.parametrize("block", [1, 100])
 def test_naive_oracle_partial_blocks(monkeypatch, block):
-    # one row per block, as for M_N > ROW_BLOCK, and 2-row blocks with a short last one
-    seq = build_radix((3, 5, 3))
-    fs = [random_function(seq, seed) for seed in range(2)]
-    want = dense_reference(fs)
+    # factor row blocks of one row each, and of 100 entries: on (3,5,3)
+    # 6-row blocks of the 15-point factor end on a 3-row block, and on
+    # (2,)*7, whose characters are real, 6-row blocks of the 16-point factor
+    # end on a 4-row block
     monkeypatch.setattr(transform, "ROW_BLOCK", block)
-    for got, ref in zip(forward_naive_many(fs), want):
-        assert np.max(np.abs(got.coeffs - ref)) <= 1e-12
+    for radices in ((3, 5, 3), (2,) * 7):
+        seq = build_radix(radices)
+        fs = [random_function(seq, seed) for seed in range(2)]
+        for got, ref in zip(forward_naive_many(fs), dense_reference(fs)):
+            assert np.max(np.abs(got.coeffs - ref)) <= 1e-12
 
 
 def test_naive_oracle_batch_is_bitwise_single_calls():
-    seq = build_radix((2, 3, 2, 4, 5))
-    fs = [random_function(seq, seed) for seed in range(4)]
-    for got, f in zip(forward_naive_many(fs), fs):
-        assert np.array_equal(got.coeffs, forward_naive(f).coeffs)
+    # 19 functions, and the batch reversed, which moves every function to
+    # another place in the batch; (2,)*9 has real characters
+    for radices in ((2, 3, 2, 4, 5), (2,) * 9):
+        seq = build_radix(radices)
+        fs = [random_function(seq, seed) for seed in range(19)]
+        batch = forward_naive_many(fs)
+        backwards = forward_naive_many(fs[::-1])[::-1]
+        for got, back, f in zip(batch, backwards, fs):
+            assert np.array_equal(got.coeffs, forward_naive(f).coeffs)
+            assert np.array_equal(got.coeffs, back.coeffs)
     assert forward_naive_many([]) == []
 
 
-# (2,)*9 takes the cosine-only blocks, (2, 3, 2, 4, 5) the sine rows
-@pytest.mark.parametrize("radices", [(2,) * 9, (2, 3, 2, 4, 5)])
-def test_naive_oracle_panels_are_bitwise_single_calls(radices):
-    # two full panels and a zero-padded third; reversing the batch moves
-    # every function to another panel and column
-    seq = build_radix(radices)
-    fs = [random_function(seq, seed) for seed in range(2 * PANEL + 3)]
-    batch = forward_naive_many(fs)
-    backwards = forward_naive_many(fs[::-1])[::-1]
-    for got, back, f in zip(batch, backwards, fs):
-        assert np.array_equal(got.coeffs, forward_naive(f).coeffs)
-        assert np.array_equal(got.coeffs, back.coeffs)
-
-
-@pytest.mark.parametrize("block", [1, 100, 640])
-def test_naive_oracle_cosine_partial_blocks(monkeypatch, block):
-    # cosine-only blocks of two phase builds: one row each for 1 and 100;
-    # 640 builds 5 rows, so the last 8-row block ends on a 3-row build
-    seq = build_radix((2,) * 7)
-    fs = [random_function(seq, seed) for seed in range(2)]
-    want = dense_reference(fs)
-    monkeypatch.setattr(transform, "ROW_BLOCK", block)
-    for got, ref in zip(forward_naive_many(fs), want):
-        assert np.max(np.abs(got.coeffs - ref)) <= 1e-12
-
-
-@pytest.mark.parametrize("radices", [(2,) * 7, (3, 5, 3)])
-def test_naive_oracle_short_products(monkeypatch, radices):
-    # One block holds every row: M_N cosine rows on (2,)*7, M_N cosine and
-    # M_N sine rows on (3,5,3).  Spans of 7 divide neither M_N = 128 nor 45,
-    # so each sum ends on a short span.
-    seq = build_radix(radices)
-    height = seq.size if max(radices) == 2 else 2 * seq.size
-    assert seq.size % 7
-    fs = [random_function(seq, seed) for seed in range(2)]
-    want = dense_reference(fs)
-    monkeypatch.setattr(transform, "PRODUCT_MADDS", 7 * 2 * PANEL * height)
-    for got, ref in zip(forward_naive_many(fs), want):
-        assert np.max(np.abs(got.coeffs - ref)) <= 1e-12
-
-
-@pytest.mark.parametrize("radices", [(2,) * 7, (3, 5, 3)])
-def test_naive_oracle_products_stay_within_the_cap(monkeypatch, radices):
-    # One-row blocks, as for M_N > ROW_BLOCK, under a cap that a product
-    # over the whole sum would exceed: OpenBLAS runs products within the
-    # cap on one thread, which keeps reports independent of the thread count.
-    seq = build_radix(radices)
-    cap = PANEL * seq.size
-    fs = [random_function(seq, seed) for seed in range(2)]
-    want = dense_reference(fs)
+def counted_products(monkeypatch, call):
+    """Run ``call`` with np.matmul counting each product's multiply-adds; return the counts."""
     madds = []
     matmul = np.matmul
 
@@ -316,14 +281,53 @@ def test_naive_oracle_products_stay_within_the_cap(monkeypatch, radices):
         madds.append(a.shape[0] * a.shape[1] * b.shape[1])
         return matmul(a, b, **kwargs)
 
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "matmul", counting_matmul)
+        got = call()
+    return got, madds
+
+
+@pytest.mark.parametrize("radices", [(2,) * 7, (3, 5, 3)])
+def test_naive_oracle_short_products(monkeypatch, radices):
+    # A cap of M_N - 1 multiply-adds, which one row exceeds, splits every sum
+    # into spans: of 7 and 15 points for the factors of 8 and 16 points of
+    # (2,)*7, of 2 and 14 for the factors of 3 and 15 of (3,5,3).  No span
+    # divides its sum, so each sum ends on a short span.
+    seq = build_radix(radices)
+    fs = [random_function(seq, seed) for seed in range(2)]
+    monkeypatch.setattr(transform, "PRODUCT_MADDS", seq.size - 1)
+    got, madds = counted_products(monkeypatch, lambda: forward_naive_many(fs))
+    assert max(madds) < seq.size
+    for cv, ref in zip(got, dense_reference(fs)):
+        assert np.max(np.abs(cv.coeffs - ref)) <= 1e-12
+
+
+@pytest.mark.parametrize("radices", [(2,) * 7, (3, 5, 3)])
+def test_naive_oracle_products_stay_within_the_cap(monkeypatch, radices):
+    # One-row blocks, as for M_N > ROW_BLOCK, under a cap that a product
+    # over the whole sum of a row would exceed: OpenBLAS runs products
+    # within the cap on one thread, which keeps reports independent of the
+    # thread count.
+    seq = build_radix(radices)
+    cap = seq.size // 2
+    fs = [random_function(seq, seed) for seed in range(2)]
     monkeypatch.setattr(transform, "ROW_BLOCK", 1)
     monkeypatch.setattr(transform, "PRODUCT_MADDS", cap)
-    monkeypatch.setattr(np, "matmul", counting_matmul)
-    got = forward_naive_many(fs)
-    monkeypatch.undo()
+    got, madds = counted_products(monkeypatch, lambda: forward_naive_many(fs))
     assert madds and max(madds) <= cap
-    for cv, ref in zip(got, want):
+    for cv, ref in zip(got, dense_reference(fs)):
         assert np.max(np.abs(cv.coeffs - ref)) <= 1e-12
+
+
+@pytest.mark.parametrize("radices, per_function", [
+    ((2,) * 12, 4096 * (64 + 64)),  # M_s = 64: 1/32 of M_N^2
+    ((7,), 7 * 7),  # s = 0: one factor, M_N^2
+])
+def test_naive_oracle_work_is_two_factor_products(monkeypatch, radices, per_function):
+    seq = build_radix(radices)
+    fs = [random_function(seq, seed) for seed in range(3)]
+    _, madds = counted_products(monkeypatch, lambda: forward_naive_many(fs))
+    assert sum(madds) == len(fs) * per_function
 
 
 def test_naive_oracle_rejects_mixed_groups():
@@ -357,6 +361,19 @@ def test_naive_oracle_batch_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 20 * 2**20
+
+
+def test_naive_oracle_one_digit_memory_is_bounded():
+    # s = 0: one factor of all 3000 points, whose dense matrix would take
+    # 144 MB; its rows are built in blocks of ROW_BLOCK entries
+    f = random_function(build_radix((3000,)))
+    tracemalloc.start()
+    try:
+        forward_naive(f)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def test_inverse_of_unit_vector_is_character():
