@@ -246,30 +246,46 @@ def test_naive_oracle_matches_dense_reference(radices):
 
 @pytest.mark.parametrize("block", [1, 100])
 def test_naive_oracle_partial_blocks(monkeypatch, block):
-    # factor row blocks of one row each, and of 100 entries: on (3,5,3)
-    # 6-row blocks of the 15-point factor end on a 3-row block, and on
-    # (2,)*7, whose characters are real, 6-row blocks of the 16-point factor
-    # end on a 4-row block
+    # factor row blocks of one row each, and of 100 entries: 6-row blocks
+    # of the 15-point factor of (3,5,3) end on a 3-row block
+    seq = build_radix((3, 5, 3))
+    fs = [random_function(seq, seed) for seed in range(2)]
     monkeypatch.setattr(transform, "ROW_BLOCK", block)
-    for radices in ((3, 5, 3), (2,) * 7):
-        seq = build_radix(radices)
-        fs = [random_function(seq, seed) for seed in range(2)]
-        for got, ref in zip(forward_naive_many(fs), dense_reference(fs)):
-            assert np.max(np.abs(got.coeffs - ref)) <= 1e-12
+    for got, ref in zip(forward_naive_many(fs), dense_reference(fs)):
+        assert np.max(np.abs(got.coeffs - ref)) <= 1e-12
 
 
 def test_naive_oracle_batch_is_bitwise_single_calls():
-    # 19 functions, and the batch reversed, which moves every function to
-    # another place in the batch; (2,)*9 has real characters
-    for radices in ((2, 3, 2, 4, 5), (2,) * 9):
-        seq = build_radix(radices)
-        fs = [random_function(seq, seed) for seed in range(19)]
-        batch = forward_naive_many(fs)
-        backwards = forward_naive_many(fs[::-1])[::-1]
-        for got, back, f in zip(batch, backwards, fs):
-            assert np.array_equal(got.coeffs, forward_naive(f).coeffs)
-            assert np.array_equal(got.coeffs, back.coeffs)
+    seq = build_radix((2, 3, 2, 4, 5))
+    fs = [random_function(seq, seed) for seed in range(4)]
+    for got, f in zip(forward_naive_many(fs), fs):
+        assert np.array_equal(got.coeffs, forward_naive(f).coeffs)
     assert forward_naive_many([]) == []
+
+
+# (2,)*9 has real characters, (2, 3, 2, 4, 5) complex ones
+@pytest.mark.parametrize("radices", [(2,) * 9, (2, 3, 2, 4, 5)])
+def test_naive_oracle_panels_are_bitwise_single_calls(radices):
+    # 19 functions, and the batch reversed, which moves every function to
+    # another place in the batch
+    seq = build_radix(radices)
+    fs = [random_function(seq, seed) for seed in range(19)]
+    batch = forward_naive_many(fs)
+    backwards = forward_naive_many(fs[::-1])[::-1]
+    for got, back, f in zip(batch, backwards, fs):
+        assert np.array_equal(got.coeffs, forward_naive(f).coeffs)
+        assert np.array_equal(got.coeffs, back.coeffs)
+
+
+@pytest.mark.parametrize("block", [1, 100])
+def test_naive_oracle_cosine_partial_blocks(monkeypatch, block):
+    # (2,)*7 has real characters: factor row blocks of one row each, and of
+    # 100 entries, where 6-row blocks of the 16-point factor end on a 4-row block
+    seq = build_radix((2,) * 7)
+    fs = [random_function(seq, seed) for seed in range(2)]
+    monkeypatch.setattr(transform, "ROW_BLOCK", block)
+    for got, ref in zip(forward_naive_many(fs), dense_reference(fs)):
+        assert np.max(np.abs(got.coeffs - ref)) <= 1e-12
 
 
 def counted_products(monkeypatch, call):
