@@ -31,7 +31,7 @@ from .counterexample import (
     verify_partial_sums,
 )
 from .errors import ConfigError, VilenkinError
-from .group_core import build_radix, cycle_radices, parse_radices
+from .group_core import RadixSequence, build_radix, cycle_radices, parse_radices
 from .means import norlund_mean, weight_sequence_from_spec
 from .operators import (
     check_p_unit,
@@ -301,18 +301,22 @@ def cmd_transform(cfg: RunConfig) -> tuple[dict[str, ExperimentReport], bool]:
 # ---------------------------------------------------------------------------
 
 
-def _p_list(cfg: RunConfig) -> tuple[float, ...]:
-    """The exponents of a theorem command, all checked before any work:
-    each in 0 < p < 1 and none repeated."""
+def _p_list(cfg: RunConfig, seq: RadixSequence) -> tuple[float, ...]:
+    """The exponents of a theorem command on ``seq``, all checked before any
+    work: each in 0 < p < 1, none repeated, and none so small that
+    (2 M_N)^{1/p}, which bounds the 1/p powers the command takes, overflows."""
     ps = tuple(check_p_unit(p) for p in cfg.p)
     if len(set(ps)) < len(ps):
         raise ConfigError(f"p list must not repeat a value, got {cfg.p}")
+    for p in ps:
+        if math.log(2 * seq.size) / p >= math.log(sys.float_info.max):
+            raise ConfigError(f"p={p} too small for M_N={seq.size}: (2 M_N)^(1/p) overflows")
     return ps
 
 
 def cmd_theorem_a(cfg: RunConfig) -> tuple[dict[str, ExperimentReport], bool]:
-    p_list = _p_list(cfg)
     seq = _build_seq(cfg, min_depth=2)
+    p_list = _p_list(cfg, seq)
     nmax = min(cfg.nmax, seq.size)
     atom_report = ExperimentReport(columns=list(ATOM_COLUMNS))
     dom_report = ExperimentReport(columns=list(DOMINATION_COLUMNS))
@@ -365,9 +369,9 @@ def cmd_theorem_a(cfg: RunConfig) -> tuple[dict[str, ExperimentReport], bool]:
 def cmd_theorem_b(cfg: RunConfig) -> tuple[dict[str, ExperimentReport], bool]:
     if any(b <= a for a, b in zip(cfg.k_list, cfg.k_list[1:])):
         raise ConfigError(f"k_list must be strictly increasing, got {cfg.k_list}")
-    p_list = _p_list(cfg)
     need = 2 * max(cfg.k_list) + 1
     seq = _build_seq(cfg, min_depth=need)
+    p_list = _p_list(cfg, seq)
     weight = parse_weight_spec(cfg.weight)
     master = ExperimentReport(columns=list(SWEEP_COLUMNS))
     _echo_config(master, cfg, "theorem-b")

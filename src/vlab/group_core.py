@@ -15,11 +15,8 @@ linear indices.
 
 from __future__ import annotations
 
-import functools
 import os
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import (
     CapacityExceeded,
@@ -121,13 +118,3 @@ def decompose(n: int, seq: RadixSequence) -> tuple[int, ...]:
         n //= r
     return tuple(digits)
 
-
-@functools.lru_cache(maxsize=16)
-def digit_table(seq: RadixSequence) -> np.ndarray:
-    """(M_N, N) float64 array (digits are exact) whose row i holds the digits of i; read-only."""
-    idx = np.arange(seq.size, dtype=np.int64)
-    table = np.empty((seq.size, seq.depth), dtype=np.float64)
-    for j in range(seq.depth):
-        table[:, j] = (idx // seq.scales[j]) % seq.radices[j]
-    table.flags.writeable = False
-    return table

@@ -9,10 +9,10 @@ over the M_N cylinders.
 With L = lcm(m_j), psi_n(x) = exp(2 pi i q / L) for the integer phase
 q = sum_j n_j x_j (L / m_j) mod L, so every character value is one of the
 L roots of unity.  Characters are built as arrays in one place: a block of
-rows psi_lo .. psi_{hi-1}, at most ROW_BLOCK entries, takes as phases the
-broadcast sums of the exact phases of the low and the high digits, each
-mod L, and gathers a table of the L roots in wrap mode, which reads a
-phase q < 2L as q mod L.  ``character_rows`` gathers the complex roots;
+rows psi_lo .. psi_{hi-1}, at most ROW_BLOCK entries, sums the integer
+phases k_j x_j (L / m_j) digit by digit straight from the linear indices,
+unreduced, and gathers a table of the L roots in wrap mode, which reads
+each phase mod L.  ``character_rows`` gathers the complex roots;
 ``means`` gathers its blocks into the rows its partial-sum stacks share and
 scales them by the coefficients, and the naive oracle conjugates the rows
 of the two groups it factors the character matrix into.  ``vilenkin_char``
@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityExceeded, IndexOutOfRange, RankOutOfRange, ResolutionMismatch
-from .group_core import RadixSequence, build_radix, decompose, digit_table, truncate
+from .group_core import RadixSequence, build_radix, decompose, truncate
 from .group_core import _physical_memory
 from .step_functions import StepFunction
 
@@ -124,51 +124,26 @@ def _half_rank(seq: RadixSequence) -> int:
     return max(r for r, m in enumerate(seq.scales) if m * m <= seq.size)
 
 
-@functools.lru_cache(maxsize=16)
-def _split(seq: RadixSequence) -> tuple[int, np.ndarray, np.ndarray]:
-    """M_s for s = :func:`_half_rank`; digit tables of m_0..m_{s-1}, m_s..m_{N-1}."""
-    s = _half_rank(seq)
-    return seq.scales[s], digit_table(truncate(seq, s)), digit_table(build_radix(seq.radices[s:]))
+def character_rows(seq: RadixSequence, lo: int, hi: int) -> np.ndarray:
+    """(hi - lo, M_N) array whose row k - lo holds psi_k, lo <= k < hi.
 
-
-def _phases(seq: RadixSequence, lo: int, hi: int) -> tuple[np.ndarray, int]:
-    """Integer phases of rows lo..hi-1 and their period L = lcm(m_j).
-
-    Entry (k - lo, x) is below 2L and congruent mod L to
-    q = sum_j k_j x_j (L / m_j), so psi_k(x) = ``_roots(L)[q % L]``, which
-    the gathers read with ``mode="wrap"``.  q is the sum of the phases of
-    the high and the low digits of :func:`_split` (k div M_s and x div M_s,
-    k mod M_s and x mod M_s), each reduced mod L.  Unreduced, either is an
-    integer below L sum_j m_j < 2^53, so the float products are exact
-    whatever the BLAS blocking, and so is the reduction.
+    Entry (k - lo, x) gathers ``_roots(L)`` at an integer congruent mod L
+    to q = sum_j k_j x_j (L / m_j), for L = lcm(m_j), in wrap mode.  The
+    phases are built digit by digit from the linear indices: digit j adds
+    the outer product of k_j (L / m_j), k_j = k div M_j mod m_j, with
+    x_j = 0..m_j-1 on a new slower axis.  They are exact integers below
+    L sum_j m_j < 2^53, so rows are bitwise independent of their block.
     """
     if not 0 <= lo <= hi <= seq.size:
         raise IndexOutOfRange(f"character rows {lo}..{hi} outside 0..{seq.size}")
     period = math.lcm(*seq.radices)
     if period * sum(seq.radices) >= 2**53:
         raise CapacityExceeded(f"character phases of radices {seq} exceed 2^53")
-    m_s, low, high = _split(seq)
-    weights = np.array([period // m for m in seq.radices], dtype=np.float64)
-    ks, s = np.arange(lo, hi), low.shape[1]
-    parts = []
-    for digits, k, w in ((high, ks // m_s, weights[s:]), (low, ks % m_s, weights[:s])):
-        q = (digits[k] * w) @ digits.T
-        turns = q / period
-        np.floor(turns, out=turns)
-        turns *= period
-        q -= turns
-        parts.append(q.astype(np.intp))
-    phases = np.add(parts[0][:, :, None], parts[1][:, None, :])
-    return phases.reshape(hi - lo, seq.size), period
-
-
-def character_rows(seq: RadixSequence, lo: int, hi: int) -> np.ndarray:
-    """(hi - lo, M_N) array whose row k - lo holds psi_k, lo <= k < hi.
-
-    The roots of unity gathered at :func:`_phases`; rows are
-    bitwise independent of the block they are built in.
-    """
-    phases, period = _phases(seq, lo, hi)
+    ks = np.arange(lo, hi)
+    phases = np.zeros((hi - lo, 1), dtype=np.intp)
+    for m, scale in zip(seq.radices, seq.scales):
+        steps = np.outer(ks // scale % m * (period // m), np.arange(m))
+        phases = np.add(steps[:, :, None], phases[:, None, :]).reshape(hi - lo, scale * m)
     return np.take(_roots(period), phases, mode="wrap")
 
 
@@ -251,7 +226,15 @@ def forward_naive(f: StepFunction) -> CoefficientVector:
 
 @functools.lru_cache(maxsize=64)
 def dft_kernel(m: int, sign: int) -> np.ndarray:
-    """(m, m) kernel K[a, b] = exp(sign * 2 pi i a b / m)."""
+    """(m, m) kernel K[a, b] = exp(sign * 2 pi i a b / m).
+
+    Its build peaks at 40 m^2 bytes, refused beyond physical memory.
+    """
+    need = 40 * m * m
+    if need > _physical_memory():
+        raise CapacityExceeded(
+            f"DFT kernel of order {m} needs {need} bytes, physical memory is {_physical_memory()}"
+        )
     grid = np.outer(np.arange(m), np.arange(m))
     mat = np.exp(sign * 2j * np.pi * grid / m)
     mat.flags.writeable = False

@@ -1,15 +1,16 @@
-"""Every public name and every dataclass field of vlab has a reader.
+"""Every public name, private helper, constant and dataclass field of vlab has a reader.
 
 A public module-level function or class of ``src/vlab``, and every name
 ``vlab/__init__.py`` exports, must be loaded (read as a name or an
 attribute) somewhere in ``src/vlab`` or ``bench/`` outside its own
-definition.  Every field of a dataclass defined in ``src/vlab`` must be
-read as an attribute (``x.field``) somewhere in ``src/vlab`` or
-``bench/``.  Tests do not count as callers, so an API or a result field
-kept only for the tests fails here.  The exceptions are reference
-implementations that tests compare the fast paths against.  No module of
-``src/vlab`` reads the environment: a run is set by its flags and config
-file alone.
+definition, and so must every private module-level function or class and
+every UPPER_CASE module constant of ``src/vlab``.  Every field of a
+dataclass defined in ``src/vlab`` must be read as an attribute
+(``x.field``) somewhere in ``src/vlab`` or ``bench/``.  Tests do not
+count as callers, so an API, a helper or a result field kept only for the
+tests fails here.  The exceptions are reference implementations that
+tests compare the fast paths against.  No module of ``src/vlab`` reads
+the environment: a run is set by its flags and config file alone.
 """
 
 import ast
@@ -43,22 +44,26 @@ def _public_names(trees):
     return names
 
 
+def _loads(tree):
+    """Names and attributes read in one file, skipping reads of a definition's own name in its body."""
+    loaded = set()
+    for node in tree.body:
+        own = getattr(node, "name", None)
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+                name = sub.id
+            elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+                name = sub.attr
+            else:
+                continue
+            if name != own:
+                loaded.add(name)
+    return loaded
+
+
 def _loaded_names(trees):
     """Names and attributes read anywhere, skipping reads of a definition's own name in its body."""
-    loaded = set()
-    for tree in trees.values():
-        for node in tree.body:
-            own = getattr(node, "name", None)
-            for sub in ast.walk(node):
-                if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
-                    name = sub.id
-                elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
-                    name = sub.attr
-                else:
-                    continue
-                if name != own:
-                    loaded.add(name)
-    return loaded
+    return set().union(*map(_loads, trees.values()))
 
 
 def test_every_public_name_has_a_caller():
@@ -71,6 +76,39 @@ def test_every_public_name_has_a_caller():
         if name not in loaded and name not in REFERENCES
     )
     assert not unused, f"public names with no caller in src/vlab or bench/: {unused}"
+
+
+def _private_and_constant_names(tree):
+    """Private module-level functions and classes of one file, and its
+    UPPER_CASE module constants (leading underscores allowed)."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if node.name.startswith("_"):
+                names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {t.id for t in targets if isinstance(t, ast.Name) and t.id.strip("_").isupper()}
+    return names
+
+
+def test_every_private_helper_and_constant_has_a_reader():
+    # a read counts in the defining file, or in a file that defines no name
+    # of its own by that name, so a helper left behind when its last reader
+    # is deleted fails here even if another module has a namesake
+    trees = _trees(PACKAGE, ROOT / "bench")
+    loads = {path: _loads(tree) for path, tree in trees.items()}
+    defined = {p: _private_and_constant_names(t) for p, t in trees.items() if p.parent == PACKAGE}
+    unread = sorted(
+        f"{path.name}: {name}"
+        for path, names in defined.items()
+        for name in names
+        if not any(
+            name in loads[other] and (other == path or name not in defined.get(other, ()))
+            for other in trees
+        )
+    )
+    assert not unread, f"private helpers or constants with no reader in src/vlab or bench/: {unread}"
 
 
 def test_references_are_still_defined():

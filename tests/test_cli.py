@@ -294,6 +294,11 @@ def test_norms_needs_fn():
         ["theorem-b", "--k-list", "1,1", "--theta-samples", "0"],
         ["theorem-b", "--k-list", "3,1,2", "--theta-samples", "0"],
         ["theorem-b", "--config", "{unordered}", "--theta-samples", "0"],
+        # p so small that (2 M_N)^(1/p) overflows a float
+        ["theorem-b", "--p", "0.01"],
+        ["theorem-b", "--k-list", "1", "--theta-samples", "0", "--p", "1e-4"],
+        ["theorem-a", "--p", "1e-3", "--samples", "5"],
+        ["theorem-a", "--depth", "3", "--nmax", "4", "--samples", "2", "--p", "1e-4"],
     ],
 )
 def test_bad_input_is_one_line_exit_two(tmp_path, capsys, argv):
@@ -326,12 +331,14 @@ def test_bad_input_is_one_line_exit_two(tmp_path, capsys, argv):
         ["theorem-b", "--k-list", "1", "--theta-samples", "0", "--p", "0.5,1.5"],
         ["theorem-b", "--k-list", "1", "--theta-samples", "0", "--p", "0.5,1"],
         ["theorem-b", "--k-list", "1", "--theta-samples", "0", "--p", "0.5,0.3,0.50"],
+        ["theorem-b", "--p", "0.5,0.01"],
     ],
-    ids=["a-above-one", "a-repeat", "b-above-one", "b-one", "b-repeat"],
+    ids=["a-above-one", "a-repeat", "b-above-one", "b-one", "b-repeat", "b-tiny"],
 )
 def test_p_list_is_checked_before_any_work(capsys, argv):
-    # an exponent outside 0 < p < 1 or a repeated one fails the run before
-    # the first p is worked on: no [ok] line, one error line
+    # an exponent outside 0 < p < 1, a repeated one or one too small for the
+    # group fails the run before the first p is worked on: no [ok] line, one
+    # error line
     assert run(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -585,6 +592,24 @@ def test_oracle_beyond_physical_memory_is_exit_two(monkeypatch, capsys):
     assert peak < 2**20
 
 
+def test_dft_kernel_beyond_physical_memory_is_exit_two(monkeypatch, capsys):
+    # on the one-digit group (400,) the inverse transform behind dirichlet:3
+    # needs a 400 x 400 kernel, built at a peak of 40 * 400^2 bytes (6.4 MB);
+    # the check runs before the build
+    monkeypatch.setattr(transform_mod, "_physical_memory", lambda: 2**20)
+    transform_mod.dft_kernel.cache_clear()
+    tracemalloc.start()
+    try:
+        rc = run(["norms", "--radices", "400", "--depth", "1", "--fn", "dirichlet:3"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "physical memory" in err[0]
+    assert peak < 2**20
+
+
 def test_cli_config_file_end_to_end(tmp_path):
     cfg_path = tmp_path / "run.cfg"
     out = tmp_path / "out.csv"
@@ -615,7 +640,7 @@ _FUZZ_VALUES = {
     "radices": (["2", "2,3", "3", "5,2"], ["", "1", "a", "2,,3", "-2"]),
     "depth": (["0", "1", "2", "3", "4"], ["-1", "x"]),
     "samples": (["0", "1", "2"], ["-1", "y"]),
-    "p": (["0.5", "0.3,0.8"], ["0", "-1", "1", "2", "nan", "inf", "abc", ","]),
+    "p": (["0.5", "0.3,0.8"], ["0", "-1", "1", "2", "nan", "inf", "abc", ",", "1e-4"]),
     "weight": (["log", "power:1", "power:0.5", "custom:{weights}"],
                ["power:-1", "power:abc", "bogus", "custom:{bad}", "custom:{missing}"]),
     "nmax": (["2", "8"], ["0", "1", "-3"]),

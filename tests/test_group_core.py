@@ -13,7 +13,6 @@ from vlab.group_core import (
     build_radix,
     cycle_radices,
     decompose,
-    digit_table,
     parse_radices,
     truncate,
 )
@@ -158,13 +157,3 @@ def test_truncate():
     assert sub.radices == (2, 3)
     assert sub.scales == (1, 2, 6)
     assert sub == build_radix((2, 3))
-
-
-def test_digit_table_matches_decompose():
-    seq = build_radix((2, 3, 2))
-    table = digit_table(seq)
-    assert table.shape == (12, 3)
-    for i in range(12):
-        assert tuple(table[i]) == decompose(i, seq)
-    with pytest.raises(ValueError):
-        table[0, 0] = 5

@@ -7,7 +7,7 @@ import pytest
 
 from vlab import transform
 from vlab.errors import CapacityExceeded, IndexOutOfRange, RankOutOfRange, ResolutionMismatch
-from vlab.group_core import build_radix, cycle_radices, decompose, digit_table
+from vlab.group_core import build_radix, cycle_radices, decompose
 from vlab.means import partial_sum_stack
 from vlab.step_functions import StepFunction, conditional_average, lp_quasinorm
 from vlab.transform import (
@@ -77,13 +77,6 @@ def test_character_row_matches_pointwise():
                 character_rows(seq, lo, hi)
 
 
-def test_character_rows_are_block_independent():
-    # phases are exact integers, so a row does not depend on the block or
-    # the BLAS thread count; M_N = 675 and blocks of 97 and 300 rows
-    seq = build_radix(cycle_radices((3, 5, 3), 5))
-    assert np.array_equal(character_rows(seq, 0, 97), character_rows(seq, 0, 300)[:97])
-
-
 def test_dyadic_and_quaternary_rows_are_exact():
     rows = character_rows(build_radix((2,) * 6), 0, 64)
     assert np.all(np.abs(rows.real) == 1.0) and np.all(rows.imag == 0.0)
@@ -91,20 +84,22 @@ def test_dyadic_and_quaternary_rows_are_exact():
     assert set(np.unique(rows).tolist()) == {1, -1, 1j, -1j}
 
 
-@pytest.mark.parametrize(
-    "radices, blocks",
-    [
-        ((), ((0, 1),)),
-        ((7,), ((0, 7), (3, 5))),  # s = 0: the low part is one point
-        ((64, 64), ((0, 3), (62, 67), (4094, 4096))),  # M_s = 64
-        ((2, 3, 5, 7), ((0, 210), (4, 9))),  # L = M_N = 210, M_s = 6
-        (cycle_radices((3, 5, 3), 5), ((13, 17), (44, 47), (670, 675))),  # M_s = 15
-        ((2,) * 9, ((14, 19), (30, 34), (510, 512))),  # M_s = 16, halves of 4 and 5 digits
-    ],
-)
+# Groups and row blocks lo..hi for the character-row tests: depth 0, one
+# digit, two large digits, L = M_N = 210, M_N = 675 and (2,)^9.
+ROW_CASES = [
+    ((), ((0, 1),)),
+    ((7,), ((0, 7), (3, 5))),
+    ((64, 64), ((0, 3), (62, 67), (4094, 4096))),
+    ((2, 3, 5, 7), ((0, 210), (4, 9))),
+    (cycle_radices((3, 5, 3), 5), ((13, 17), (44, 47), (670, 675), (0, 300))),
+    ((2,) * 9, ((14, 19), (30, 34), (510, 512))),
+]
+
+
+@pytest.mark.parametrize("radices, blocks", ROW_CASES)
 def test_character_rows_are_the_roots_at_exact_integer_phases(radices, blocks):
     # q = sum_j k_j x_j (L / m_j) in Python integers; the blocks that
-    # straddle a multiple of M_s carry from the low digits into the high
+    # straddle a multiple of some M_j carry from its digits into the next
     seq = build_radix(radices)
     period = math.lcm(*radices)
     roots = transform._roots(period)
@@ -119,12 +114,22 @@ def test_character_rows_are_the_roots_at_exact_integer_phases(radices, blocks):
         assert character_rows(seq, lo, hi).tobytes() == want.tobytes()
 
 
+def test_character_rows_are_block_independent():
+    # phases are exact integers, so a block's rows equal the same rows built
+    # one at a time, bit for bit, and an empty block keeps its M_N columns
+    for radices, blocks in ROW_CASES:
+        seq = build_radix(radices)
+        for lo, hi in blocks:
+            single = np.concatenate([character_rows(seq, k, k + 1) for k in range(lo, hi)])
+            assert character_rows(seq, lo, hi).tobytes() == single.tobytes()
+            assert character_rows(seq, hi, hi).shape == (0, seq.size)
+
+
 def test_one_character_row_peaks_within_twice_its_size():
-    # one row of (2,)^16 holds 2^16 complex values; the phases come from two
-    # 256 x 8 digit tables, not from the (2^16, 16) table of the whole group
+    # one row of (2,)^16 holds 2^16 complex values; its phases grow digit by
+    # digit to 2^16 integers, and no (2^16, 16) digit table is built
     seq = build_radix((2,) * 16)
-    digit_table.cache_clear()
-    transform._split.cache_clear()
+    transform._roots.cache_clear()
     tracemalloc.start()
     try:
         row = character_rows(seq, 0, 1)
@@ -148,7 +153,7 @@ def test_oracle_memory_check_counts_functions_and_panels(monkeypatch):
 
 
 def test_character_phases_beyond_2_53_are_refused():
-    # L * sum(m_j) = 2^54: the float phase product would no longer be exact
+    # L * sum(m_j) = 2^54 passes the 2^53 bound on the phase sums
     with pytest.raises(CapacityExceeded):
         character_rows(build_radix((2**27,)), 0, 1)
 
