@@ -31,13 +31,12 @@ from .counterexample import (
     verify_partial_sums,
 )
 from .errors import ConfigError, VilenkinError
-from .group_core import RadixSequence, build_radix, cycle_radices, parse_radices
+from .group_core import RadixSequence, build_radix, check_memory, cycle_radices, parse_radices
 from .means import norlund_mean, weight_sequence_from_spec
 from .operators import (
     check_p_unit,
     critical_power_weight,
     domination_check,
-    hardy_quasinorm,
     make_atom,
     parse_weight_spec,
     weighted_maximal,
@@ -45,6 +44,7 @@ from .operators import (
 from .report import ExperimentReport
 from .step_functions import (
     StepFunction,
+    hardy_quasinorm,
     load_step_function,
     lp_quasinorm,
     weak_lp_quasinorm,
@@ -183,6 +183,15 @@ class _DefaultDepth(int):
     """A per-command default depth: a floor, raised to what the command needs."""
 
 
+def _fitting(seq: RadixSequence) -> RadixSequence:
+    """``seq``, refused before any array on it if 192 bytes per point exceed
+    physical memory: the largest tracemalloc peak per point of a command at
+    its default sample count (transform, 179-188 B at depths 16-18), rounded
+    up to whole complex values."""
+    check_memory(192 * seq.size, f"a group of M_N={seq.size}")
+    return seq
+
+
 def _build_seq(cfg: RunConfig, min_depth: int = 0):
     pattern = parse_radices(cfg.radices)
     depth = cfg.depth
@@ -190,7 +199,7 @@ def _build_seq(cfg: RunConfig, min_depth: int = 0):
         depth = max(depth or len(pattern), min_depth)
     elif depth < min_depth:
         raise ConfigError(f"depth {depth} too small, need at least {min_depth}")
-    return build_radix(cycle_radices(pattern, depth), depth)
+    return _fitting(build_radix(cycle_radices(pattern, depth), depth))
 
 
 def _echo_config(report: ExperimentReport, cfg: RunConfig, command: str) -> None:
@@ -437,6 +446,7 @@ def _resolve_fn(cfg: RunConfig) -> tuple[StepFunction, RunConfig]:
             f = load_step_function(path)
         except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot load step function {path}: {exc}") from None
+        _fitting(f.radix_seq)
         return f, replace(cfg, radices=str(f.radix_seq), depth=f.radix_seq.depth)
     if spec.startswith("dirichlet:"):
         n = _spec_int(spec)

@@ -269,7 +269,8 @@ def sweep_row(position, case, p, weight):
 
 @dataclass(frozen=True)
 class DivergenceSweep:
-    """Rows under SWEEP_COLUMNS, the condition-6 verdict, and whether R_k strictly increases."""
+    """Rows under SWEEP_COLUMNS, the condition-6 verdict, and whether R_k strictly
+    increases on every step where the comparator does."""
 
     rows: tuple[tuple, ...]
     condition6: str
@@ -280,15 +281,17 @@ def divergence_sweep(cases, p: float, weight: WeightFunction) -> DivergenceSweep
     """Weak-type ratio R_k per case, with the analytic comparator.
 
     R_k = threshold * mu{|L_{n*} f| >= threshold}^{1/p} / ||f||_p where
-    threshold = 1/(l_{n*} phi(n*+1)).  Strict growth of R_k is expected
-    only when the weight's verdict is ``satisfied``, so callers assert
-    ``monotone`` in that case alone.
+    threshold = 1/(l_{n*} phi(n*+1)).  Growth of R_k is expected only
+    when the weight's verdict is ``satisfied``, so callers assert
+    ``monotone`` in that case alone.  Even then condition (6) gives only
+    limsup R_k = inf: R_k follows the comparator, which can fall over the
+    first cases (at p = 0.7 on the dyadic group), so strict growth of R_k
+    is required only on the steps k -> k+1 where the comparator grows.
     """
     p = check_p_unit(p)
     verdict = condition6_advisory(weight, p)
     rows = tuple(sweep_row(pos + 1, case, p, weight) for pos, case in enumerate(cases))
-    ratios = [row[9] for row in rows]
-    monotone = all(b > a for a, b in zip(ratios, ratios[1:]))
+    monotone = all(b[9] > a[9] for a, b in zip(rows, rows[1:]) if b[10] > a[10])
     return DivergenceSweep(rows=rows, condition6=verdict, monotone=monotone)
 
 

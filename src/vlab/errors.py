@@ -13,7 +13,7 @@ class CapacityExceeded(VilenkinError):
     """A group exceeds a capacity bound.
 
     Its scale table would pass ``group_core.CAPACITY``, its integer
-    character phases 2^53, or a stack or an oracle run the physical memory.
+    character phases 2^53, or its arrays physical memory (``group_core.check_memory``).
     """
 
 

@@ -35,6 +35,13 @@ def _physical_memory() -> int:
     return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
+def check_memory(need: int, what: str) -> None:
+    """Refuse ``what``, which needs ``need`` bytes, if that exceeds physical memory."""
+    budget = _physical_memory()
+    if need > budget:
+        raise CapacityExceeded(f"{what} needs {need} bytes, physical memory is {budget}")
+
+
 @dataclass(frozen=True)
 class RadixSequence:
     """Generating radices retained up to a fixed depth, with exact scales.

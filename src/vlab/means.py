@@ -27,14 +27,8 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import (
-    CapacityExceeded,
-    IndexOutOfRange,
-    InvalidWeight,
-    ResolutionMismatch,
-    ZeroTotalWeight,
-)
-from .group_core import RadixSequence, _physical_memory, truncate
+from .errors import IndexOutOfRange, InvalidWeight, ResolutionMismatch, ZeroTotalWeight
+from .group_core import RadixSequence, check_memory, truncate
 from .step_functions import StepFunction
 from .transform import ROW_BLOCK, character_rows, forward_fast, synthesize_multiplier
 
@@ -173,12 +167,7 @@ def _check_stack_fits(group: RadixSequence, n_max: int) -> None:
     rows_and_sums = 2 * _entries(_levels(group.scales, n_max)) * np.dtype(np.complex128).itemsize
     triangles = sum((stop - start) * (stop - 1) for start, stop in _blocks(n_max))
     need = rows_and_sums + triangles * np.dtype(np.float64).itemsize
-    budget = _physical_memory()
-    if need > budget:
-        raise CapacityExceeded(
-            f"partial-sum stack for n_max={n_max}, M_r={group.size} needs {need} bytes, "
-            f"physical memory is {budget}"
-        )
+    check_memory(need, f"partial-sum stack for n_max={n_max}, M_r={group.size}")
 
 
 def _split(flat: np.ndarray, levels) -> list[tuple[int, int, np.ndarray]]:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidExponent, ResolutionMismatch
-from .group_core import RadixSequence, build_radix
+from .group_core import RadixSequence, build_radix, check_memory
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,6 +116,7 @@ def load_step_function(path) -> StepFunction:
         seq = build_radix(
             tuple(int(r) for r in fields["radices"].split(",")), depth=int(fields["N"])
         )
+        check_memory(32 * seq.size, f"step function file on M_N={seq.size}")  # values, copy
         vals = np.empty(seq.size, dtype=np.complex128)
         for i in range(seq.size):
             line = fh.readline()

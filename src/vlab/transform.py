@@ -45,8 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityExceeded, IndexOutOfRange, RankOutOfRange, ResolutionMismatch
-from .group_core import RadixSequence, build_radix, decompose, truncate
-from .group_core import _physical_memory
+from .group_core import RadixSequence, build_radix, check_memory, decompose, truncate
 from .step_functions import StepFunction
 
 
@@ -157,12 +156,7 @@ def check_oracle_fits(seq: RadixSequence, count: int) -> None:
     """
     block = max(ROW_BLOCK, seq.size // seq.scales[_half_rank(seq)])
     need = (3 * count * seq.size + block) * np.dtype(np.complex128).itemsize
-    budget = _physical_memory()
-    if need > budget:
-        raise CapacityExceeded(
-            f"naive oracle for {count} functions on M_N={seq.size} needs {need} bytes, "
-            f"physical memory is {budget}"
-        )
+    check_memory(need, f"naive oracle for {count} functions on M_N={seq.size}")
 
 
 def _conj_factor(group: RadixSequence, data: list[np.ndarray] | np.ndarray) -> np.ndarray:
@@ -230,11 +224,7 @@ def dft_kernel(m: int, sign: int) -> np.ndarray:
 
     Its build peaks at 40 m^2 bytes, refused beyond physical memory.
     """
-    need = 40 * m * m
-    if need > _physical_memory():
-        raise CapacityExceeded(
-            f"DFT kernel of order {m} needs {need} bytes, physical memory is {_physical_memory()}"
-        )
+    check_memory(40 * m * m, f"DFT kernel of order {m}")
     grid = np.outer(np.arange(m), np.arange(m))
     mat = np.exp(sign * 2j * np.pi * grid / m)
     mat.flags.writeable = False

@@ -11,6 +11,8 @@ count as callers, so an API, a helper or a result field kept only for the
 tests fails here.  The exceptions are reference implementations that
 tests compare the fast paths against.  No module of ``src/vlab`` reads
 the environment: a run is set by its flags and config file alone.
+Outside ``__init__.py``, a relative import takes a public name from the
+module that defines it.
 """
 
 import ast
@@ -109,6 +111,36 @@ def test_every_private_helper_and_constant_has_a_reader():
         )
     )
     assert not unread, f"private helpers or constants with no reader in src/vlab or bench/: {unread}"
+
+
+def _defined_names(tree):
+    """Names one module defines at top level: functions, classes and assigned names."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {t.id for t in targets if isinstance(t, ast.Name)}
+    return names
+
+
+def test_relative_imports_take_public_names_from_their_definitions():
+    # outside __init__.py, ``from .m import n`` must name something module m
+    # defines itself, not a name m imports, and nothing private; so a
+    # module's private helpers and its own imports stay its own business
+    trees = _trees(PACKAGE)
+    defined = {path.stem: _defined_names(tree) for path, tree in trees.items()}
+    bad = sorted(
+        f"{path.name}: from .{node.module} import {alias.name}"
+        for path, tree in trees.items()
+        if path.name != "__init__.py"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module
+        for alias in node.names
+        if alias.name.startswith("_") or alias.name not in defined[node.module]
+    )
+    assert not bad, f"relative imports of private or re-exported names: {bad}"
 
 
 def test_references_are_still_defined():

@@ -20,6 +20,8 @@ from vlab.cli import (
     resolve_config,
 )
 import vlab
+import vlab.counterexample as counterexample_mod
+import vlab.group_core as group_core
 import vlab.means as means_mod
 import vlab.transform as transform_mod
 from vlab.counterexample import SWEEP_COLUMNS, build_case, sweep_row
@@ -27,7 +29,7 @@ from vlab.errors import ConfigError
 from vlab.group_core import build_radix, cycle_radices
 from vlab.operators import log_weight
 from vlab.report import format_cell
-from vlab.step_functions import lp_quasinorm
+from vlab.step_functions import StepFunction, lp_quasinorm
 
 
 def run(argv):
@@ -187,6 +189,25 @@ def test_theorem_b_small(tmp_path, capsys):
     assert (tmp_path / "b.theta.csv").exists()
     text = capsys.readouterr().out
     assert "strictly increasing" in text
+
+
+@pytest.mark.parametrize("p", ["0.7", "0.9"])
+def test_theorem_b_asserts_growth_where_the_comparator_grows(capsys, p):
+    # the comparator falls over the first cases at these p, and R_k with it
+    assert run(["theorem-b", "--p", p, "--theta-samples", "1"]) == 0
+    assert f"[ok] divergence ratios strictly increasing, p={p}" in capsys.readouterr().out
+
+
+def test_theorem_b_fails_when_r_k_falls_where_the_comparator_grows(monkeypatch, capsys):
+    real = counterexample_mod.sweep_row
+
+    def last_falls(position, case, p, weight):
+        row = real(position, case, p, weight)
+        return (*row[:9], row[9] / 100, row[10]) if position == 6 else row
+
+    monkeypatch.setattr(counterexample_mod, "sweep_row", last_falls)
+    assert run(["theorem-b", "--p", "0.7", "--theta-samples", "1"]) == 1
+    assert "[FAIL] divergence ratios strictly increasing, p=0.7" in capsys.readouterr().out
 
 
 def test_theorem_b_byte_identical(tmp_path):
@@ -560,7 +581,7 @@ def test_stack_beyond_physical_memory_is_exit_two(monkeypatch, capsys):
     # packed rows plus stack would take 2 * 700416 * 16 bytes (21 MiB); a
     # 1 MiB budget stands in for physical memory, so nothing that size is
     # allocated
-    monkeypatch.setattr(means_mod, "_physical_memory", lambda: 2**20)
+    monkeypatch.setattr(group_core, "_physical_memory", lambda: 2**20)
     means_mod.packed_character_rows.cache_clear()
     argv = ["theorem-a", "--radices", "2", "--depth", "10", "--nmax", "1024", "--samples", "2"]
     tracemalloc.start()
@@ -571,7 +592,10 @@ def test_stack_beyond_physical_memory_is_exit_two(monkeypatch, capsys):
         tracemalloc.stop()
     assert rc == 2
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error:") and "physical memory" in err[0]
+    assert err == [
+        "error: partial-sum stack for n_max=1024, M_r=1024 needs 26869248 bytes, "
+        "physical memory is 1048576"
+    ]
     assert peak < 2**20
 
 
@@ -579,7 +603,7 @@ def test_oracle_beyond_physical_memory_is_exit_two(monkeypatch, capsys):
     # the default transform draws 3 functions on M_N = 4096; with their
     # coefficients and the oracle's intermediate they take 576 KiB, and one
     # block of factor rows 1 MiB; the check runs before any draw
-    monkeypatch.setattr(transform_mod, "_physical_memory", lambda: 2**20)
+    monkeypatch.setattr(group_core, "_physical_memory", lambda: 2**20)
     tracemalloc.start()
     try:
         rc = run(["transform"])
@@ -588,7 +612,10 @@ def test_oracle_beyond_physical_memory_is_exit_two(monkeypatch, capsys):
         tracemalloc.stop()
     assert rc == 2
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error:") and "physical memory" in err[0]
+    assert err == [
+        "error: naive oracle for 3 functions on M_N=4096 needs 1638400 bytes, "
+        "physical memory is 1048576"
+    ]
     assert peak < 2**20
 
 
@@ -596,7 +623,7 @@ def test_dft_kernel_beyond_physical_memory_is_exit_two(monkeypatch, capsys):
     # on the one-digit group (400,) the inverse transform behind dirichlet:3
     # needs a 400 x 400 kernel, built at a peak of 40 * 400^2 bytes (6.4 MB);
     # the check runs before the build
-    monkeypatch.setattr(transform_mod, "_physical_memory", lambda: 2**20)
+    monkeypatch.setattr(group_core, "_physical_memory", lambda: 2**20)
     transform_mod.dft_kernel.cache_clear()
     tracemalloc.start()
     try:
@@ -606,7 +633,73 @@ def test_dft_kernel_beyond_physical_memory_is_exit_two(monkeypatch, capsys):
         tracemalloc.stop()
     assert rc == 2
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error:") and "physical memory" in err[0]
+    assert err == [
+        "error: DFT kernel of order 400 needs 6400000 bytes, "
+        "physical memory is 1048576"
+    ]
+    assert peak < 2**20
+
+
+def _refused(argv, capsys):
+    """Exit code, stderr lines and tracemalloc peak of one run."""
+    tracemalloc.start()
+    try:
+        rc = run(argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return rc, capsys.readouterr().err.splitlines(), peak
+
+
+@pytest.mark.parametrize(
+    "argv, size",
+    [
+        (["norms", "--fn", "dirichlet:3", "--depth", "16"], 2**16),
+        (["theorem-a", "--depth", "16", "--samples", "1", "--nmax", "4"], 2**16),
+        (["theorem-b", "--k-list", "7", "--theta-samples", "1"], 2**15),
+        (["transform", "--depth", "16", "--samples", "1"], 2**16),
+    ],
+    ids=["norms", "theorem-a", "theorem-b", "transform"],
+)
+def test_group_beyond_physical_memory_is_exit_two(monkeypatch, capsys, argv, size):
+    # a command's arrays on a group take up to 192 bytes per point; under a
+    # 1 MiB budget the group is refused where it is built, before any array
+    # of M_N complex values (1 MiB at M_N = 2^16) is allocated
+    monkeypatch.setattr(group_core, "_physical_memory", lambda: 2**20)
+    rc, err, peak = _refused(argv, capsys)
+    assert rc == 2
+    assert err == [
+        f"error: a group of M_N={size} needs {192 * size} bytes, physical memory is 1048576"
+    ]
+    assert peak < 2**20
+
+
+def test_step_file_group_beyond_physical_memory_is_exit_two(
+    monkeypatch, capsys, tmp_path, write_step
+):
+    # a file on 2^14 points loads within a 1 MiB budget (its values and their
+    # copy take 512 KiB), but the norms it is read for would not fit
+    path = tmp_path / "f.txt"
+    seq = build_radix((2,) * 14)
+    write_step(path, StepFunction(seq, np.zeros(seq.size)))
+    monkeypatch.setattr(group_core, "_physical_memory", lambda: 2**20)
+    rc, err, peak = _refused(["norms", "--fn", f"file:{path}"], capsys)
+    assert rc == 2
+    assert err == ["error: a group of M_N=16384 needs 3145728 bytes, physical memory is 1048576"]
+    assert peak < 2**20
+
+
+def test_step_file_header_beyond_physical_memory_is_exit_two(monkeypatch, capsys, tmp_path):
+    # a header naming 2^16 points is refused before the loader's 2 MiB of
+    # values and copy are allocated, whether or not value lines follow
+    path = tmp_path / "f.txt"
+    path.write_text("radices=" + ",".join(["2"] * 16) + ";N=16\n")
+    monkeypatch.setattr(group_core, "_physical_memory", lambda: 2**20)
+    rc, err, peak = _refused(["norms", "--fn", f"file:{path}"], capsys)
+    assert rc == 2
+    assert err == [
+        "error: step function file on M_N=65536 needs 2097152 bytes, physical memory is 1048576"
+    ]
     assert peak < 2**20
 
 
@@ -649,7 +742,7 @@ _FUZZ_VALUES = {
     "theta_samples": (["0", "1"], ["-1"]),
     "fn": (["dirichlet:1", "dirichlet:3", "case:1", "file:{step}"],
            ["dirichlet:0", "dirichlet:999", "dirichlet:abc", "case:abc", "file:{bad}",
-            "file:{missing}", "nope"]),
+            "file:{missing}", "file:{big}", "nope"]),
     "mean": (["ones", "log", "custom:{weights}"], ["custom:{bad}", "bogus"]),
     "mean_n": (["1", "3"], ["0", "-1"]),
     "out": (["{dir}/o.csv"], ["{missing}/o.csv", "{dir}", "{dir}/\u00e9.csv"]),
@@ -673,8 +766,11 @@ _FUZZ_CONFIG_LINES = ["depth=3", "depth=abc", "samples=1", "p=0.5", "p=", "# not
 
 
 def _fuzz_files(root, write_step):
-    paths = {name: root / name for name in ("weights", "bad", "step", "dir", "missing", "cfg")}
+    names = ("weights", "bad", "step", "big", "dir", "missing", "cfg")
+    paths = {name: root / name for name in names}
     paths["weights"].write_text("1\n2\n3\n")
+    # a header naming 2^31 points, whose values alone would take 32 GiB
+    paths["big"].write_text("radices=" + ",".join(["2"] * 31) + ";N=31\n")
     paths["bad"].write_text("abc\n")
     from vlab.group_core import build_radix
     from vlab.step_functions import StepFunction

@@ -304,6 +304,30 @@ def test_divergence_sweep_flags_violating_weight():
     assert len(sweep.rows) == 3
 
 
+def test_divergence_sweep_asserts_growth_where_the_comparator_grows(monkeypatch):
+    # condition (6) gives limsup R_k = inf, not growth over a few cases: at
+    # p = 0.7 the comparator, and R_k with it, falls over k = 1..3 before it
+    # rises; at p = 0.5 it rises on every step, so growth is asserted on all
+    cases = [build_case(k, dyadic(13)) for k in range(1, 7)]
+    falls = divergence_sweep(cases, 0.7, log_weight())
+    comparators = [row[10] for row in falls.rows]
+    assert comparators[1] < comparators[0] and comparators[5] > comparators[4]
+    assert falls.condition6 == "satisfied" and falls.monotone
+    rises = divergence_sweep(cases, 0.5, log_weight())
+    assert all(b[10] > a[10] for a, b in zip(rises.rows, rises.rows[1:]))
+    real = counterexample_mod.sweep_row
+    for p, drops in [(0.7, [6]), (0.5, [2, 3, 4, 5, 6])]:
+        for drop in drops:
+            # R_k falling on a step where the comparator rises still fails
+
+            def falling(position, case, p, weight, _drop=drop):
+                row = real(position, case, p, weight)
+                return (*row[:9], row[9] / 100, row[10]) if position == _drop else row
+
+            monkeypatch.setattr(counterexample_mod, "sweep_row", falling)
+            assert not divergence_sweep(cases, p, log_weight()).monotone, (p, drop)
+
+
 def test_hardy_column_uniformly_bounded():
     cases = [build_case(k, dyadic(11)) for k in [1, 2, 3, 4, 5]]
     sweep = divergence_sweep(cases, 0.5, log_weight())

@@ -11,6 +11,7 @@ from vlab.errors import (
     ZeroTotalWeight,
 )
 from vlab.group_core import build_radix, cycle_radices
+import vlab.group_core as group_core
 import vlab.means as means_mod
 import vlab.transform as transform_mod
 from vlab.means import (
@@ -432,9 +433,9 @@ def test_stack_memory_check_counts_quotient_points(monkeypatch):
     need = 2 * packed + (64 * (65 + 129 + 193 + 257) + 43 * 300) * 8
     seq = build_radix((2, 3) * 5)
     f = StepFunction(seq, np.ones(seq.size))
-    monkeypatch.setattr(means_mod, "_physical_memory", lambda: need)
+    monkeypatch.setattr(group_core, "_physical_memory", lambda: need)
     assert partial_sum_stack(f, 300).nbytes == packed
-    monkeypatch.setattr(means_mod, "_physical_memory", lambda: need - 1)
+    monkeypatch.setattr(group_core, "_physical_memory", lambda: need - 1)
     with pytest.raises(CapacityExceeded):
         partial_sum_stack(f, 300)
 

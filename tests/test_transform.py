@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from vlab import transform
+from vlab import group_core, transform
 from vlab.errors import CapacityExceeded, IndexOutOfRange, RankOutOfRange, ResolutionMismatch
 from vlab.group_core import build_radix, cycle_radices, decompose
 from vlab.means import partial_sum_stack
@@ -145,9 +145,9 @@ def test_oracle_memory_check_counts_functions_and_panels(monkeypatch):
     # of factor rows holds up to ROW_BLOCK complex entries
     need = (3 * 9 * 16 + ROW_BLOCK) * 16
     seq = build_radix((2,) * 4)
-    monkeypatch.setattr(transform, "_physical_memory", lambda: need)
+    monkeypatch.setattr(group_core, "_physical_memory", lambda: need)
     transform.check_oracle_fits(seq, 9)
-    monkeypatch.setattr(transform, "_physical_memory", lambda: need - 1)
+    monkeypatch.setattr(group_core, "_physical_memory", lambda: need - 1)
     with pytest.raises(CapacityExceeded):
         transform.check_oracle_fits(seq, 9)
 
