@@ -45,7 +45,6 @@ from .transform import (
     dirichlet_kernel,
     forward_fast,
     forward_naive,
-    forward_naive_many,
     inverse,
     partial_sum,
     vilenkin_char,

@@ -55,7 +55,7 @@ from .transform import (
     dirichlet_kernel,
     fast_op_bound,
     forward_fast,
-    forward_naive_many,
+    forward_naive,
     inverse,
 )
 
@@ -245,61 +245,52 @@ def _sibling(path: str, tag: str) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _transform_sample(seq: RadixSequence, child, bound: int) -> tuple[tuple, float, float]:
+    """Draw one function from the seed ``child`` and check its transforms: its
+    report fields after sample_id, and the oracle's and fast path's seconds.
+    Its arrays are dropped on return, so a run holds one sample at a time."""
+    rng = np.random.default_rng(child)
+    f = StepFunction(seq, rng.standard_normal(seq.size) + 1j * rng.standard_normal(seq.size))
+    t0 = time.perf_counter()
+    naive = forward_naive(f)
+    t1 = time.perf_counter()
+    ops_fast = OpCount()
+    fast = forward_fast(f, ops_fast)
+    t2 = time.perf_counter()
+    err = float(np.max(np.abs(fast.coeffs - naive.coeffs)))
+    energy = float(np.sum(np.abs(f.values) ** 2)) / seq.size
+    parseval = abs(energy - float(np.sum(np.abs(fast.coeffs) ** 2))) / energy
+    roundtrip = float(np.max(np.abs(inverse(fast).values - f.values)))
+    ok = err <= 1e-9 and parseval <= 1e-9 and roundtrip <= 1e-9 and ops_fast.madds <= bound
+    # the definition's M_N^2 multiply-adds per transform, not the oracle's
+    # M_N (M_s + M_N / M_s)
+    ops_naive = seq.size * seq.size
+    row = (seq.size, err, parseval, roundtrip, ops_fast.madds, ops_naive, bound,
+           ops_fast.madds / ops_naive, ok)
+    return row, t1 - t0, t2 - t1
+
+
 def cmd_transform(cfg: RunConfig) -> tuple[dict[str, ExperimentReport], bool]:
     seq = _build_seq(cfg)
     report = ExperimentReport(columns=list(TRANSFORM_COLUMNS))
     _echo_config(report, cfg, "transform")
     bound = fast_op_bound(seq)
-    check_oracle_fits(seq, cfg.samples)
+    check_oracle_fits(seq)
     children = np.random.SeedSequence(cfg.seed).spawn(max(cfg.samples, 1))
-    rngs = [np.random.default_rng(children[i]) for i in range(cfg.samples)]
-    fs = [
-        StepFunction(seq, r.standard_normal(seq.size) + 1j * r.standard_normal(seq.size))
-        for r in rngs
-    ]
-    # one batched oracle call: each block of its two factors' character rows
-    # is shared by all samples
-    t0 = time.perf_counter()
-    naives = forward_naive_many(fs)
-    naive_time = time.perf_counter() - t0
-    # the definition's M_N^2 multiply-adds per transform, not the oracle's
-    # M_N (M_s + M_N / M_s)
-    ops_naive = seq.size * seq.size
     all_ok = True
-    fast_times = []
-    for i, (f, naive) in enumerate(zip(fs, naives)):
-        ops_fast = OpCount()
-        t0 = time.perf_counter()
-        fast = forward_fast(f, ops_fast)
-        fast_times.append(time.perf_counter() - t0)
-        err = float(np.max(np.abs(fast.coeffs - naive.coeffs)))
-        energy = float(np.sum(np.abs(f.values) ** 2)) / seq.size
-        parseval = abs(energy - float(np.sum(np.abs(fast.coeffs) ** 2))) / energy
-        back = inverse(fast)
-        roundtrip = float(np.max(np.abs(back.values - f.values)))
-        ok = (
-            err <= 1e-9
-            and parseval <= 1e-9
-            and roundtrip <= 1e-9
-            and ops_fast.madds <= bound
-        )
-        all_ok = all_ok and ok
-        report.add_row(
-            i,
-            seq.size,
-            err,
-            parseval,
-            roundtrip,
-            ops_fast.madds,
-            ops_naive,
-            bound,
-            ops_fast.madds / ops_naive,
-            ok,
-        )
-    if fast_times:
+    naive_time = fast_time = 0.0
+    # one sample at a time: the oracle's factor rows stay cached between
+    # samples, and memory does not grow with their number
+    for i in range(cfg.samples):
+        row, naive_s, fast_s = _transform_sample(seq, children[i], bound)
+        report.add_row(i, *row)
+        all_ok = all_ok and row[-1]
+        naive_time += naive_s
+        fast_time += fast_s
+    if cfg.samples:
         print(
-            f"timing (console only): fast {1e3 * sum(fast_times) / len(fast_times):.3f} ms, "
-            f"naive {1e3 * naive_time / len(fs):.3f} ms per transform"
+            f"timing (console only): fast {1e3 * fast_time / cfg.samples:.3f} ms, "
+            f"naive {1e3 * naive_time / cfg.samples:.3f} ms per transform"
         )
     print(f"[{_status(all_ok)}] transform checks on {cfg.samples} samples, M_N={seq.size}")
     return {"": report}, all_ok
@@ -415,7 +406,10 @@ def cmd_theorem_b(cfg: RunConfig) -> tuple[dict[str, ExperimentReport], bool]:
         master.add_meta(f"condition6_p{p}", verdict)
         if verdict == "satisfied":
             all_ok = all_ok and sweep.monotone
-            print(f"[{_status(sweep.monotone)}] divergence ratios strictly increasing, p={p}")
+            print(
+                f"[{_status(sweep.monotone)}] divergence ratios strictly increasing, p={p} "
+                f"({sweep.asserted} of {len(sweep.rows) - 1} steps)"
+            )
         else:
             print(f"[ok] condition6 {verdict} for weight {weight.spec}; growth not asserted, p={p}")
         tag = "theta" if len(p_list) == 1 else f"theta{i}"

@@ -269,12 +269,13 @@ def sweep_row(position, case, p, weight):
 
 @dataclass(frozen=True)
 class DivergenceSweep:
-    """Rows under SWEEP_COLUMNS, the condition-6 verdict, and whether R_k strictly
-    increases on every step where the comparator does."""
+    """Rows under SWEEP_COLUMNS, the condition-6 verdict, whether R_k strictly
+    increases on every step where the comparator does, and on how many it does."""
 
     rows: tuple[tuple, ...]
     condition6: str
     monotone: bool
+    asserted: int
 
 
 def divergence_sweep(cases, p: float, weight: WeightFunction) -> DivergenceSweep:
@@ -291,8 +292,9 @@ def divergence_sweep(cases, p: float, weight: WeightFunction) -> DivergenceSweep
     p = check_p_unit(p)
     verdict = condition6_advisory(weight, p)
     rows = tuple(sweep_row(pos + 1, case, p, weight) for pos, case in enumerate(cases))
-    monotone = all(b[9] > a[9] for a, b in zip(rows, rows[1:]) if b[10] > a[10])
-    return DivergenceSweep(rows=rows, condition6=verdict, monotone=monotone)
+    steps = [(a, b) for a, b in zip(rows, rows[1:]) if b[10] > a[10]]
+    monotone = all(b[9] > a[9] for a, b in steps)
+    return DivergenceSweep(rows=rows, condition6=verdict, monotone=monotone, asserted=len(steps))
 
 
 def theta_bracket(

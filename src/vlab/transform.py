@@ -10,9 +10,9 @@ With L = lcm(m_j), psi_n(x) = exp(2 pi i q / L) for the integer phase
 q = sum_j n_j x_j (L / m_j) mod L, so every character value is one of the
 L roots of unity.  Characters are built as arrays in one place: a block of
 rows psi_lo .. psi_{hi-1}, at most ROW_BLOCK entries, sums the integer
-phases k_j x_j (L / m_j) digit by digit straight from the linear indices,
-unreduced, and gathers a table of the L roots in wrap mode, which reads
-each phase mod L.  ``character_rows`` gathers the complex roots;
+phases k_j x_j (L / m_j), each reduced mod L, digit by digit straight from
+the linear indices, and gathers a table of the L roots in wrap mode, which
+reads each sum mod L.  ``character_rows`` gathers the complex roots;
 ``means`` gathers its blocks into the rows its partial-sum stacks share and
 scales them by the coefficients, and the naive oracle conjugates the rows
 of the two groups it factors the character matrix into.  ``vilenkin_char``
@@ -24,9 +24,9 @@ character of the low digits m_0..m_{s-1} and one of the high digits
 m_s..m_{N-1}, so the conj character matrix is the Kronecker product of
 the two groups' matrices, and the oracle applies them one after the other:
 M_N (M_s + M_N / M_s) multiply-adds per function, M_N^2 when s = 0.
-``forward_naive_many`` shares each block of factor rows across a batch of
-functions, and no BLAS product's shape depends on the batch, so batch
-results equal single calls bit for bit.
+Each factor's conj rows are built in blocks of at most ROW_BLOCK entries;
+a factor that fits one block is cached, so a run that transforms one
+function after another builds it once, and a larger one is rebuilt.
 ``forward_fast`` runs one small DFT kernel along each digit axis as m_j
 broadcast multiply-adds, costing M_N * sum_k m_k multiply-adds; radices
 are small and bounded, so no in-axis FFT is needed.  Each pass reads its
@@ -130,8 +130,10 @@ def character_rows(seq: RadixSequence, lo: int, hi: int) -> np.ndarray:
     to q = sum_j k_j x_j (L / m_j), for L = lcm(m_j), in wrap mode.  The
     phases are built digit by digit from the linear indices: digit j adds
     the outer product of k_j (L / m_j), k_j = k div M_j mod m_j, with
-    x_j = 0..m_j-1 on a new slower axis.  They are exact integers below
-    L sum_j m_j < 2^53, so rows are bitwise independent of their block.
+    x_j = 0..m_j-1 on a new slower axis, each term reduced mod L, so the
+    sums stay below L N and the wrap-mode gather subtracts L at most N
+    times per entry.  All are exact integers below L sum_j m_j < 2^53, so
+    rows are bitwise independent of their block.
     """
     if not 0 <= lo <= hi <= seq.size:
         raise IndexOutOfRange(f"character rows {lo}..{hi} outside 0..{seq.size}")
@@ -142,53 +144,67 @@ def character_rows(seq: RadixSequence, lo: int, hi: int) -> np.ndarray:
     phases = np.zeros((hi - lo, 1), dtype=np.intp)
     for m, scale in zip(seq.radices, seq.scales):
         steps = np.outer(ks // scale % m * (period // m), np.arange(m))
+        steps %= period
         phases = np.add(steps[:, :, None], phases[:, None, :]).reshape(hi - lo, scale * m)
     return np.take(_roots(period), phases, mode="wrap")
 
 
-def check_oracle_fits(seq: RadixSequence, count: int) -> None:
-    """Refuse ``count`` functions whose naive-oracle run would not fit in physical memory.
+def check_oracle_fits(seq: RadixSequence) -> None:
+    """Refuse a transform run on ``seq`` whose working set would not fit in physical memory.
 
-    Callers check before drawing them.  Counted are the functions, their
-    coefficients and the oracle's intermediate between its two factors, M_N
-    complex values each per function, and one block of factor rows, which
-    holds at most ROW_BLOCK entries or one row of the larger factor.
+    Callers check before drawing any function; a run holds one at a time.
+    Counted are 7 complex values per point, the most one function's checks
+    hold at once (6, in the inverse transform of its round trip) and one
+    spare, and four blocks of factor rows, each at most ROW_BLOCK entries
+    or one row of the larger factor: cached or in use, and one being built
+    with its integer phases.
     """
     block = max(ROW_BLOCK, seq.size // seq.scales[_half_rank(seq)])
-    need = (3 * count * seq.size + block) * np.dtype(np.complex128).itemsize
-    check_memory(need, f"naive oracle for {count} functions on M_N={seq.size}")
+    need = (7 * seq.size + 4 * block) * np.dtype(np.complex128).itemsize
+    check_memory(need, f"naive oracle on M_N={seq.size}")
 
 
-def _conj_factor(group: RadixSequence, data: list[np.ndarray] | np.ndarray) -> np.ndarray:
-    """Apply the conj character matrix A of ``group`` to every row of ``data``.
+@functools.lru_cache(maxsize=2)
+def _conj_rows(group: RadixSequence, lo: int, hi: int) -> np.ndarray:
+    """Read-only conj(psi_k) on ``group``, lo <= k < hi.  Two blocks are cached:
+    transforms run one after another build factors that fit one block once;
+    a larger factor's blocks are rebuilt through ``__wrapped__``, uncached."""
+    rows = character_rows(group, lo, hi)
+    np.conj(rows, out=rows)
+    rows.flags.writeable = False
+    return rows
 
-    A row v of M_N values, viewed as X, an (M_N / m, m) array for m the
-    order of ``group``, becomes A X^T, flattened: the group's digits move
-    from the fastest axis to the slowest.  A's rows come from
-    :func:`character_rows` in blocks of at most ROW_BLOCK entries, each
-    applied to every row of ``data`` before the next is built.  A product
-    takes as many rows as fit in PRODUCT_MADDS multiply-adds, and when one
-    row does not, spans of its sum that fit, added in order; no product's
-    shape depends on the number of rows of ``data``.
+
+def _conj_factor(group: RadixSequence, v: np.ndarray) -> np.ndarray:
+    """Apply the conj character matrix A of ``group`` to the M_N values ``v``.
+
+    v, viewed as X, an (M_N / m, m) array for m the order of ``group``,
+    becomes A X^T, flattened: the group's digits move from the fastest axis
+    to the slowest.  A product takes as many rows of A as fit in
+    PRODUCT_MADDS multiply-adds and ROW_BLOCK entries, and when one row does
+    not fit, spans of its sum that do, added in order.  A's rows come from
+    :func:`_conj_rows` in blocks of whole products, at most ROW_BLOCK
+    entries or one row, so a product's shape does not depend on the block.
     """
-    count, size = len(data), len(data[0])
-    m, n = group.size, size // group.size
-    rows = max(1, min(ROW_BLOCK // m, PRODUCT_MADDS // size))
+    m, n = group.size, v.size // group.size
+    rows = max(1, min(ROW_BLOCK // m, PRODUCT_MADDS // v.size))
     span = max(1, PRODUCT_MADDS // (rows * n))
-    out = np.empty((count, m, n), dtype=np.complex128)
-    for lo in range(0, m, rows):
-        block = character_rows(group, lo, min(lo + rows, m))
-        np.conj(block, out=block)
-        for v, res in zip(data, out):
-            x, res = v.reshape(n, m).T, res[lo : lo + len(block)]
-            np.matmul(block[:, :span], x[:span], out=res)
+    build = rows * max(1, ROW_BLOCK // (m * rows))
+    conj_rows = _conj_rows if build >= m else _conj_rows.__wrapped__
+    x = v.reshape(n, m).T
+    out = np.empty((m, n), dtype=np.complex128)
+    for start in range(0, m, build):
+        block = conj_rows(group, start, min(start + build, m))
+        for lo in range(0, len(block), rows):
+            a, res = block[lo : lo + rows], out[start + lo : start + lo + rows]
+            np.matmul(a[:, :span], x[:span], out=res)
             for x0 in range(span, m, span):
-                res += np.matmul(block[:, x0 : x0 + span], x[x0 : x0 + span])
-    return out.reshape(count, size)
+                res += np.matmul(a[:, x0 : x0 + span], x[x0 : x0 + span])
+    return out.reshape(v.size)
 
 
-def forward_naive_many(fs: list[StepFunction]) -> list[CoefficientVector]:
-    """Coefficients of every f in ``fs`` by the definition (the oracle).
+def forward_naive(f: StepFunction) -> CoefficientVector:
+    """Coefficients of f by the definition (the oracle).
 
     c_k = (1/M_N) sum_x f(x) conj(psi_k(x)).  With s = :func:`_half_rank`,
     conj(psi_k(x)) = A_lo[k mod M_s, x mod M_s] A_hi[k div M_s, x div M_s],
@@ -197,25 +213,15 @@ def forward_naive_many(fs: list[StepFunction]) -> list[CoefficientVector]:
     (M_N / M_s, M_s) array, the coefficients are A_hi (F A_lo^T) / M_N,
     flattened, which :func:`_conj_factor` computes in two passes; a factor
     with no digits is the identity and is skipped.  Memory is
-    O(ROW_BLOCK + S M_N) for S functions, and batch results equal single
-    calls bit for bit.  All functions must share one group.
+    O(ROW_BLOCK + M_N).
     """
-    if not fs:
-        return []
-    seq = fs[0].radix_seq
-    if any(f.radix_seq != seq for f in fs):
-        raise ResolutionMismatch("batch functions live on different radix sequences")
+    seq = f.radix_seq
     s = _half_rank(seq)
-    data = [f.values for f in fs]
+    data = f.values
     for group in (truncate(seq, s), build_radix(seq.radices[s:])):
         if group.size > 1:
             data = _conj_factor(group, data)
-    return [CoefficientVector(seq, c / seq.size) for c in data]
-
-
-def forward_naive(f: StepFunction) -> CoefficientVector:
-    """Coefficients by the definition: c_k = (1/M_N) sum_x f(x) conj(psi_k(x))."""
-    return forward_naive_many([f])[0]
+    return CoefficientVector(seq, data / seq.size)
 
 
 @functools.lru_cache(maxsize=64)

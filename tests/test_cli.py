@@ -198,6 +198,14 @@ def test_theorem_b_asserts_growth_where_the_comparator_grows(capsys, p):
     assert f"[ok] divergence ratios strictly increasing, p={p}" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("p, asserted", [("0.5", 5), ("0.9", 0)])
+def test_theorem_b_counts_the_growth_steps_it_asserts(capsys, p, asserted):
+    # the comparator grows on every step at p = 0.5 and on none at p = 0.9
+    assert run(["theorem-b", "--p", p, "--theta-samples", "1"]) == 0
+    want = f"[ok] divergence ratios strictly increasing, p={p} ({asserted} of 5 steps)"
+    assert want in capsys.readouterr().out.splitlines()
+
+
 def test_theorem_b_fails_when_r_k_falls_where_the_comparator_grows(monkeypatch, capsys):
     real = counterexample_mod.sweep_row
 
@@ -600,9 +608,9 @@ def test_stack_beyond_physical_memory_is_exit_two(monkeypatch, capsys):
 
 
 def test_oracle_beyond_physical_memory_is_exit_two(monkeypatch, capsys):
-    # the default transform draws 3 functions on M_N = 4096; with their
-    # coefficients and the oracle's intermediate they take 576 KiB, and one
-    # block of factor rows 1 MiB; the check runs before any draw
+    # the default transform on M_N = 4096 holds one function at a time, 7
+    # complex values per point, and four 1 MiB blocks of factor rows; the
+    # check runs before any draw
     monkeypatch.setattr(group_core, "_physical_memory", lambda: 2**20)
     tracemalloc.start()
     try:
@@ -613,10 +621,75 @@ def test_oracle_beyond_physical_memory_is_exit_two(monkeypatch, capsys):
     assert rc == 2
     err = capsys.readouterr().err.splitlines()
     assert err == [
-        "error: naive oracle for 3 functions on M_N=4096 needs 1638400 bytes, "
+        "error: naive oracle on M_N=4096 needs 4653056 bytes, "
         "physical memory is 1048576"
     ]
     assert peak < 2**20
+
+
+def _transform_peak(argv):
+    """Exit code and tracemalloc peak of one transform run, no factor rows
+    or roots cached before it."""
+    transform_mod._conj_rows.cache_clear()
+    transform_mod._roots.cache_clear()
+    tracemalloc.start()
+    try:
+        rc = run(["transform", *argv])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return rc, peak
+
+
+@pytest.mark.parametrize("depth", [14, 15, 16, 17])
+@pytest.mark.parametrize("samples", [3, 20])
+def test_oracle_memory_check_covers_the_transform_peak(monkeypatch, depth, samples):
+    # the count covers what a run really holds; at depth 17 the larger
+    # factor spans four blocks, rebuilt for every sample
+    counted = []
+    real = transform_mod.check_memory
+
+    def record(need, what):
+        if what.startswith("naive oracle"):
+            counted.append(need)
+        real(need, what)
+
+    monkeypatch.setattr(transform_mod, "check_memory", record)
+    rc, peak = _transform_peak(["--depth", str(depth), "--samples", str(samples)])
+    assert rc == 0
+    assert len(counted) == 1 and counted[0] >= peak
+
+
+def test_transform_peak_is_flat_in_samples():
+    # one sample at a time: 20 samples peak within 5% of 2, where the batch
+    # layout held all of them at once
+    assert run(["transform", "--depth", "2", "--samples", "1"]) == 0  # first-run imports
+    (rc2, two), (rc20, twenty) = (
+        _transform_peak(["--depth", "14", "--samples", str(s)]) for s in (2, 20)
+    )
+    assert rc2 == rc20 == 0
+    assert abs(twenty - two) <= 0.05 * two
+
+
+@pytest.mark.parametrize("depth", [12, 14])
+def test_transform_builds_factor_rows_once_per_run(monkeypatch, depth):
+    # both factors of 2^12 and 2^14 are one group of 64 or 128 points, one
+    # block of rows, built once whatever the number of samples
+    real = transform_mod.character_rows
+    calls = []
+
+    def counting(seq, lo, hi):
+        calls.append((seq, lo, hi))
+        return real(seq, lo, hi)
+
+    monkeypatch.setattr(transform_mod, "character_rows", counting)
+    counts = []
+    for samples in (2, 20):
+        calls.clear()
+        transform_mod._conj_rows.cache_clear()
+        assert run(["transform", "--depth", str(depth), "--samples", str(samples)]) == 0
+        counts.append(len(calls))
+    assert counts == [1, 1]
 
 
 def test_dft_kernel_beyond_physical_memory_is_exit_two(monkeypatch, capsys):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from vlab import group_core, transform
-from vlab.errors import CapacityExceeded, IndexOutOfRange, RankOutOfRange, ResolutionMismatch
+from vlab.errors import CapacityExceeded, IndexOutOfRange, RankOutOfRange
 from vlab.group_core import build_radix, cycle_radices, decompose
 from vlab.means import partial_sum_stack
 from vlab.step_functions import StepFunction, conditional_average, lp_quasinorm
@@ -20,7 +20,6 @@ from vlab.transform import (
     fast_op_bound,
     forward_fast,
     forward_naive,
-    forward_naive_many,
     inverse,
     partial_sum,
     vilenkin_char,
@@ -125,6 +124,25 @@ def test_character_rows_are_block_independent():
             assert character_rows(seq, hi, hi).shape == (0, seq.size)
 
 
+@pytest.mark.parametrize("radices, blocks", ROW_CASES)
+def test_character_phases_stay_below_the_period_times_the_depth(monkeypatch, radices, blocks):
+    # each digit's term is reduced mod L before the sum, so the wrap-mode
+    # gather subtracts L at most N times per entry, not up to m_j times
+    seq = build_radix(radices)
+    bound = math.lcm(*radices) * max(seq.depth, 1)
+    gathered = []
+    take = np.take
+
+    def recording_take(table, phases, **kwargs):
+        gathered.append(int(phases.max(initial=0)))
+        return take(table, phases, **kwargs)
+
+    monkeypatch.setattr(np, "take", recording_take)
+    for lo, hi in blocks:
+        character_rows(seq, lo, hi)
+    assert gathered and max(gathered) < bound
+
+
 def test_one_character_row_peaks_within_twice_its_size():
     # one row of (2,)^16 holds 2^16 complex values; its phases grow digit by
     # digit to 2^16 integers, and no (2^16, 16) digit table is built
@@ -140,16 +158,15 @@ def test_one_character_row_peaks_within_twice_its_size():
 
 
 def test_oracle_memory_check_counts_functions_and_panels(monkeypatch):
-    # 9 functions on M_N = 16: they, their coefficients and the intermediate
-    # between the two factors are 3 * 9 * 16 complex values, and one block
-    # of factor rows holds up to ROW_BLOCK complex entries
-    need = (3 * 9 * 16 + ROW_BLOCK) * 16
+    # M_N = 16: one function's checks hold at most 7 complex values per
+    # point, and four blocks of factor rows up to ROW_BLOCK entries each
+    need = (7 * 16 + 4 * ROW_BLOCK) * 16
     seq = build_radix((2,) * 4)
     monkeypatch.setattr(group_core, "_physical_memory", lambda: need)
-    transform.check_oracle_fits(seq, 9)
+    transform.check_oracle_fits(seq)
     monkeypatch.setattr(group_core, "_physical_memory", lambda: need - 1)
     with pytest.raises(CapacityExceeded):
-        transform.check_oracle_fits(seq, 9)
+        transform.check_oracle_fits(seq)
 
 
 def test_character_phases_beyond_2_53_are_refused():
@@ -201,9 +218,9 @@ fast_groups = pytest.mark.parametrize(
 @fast_groups
 def test_fast_matches_naive_on_random_functions(radices):
     seq = build_radix(radices)
-    fs = [random_function(seq, seed) for seed in range(100)]
-    for f, naive in zip(fs, forward_naive_many(fs)):
-        assert np.max(np.abs(forward_fast(f).coeffs - naive.coeffs)) <= 1e-9
+    for seed in range(100):
+        f = random_function(seq, seed)
+        assert np.max(np.abs(forward_fast(f).coeffs - forward_naive(f).coeffs)) <= 1e-9
 
 
 def test_fast_of_zero():
@@ -242,11 +259,10 @@ def test_naive_oracle_matches_dense_reference(radices):
     seq = build_radix(radices)
     assert seq.size < ROW_BLOCK
     fs = [random_function(seq, seed) for seed in range(3)]
-    want = dense_reference(fs)
-    for got, ref in zip(forward_naive_many(fs), want):
+    for f, ref in zip(fs, dense_reference(fs)):
+        got = forward_naive(f)
         assert got.radix_seq == seq
         assert np.max(np.abs(got.coeffs - ref)) <= 1e-12
-    assert np.max(np.abs(forward_naive(fs[1]).coeffs - want[1])) <= 1e-12
 
 
 @pytest.mark.parametrize("block", [1, 100])
@@ -256,29 +272,40 @@ def test_naive_oracle_partial_blocks(monkeypatch, block):
     seq = build_radix((3, 5, 3))
     fs = [random_function(seq, seed) for seed in range(2)]
     monkeypatch.setattr(transform, "ROW_BLOCK", block)
-    for got, ref in zip(forward_naive_many(fs), dense_reference(fs)):
-        assert np.max(np.abs(got.coeffs - ref)) <= 1e-12
+    for f, ref in zip(fs, dense_reference(fs)):
+        assert np.max(np.abs(forward_naive(f).coeffs - ref)) <= 1e-12
+
+
+def cold_calls(fs):
+    """forward_naive of each f with no factor rows cached before it."""
+    got = []
+    for f in fs:
+        transform._conj_rows.cache_clear()
+        got.append(forward_naive(f))
+    return got
 
 
 def test_naive_oracle_batch_is_bitwise_single_calls():
+    # consecutive calls, as a transform run makes them, reuse cached factor
+    # rows; each equals a call that builds them afresh, bit for bit
     seq = build_radix((2, 3, 2, 4, 5))
     fs = [random_function(seq, seed) for seed in range(4)]
-    for got, f in zip(forward_naive_many(fs), fs):
-        assert np.array_equal(got.coeffs, forward_naive(f).coeffs)
-    assert forward_naive_many([]) == []
+    transform._conj_rows.cache_clear()
+    for got, cold in zip([forward_naive(f) for f in fs], cold_calls(fs)):
+        assert np.array_equal(got.coeffs, cold.coeffs)
 
 
 # (2,)*9 has real characters, (2, 3, 2, 4, 5) complex ones
 @pytest.mark.parametrize("radices", [(2,) * 9, (2, 3, 2, 4, 5)])
 def test_naive_oracle_panels_are_bitwise_single_calls(radices):
-    # 19 functions, and the batch reversed, which moves every function to
-    # another place in the batch
+    # 19 functions in order and reversed, which gives every function other
+    # cached rows before it, and each with none cached
     seq = build_radix(radices)
     fs = [random_function(seq, seed) for seed in range(19)]
-    batch = forward_naive_many(fs)
-    backwards = forward_naive_many(fs[::-1])[::-1]
-    for got, back, f in zip(batch, backwards, fs):
-        assert np.array_equal(got.coeffs, forward_naive(f).coeffs)
+    forwards = [forward_naive(f) for f in fs]
+    backwards = [forward_naive(f) for f in fs[::-1]][::-1]
+    for got, back, cold in zip(forwards, backwards, cold_calls(fs)):
+        assert np.array_equal(got.coeffs, cold.coeffs)
         assert np.array_equal(got.coeffs, back.coeffs)
 
 
@@ -289,8 +316,8 @@ def test_naive_oracle_cosine_partial_blocks(monkeypatch, block):
     seq = build_radix((2,) * 7)
     fs = [random_function(seq, seed) for seed in range(2)]
     monkeypatch.setattr(transform, "ROW_BLOCK", block)
-    for got, ref in zip(forward_naive_many(fs), dense_reference(fs)):
-        assert np.max(np.abs(got.coeffs - ref)) <= 1e-12
+    for f, ref in zip(fs, dense_reference(fs)):
+        assert np.max(np.abs(forward_naive(f).coeffs - ref)) <= 1e-12
 
 
 def counted_products(monkeypatch, call):
@@ -317,7 +344,7 @@ def test_naive_oracle_short_products(monkeypatch, radices):
     seq = build_radix(radices)
     fs = [random_function(seq, seed) for seed in range(2)]
     monkeypatch.setattr(transform, "PRODUCT_MADDS", seq.size - 1)
-    got, madds = counted_products(monkeypatch, lambda: forward_naive_many(fs))
+    got, madds = counted_products(monkeypatch, lambda: [forward_naive(f) for f in fs])
     assert max(madds) < seq.size
     for cv, ref in zip(got, dense_reference(fs)):
         assert np.max(np.abs(cv.coeffs - ref)) <= 1e-12
@@ -334,7 +361,7 @@ def test_naive_oracle_products_stay_within_the_cap(monkeypatch, radices):
     fs = [random_function(seq, seed) for seed in range(2)]
     monkeypatch.setattr(transform, "ROW_BLOCK", 1)
     monkeypatch.setattr(transform, "PRODUCT_MADDS", cap)
-    got, madds = counted_products(monkeypatch, lambda: forward_naive_many(fs))
+    got, madds = counted_products(monkeypatch, lambda: [forward_naive(f) for f in fs])
     assert madds and max(madds) <= cap
     for cv, ref in zip(got, dense_reference(fs)):
         assert np.max(np.abs(cv.coeffs - ref)) <= 1e-12
@@ -347,14 +374,18 @@ def test_naive_oracle_products_stay_within_the_cap(monkeypatch, radices):
 def test_naive_oracle_work_is_two_factor_products(monkeypatch, radices, per_function):
     seq = build_radix(radices)
     fs = [random_function(seq, seed) for seed in range(3)]
-    _, madds = counted_products(monkeypatch, lambda: forward_naive_many(fs))
+    _, madds = counted_products(monkeypatch, lambda: [forward_naive(f) for f in fs])
     assert sum(madds) == len(fs) * per_function
 
 
-def test_naive_oracle_rejects_mixed_groups():
-    with pytest.raises(ResolutionMismatch):
-        forward_naive_many([random_function(build_radix((2, 3))),
-                            random_function(build_radix((3, 2)))])
+def test_naive_oracle_keeps_groups_apart():
+    # (2, 2, 4) factors into (2, 2) and (4,), (4, 2, 2) into (4,) and
+    # (2, 2): blocks of one shape on other groups, which consecutive calls
+    # must not take from each other's cached rows
+    for radices in ((2, 2, 4), (4, 2, 2), (2, 2, 4)):
+        f = random_function(build_radix(radices))
+        ref = dense_reference([f])[0]
+        assert np.max(np.abs(forward_naive(f).coeffs - ref)) <= 1e-12
 
 
 def test_naive_oracle_memory_is_bounded():
@@ -371,17 +402,20 @@ def test_naive_oracle_memory_is_bounded():
 
 
 def test_naive_oracle_batch_memory_is_bounded():
-    # 100 functions at M_N = 4096: panels, results and one block, where a
-    # dense character matrix would need 256 MiB
+    # 100 functions at M_N = 4096 transformed one after another, as a
+    # transform run does: one function's arrays and the cached factor rows,
+    # where the batch layout held all 100 and a dense matrix took 256 MiB
     seq = build_radix((2,) * 12)
     fs = [random_function(seq, seed) for seed in range(100)]
+    transform._conj_rows.cache_clear()
     tracemalloc.start()
     try:
-        forward_naive_many(fs)
+        for f in fs:
+            forward_naive(f)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 20 * 2**20
+    assert peak < 2**20
 
 
 def test_naive_oracle_one_digit_memory_is_bounded():
