@@ -15,9 +15,10 @@ so their work and memory grow with M_r, not M_N.  The same identity,
 applied one level at a time, packs the stack: S_k f with
 M_{s-1} < k <= M_s is constant on rank-s cylinders, so
 :func:`partial_sum_stack` stores it on its first M_s points only, the
-levels back to back in one array (:func:`stack_levels` views them), and
-those rows meet the log-mean triangle of :func:`log_mean_blocks` on the
-same M_s points.
+levels back to back in one array.  :func:`log_mean_blocks` cuts the
+orders at those levels and yields each block's log means beside a view
+of its partial sums, both on the M_s points of its level, so the packed
+layout stays in this module.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import IndexOutOfRange, InvalidWeight, ResolutionMismatch, ZeroTotalWeight
+from .errors import IndexOutOfRange, InvalidWeight, ZeroTotalWeight
 from .group_core import RadixSequence, check_memory, truncate
 from .step_functions import StepFunction
 from .transform import ROW_BLOCK, character_rows, forward_fast, synthesize_multiplier
@@ -145,11 +146,6 @@ def _levels(scales: tuple[int, ...], top: int) -> tuple[tuple[int, int, int], ..
     )
 
 
-def _blocks(n_max: int) -> list[tuple[int, int]]:
-    """(start, stop) of the orders start..stop-1 of each block, n = 2..n_max."""
-    return [(start, min(start + _BLOCK, n_max + 1)) for start in range(2, n_max + 1, _BLOCK)]
-
-
 def _entries(levels) -> int:
     """Entries of a packed stack with these levels."""
     return sum((hi - lo) * m for lo, hi, m in levels)
@@ -161,11 +157,13 @@ def _check_stack_fits(group: RadixSequence, n_max: int) -> None:
     ``group`` is the quotient the stack lives on.  The working set is the
     packed stack and its packed character rows, complex arrays laid out by
     :func:`_levels`, plus the log-mean triangles of :func:`log_mean_blocks`,
-    one (len(ns), max(ns)) real array per block; the check runs before any
-    of them is allocated.
+    one (len(ns), max(ns)) real array per block of at most _BLOCK orders
+    ns of a level; the check runs before any of them is allocated.
     """
-    rows_and_sums = 2 * _entries(_levels(group.scales, n_max)) * np.dtype(np.complex128).itemsize
-    triangles = sum((stop - start) * (stop - 1) for start, stop in _blocks(n_max))
+    levels = _levels(group.scales, n_max)
+    rows_and_sums = 2 * _entries(levels) * np.dtype(np.complex128).itemsize
+    blocks = [(n, min(n + _BLOCK, hi)) for lo, hi, _ in levels for n in range(lo, hi, _BLOCK)]
+    triangles = sum((stop - start) * (stop - 1) for start, stop in blocks)
     need = rows_and_sums + triangles * np.dtype(np.float64).itemsize
     check_memory(need, f"partial-sum stack for n_max={n_max}, M_r={group.size}")
 
@@ -179,18 +177,36 @@ def _split(flat: np.ndarray, levels) -> list[tuple[int, int, np.ndarray]]:
     return views
 
 
-@lru_cache(maxsize=1)
-def packed_character_rows(group: RadixSequence, n_max: int) -> np.ndarray:
-    """Read-only psi_0 .. psi_{n_max-1} in the packed layout of :func:`partial_sum_stack`.
+def _log_mean_triangle(start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only ns = start..stop-1 and their (len(ns), max(ns)) triangle
+    T[i, k] = 1/((ns[i] - k) l_{ns[i]}), 1 <= k < ns[i]."""
+    ns = np.arange(start, stop)
+    ks = np.arange(stop - 1)
+    ell = log_weights(stop - 1)._cumsum[ns - 1]
+    gap = ns[:, None] - ks
+    tri = np.zeros(gap.shape, dtype=np.float64)
+    np.divide(1.0, gap * ell[:, None], out=tri, where=(gap > 0) & (ks >= 1))
+    ns.flags.writeable = tri.flags.writeable = False
+    return ns, tri
 
-    The row of S_k holds psi_{k-1} on the first m points of its level;
-    k - 1 < m, so psi_{k-1} repeats every m points.  A level of width
-    m = M_s is built on the rank-s truncation of ``group``, one block of
-    at most ROW_BLOCK entries of :func:`character_rows` at a time; its
-    roots are exact, so the rows equal the first m points of the rows on
-    ``group`` bit for bit.  One entry is cached: every stack of a run
-    shares its group and n_max, so the rows are built once per run and
-    at most one row set is held.
+
+@lru_cache(maxsize=1)
+def _stack_plan(group: RadixSequence, n_max: int):
+    """(levels, rows, blocks) of the stacks of order n_max on the quotient ``group``.
+
+    ``levels`` are the :func:`_levels` over 1..n_max.  ``rows`` holds
+    psi_0 .. psi_{n_max-1}, read-only, in the packed layout of
+    :func:`partial_sum_stack`: the row of S_k holds psi_{k-1} on the
+    first m points of its level; k - 1 < m, so psi_{k-1} repeats every m
+    points.  A level of width m = M_s is built on the rank-s truncation
+    of ``group``, one block of at most ROW_BLOCK entries of
+    :func:`character_rows` at a time; its roots are exact, so the rows
+    equal the first m points of the rows on ``group`` bit for bit.
+    ``blocks[i]`` holds the :func:`_log_mean_triangle` of each block of
+    level i, at most _BLOCK consecutive orders ns of the level.
+
+    One entry is cached: every stack of a run shares its group and n_max,
+    so the plan is built once per run and at most one is held.
     """
     levels = _levels(group.scales, n_max)
     flat = np.empty(_entries(levels), dtype=np.complex128)
@@ -202,7 +218,11 @@ def packed_character_rows(group: RadixSequence, n_max: int) -> np.ndarray:
             k = lo - 1 + i  # psi_k goes in the row of S_{k+1}
             rows[i : i + step] = character_rows(level_group, k, min(k + step, hi - 1))
     flat.flags.writeable = False
-    return flat
+    blocks = tuple(
+        tuple(_log_mean_triangle(n, min(n + _BLOCK, hi)) for n in range(lo, hi, _BLOCK))
+        for lo, hi, _ in levels
+    )
+    return levels, flat, blocks
 
 
 def partial_sum_stack(f: StepFunction, n_max: int) -> np.ndarray:
@@ -211,25 +231,23 @@ def partial_sum_stack(f: StepFunction, n_max: int) -> np.ndarray:
     The stack lives on the :func:`quotient` for n_max, and the levels of
     :func:`_levels` cut it further: S_k f in the level of width m is
     stored on the first m points only, and entry i is S_k f at every point
-    whose linear index is i mod m.  :func:`stack_levels` gives the
-    (rows, m) view of each level.
+    whose linear index is i mod m.
 
     Each level first receives c_{k-1} psi_{k-1} in the row of S_k, from
-    :func:`packed_character_rows`; its first row then gets the previous
-    level's last row (S_0 f = 0 before the first), repeated to width m,
-    and a running sum down the rows turns the terms into partial sums.
-    Every S_k f equals, bit for bit, the first m points of a running sum
-    over full-width rows.
+    the packed character rows of :func:`_stack_plan`; its first row then
+    gets the previous level's last row (S_0 f = 0 before the first),
+    repeated to width m, and a running sum down the rows turns the terms
+    into partial sums.  Every S_k f equals, bit for bit, the first m
+    points of a running sum over full-width rows.
     """
     seq = f.radix_seq
     if n_max < 0 or n_max > seq.size:
         raise IndexOutOfRange(f"n_max {n_max} outside 0..{seq.size}")
     group = quotient(seq, n_max)
     _check_stack_fits(group, n_max)
+    levels, chars, _ = _stack_plan(group, n_max)
     coeffs = forward_fast(f).coeffs
-    chars = packed_character_rows(group, n_max)
     stack = np.empty_like(chars)
-    levels = _levels(group.scales, n_max)
     prev = np.zeros(1, dtype=np.complex128)  # S_0 f
     for (lo, hi, rows), (_, _, terms) in zip(_split(stack, levels), _split(chars, levels)):
         np.multiply(coeffs[lo - 1 : hi - 1, None], terms, out=rows)
@@ -240,90 +258,40 @@ def partial_sum_stack(f: StepFunction, n_max: int) -> np.ndarray:
     return stack
 
 
-def stack_levels(s_stack: np.ndarray, group: RadixSequence) -> list[tuple[int, int, np.ndarray]]:
-    """[(lo, hi, rows)] of a :func:`partial_sum_stack` on its quotient ``group``.
+def log_mean_blocks(f: StepFunction, n_max: int):
+    """Yield (ns, means, sums) for the orders n = 1..n_max: L_n f and S_n f for n in ns.
 
-    ``rows`` is a (hi - lo, m) view whose row k - lo holds S_k f on the
-    first m points, lo <= k < hi.  The stack's top order is read off its
-    length: every level but the last is fixed by ``group``, and the last
-    is M_r wide.
+    The orders come in blocks of at most _BLOCK, each inside one level of
+    the :func:`partial_sum_stack` this builds.  ``sums`` is a view of the
+    level's rows and ``means`` has the same width m, the level's: entry i
+    of either row is its function at every point whose linear index is
+    i mod m.  L_1 f = 0 is the zero first row.
     """
-    flat = np.ascontiguousarray(s_stack, dtype=np.complex128)
-    *fixed, (lo, _, _) = _levels(group.scales, group.size)
-    count, rest = divmod(flat.size - _entries(fixed), group.size)
-    top = lo - 1 + count
-    if flat.ndim != 1 or rest or not 0 <= top <= group.size or quotient(group, top).size != group.size:
-        raise ResolutionMismatch(f"{flat.shape} array is no partial-sum stack on M_r = {group.size}")
-    return _split(flat, _levels(group.scales, top))
+    stack = partial_sum_stack(f, n_max)
+    levels, _, blocks = _stack_plan(quotient(f.radix_seq, n_max), n_max)
+    levels = _split(stack, levels)
+    for i, level_blocks in enumerate(blocks):
+        lo, _, sums = levels[i]
+        for ns, tri in level_blocks:
+            # built in a call of its own, so that once the caller drops the
+            # means nothing here holds them while the next block is built
+            yield ns, _block_means(tri, levels[: i + 1]), sums[ns[0] - lo : ns[-1] + 1 - lo]
 
 
-def _log_mean_triangle(ns: np.ndarray) -> np.ndarray:
-    """(len(ns), max(ns)) triangle T[i, k] = 1/((ns[i] - k) l_{ns[i]}), 1 <= k < ns[i]."""
-    top = int(ns.max())
-    ks = np.arange(top)
-    ell = log_weights(top)._cumsum[ns - 1]
-    gap = ns[:, None] - ks
-    tri = np.zeros(gap.shape, dtype=np.float64)
-    np.divide(1.0, gap * ell[:, None], out=tri, where=(gap > 0) & (ks >= 1))
-    return tri
-
-
-@lru_cache(maxsize=1)
-def _log_mean_plan(scales: tuple[int, ...], n_max: int):
-    """(ns, triangle, levels) for each block of :func:`_blocks`.
-
-    A block reaches the stack rows k = 1..max(ns) - 1, and ``levels``
-    holds their :func:`_levels`, widest first.  Each is a row prefix of a
-    level of the stack, and a column prefix when it is narrower.
-
-    One entry is cached: every stack of a run shares its quotient and
-    n_max, so each block is planned once per run.
-    """
-    blocks = []
-    for start, stop in _blocks(n_max):
-        ns = np.arange(start, stop)
-        tri = _log_mean_triangle(ns)
-        ns.flags.writeable = tri.flags.writeable = False
-        blocks.append((ns, tri, _levels(scales, stop - 2)[::-1]))
-    return tuple(blocks)
-
-
-def log_mean_blocks(s_stack: np.ndarray, group: RadixSequence, n_max: int):
-    """Yield (ns, rows L_n f for n in ns) for n = 2..n_max from a :func:`partial_sum_stack`.
-
-    ``group`` is the quotient the stack lives on, and the stack needs rows
-    up to n_max - 1.  A block's rows have width w, the smallest scale of
-    ``group`` >= max(ns) - 1: entry i of a row is L_n f at every point
-    whose linear index is i mod w.
-    """
-    levels = stack_levels(s_stack, group)
-    top = sum(len(rows) for _, _, rows in levels)
-    if n_max > top + 1:
-        raise IndexOutOfRange(f"log mean orders need n <= {top + 1}")
-    parts = {lo: rows.view(np.float64) for lo, _, rows in levels}
-    for ns, tri, block_levels in _log_mean_plan(group.scales, n_max):
-        # built in a call of its own, so that once the caller drops the
-        # rows nothing here holds them while the next block is built
-        yield ns, _block_rows(tri, block_levels, parts)
-
-
-def _block_rows(tri: np.ndarray, levels, parts: dict) -> np.ndarray:
-    """One block's log-mean rows from its triangle and its levels, widest first.
+def _block_means(tri: np.ndarray, levels) -> np.ndarray:
+    """A block's log means from its triangle and the levels up to its own, the last.
 
     The triangle is real, so each level multiplies the interleaved real
-    and imaginary parts of its rows' first m points, ``parts[lo]``, as one
-    real product; a narrower level repeats across the widest one.
+    and imaginary parts of its rows S_k f, k < max(ns), as one real
+    product on the points it is stored on: the block's own level gives
+    the width, and each narrower one repeats across it.
     """
-
-    def product(lo, hi, m):
-        return (tri[:, lo:hi] @ parts[lo][: hi - lo, : 2 * m]).view(np.complex128)
-
-    (lo, hi, m), *narrower = levels
-    rows = product(lo, hi, m)
-    for lo, hi, m in narrower:
-        folded = rows.reshape(len(tri), -1, m)
-        folded += product(lo, hi, m)[:, None, :]
-    return rows
+    *narrower, (lo, _, sums) = levels
+    means = (tri[:, lo:] @ sums[: tri.shape[1] - lo].view(np.float64)).view(np.complex128)
+    for k, _, rows in reversed(narrower):
+        folded = means.reshape(len(tri), -1, rows.shape[1])
+        folded += (tri[:, k : k + len(rows)] @ rows.view(np.float64)).view(np.complex128)[:, None, :]
+    return means
 
 
 def norlund_mean(f: StepFunction, n: int, weights: WeightSequence) -> StepFunction:

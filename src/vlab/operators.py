@@ -5,7 +5,8 @@ The weighted maximal operator is the pointwise sup over n >= 2 of
 non-decreasing weight with phi >= 1.
 The power weight phi(n) = n^alpha with alpha = 1/p - 1 is the critical
 weight for 0 < p < 1.  The maximal operator and the domination chain
-work on the M_r points of the quotient group of ``means.quotient``.
+read the blocks of ``means.log_mean_blocks``: L_n f and S_n f side by
+side, on the points of the stack level that holds n.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .errors import (
     RankOutOfRange,
 )
 from .group_core import RadixSequence
-from .means import log_mean_blocks, partial_sum_stack, quotient, stack_levels, weights_from_file
+from .means import log_mean_blocks, weights_from_file
 from .step_functions import (
     StepFunction,
     check_exponent,
@@ -127,29 +128,25 @@ def weighted_maximal(f: StepFunction, weight: WeightFunction, n_max: int) -> Ste
     """Pointwise sup over 2 <= n <= n_max of |L_n f| / phi(n+1).
 
     Truncation at n_max gives a lower bound on the sup over all n.  The
-    sup is taken at the M_r points of the stack's quotient group and
-    tiled out to M_N only at the end.
+    sup is taken on the widths of the log-mean blocks, the last of them
+    the M_r points of the stack's quotient group, and tiled out to M_N
+    only at the end.
     """
     if not isinstance(weight, WeightFunction):
         raise InvalidWeight(f"weight must be a WeightFunction, got {type(weight)}")
     seq = f.radix_seq
     if n_max < 2 or n_max > seq.size:
         raise IndexOutOfRange(f"n_max {n_max} outside 2..{seq.size}")
-    # n_max rows, as domination_check asks for, so both share the cached
-    # characters of partial_sum_stack
-    group = quotient(seq, n_max)
-    s_stack = partial_sum_stack(f, n_max)
-    best = np.zeros(group.size, dtype=np.float64)
-    for ns, rows in log_mean_blocks(s_stack, group, n_max):
-        cand = np.abs(rows)
+    best = np.zeros(1)
+    for ns, means, _ in log_mean_blocks(f, n_max):
+        cand = np.abs(means)
         cand /= weight.phi(ns + 1)[:, None]
-        # the rows repeat every w points, so they fold into every copy
-        folded = best.reshape(-1, rows.shape[1])
-        np.maximum(folded, cand.max(axis=0), out=folded)
+        # each block's width is a multiple of the last one's
+        best = np.maximum(cand.max(axis=0).reshape(-1, best.size), best).ravel()
         # free the block before the next is built: glibc hands back free
         # heap beyond twice the largest block it has freed (the stack), so
         # a call that held two blocks would fault its pages in every time
-        del rows, cand
+        del means, cand
     return StepFunction(seq, np.tile(best, seq.size // best.size))
 
 
@@ -159,26 +156,11 @@ class DominationResult:
     max_slack: float
 
 
-def _partial_sum_moduli(levels, first: int, stop: int) -> np.ndarray:
-    """|S_n f| for first <= n < stop from the :func:`stack_levels` ``levels``.
-
-    Each S_n f lives on the first m points of its level, and the rows come
-    out at the m of the widest level the orders reach; a narrower level,
-    below a cut the orders cross, repeats across it.
-    """
-    reached = [(lo, hi, sums) for lo, hi, sums in levels if lo < stop and hi > first]
-    moduli = np.empty((stop - first, reached[-1][2].shape[1]))
-    for lo, hi, sums in reached:
-        a, b = max(lo, first), min(hi, stop)
-        out = moduli[a - first : b - first].reshape(b - a, -1, sums.shape[1])
-        np.abs(sums[a - lo : b - lo, None, :], out=out)
-    return moduli
-
-
 def domination_check(f: StepFunction, p: float, n_max: int) -> DominationResult:
     """Verify |L_n f|/(n+1)^{1/p-1} <= sup_{1<=k<=n} |S_k f|/(k+1)^{1/p-1}.
 
-    Checked pointwise for every n <= n_max; n = 1 holds trivially because
+    Checked pointwise for every 2 <= n <= n_max, row for row on the
+    blocks of ``log_mean_blocks``; n = 1 holds trivially because
     L_1 f = 0.  Both sides are constant on the cylinders of the stack's
     quotient group, so checking its M_r points checks all M_N.  Returns
     the largest violation found (negative or tiny positive slack means
@@ -188,33 +170,23 @@ def domination_check(f: StepFunction, p: float, n_max: int) -> DominationResult:
     seq = f.radix_seq
     if n_max < 2 or n_max > seq.size:
         raise IndexOutOfRange(f"n_max {n_max} outside 2..{seq.size}")
-    group = quotient(seq, n_max)
-    s_stack = partial_sum_stack(f, n_max)
-    levels = stack_levels(s_stack, group)
-    # k_weights[k - 1] = phi(k+1) = (k+1)^{1/p-1} for k = 1..n_max
-    k_weights = weight.phi(np.arange(2, n_max + 2))
-    # sup over 1 <= k < ns[0] of |S_k| / phi(k+1), carried from block to
-    # block; S_1 f is constant
-    best = np.abs(levels[0][2][0, :1]) / k_weights[0]
+    # sup over the orders so far of |S_k| / phi(k+1), carried from block to block
+    best = np.zeros(1)
     worst = -np.inf
-    for ns, rows in log_mean_blocks(s_stack, group, n_max):
-        ws = k_weights[ns - 1, None]
-        lhs = np.abs(rows)
+    for ns, means, sums in log_mean_blocks(f, n_max):
+        ws = weight.phi(ns + 1)[:, None]  # phi(n+1) = (n+1)^{1/p-1}
+        lhs = np.abs(means)
         lhs /= ws
-        del rows  # only its moduli are read
-        # running[i] = sup over 1 <= k <= ns[i] of |S_k| / phi(k+1), on the
-        # m points of S_max(ns); the log means one order lower live on the
-        # first w, and w divides m
-        running = _partial_sum_moduli(levels, int(ns[0]), int(ns[-1]) + 1)
-        m, w = running.shape[1], lhs.shape[1]
+        del means  # only its moduli are read
+        running = np.abs(sums)
         running /= ws
-        np.maximum(running[0], np.tile(best, m // best.size), out=running[0])
+        np.maximum(running[0], np.tile(best, running.shape[1] // best.size), out=running[0])
         np.maximum.accumulate(running, axis=0, out=running)
         best = running[-1].copy()
-        slack = running.reshape(len(ns), m // w, w)
-        np.subtract(lhs[:, None, :], slack, out=slack)
-        worst = max(worst, float(np.max(slack)))
-        del lhs, running, slack  # freed before the next block, as in weighted_maximal
+        lhs -= running
+        # the row L_1 f = 0 only seeds the sup: the chain is checked from n = 2
+        worst = max(worst, float(np.max(lhs, where=ns[:, None] > 1, initial=-np.inf)))
+        del lhs, running  # freed before the next block, as in weighted_maximal
     return DominationResult(passed=worst <= DOMINATION_TOL, max_slack=worst)
 
 

@@ -3,7 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vlab.means import stack_levels
+from vlab.means import log_mean_blocks
 
 
 @pytest.fixture
@@ -23,16 +23,18 @@ def write_step():
 
 
 @pytest.fixture
-def dense_stack():
-    """Unpacks a ``partial_sum_stack`` into its (n_max + 1, M_r) dense rows.
+def dense_sums():
+    """Tiles the partial sums of ``log_mean_blocks(f, n_max)`` out to dense rows.
 
-    Row k is S_k f at the M_r points of the stack's quotient ``group``
-    (row 0 is zero): each level's rows repeated out from their m points.
+    Row k of the (n_max + 1, M_r) result is S_k f at the M_r points of the
+    quotient the last block is as wide as (row 0 is zero), each block's
+    rows repeated out from their m points.
     """
 
-    def unpack(stack, group):
-        rows = [np.zeros((1, group.size), dtype=np.complex128)]
-        rows += [np.tile(sums, group.size // sums.shape[1]) for _, _, sums in stack_levels(stack, group)]
-        return np.concatenate(rows)
+    def unpack(f, n_max):
+        blocks = [sums for _, _, sums in log_mean_blocks(f, n_max)]
+        width = blocks[-1].shape[1]
+        rows = [np.tile(sums, width // sums.shape[1]) for sums in blocks]
+        return np.concatenate([np.zeros((1, width), dtype=np.complex128), *rows])
 
     return unpack

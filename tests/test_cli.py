@@ -490,16 +490,17 @@ def test_config_file_rejects_unknown_keys(tmp_path):
 
 
 def test_theorem_a_reruns_same_bytes(tmp_path):
-    # the first run builds the cached character rows, the second reads
-    # them: psi_0 .. psi_39 on the 72 points of the quotient, 40 * 72 entries
+    # the first run builds the cached stack plan, the second reads it: its
+    # character rows are psi_0 .. psi_39 on the 72 points of the quotient,
+    # 40 * 72 entries
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     argv = ["theorem-a", "--radices", "2,3", "--depth", "5", "--nmax", "40", "--samples", "4"]
-    means_mod.packed_character_rows.cache_clear()
+    means_mod._stack_plan.cache_clear()
     assert run(argv + ["--out", str(a)]) == 0
     assert run(argv + ["--out", str(b)]) == 0
     group = means_mod.quotient(build_radix(cycle_radices((2, 3), 5)), 40)
-    assert means_mod.packed_character_rows.cache_info().misses == 1
-    shared = means_mod.packed_character_rows(group, 40)
+    assert means_mod._stack_plan.cache_info().misses == 1
+    _, shared, _ = means_mod._stack_plan(group, 40)
     assert shared.nbytes == 40 * 72 * 16
     assert shared.flags.writeable is False
     assert a.read_bytes().replace(b"a.csv", b"") == b.read_bytes().replace(b"b.csv", b"")
@@ -540,7 +541,7 @@ def test_theorem_a_builds_character_rows_once(monkeypatch):
         return real(seq, lo, hi)
 
     monkeypatch.setattr(means_mod, "character_rows", counting)
-    means_mod.packed_character_rows.cache_clear()
+    means_mod._stack_plan.cache_clear()
     argv = ["theorem-a", "--radices", "2,3", "--depth", "8", "--nmax", "300", "--samples", "4"]
     assert run(argv) == 0
     assert calls == [(0, 72), (72, 216), (216, 300)]
@@ -586,11 +587,12 @@ def test_theorem_b_builds_each_case_once(monkeypatch):
 
 
 def test_stack_beyond_physical_memory_is_exit_two(monkeypatch, capsys):
-    # packed rows plus stack would take 2 * 700416 * 16 bytes (21 MiB); a
-    # 1 MiB budget stands in for physical memory, so nothing that size is
-    # allocated
+    # packed rows plus stack would take 2 * 700416 * 16 bytes (21 MiB),
+    # beside 557056 * 8 bytes of log-mean triangles, one (len(ns), max(ns))
+    # per block of at most 64 orders of a level; a 1 MiB budget stands in
+    # for physical memory, so nothing that size is allocated
     monkeypatch.setattr(group_core, "_physical_memory", lambda: 2**20)
-    means_mod.packed_character_rows.cache_clear()
+    means_mod._stack_plan.cache_clear()
     argv = ["theorem-a", "--radices", "2", "--depth", "10", "--nmax", "1024", "--samples", "2"]
     tracemalloc.start()
     try:
@@ -601,7 +603,7 @@ def test_stack_beyond_physical_memory_is_exit_two(monkeypatch, capsys):
     assert rc == 2
     err = capsys.readouterr().err.splitlines()
     assert err == [
-        "error: partial-sum stack for n_max=1024, M_r=1024 needs 26869248 bytes, "
+        "error: partial-sum stack for n_max=1024, M_r=1024 needs 26869760 bytes, "
         "physical memory is 1048576"
     ]
     assert peak < 2**20
@@ -711,6 +713,24 @@ def test_dft_kernel_beyond_physical_memory_is_exit_two(monkeypatch, capsys):
         "physical memory is 1048576"
     ]
     assert peak < 2**20
+
+
+def test_transform_refuses_the_dft_kernel_before_the_oracle(monkeypatch, capsys):
+    # on the one-digit group (400,) a 5 MiB budget passes the group check
+    # (76,800 B) and the oracle check (4,239,104 B) but not the fast path's
+    # 400 x 400 kernel (6,400,000 B), which is refused before the oracle runs
+    import vlab.cli as cli_mod
+
+    calls = []
+    real = cli_mod.forward_naive
+    monkeypatch.setattr(cli_mod, "forward_naive", lambda f: calls.append(f) or real(f))
+    monkeypatch.setattr(group_core, "_physical_memory", lambda: 5 * 2**20)
+    transform_mod.dft_kernel.cache_clear()
+    assert run(["transform", "--radices", "400", "--depth", "1"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: DFT kernel of order 400 needs 6400000 bytes, physical memory is 5242880"
+    ]
+    assert calls == []
 
 
 def _refused(argv, capsys):

@@ -7,7 +7,6 @@ from vlab.errors import (
     CapacityExceeded,
     IndexOutOfRange,
     InvalidWeight,
-    ResolutionMismatch,
     ZeroTotalWeight,
 )
 from vlab.group_core import build_radix, cycle_radices
@@ -24,7 +23,6 @@ from vlab.means import (
     ones_weights,
     partial_sum_stack,
     quotient,
-    stack_levels,
     weight_sequence_from_spec,
     weights_from_file,
 )
@@ -214,14 +212,14 @@ def test_norlund_weight_normalization_property():
     assert np.max(np.abs(got.values - want)) <= 1e-12
 
 
-def test_batch_partial_sums_match_individual(dense_stack):
+def test_batch_partial_sums_match_individual(dense_sums):
     # no scale of dyadic(6) below M_N = 64 cuts a level, so S_1 .. S_64
     # are stored at all 64 points
     seq = build_radix((2, 2, 2, 2, 2, 2))
     f = random_function(seq, 7)
     packed = partial_sum_stack(f, seq.size)
     assert packed.shape == (seq.size * seq.size,)
-    stack = dense_stack(packed, seq)
+    stack = dense_sums(f, seq.size)
     assert np.max(np.abs(stack[0])) == 0.0
     for k in range(1, seq.size + 1):
         want = partial_sum(f, k)
@@ -229,10 +227,10 @@ def test_batch_partial_sums_match_individual(dense_stack):
     assert np.max(np.abs(stack[-1] - f.values)) <= 1e-9
 
 
-def test_batch_stabilizes_after_last_coefficient(dense_stack):
+def test_batch_stabilizes_after_last_coefficient(dense_sums):
     seq = build_radix((2, 3))
     psi2 = StepFunction(seq, character(seq, 2))
-    stack = dense_stack(partial_sum_stack(psi2, seq.size), seq)
+    stack = dense_sums(psi2, seq.size)
     for k in range(3, seq.size + 1):
         assert np.max(np.abs(stack[k] - psi2.values)) <= 1e-12
 
@@ -241,26 +239,21 @@ def test_batch_out_of_range():
     seq = build_radix((2, 3))
     with pytest.raises(IndexOutOfRange):
         partial_sum_stack(StepFunction(seq, np.ones(seq.size)), seq.size + 1)
-    stack = partial_sum_stack(StepFunction(seq, np.ones(seq.size)), 3)
     with pytest.raises(IndexOutOfRange):
-        next(log_mean_blocks(stack, seq, 5))
-    # a stack of order 2 lives on the M_1 = 2 points of its quotient
-    stack = partial_sum_stack(StepFunction(seq, np.ones(seq.size)), 2)
-    with pytest.raises(ResolutionMismatch):
-        next(log_mean_blocks(stack, seq, 2))
+        next(log_mean_blocks(StepFunction(seq, np.ones(seq.size)), seq.size + 1))
 
 
 def test_log_mean_stack_matches_single_calls():
     seq = build_radix((2, 3, 2, 3))
     f = random_function(seq, 11)
     n_max = 20
-    stack = partial_sum_stack(f, n_max - 1)
-    ((ns, rows),) = log_mean_blocks(stack, quotient(seq, n_max - 1), n_max)
-    assert list(ns) == list(range(2, n_max + 1))
-    assert rows.shape == (n_max - 1, seq.size)
+    ((ns, rows, _),) = log_mean_blocks(f, n_max)
+    assert list(ns) == list(range(1, n_max + 1))
+    assert rows.shape == (n_max, seq.size)
+    assert not rows[0].any()  # L_1 f = 0
     for n in range(2, n_max + 1):
         want = log_mean(f, n)
-        assert np.max(np.abs(rows[n - 2] - want.values)) <= 1e-9
+        assert np.max(np.abs(rows[n - 1] - want.values)) <= 1e-9
 
 
 def _custom(q0):
@@ -280,19 +273,19 @@ def test_norlund_mean_matches_walk(weights):
         assert np.max(np.abs(got.values - walk_norlund(f, n, weights))) <= 1e-12
 
 
-def test_log_mean_stacks_match_walk(dense_stack):
-    # no scale of (2,3,2) cuts a level, so the walked rows S_1 .. S_11
-    # back to back are a packed stack of order 11
+def test_log_mean_stacks_match_walk():
+    # no scale of (2,3,2) cuts a level, so orders 1..12 are one block on
+    # all 12 points
     seq = build_radix((2, 3, 2))
     f = random_function(seq, 22)
     walk = walk_partial_sums(f, seq.size)
-    assert np.max(np.abs(dense_stack(partial_sum_stack(f, seq.size), seq) - walk)) <= 1e-12
-    ((ns, rows),) = log_mean_blocks(walk[1:-1].ravel(), seq, seq.size)
-    assert list(ns) == list(range(2, seq.size + 1))
-    for n in ns:
+    ((ns, rows, sums),) = log_mean_blocks(f, seq.size)
+    assert list(ns) == list(range(1, seq.size + 1))
+    assert np.max(np.abs(sums - walk[1:])) <= 1e-12
+    for n in ns[1:]:
         want = sum(walk[k] / (n - k) for k in range(1, n)) / harmonic_l(n)
         assert np.max(np.abs(log_mean(f, n).values - want)) <= 1e-12
-        assert np.max(np.abs(rows[n - 2] - want)) <= 1e-12
+        assert np.max(np.abs(rows[n - 1] - want)) <= 1e-12
 
 
 def test_means_cost_one_transform_pair(monkeypatch):
@@ -347,7 +340,7 @@ def test_partial_sum_stack_builds_rows_one_block_at_a_time(monkeypatch):
         return stack, peak
 
     monkeypatch.setattr(means_mod, "character_rows", counting)
-    means_mod.packed_character_rows.cache_clear()
+    means_mod._stack_plan.cache_clear()
     stack, peak = traced_stack()
     assert stack.nbytes == 1_161_216
     assert spans == [(72, 0, 72), (216, 72, 216), (432, 216, 300)]
@@ -361,7 +354,7 @@ def test_partial_sum_stack_builds_rows_one_block_at_a_time(monkeypatch):
 
     # dyadic at n_max = M_N = 1024, the widest levels take several
     # blocks: 128 rows of 512 points at a time, then 64 of 1024
-    means_mod.packed_character_rows.cache_clear()
+    means_mod._stack_plan.cache_clear()
     partial_sum_stack(random_function(build_radix((2,) * 10), 30), 1024)
     assert spans == [
         (64, 0, 64), (128, 64, 128), (256, 128, 256),
@@ -378,7 +371,8 @@ def test_packed_stack_sizes():
     # n_max = M_N = 1024, about 2/3 of the dense 1025 x 1024
     seq = build_radix((2, 3) * 4)
     assert partial_sum_stack(random_function(seq, 5), 300).nbytes == 1_161_216
-    assert means_mod.packed_character_rows(quotient(seq, 300), 300).nbytes == 1_161_216
+    _, rows, _ = means_mod._stack_plan(quotient(seq, 300), 300)
+    assert rows.nbytes == 1_161_216
     seq = build_radix((2,) * 10)
     packed = partial_sum_stack(random_function(seq, 6), 1024).size
     assert packed == 64 * 64 + 64 * 128 + 128 * 256 + 256 * 512 + 512 * 1024
@@ -412,7 +406,7 @@ def test_packed_stack_matches_dense_cumsum(radices, n_max):
     f = random_function(seq, 47)
     dense = dense_cumsum(f, group, n_max).view(np.uint64)
     packed = partial_sum_stack(f, n_max)
-    levels = stack_levels(packed, group)
+    levels = means_mod._split(packed, means_mod._stack_plan(group, n_max)[0])
     assert [lo for lo, _, _ in levels] == [1, *(hi for _, hi, _ in levels[:-1])]
     assert levels[-1][1] == n_max + 1
     assert sum(rows.size for _, _, rows in levels) == packed.size
@@ -427,10 +421,12 @@ def test_stack_memory_check_counts_quotient_points(monkeypatch):
     # M_N = 7776, but n_max = 300 needs only M_7 = 432 points, and the
     # packed stack keeps S_1..S_72 on 72 of them, S_73..S_216 on 216 and
     # S_217..S_300 on 432; rows and partial sums hold that many complex
-    # values each, beside the log-mean triangles of the blocks ending at
-    # orders 65, 129, 193 and 257 (64 orders each) and 300 (43 orders)
+    # values each, beside the log-mean triangles of the blocks of at most
+    # 64 orders of each level: 1..64 and 65..72; 73..136, 137..200 and
+    # 201..216; 217..280 and 281..300
     packed = (72 * 72 + 144 * 216 + 84 * 432) * 16
-    need = 2 * packed + (64 * (65 + 129 + 193 + 257) + 43 * 300) * 8
+    orders = [(1, 64), (65, 72), (73, 136), (137, 200), (201, 216), (217, 280), (281, 300)]
+    need = 2 * packed + sum((top - start + 1) * top for start, top in orders) * 8
     seq = build_radix((2, 3) * 5)
     f = StepFunction(seq, np.ones(seq.size))
     monkeypatch.setattr(group_core, "_physical_memory", lambda: need)
@@ -442,45 +438,46 @@ def test_stack_memory_check_counts_quotient_points(monkeypatch):
 
 def assert_near_dense(rows, stack, group, ns, rtol=1e-15):
     """``rows`` are L_n f for the orders ``ns`` to relative ``rtol``, on the
-    first w points of ``group``, w its smallest scale >= max(ns) - 1: the
-    reference applies the triangle 1/((n - k) l_n), 1 <= k < n, to every
-    row of the dense ``stack`` as one complex product at every point."""
+    first m points of ``group``, m the rows' width: the reference applies
+    the triangle 1/((n - k) l_n), 1 <= k < n, to every row of the dense
+    ``stack`` as one complex product at every point."""
     ks = np.arange(stack.shape[0])
     ell = np.cumsum(1.0 / np.arange(1, ns.max() + 1))[ns - 1]
     gap = ns[:, None] - ks
     tri = np.zeros(gap.shape)
     np.divide(1.0, gap * ell[:, None], out=tri, where=(gap > 0) & (ks >= 1))
     want = tri.astype(np.complex128) @ stack
-    width = quotient(group, int(ns[-1]) - 1).size
-    assert rows.shape == (len(ns), width)
-    got = np.tile(rows, group.size // width)
+    assert rows.shape[0] == len(ns)
+    got = np.tile(rows, group.size // rows.shape[1])
     scale_ = np.max(np.abs(want), axis=1, keepdims=True)
     assert np.all(np.abs(got - want) <= rtol * scale_)
 
 
-def test_log_mean_triangles_are_built_once_per_n_max(monkeypatch, dense_stack):
-    # orders 2..300 fall in 5 blocks of at most 64; the stacks of a run
-    # share their quotient and n_max, so each block's triangle is built
-    # once, and every block's rows match the dense reference
+def test_log_mean_triangles_are_built_once_per_n_max(monkeypatch):
+    # orders 1..300 fall in 7 blocks of at most 64 inside the levels
+    # 1..72, 73..216 and 217..300; the stacks of a run share their
+    # quotient and n_max, so each block's triangle is built once, and
+    # every block's rows match the dense reference
     built = []
     real = means_mod._log_mean_triangle
 
-    def counting(ns):
-        built.append(int(ns[0]))
-        return real(ns)
+    def counting(start, stop):
+        built.append(start)
+        return real(start, stop)
 
     monkeypatch.setattr(means_mod, "_log_mean_triangle", counting)
-    means_mod._log_mean_plan.cache_clear()
+    means_mod._stack_plan.cache_clear()
     seq = build_radix((2, 3) * 4)
     group = quotient(seq, 300)
-    stacks = [partial_sum_stack(random_function(seq, seed), 300) for seed in (1, 2, 3, 31)]
-    blocks = [list(log_mean_blocks(stack, group, 300)) for stack in stacks]
-    assert built == [2, 66, 130, 194, 258]
-    for stack, stack_blocks in zip(stacks, blocks):
-        assert [int(ns[-1]) for ns, _ in stack_blocks] == [65, 129, 193, 257, 300]
-        assert [int(n) for ns, _ in stack_blocks for n in ns] == list(range(2, 301))
-        for ns, rows in stack_blocks:
-            assert_near_dense(rows, dense_stack(stack, group), group, ns)
+    fs = [random_function(seq, seed) for seed in (1, 2, 3, 31)]
+    blocks = [[(ns, rows) for ns, rows, _ in log_mean_blocks(f, 300)] for f in fs]
+    assert built == [1, 65, 73, 137, 201, 217, 281]
+    for f, f_blocks in zip(fs, blocks):
+        assert [int(ns[-1]) for ns, _ in f_blocks] == [64, 72, 136, 200, 216, 280, 300]
+        assert [int(n) for ns, _ in f_blocks for n in ns] == list(range(1, 301))
+        dense = dense_cumsum(f, group, 300)
+        for ns, rows in f_blocks:
+            assert_near_dense(rows, dense, group, ns)
 
 
 # n_max at a scale M_s >= 64 and one and two past it: on (2,3)x4 at
@@ -494,30 +491,39 @@ _LEVEL_CASES = [
 
 
 @pytest.mark.parametrize("radices, n_max", _LEVEL_CASES)
-def test_level_product_matches_dense_reference(radices, n_max, dense_stack):
+def test_level_product_matches_dense_reference(radices, n_max):
     # each level of a block's triangle meets only the first M_s points of
     # its stack rows; the rows, repeated over the quotient, are the dense
     # product over every row and point
     seq = build_radix(radices)
     group = quotient(seq, n_max)
-    stack = partial_sum_stack(random_function(seq, 37), n_max)
-    dense = dense_stack(stack, group)
+    f = random_function(seq, 37)
+    dense = dense_cumsum(f, group, n_max)
     orders = []
-    for ns, rows in log_mean_blocks(stack, group, n_max):
+    for ns, rows, _ in log_mean_blocks(f, n_max):
         assert_near_dense(rows, dense, group, ns, rtol=1e-12)
         orders += list(ns)
-    assert orders == list(range(2, n_max + 1))
+    assert orders == list(range(1, n_max + 1))
 
 
 def test_level_plan_cuts_the_product_work():
     # at the domination parameters (n_max = 300 on (2,3)x4, M_r = 432) the
-    # levels are cut at the scales 72 and 216; the full-width product of
-    # every block reaches (max(ns) columns) x 432 points per order
+    # levels are cut at the scales 72 and 216, and each block of at most
+    # 64 orders lies in one level; the full-width product of a block
+    # reaches max(ns) columns x 432 points per order, the level products
+    # only the points each level is stored on
     group = quotient(build_radix((2, 3) * 4), 300)
-    plan = means_mod._log_mean_plan(group.scales, 300)
-    assert plan[-1][2] == ((217, 300, 432), (73, 217, 216), (1, 73, 72))
-    assert [levels[0][2] for _, _, levels in plan] == [72, 216, 216, 432, 432]
-    full = sum(len(ns) * int(ns[-1]) * group.size for ns, _, _ in plan)
-    levelled = sum(len(ns) * (hi - lo) * m for ns, _, levels in plan for lo, hi, m in levels)
-    assert full == 23_378_112
+    levels, _, blocks = means_mod._stack_plan(group, 300)
+    assert levels == ((1, 73, 72), (73, 217, 216), (217, 301, 432))
+    starts = [[int(ns[0]) for ns, _ in level] for level in blocks]
+    assert starts == [[1, 65], [73, 137, 201], [217, 281]]
+    plan = [ns for level in blocks for ns, _ in level]
+    full = sum(len(ns) * int(ns[-1]) * group.size for ns in plan)
+    levelled = sum(
+        len(ns) * (min(hi, int(ns[-1])) - lo) * m
+        for ns in plan
+        for lo, hi, m in levels
+        if lo < ns[-1]
+    )
+    assert full == 23_134_464
     assert levelled <= 0.45 * full

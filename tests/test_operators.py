@@ -12,7 +12,7 @@ from vlab.errors import (
 )
 from vlab.group_core import build_radix, cycle_radices
 import vlab.means as means_mod
-from vlab.means import log_mean_blocks, partial_sum_stack, quotient, stack_levels
+from vlab.means import log_mean_blocks, partial_sum_stack, quotient
 from vlab.operators import (
     WeightFunction,
     boundedness_ratio,
@@ -127,12 +127,9 @@ def test_condition6_verdicts():
 
 def partial_sum_maximal(f, weight):
     """max over 1 <= n <= M_N of |S_n f| / phi(n+1) at the M_N points of the group."""
-    seq = f.radix_seq
-    best = np.zeros(seq.size)
-    for lo, hi, sums in stack_levels(partial_sum_stack(f, seq.size), seq):
-        level = np.max(np.abs(sums) / weight.phi(np.arange(lo + 1, hi + 1))[:, None], axis=0)
-        best = np.maximum(best, np.tile(level, seq.size // sums.shape[1]))
-    return best
+    n = f.radix_seq.size
+    sums = _whole_group_stack(f, n)[1:]
+    return np.max(np.abs(sums) / weight.phi(np.arange(2, n + 2))[:, None], axis=0)
 
 
 def test_weighted_maximal_of_zero():
@@ -221,12 +218,13 @@ def test_domination_on_random_functions():
 def _full_accumulate_slack(dense, blocks, p, n_max):
     # the running sup of |S_k| / (k+1)^(1/p-1) as one accumulate over every
     # order, at every point of the dense stack, against the log-mean
-    # ``blocks`` (ns, rows) repeated out to the same points
+    # ``blocks`` (ns, rows) repeated out to the same points, for n >= 2
     expo = 1.0 / p - 1.0
     k_weights = (np.arange(1, n_max + 1) + 1.0) ** expo
     running = np.maximum.accumulate(np.abs(dense[1:]) / k_weights[:, None], axis=0)
     worst = -np.inf
     for ns, rows in blocks:
+        ns, rows = ns[ns > 1], rows[ns > 1]
         lhs = np.abs(rows) / ((ns + 1.0) ** expo)[:, None]
         lhs = np.tile(lhs, dense.shape[1] // rows.shape[1])
         worst = max(worst, float(np.max(lhs - running[ns - 1])))
@@ -237,20 +235,18 @@ def _full_accumulate_slack(dense, blocks, p, n_max):
     "radices", [(2, 3) * 4, cycle_radices((3, 5, 3), 5), (2,) * 9], ids=["2,3x4", "3,5,3", "2x9"]
 )
 @pytest.mark.parametrize("n_max", [2, 64, 65, 129, 300])
-def test_blocked_running_max_matches_full_accumulate(radices, n_max, dense_stack):
-    # orders 2..65 fill the first block of 64 and 66..129 the second, so 65
-    # and 129 end on a block boundary and 300 carries the running sup across
-    # four; the log-mean rows come from the same blocks, so only the running
-    # sup differs from the reference.  Dyadic, the blocks ending at 65 and
-    # 129 give log means on 64 and 128 points, while S_65 and S_129 take
-    # 128 and 256
+def test_blocked_running_max_matches_full_accumulate(radices, n_max):
+    # orders 1..64 fill the first block, and 300 carries the running sup
+    # across several levels and blocks; the log-mean rows come from the
+    # same blocks, so only the running sup differs from the reference.
+    # Dyadic, 65 and 129 each open a level of their own, the log means of
+    # orders 64 and 128 on 64 and 128 points beside S_65 and S_129 on 128
+    # and 256
     seq = build_radix(radices)
     for seed, p in ((14, 0.5), (15, 0.8)):
         f = random_function(seq, seed)
-        group = quotient(seq, n_max)
-        stack = partial_sum_stack(f, n_max)
-        blocks = log_mean_blocks(stack, group, n_max)
-        want = _full_accumulate_slack(dense_stack(stack, group), blocks, p, n_max)
+        blocks = [(ns, means) for ns, means, _ in log_mean_blocks(f, n_max)]
+        want = _full_accumulate_slack(_whole_group_stack(f, n_max), blocks, p, n_max)
         assert domination_check(f, p, n_max).max_slack == want
 
 
@@ -290,7 +286,7 @@ _QUOTIENT_WIDTHS = [
         for n, m in widths.items()
     ],
 )
-def test_quotient_stack_matches_whole_group(radices, n_max, width, dense_stack):
+def test_quotient_stack_matches_whole_group(radices, n_max, width, dense_sums):
     # a stack of order n_max lives on the M_r = width points of the rank-r
     # quotient; tiled M_N / M_r times it is the stack on the whole group,
     # and the maximal function and the domination slack are those of the
@@ -299,9 +295,8 @@ def test_quotient_stack_matches_whole_group(radices, n_max, width, dense_stack):
     # different widths, which may round the last bit differently
     seq = build_radix(radices)
     f = random_function(seq, 41)
-    group = quotient(seq, n_max)
-    assert group.size == width
-    stack = dense_stack(partial_sum_stack(f, n_max), group)
+    assert quotient(seq, n_max).size == width
+    stack = dense_sums(f, n_max)
     copies = seq.size // width
     for n in range(n_max + 1):
         assert np.max(np.abs(np.tile(stack[n], copies) - partial_sum(f, n).values)) <= 1e-12
@@ -318,6 +313,38 @@ def test_quotient_stack_matches_whole_group(radices, n_max, width, dense_stack):
         assert abs(domination_check(f, p, n_max).max_slack - want) <= 1e-12 * abs(want)
 
 
+@pytest.mark.parametrize(
+    "radices, n_max",
+    [((2, 3) * 4, 300), ((2,) * 8, 65), ((2,) * 8, 129)],
+    ids=["2,3x4-300", "2x8-65", "2x8-129"],
+)
+def test_log_mean_blocks_lie_inside_one_level(radices, n_max):
+    # each block of at most 64 orders lies inside one level of the stack,
+    # its log means as wide as its partial sums, and L_1 f = 0 opens the
+    # first; at 65 and 129, n_max - 1 is a scale and the top level holds
+    # one order.  Tiled out, the rows are the whole-group rows
+    seq = build_radix(radices)
+    f = random_function(seq, 45)
+    levels = means_mod._levels(quotient(seq, n_max).scales, n_max)
+    orders, means, sums = [], [], []
+    for ns, block_means, block_sums in log_mean_blocks(f, n_max):
+        assert len(ns) <= 64
+        assert any(lo <= ns[0] and ns[-1] < hi and m == block_sums.shape[1] for lo, hi, m in levels)
+        assert block_means.shape == block_sums.shape
+        orders += list(ns)
+        means.append(np.tile(block_means, seq.size // block_means.shape[1]))
+        sums.append(np.tile(block_sums, seq.size // block_sums.shape[1]))
+    assert orders == list(range(1, n_max + 1))
+    if n_max in (65, 129):
+        assert levels[-1][:2] == (n_max, n_max + 1)
+    means, sums = np.concatenate(means), np.concatenate(sums)
+    assert not means[0].any()
+    full = _whole_group_stack(f, n_max)
+    _, want = _whole_group_log_means(full, n_max)
+    assert np.max(np.abs(means[1:] - want)) <= 1e-12
+    assert np.max(np.abs(sums - full[1:])) <= 1e-12
+
+
 def test_log_mean_maximal_memory_does_not_grow_with_the_group():
     # M_N = 46656, but n_max = 300 needs only the M_7 = 432 points of the
     # quotient; rows and stack on the whole group would take 2 * 301 * 46656
@@ -325,8 +352,7 @@ def test_log_mean_maximal_memory_does_not_grow_with_the_group():
     seq = build_radix((2, 3) * 6)
     f = random_function(seq, 43)
     assert partial_sum_stack(f, 300).nbytes == 1_161_216
-    means_mod.packed_character_rows.cache_clear()
-    means_mod._log_mean_plan.cache_clear()
+    means_mod._stack_plan.cache_clear()
     tracemalloc.start()
     try:
         weighted_maximal(f, log_weight(), 300)
@@ -337,22 +363,28 @@ def test_log_mean_maximal_memory_does_not_grow_with_the_group():
 
 
 def test_warm_calls_hold_one_block_beside_the_stack():
-    # at the domination parameters a warm call holds its stack and one
-    # block's rows and moduli at a time: with glibc's 128 KiB top pad
-    # that stays below twice the stack, the free heap glibc keeps between
-    # calls, so the calls do not hand back pages and fault them in again
-    seq = build_radix((2, 3) * 4)
-    f = random_function(seq, 44)
-    stack = partial_sum_stack(f, 300)
-    domination_check(f, 0.5, 300)
-    for call in (lambda: domination_check(f, 0.5, 300), lambda: weighted_maximal(f, log_weight(), 300)):
-        tracemalloc.start()
-        try:
-            call()
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak + 2**17 < 2 * stack.nbytes
+    # at the domination parameters, and on a dyadic and a (3,5,3) stack, a
+    # warm call holds its stack and one block's rows and moduli at a time:
+    # with glibc's 128 KiB top pad that stays below twice the stack, the
+    # free heap glibc keeps between calls, so the calls do not hand back
+    # pages and fault them in again
+    cases = [((2, 3) * 4, 300), ((2,) * 10, 1024), (cycle_radices((3, 5, 3), 5), 300)]
+    for radices, n_max in cases:
+        seq = build_radix(radices)
+        f = random_function(seq, 44)
+        stack = partial_sum_stack(f, n_max)
+        domination_check(f, 0.5, n_max)
+        for call in (
+            lambda: domination_check(f, 0.5, n_max),
+            lambda: weighted_maximal(f, log_weight(), n_max),
+        ):
+            tracemalloc.start()
+            try:
+                call()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak + 2**17 < 2 * stack.nbytes, (radices, n_max)
 
 
 def test_domination_reads_each_partial_sum_on_its_cylinders():

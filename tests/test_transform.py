@@ -8,7 +8,6 @@ import pytest
 from vlab import group_core, transform
 from vlab.errors import CapacityExceeded, IndexOutOfRange, RankOutOfRange
 from vlab.group_core import build_radix, cycle_radices, decompose
-from vlab.means import partial_sum_stack
 from vlab.step_functions import StepFunction, conditional_average, lp_quasinorm
 from vlab.transform import (
     ROW_BLOCK,
@@ -544,11 +543,11 @@ def test_martingale_bridge():
         assert np.max(np.abs(conditional_average(f, n).values - s.values)) <= 1e-9
 
 
-def test_batch_partial_sums_buffer_is_cumulative(dense_stack):
+def test_batch_partial_sums_buffer_is_cumulative(dense_sums):
     seq = build_radix((2, 3, 2))
     f = random_function(seq, 3)
     coeffs = forward_fast(f).coeffs
-    stack = dense_stack(partial_sum_stack(f, seq.size), seq)
+    stack = dense_sums(f, seq.size)
     for k in range(1, seq.size + 1):
         step = stack[k] - stack[k - 1]
         assert np.max(np.abs(step - coeffs[k - 1] * character_rows(seq, k - 1, k)[0])) <= 1e-9
