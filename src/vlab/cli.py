@@ -51,7 +51,6 @@ from .step_functions import (
 )
 from .transform import (
     OpCount,
-    check_oracle_fits,
     dirichlet_kernel,
     fast_op_bound,
     forward_fast,
@@ -185,9 +184,9 @@ class _DefaultDepth(int):
 
 def _fitting(seq: RadixSequence) -> RadixSequence:
     """``seq``, refused before any array on it if 192 bytes per point exceed
-    physical memory: the largest tracemalloc peak per point of a command at
-    its default sample count (transform, 179-188 B at depths 16-18), rounded
-    up to whole complex values."""
+    physical memory: above the largest tracemalloc peak per point of a
+    command at its default sample count (theorem-b, 143-145 B at depths
+    16-18; transform, 96-144 B at depths 12-18 with 3 or 20 samples)."""
     check_memory(192 * seq.size, f"a group of M_N={seq.size}")
     return seq
 
@@ -276,7 +275,6 @@ def cmd_transform(cfg: RunConfig) -> tuple[dict[str, ExperimentReport], bool]:
     report = ExperimentReport(columns=list(TRANSFORM_COLUMNS))
     _echo_config(report, cfg, "transform")
     bound = fast_op_bound(seq)
-    check_oracle_fits(seq)
     children = np.random.SeedSequence(cfg.seed).spawn(max(cfg.samples, 1))
     all_ok = True
     naive_time = fast_time = 0.0

@@ -96,11 +96,11 @@ def vilenkin_char(n: int, i: int, seq: RadixSequence) -> complex:
 # behind the partial-sum stacks alike.
 ROW_BLOCK = 1 << 16
 
-# Multiply-adds per naive-oracle product.  OpenBLAS runs products this
-# small on one thread; its threaded driver splits sums elsewhere when their
-# length is no multiple of its inner block (seen at M_N = 1296), so larger
-# products would tie the last bits of c_k to the BLAS thread count.
-PRODUCT_MADDS = 1 << 18
+# Multiply-adds per naive-oracle product, half of 2^16.  Complex products of
+# two or more rows kept their bits at 1 and 2 OpenBLAS threads up to 65,520
+# multiply-adds and lost them in many shapes from 65,610 up; at 2^18 reports
+# on M_N = 2500 and 19683 moved with the thread count.
+PRODUCT_MADDS = 1 << 15
 
 
 @functools.lru_cache(maxsize=16)
@@ -116,11 +116,6 @@ def _roots(period: int) -> np.ndarray:
             table[k * period // 4] = root
     table.flags.writeable = False
     return table
-
-
-def _half_rank(seq: RadixSequence) -> int:
-    """The largest rank s with M_s^2 <= M_N."""
-    return max(r for r, m in enumerate(seq.scales) if m * m <= seq.size)
 
 
 def character_rows(seq: RadixSequence, lo: int, hi: int) -> np.ndarray:
@@ -147,21 +142,6 @@ def character_rows(seq: RadixSequence, lo: int, hi: int) -> np.ndarray:
         steps %= period
         phases = np.add(steps[:, :, None], phases[:, None, :]).reshape(hi - lo, scale * m)
     return np.take(_roots(period), phases, mode="wrap")
-
-
-def check_oracle_fits(seq: RadixSequence) -> None:
-    """Refuse a transform run on ``seq`` whose working set would not fit in physical memory.
-
-    Callers check before drawing any function; a run holds one at a time.
-    Counted are 7 complex values per point, the most one function's checks
-    hold at once (6, in the inverse transform of its round trip) and one
-    spare, and four blocks of factor rows, each at most ROW_BLOCK entries
-    or one row of the larger factor: cached or in use, and one being built
-    with its integer phases.
-    """
-    block = max(ROW_BLOCK, seq.size // seq.scales[_half_rank(seq)])
-    need = (7 * seq.size + 4 * block) * np.dtype(np.complex128).itemsize
-    check_memory(need, f"naive oracle on M_N={seq.size}")
 
 
 @functools.lru_cache(maxsize=2)
@@ -195,18 +175,23 @@ def _conj_factor(group: RadixSequence, v: np.ndarray) -> np.ndarray:
     out = np.empty((m, n), dtype=np.complex128)
     for start in range(0, m, build):
         block = conj_rows(group, start, min(start + build, m))
-        for lo in range(0, len(block), rows):
-            a, res = block[lo : lo + rows], out[start + lo : start + lo + rows]
-            np.matmul(a[:, :span], x[:span], out=res)
+        cut = len(block) - len(block) % rows
+        # the block's whole products, then its short one, each a batch of
+        # k-row products that np.matmul hands to BLAS one at a time
+        for lo, hi, k in ((0, cut, rows), (cut, len(block), len(block) - cut or 1)):
+            a = block[lo:hi].reshape(-1, k, m)
+            res = out[start + lo : start + hi].reshape(-1, k, n)
+            np.matmul(a[:, :, :span], x[:span], out=res)
             for x0 in range(span, m, span):
-                res += np.matmul(a[:, x0 : x0 + span], x[x0 : x0 + span])
+                res += np.matmul(a[:, :, x0 : x0 + span], x[x0 : x0 + span])
     return out.reshape(v.size)
 
 
 def forward_naive(f: StepFunction) -> CoefficientVector:
     """Coefficients of f by the definition (the oracle).
 
-    c_k = (1/M_N) sum_x f(x) conj(psi_k(x)).  With s = :func:`_half_rank`,
+    c_k = (1/M_N) sum_x f(x) conj(psi_k(x)).  With s the largest rank with
+    M_s^2 <= M_N,
     conj(psi_k(x)) = A_lo[k mod M_s, x mod M_s] A_hi[k div M_s, x div M_s],
     where A_lo and A_hi are the conj character matrices of the groups of
     the digits m_0..m_{s-1} and m_s..m_{N-1}.  So with f viewed as F, an
@@ -216,7 +201,7 @@ def forward_naive(f: StepFunction) -> CoefficientVector:
     O(ROW_BLOCK + M_N).
     """
     seq = f.radix_seq
-    s = _half_rank(seq)
+    s = max(r for r, m in enumerate(seq.scales) if m * m <= seq.size)
     data = f.values
     for group in (truncate(seq, s), build_radix(seq.radices[s:])):
         if group.size > 1:

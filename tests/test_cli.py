@@ -89,17 +89,21 @@ def _reports_under_blas_threads(tmp_path, argv, names):
     return runs
 
 
-# M_N = 288 and 1296, neither a multiple of OpenBLAS's inner block; at 1296
-# the oracle's products would split their sums by thread count if they
-# exceeded transform.PRODUCT_MADDS.  At M_N = 4096 dyadic each factor is one
-# 64-row product; at 2^14 each factor of 128 points takes 16-row products;
-# one digit of 1296 is a single factor whose rows sum over all 1296 points.
+# M_N = 288, 1296, 2500 and 19683, none a multiple of OpenBLAS's inner
+# block; there the oracle's complex products would split their sums by
+# thread count if they exceeded transform.PRODUCT_MADDS (at 2500 and 19683
+# they did under a cap of 2^18).  At M_N = 4096 dyadic each factor takes
+# 8-row products; at 2^14 each factor of 128 points takes 2-row products;
+# one digit of 1296 is a single factor whose 25-row products sum over all
+# 1296 points.
 @pytest.mark.parametrize("argv", [
     ["--radices", "2,3,2,4", "--depth", "6", "--samples", "10", "--seed", "7"],
     ["--radices", "2,3", "--depth", "8", "--samples", "4", "--seed", "7"],
     ["--radices", "2", "--depth", "12", "--samples", "2", "--seed", "7"],
     ["--radices", "2", "--depth", "14", "--samples", "2", "--seed", "7"],
     ["--radices", "1296", "--depth", "1", "--samples", "2", "--seed", "7"],
+    ["--radices", "10,25", "--depth", "3", "--samples", "2", "--seed", "7"],
+    ["--radices", "3", "--depth", "9", "--samples", "2", "--seed", "7"],
 ])
 def test_transform_report_is_independent_of_blas_threads(tmp_path, argv):
     one, two = _reports_under_blas_threads(tmp_path, ["transform", *argv], ["r.csv"])
@@ -609,26 +613,6 @@ def test_stack_beyond_physical_memory_is_exit_two(monkeypatch, capsys):
     assert peak < 2**20
 
 
-def test_oracle_beyond_physical_memory_is_exit_two(monkeypatch, capsys):
-    # the default transform on M_N = 4096 holds one function at a time, 7
-    # complex values per point, and four 1 MiB blocks of factor rows; the
-    # check runs before any draw
-    monkeypatch.setattr(group_core, "_physical_memory", lambda: 2**20)
-    tracemalloc.start()
-    try:
-        rc = run(["transform"])
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert rc == 2
-    err = capsys.readouterr().err.splitlines()
-    assert err == [
-        "error: naive oracle on M_N=4096 needs 4653056 bytes, "
-        "physical memory is 1048576"
-    ]
-    assert peak < 2**20
-
-
 def _transform_peak(argv):
     """Exit code and tracemalloc peak of one transform run, no factor rows
     or roots cached before it."""
@@ -645,21 +629,12 @@ def _transform_peak(argv):
 
 @pytest.mark.parametrize("depth", [14, 15, 16, 17])
 @pytest.mark.parametrize("samples", [3, 20])
-def test_oracle_memory_check_covers_the_transform_peak(monkeypatch, depth, samples):
-    # the count covers what a run really holds; at depth 17 the larger
-    # factor spans four blocks, rebuilt for every sample
-    counted = []
-    real = transform_mod.check_memory
-
-    def record(need, what):
-        if what.startswith("naive oracle"):
-            counted.append(need)
-        real(need, what)
-
-    monkeypatch.setattr(transform_mod, "check_memory", record)
+def test_group_rule_covers_the_transform_peak(depth, samples):
+    # the group rule's 192 bytes per point cover what a run really holds; at
+    # depth 17 the larger factor spans four blocks, rebuilt for every sample
     rc, peak = _transform_peak(["--depth", str(depth), "--samples", str(samples)])
     assert rc == 0
-    assert len(counted) == 1 and counted[0] >= peak
+    assert 192 * 2**depth >= peak
 
 
 def test_transform_peak_is_flat_in_samples():
@@ -717,8 +692,8 @@ def test_dft_kernel_beyond_physical_memory_is_exit_two(monkeypatch, capsys):
 
 def test_transform_refuses_the_dft_kernel_before_the_oracle(monkeypatch, capsys):
     # on the one-digit group (400,) a 5 MiB budget passes the group check
-    # (76,800 B) and the oracle check (4,239,104 B) but not the fast path's
-    # 400 x 400 kernel (6,400,000 B), which is refused before the oracle runs
+    # (76,800 B) but not the fast path's 400 x 400 kernel (6,400,000 B),
+    # which is refused before the oracle runs
     import vlab.cli as cli_mod
 
     calls = []
