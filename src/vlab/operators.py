@@ -5,8 +5,9 @@ The weighted maximal operator is the pointwise sup over n >= 2 of
 non-decreasing weight with phi >= 1.
 The power weight phi(n) = n^alpha with alpha = 1/p - 1 is the critical
 weight for 0 < p < 1.  The maximal operator and the domination chain
-read the blocks of ``means.log_mean_blocks``: L_n f and S_n f side by
-side, on the points of the stack level that holds n.
+read the blocks of ``means.log_mean_blocks``, the one generator of the
+partial sums and log means up to n_max, which also checks n_max: L_n f
+and S_n f side by side, on the points of the stack level that holds n.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import numpy as np
 
 from .errors import (
     DegenerateInput,
-    IndexOutOfRange,
     InvalidExponent,
     InvalidWeight,
     RankOutOfRange,
@@ -64,12 +64,16 @@ class WeightFunction:
             object.__setattr__(self, "table", vals)
 
     def phi(self, n):
-        """Evaluate the weight; accepts scalars or integer arrays (n >= 1)."""
+        """Evaluate the weight on scalars or integer arrays (n >= 1); refuse one that overflows."""
         arr = np.asarray(n, dtype=np.float64)
         if np.any(arr < 1):
             raise InvalidWeight(f"weight argument must be >= 1, got {n}")
         if self.table is None:
-            out = np.maximum(1.0, arr**self.alpha * np.log(arr + 1.0) ** -self.beta)
+            with np.errstate(over="ignore"):
+                out = np.maximum(1.0, arr**self.alpha * np.log(arr + 1.0) ** -self.beta)
+            bad = arr[~np.isfinite(out)]  # phi is non-decreasing: the least is the first
+            if bad.size:
+                raise InvalidWeight(f"weight {self.spec} is not finite at n={int(bad.min())}")
         else:
             idx = np.asarray(n, dtype=np.int64) - 1
             if np.any(idx >= self.table.shape[0]):
@@ -129,14 +133,12 @@ def weighted_maximal(f: StepFunction, weight: WeightFunction, n_max: int) -> Ste
 
     Truncation at n_max gives a lower bound on the sup over all n.  The
     sup is taken on the widths of the log-mean blocks, the last of them
-    the M_r points of the stack's quotient group, and tiled out to M_N
+    the M_r points of the stack's widest level, and tiled out to M_N
     only at the end.
     """
     if not isinstance(weight, WeightFunction):
         raise InvalidWeight(f"weight must be a WeightFunction, got {type(weight)}")
     seq = f.radix_seq
-    if n_max < 2 or n_max > seq.size:
-        raise IndexOutOfRange(f"n_max {n_max} outside 2..{seq.size}")
     best = np.zeros(1)
     for ns, means, _ in log_mean_blocks(f, n_max):
         cand = np.abs(means)
@@ -161,15 +163,12 @@ def domination_check(f: StepFunction, p: float, n_max: int) -> DominationResult:
 
     Checked pointwise for every 2 <= n <= n_max, row for row on the
     blocks of ``log_mean_blocks``; n = 1 holds trivially because
-    L_1 f = 0.  Both sides are constant on the cylinders of the stack's
-    quotient group, so checking its M_r points checks all M_N.  Returns
+    L_1 f = 0.  Both sides are constant on the rank-r cylinders of the
+    stack's widest level, so checking its M_r points checks all M_N.  Returns
     the largest violation found (negative or tiny positive slack means
     the chain holds).
     """
     weight = critical_power_weight(p)
-    seq = f.radix_seq
-    if n_max < 2 or n_max > seq.size:
-        raise IndexOutOfRange(f"n_max {n_max} outside 2..{seq.size}")
     # sup over the orders so far of |S_k| / phi(k+1), carried from block to block
     best = np.zeros(1)
     worst = -np.inf

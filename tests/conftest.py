@@ -27,7 +27,7 @@ def dense_sums():
     """Tiles the partial sums of ``log_mean_blocks(f, n_max)`` out to dense rows.
 
     Row k of the (n_max + 1, M_r) result is S_k f at the M_r points of the
-    quotient the last block is as wide as (row 0 is zero), each block's
+    truncation the last block is as wide as (row 0 is zero), each block's
     rows repeated out from their m points.
     """
 

@@ -112,15 +112,22 @@ def test_transform_report_is_independent_of_blas_threads(tmp_path, argv):
 
 # theorem-a's log-mean blocks are products of several shapes: at nmax 150
 # on (2,3) the blocks cross the level cut at M_5 = 72, and at nmax = M_N
-# = 512 dyadic every scale from 64 up cuts a level
+# = 512 dyadic every scale from 64 up cuts a level; the domination
+# workload's setting, and nmax 1500 on 2^11, whose widest level products
+# (64 orders by 2048 points) are the largest of these
 @pytest.mark.parametrize("argv, names", [
     (["theorem-a", "--radices", "2,3", "--depth", "6", "--nmax", "150", "--samples", "10",
       "--seed", "7"], ["r.csv", "r.domination.csv"]),
     (["theorem-a", "--radices", "2", "--depth", "9", "--nmax", "512", "--samples", "6",
       "--seed", "7"], ["r.csv", "r.domination.csv"]),
+    (["theorem-a", "--radices", "2,3", "--depth", "8", "--nmax", "300", "--samples", "4",
+      "--seed", "7"], ["r.csv", "r.domination.csv"]),
+    (["theorem-a", "--radices", "2", "--depth", "11", "--nmax", "1500", "--samples", "2",
+      "--seed", "7"], ["r.csv", "r.domination.csv"]),
     (["theorem-b", "--radices", "2", "--k-list", "1,2,3,4,5,6", "--theta-samples", "5",
       "--seed", "7"], ["r.csv", "r.theta.csv"]),
-], ids=["theorem-a-2,3-150", "theorem-a-2-MN", "theorem-b"])
+], ids=["theorem-a-2,3-150", "theorem-a-2-MN", "theorem-a-domination", "theorem-a-2-1500",
+        "theorem-b"])
 def test_mean_reports_are_independent_of_blas_threads(tmp_path, argv, names):
     one, two = _reports_under_blas_threads(tmp_path, argv, names)
     assert one == two
@@ -495,22 +502,36 @@ def test_config_file_rejects_unknown_keys(tmp_path):
 
 def test_theorem_a_reruns_same_bytes(tmp_path):
     # the first run builds the cached stack plan, the second reads it: its
-    # character rows are psi_0 .. psi_39 on the 72 points of the quotient,
+    # character rows are psi_0 .. psi_39 on all 72 points of the group,
     # 40 * 72 entries
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     argv = ["theorem-a", "--radices", "2,3", "--depth", "5", "--nmax", "40", "--samples", "4"]
     means_mod._stack_plan.cache_clear()
     assert run(argv + ["--out", str(a)]) == 0
     assert run(argv + ["--out", str(b)]) == 0
-    group = means_mod.quotient(build_radix(cycle_radices((2, 3), 5)), 40)
     assert means_mod._stack_plan.cache_info().misses == 1
-    _, shared, _ = means_mod._stack_plan(group, 40)
+    shared, _ = means_mod._stack_plan(build_radix(cycle_radices((2, 3), 5)), 40)
     assert shared.nbytes == 40 * 72 * 16
     assert shared.flags.writeable is False
     assert a.read_bytes().replace(b"a.csv", b"") == b.read_bytes().replace(b"b.csv", b"")
     dom_a = (tmp_path / "a.domination.csv").read_bytes()
     dom_b = (tmp_path / "b.domination.csv").read_bytes()
     assert dom_a.replace(b"a.csv", b"") == dom_b.replace(b"b.csv", b"")
+
+
+@pytest.mark.parametrize("argv", [
+    ["theorem-a", "--weight", "power:400", "--samples", "2"],
+    ["theorem-b", "--weight", "power:400", "--k-list", "1,2"],
+], ids=["theorem-a", "theorem-b"])
+def test_overflowing_weight_is_exit_two(tmp_path, capsys, argv):
+    # phi(n) = n^400 overflows a float from n = 6 on; the run stops with
+    # one error line and writes no report, where the sup used to skip
+    # every order with phi = inf and pass
+    assert run([*argv, "--out", str(tmp_path / "r.csv")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: weight power:400 is not finite at n=")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_theorem_a_reads_a_weight_file_once(tmp_path, monkeypatch):
@@ -533,7 +554,7 @@ def test_theorem_a_reads_a_weight_file_once(tmp_path, monkeypatch):
 
 
 def test_theorem_a_builds_character_rows_once(monkeypatch):
-    # nmax = 300 puts the stacks on the quotient with M_7 = 432 points,
+    # nmax = 300 puts the stacks on M_7 = 432 of the 1296 points,
     # packed in levels of 72, 216 and 432 points that each fit one block,
     # so psi_0..psi_299 are 3 builds; every domination check and atom
     # maximal of the run shares them

@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -9,7 +10,7 @@ from vlab.errors import (
     InvalidWeight,
     ZeroTotalWeight,
 )
-from vlab.group_core import build_radix, cycle_radices
+from vlab.group_core import build_radix, cycle_radices, truncate
 import vlab.group_core as group_core
 import vlab.means as means_mod
 import vlab.transform as transform_mod
@@ -21,8 +22,6 @@ from vlab.means import (
     log_weights,
     norlund_mean,
     ones_weights,
-    partial_sum_stack,
-    quotient,
     weight_sequence_from_spec,
     weights_from_file,
 )
@@ -38,6 +37,12 @@ def character(seq, n):
 def random_function(seq, seed=0):
     rng = np.random.default_rng(seed)
     return StepFunction(seq, rng.standard_normal(seq.size) + 1j * rng.standard_normal(seq.size))
+
+
+def stack_group(seq, n_max):
+    """The rank-r truncation of ``seq`` that a stack of order n_max lives on,
+    M_r the smallest scale >= n_max."""
+    return truncate(seq, next(r for r, m in enumerate(seq.scales) if m >= n_max))
 
 
 def walk_partial_sums(f, n_max):
@@ -217,9 +222,8 @@ def test_batch_partial_sums_match_individual(dense_sums):
     # are stored at all 64 points
     seq = build_radix((2, 2, 2, 2, 2, 2))
     f = random_function(seq, 7)
-    packed = partial_sum_stack(f, seq.size)
-    assert packed.shape == (seq.size * seq.size,)
     stack = dense_sums(f, seq.size)
+    assert means_mod._stack_plan(seq, seq.size)[0].shape == (seq.size * seq.size,)
     assert np.max(np.abs(stack[0])) == 0.0
     for k in range(1, seq.size + 1):
         want = partial_sum(f, k)
@@ -237,10 +241,9 @@ def test_batch_stabilizes_after_last_coefficient(dense_sums):
 
 def test_batch_out_of_range():
     seq = build_radix((2, 3))
-    with pytest.raises(IndexOutOfRange):
-        partial_sum_stack(StepFunction(seq, np.ones(seq.size)), seq.size + 1)
-    with pytest.raises(IndexOutOfRange):
-        next(log_mean_blocks(StepFunction(seq, np.ones(seq.size)), seq.size + 1))
+    for n_max in (1, seq.size + 1):
+        with pytest.raises(IndexOutOfRange):
+            next(log_mean_blocks(StepFunction(seq, np.ones(seq.size)), n_max))
 
 
 def test_log_mean_stack_matches_single_calls():
@@ -314,13 +317,13 @@ def test_means_cost_one_transform_pair(monkeypatch):
         assert calls == {"forward_fast": 1, "inverse": 1, "character_rows": 0}
 
 
-def test_partial_sum_stack_builds_rows_one_block_at_a_time(monkeypatch):
-    # n_max = 300 puts the stack on the quotient with M_r = 432 of the
-    # M_N = 1296 points, packed as S_1..S_72 on 72 points, S_73..S_216 on
-    # 216 and S_217..S_300 on 432; each level's rows fit in one block of
+def test_stack_plan_builds_rows_one_block_at_a_time(monkeypatch):
+    # n_max = 300 puts the stack on the M_r = 432 of the M_N = 1296
+    # points, packed as S_1..S_72 on 72 points, S_73..S_216 on 216 and
+    # S_217..S_300 on 432; each level's rows fit in one block of
     # ROW_BLOCK entries, so the first call makes 3 builds and holds them
     # beside the stack; a second call on the same group and n_max reuses
-    # them and needs little more than the stack itself
+    # them and needs little more than the stack and one block of means
     seq = build_radix((2, 3) * 4)
     n_max = 300
     f = random_function(seq, 29)
@@ -330,32 +333,35 @@ def test_partial_sum_stack_builds_rows_one_block_at_a_time(monkeypatch):
         spans.append((seq_.size, lo, hi))
         return character_rows(seq_, lo, hi)
 
-    def traced_stack():
+    def traced_blocks():
+        digest = hashlib.blake2b()
         tracemalloc.start()
         try:
-            stack = partial_sum_stack(f, n_max)
+            for _, _, block_sums in log_mean_blocks(f, n_max):
+                digest.update(block_sums)  # read in place, not copied
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        return stack, peak
+        return digest.digest(), peak
 
     monkeypatch.setattr(means_mod, "character_rows", counting)
     means_mod._stack_plan.cache_clear()
-    stack, peak = traced_stack()
-    assert stack.nbytes == 1_161_216
+    sums, peak = traced_blocks()
+    stack_bytes = means_mod._stack_plan(seq, n_max)[0].nbytes
+    assert stack_bytes == 1_161_216
     assert spans == [(72, 0, 72), (216, 72, 216), (432, 216, 300)]
-    assert peak < 2 * stack.nbytes + 4 * 2**20
+    assert peak < 2 * stack_bytes + 4 * 2**20
 
     spans.clear()
-    again, peak = traced_stack()
+    again, peak = traced_blocks()
     assert spans == []
-    assert peak < stack.nbytes + 2**20
-    assert np.array_equal(again, stack)
+    assert peak < stack_bytes + 2**20
+    assert again == sums
 
     # dyadic at n_max = M_N = 1024, the widest levels take several
     # blocks: 128 rows of 512 points at a time, then 64 of 1024
     means_mod._stack_plan.cache_clear()
-    partial_sum_stack(random_function(build_radix((2,) * 10), 30), 1024)
+    next(log_mean_blocks(random_function(build_radix((2,) * 10), 30), 1024))
     assert spans == [
         (64, 0, 64), (128, 64, 128), (256, 128, 256),
         *((512, lo, lo + 128) for lo in range(256, 512, 128)),
@@ -369,12 +375,13 @@ def test_packed_stack_sizes():
     # stack and its character rows each hold 72 x 72 + 144 x 216 + 84 x 432
     # complex entries, 55.8% of the dense 301 x 432 stack; dyadic at
     # n_max = M_N = 1024, about 2/3 of the dense 1025 x 1024
+    # (each block's sums are a view of the stack)
     seq = build_radix((2, 3) * 4)
-    assert partial_sum_stack(random_function(seq, 5), 300).nbytes == 1_161_216
-    _, rows, _ = means_mod._stack_plan(quotient(seq, 300), 300)
+    assert next(log_mean_blocks(random_function(seq, 5), 300))[2].base.nbytes == 1_161_216
+    rows, _ = means_mod._stack_plan(seq, 300)
     assert rows.nbytes == 1_161_216
     seq = build_radix((2,) * 10)
-    packed = partial_sum_stack(random_function(seq, 6), 1024).size
+    packed = next(log_mean_blocks(random_function(seq, 6), 1024))[2].base.size
     assert packed == 64 * 64 + 64 * 128 + 128 * 256 + 256 * 512 + 512 * 1024
     assert round(packed / (1025 * 1024), 3) == 0.667
 
@@ -400,21 +407,27 @@ _PACKED_CASES = [
 def test_packed_stack_matches_dense_cumsum(radices, n_max):
     # each level's rows are the first m points of the dense rows bit for
     # bit, and the dense rows repeat with period m, so the level loses
-    # nothing
+    # nothing; every block's sums are a view of one array, the levels
+    # back to back
     seq = build_radix(radices)
-    group = quotient(seq, n_max)
     f = random_function(seq, 47)
-    dense = dense_cumsum(f, group, n_max).view(np.uint64)
-    packed = partial_sum_stack(f, n_max)
-    levels = means_mod._split(packed, means_mod._stack_plan(group, n_max)[0])
+    dense = dense_cumsum(f, stack_group(seq, n_max), n_max).view(np.uint64)
+    levels = means_mod._levels(seq.scales, n_max)
     assert [lo for lo, _, _ in levels] == [1, *(hi for _, hi, _ in levels[:-1])]
     assert levels[-1][1] == n_max + 1
-    assert sum(rows.size for _, _, rows in levels) == packed.size
-    for lo, hi, rows in levels:
-        m = rows.shape[1]
-        assert np.array_equal(rows.view(np.uint64), dense[lo:hi, : 2 * m])
-        periods = dense[lo:hi].reshape(hi - lo, -1, 2 * m)
+    orders, stacks = [], set()
+    for ns, _, sums in log_mean_blocks(f, n_max):
+        lo, hi, m = next(level for level in levels if level[0] <= ns[0] < level[1])
+        assert ns[-1] < hi and sums.shape == (len(ns), m)
+        rows = dense[ns[0] : ns[-1] + 1]
+        assert np.array_equal(sums.view(np.uint64), rows[:, : 2 * m])
+        periods = rows.reshape(len(ns), -1, 2 * m)
         assert np.array_equal(periods, np.broadcast_to(periods[:, :1], periods.shape))
+        orders += list(ns)
+        stacks.add(id(sums.base))
+    assert orders == list(range(1, n_max + 1))
+    assert len(stacks) == 1
+    assert sums.base.size == sum((hi - lo) * m for lo, hi, m in levels)
 
 
 def test_stack_memory_check_counts_quotient_points(monkeypatch):
@@ -430,10 +443,12 @@ def test_stack_memory_check_counts_quotient_points(monkeypatch):
     seq = build_radix((2, 3) * 5)
     f = StepFunction(seq, np.ones(seq.size))
     monkeypatch.setattr(group_core, "_physical_memory", lambda: need)
-    assert partial_sum_stack(f, 300).nbytes == packed
+    means_mod._stack_plan.cache_clear()
+    assert next(log_mean_blocks(f, 300))[2].base.nbytes == packed
     monkeypatch.setattr(group_core, "_physical_memory", lambda: need - 1)
+    means_mod._stack_plan.cache_clear()
     with pytest.raises(CapacityExceeded):
-        partial_sum_stack(f, 300)
+        next(log_mean_blocks(f, 300))
 
 
 def assert_near_dense(rows, stack, group, ns, rtol=1e-15):
@@ -456,7 +471,7 @@ def assert_near_dense(rows, stack, group, ns, rtol=1e-15):
 def test_log_mean_triangles_are_built_once_per_n_max(monkeypatch):
     # orders 1..300 fall in 7 blocks of at most 64 inside the levels
     # 1..72, 73..216 and 217..300; the stacks of a run share their
-    # quotient and n_max, so each block's triangle is built once, and
+    # group and n_max, so each block's triangle is built once, and
     # every block's rows match the dense reference
     built = []
     real = means_mod._log_mean_triangle
@@ -468,7 +483,7 @@ def test_log_mean_triangles_are_built_once_per_n_max(monkeypatch):
     monkeypatch.setattr(means_mod, "_log_mean_triangle", counting)
     means_mod._stack_plan.cache_clear()
     seq = build_radix((2, 3) * 4)
-    group = quotient(seq, 300)
+    group = stack_group(seq, 300)
     fs = [random_function(seq, seed) for seed in (1, 2, 3, 31)]
     blocks = [[(ns, rows) for ns, rows, _ in log_mean_blocks(f, 300)] for f in fs]
     assert built == [1, 65, 73, 137, 201, 217, 281]
@@ -493,10 +508,10 @@ _LEVEL_CASES = [
 @pytest.mark.parametrize("radices, n_max", _LEVEL_CASES)
 def test_level_product_matches_dense_reference(radices, n_max):
     # each level of a block's triangle meets only the first M_s points of
-    # its stack rows; the rows, repeated over the quotient, are the dense
+    # its stack rows; the rows, repeated over the M_r points, are the dense
     # product over every row and point
     seq = build_radix(radices)
-    group = quotient(seq, n_max)
+    group = stack_group(seq, n_max)
     f = random_function(seq, 37)
     dense = dense_cumsum(f, group, n_max)
     orders = []
@@ -512,13 +527,17 @@ def test_level_plan_cuts_the_product_work():
     # 64 orders lies in one level; the full-width product of a block
     # reaches max(ns) columns x 432 points per order, the level products
     # only the points each level is stored on
-    group = quotient(build_radix((2, 3) * 4), 300)
-    levels, _, blocks = means_mod._stack_plan(group, 300)
+    seq = build_radix((2, 3) * 4)
+    levels = means_mod._levels(seq.scales, 300)
     assert levels == ((1, 73, 72), (73, 217, 216), (217, 301, 432))
-    starts = [[int(ns[0]) for ns, _ in level] for level in blocks]
+    _, stack_plan = means_mod._stack_plan(seq, 300)
+    assert [(lo, rows.shape) for lo, rows, _ in stack_plan] == [
+        (1, (72, 72)), (73, (144, 216)), (217, (84, 432))
+    ]
+    starts = [[int(ns[0]) for ns, _ in tris] for _, _, tris in stack_plan]
     assert starts == [[1, 65], [73, 137, 201], [217, 281]]
-    plan = [ns for level in blocks for ns, _ in level]
-    full = sum(len(ns) * int(ns[-1]) * group.size for ns in plan)
+    plan = [ns for _, _, tris in stack_plan for ns, _ in tris]
+    full = sum(len(ns) * int(ns[-1]) * 432 for ns in plan)
     levelled = sum(
         len(ns) * (min(hi, int(ns[-1])) - lo) * m
         for ns in plan

@@ -12,7 +12,7 @@ from vlab.errors import (
 )
 from vlab.group_core import build_radix, cycle_radices
 import vlab.means as means_mod
-from vlab.means import log_mean_blocks, partial_sum_stack, quotient
+from vlab.means import log_mean_blocks
 from vlab.operators import (
     WeightFunction,
     boundedness_ratio,
@@ -66,6 +66,16 @@ def test_log_weight_floors_at_one():
     assert w.phi(10) == pytest.approx(np.log(11.0))
     n = np.arange(1, 10**5 + 1)
     assert np.array_equal(w.phi(n), np.maximum(1, np.log(n + 1)))
+
+
+def test_overflowing_closed_weight_is_refused():
+    # 5^400 is about 4e279 and 6^400 overflows a float, so phi is finite up
+    # to n = 5 and refused from there, naming the first argument it overflows at
+    w = power_weight(400)
+    assert w.phi(5) == 5.0**400
+    for n in (6, np.arange(2, 66)):
+        with pytest.raises(InvalidWeight, match=r"^weight power:400 is not finite at n=6$"):
+            w.phi(n)
 
 
 def test_custom_weight_validation():
@@ -270,8 +280,8 @@ def _whole_group_log_means(full, n_max):
     return ns, tri.astype(np.complex128) @ full[:n_max]
 
 
-# M_r of the quotient for each n_max; on (3,5,3) cycled to depth 5,
-# 300 > M_4 = 135, so that quotient is the whole group, M_5 = 675
+# M_r, the smallest scale >= n_max, for each n_max; on (3,5,3) cycled to
+# depth 5, 300 > M_4 = 135, so that stack spans the whole group, M_5 = 675
 _QUOTIENT_WIDTHS = [
     ("2,3x4", (2, 3) * 4, {2: 2, 3: 6, 7: 12, 37: 72, 300: 432}),
     ("3,5,3", cycle_radices((3, 5, 3), 5), {2: 3, 3: 3, 7: 15, 37: 45, 300: 675}),
@@ -288,15 +298,15 @@ _QUOTIENT_WIDTHS = [
 )
 def test_quotient_stack_matches_whole_group(radices, n_max, width, dense_sums):
     # a stack of order n_max lives on the M_r = width points of the rank-r
-    # quotient; tiled M_N / M_r times it is the stack on the whole group,
+    # truncation; tiled M_N / M_r times it is the stack on the whole group,
     # and the maximal function and the domination slack are those of the
     # whole-group stack.  The stacks are equal bit for bit; the log-mean
     # rows behind the maximal function come from triangle products of
     # different widths, which may round the last bit differently
     seq = build_radix(radices)
     f = random_function(seq, 41)
-    assert quotient(seq, n_max).size == width
     stack = dense_sums(f, n_max)
+    assert stack.shape == (n_max + 1, width)
     copies = seq.size // width
     for n in range(n_max + 1):
         assert np.max(np.abs(np.tile(stack[n], copies) - partial_sum(f, n).values)) <= 1e-12
@@ -325,7 +335,7 @@ def test_log_mean_blocks_lie_inside_one_level(radices, n_max):
     # one order.  Tiled out, the rows are the whole-group rows
     seq = build_radix(radices)
     f = random_function(seq, 45)
-    levels = means_mod._levels(quotient(seq, n_max).scales, n_max)
+    levels = means_mod._levels(seq.scales, n_max)
     orders, means, sums = [], [], []
     for ns, block_means, block_sums in log_mean_blocks(f, n_max):
         assert len(ns) <= 64
@@ -346,12 +356,11 @@ def test_log_mean_blocks_lie_inside_one_level(radices, n_max):
 
 
 def test_log_mean_maximal_memory_does_not_grow_with_the_group():
-    # M_N = 46656, but n_max = 300 needs only the M_7 = 432 points of the
-    # quotient; rows and stack on the whole group would take 2 * 301 * 46656
-    # complex values (429 MiB)
+    # M_N = 46656, but n_max = 300 needs only M_7 = 432 points; rows and
+    # stack on the whole group would take 2 * 301 * 46656 complex values
+    # (429 MiB)
     seq = build_radix((2, 3) * 6)
     f = random_function(seq, 43)
-    assert partial_sum_stack(f, 300).nbytes == 1_161_216
     means_mod._stack_plan.cache_clear()
     tracemalloc.start()
     try:
@@ -360,6 +369,10 @@ def test_log_mean_maximal_memory_does_not_grow_with_the_group():
     finally:
         tracemalloc.stop()
     assert peak < 12 * 2**20
+    assert means_mod._stack_plan(seq, 300)[0].nbytes == 1_161_216
+
+
+_WARM_CASES = [((2, 3) * 4, 300), ((2,) * 10, 1024), (cycle_radices((3, 5, 3), 5), 300)]
 
 
 def test_warm_calls_hold_one_block_beside_the_stack():
@@ -368,12 +381,11 @@ def test_warm_calls_hold_one_block_beside_the_stack():
     # with glibc's 128 KiB top pad that stays below twice the stack, the
     # free heap glibc keeps between calls, so the calls do not hand back
     # pages and fault them in again
-    cases = [((2, 3) * 4, 300), ((2,) * 10, 1024), (cycle_radices((3, 5, 3), 5), 300)]
-    for radices, n_max in cases:
+    for radices, n_max in _WARM_CASES:
         seq = build_radix(radices)
         f = random_function(seq, 44)
-        stack = partial_sum_stack(f, n_max)
         domination_check(f, 0.5, n_max)
+        stack_bytes = means_mod._stack_plan(seq, n_max)[0].nbytes  # the stack's layout
         for call in (
             lambda: domination_check(f, 0.5, n_max),
             lambda: weighted_maximal(f, log_weight(), n_max),
@@ -384,7 +396,30 @@ def test_warm_calls_hold_one_block_beside_the_stack():
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            assert peak + 2**17 < 2 * stack.nbytes, (radices, n_max)
+            assert peak + 2**17 < 2 * stack_bytes, (radices, n_max)
+
+
+def test_warm_calls_take_few_page_faults():
+    # the same calls, 20 at a time: each call allocates its stack as one
+    # array, which glibc keeps between calls, so warm calls fault in
+    # almost no pages.  A stack of one array per level is handed back and
+    # faulted in again on every call: about 9,000 faults per 20 calls at
+    # (2,3)x4, 28,000 at 2^10
+    resource = pytest.importorskip("resource")
+    for radices, n_max in _WARM_CASES:
+        seq = build_radix(radices)
+        f = random_function(seq, 44)
+        domination_check(f, 0.5, n_max)
+        weighted_maximal(f, log_weight(), n_max)
+        for call in (
+            lambda: domination_check(f, 0.5, n_max),
+            lambda: weighted_maximal(f, log_weight(), n_max),
+        ):
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            for _ in range(20):
+                call()
+            faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+            assert faults < 200, (radices, n_max, faults)
 
 
 def test_domination_reads_each_partial_sum_on_its_cylinders():
