@@ -25,9 +25,7 @@ from .errors import (
 from .group_core import (
     RadixSequence,
     build_radix,
-    cycle_radices,
     decompose,
-    parse_radices,
     truncate,
 )
 from .step_functions import (

@@ -31,7 +31,7 @@ from .counterexample import (
     verify_partial_sums,
 )
 from .errors import ConfigError, VilenkinError
-from .group_core import RadixSequence, build_radix, check_memory, cycle_radices, parse_radices
+from .group_core import RadixSequence, build_radix, check_memory
 from .means import norlund_mean, weight_sequence_from_spec
 from .operators import (
     check_p_unit,
@@ -77,7 +77,7 @@ NORMS_COLUMNS = ["fn", "p", "lp", "weak_lp", "hardy", "mean_family", "mean_n", "
 
 @dataclass
 class RunConfig:
-    radices: str = "2"
+    radices: tuple[int, ...] = (2,)
     depth: int | None = None
     p: tuple[float, ...] = (0.5,)
     weight: str | None = None
@@ -118,7 +118,7 @@ def _parse_count(text: str) -> int:
 # Each RunConfig field: (reader of its text value, help); the flag is the
 # field name with "--" in front and "-" for "_".
 _OPTIONS = {
-    "radices": (str, "comma-separated radix pattern, cycled to depth"),
+    "radices": (_parse_tuple(int), "comma-separated radix pattern, cycled to depth"),
     "depth": (int, "number of retained coordinates N"),
     "p": (_parse_tuple(float), "comma-separated exponent list"),
     "weight": (str, "maximal-operator weight: power:<alpha> | log | custom:<file>"),
@@ -192,13 +192,12 @@ def _fitting(seq: RadixSequence) -> RadixSequence:
 
 
 def _build_seq(cfg: RunConfig, min_depth: int = 0):
-    pattern = parse_radices(cfg.radices)
     depth = cfg.depth
     if depth is None or isinstance(depth, _DefaultDepth):
-        depth = max(depth or len(pattern), min_depth)
+        depth = max(depth or len(cfg.radices), min_depth)
     elif depth < min_depth:
         raise ConfigError(f"depth {depth} too small, need at least {min_depth}")
-    return _fitting(build_radix(cycle_radices(pattern, depth), depth))
+    return _fitting(build_radix(cfg.radices, depth))
 
 
 def _echo_config(report: ExperimentReport, cfg: RunConfig, command: str) -> None:
@@ -440,7 +439,7 @@ def _resolve_fn(cfg: RunConfig) -> tuple[StepFunction, RunConfig]:
         except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot load step function {path}: {exc}") from None
         _fitting(f.radix_seq)
-        return f, replace(cfg, radices=str(f.radix_seq), depth=f.radix_seq.depth)
+        return f, replace(cfg, radices=f.radix_seq.radices, depth=f.radix_seq.depth)
     if spec.startswith("dirichlet:"):
         n = _spec_int(spec)
         seq = _build_seq(cfg)

@@ -318,10 +318,13 @@ def theta_bracket(
     atom_seq = truncate(radix_seq, min(radix_seq.depth, 8))
     atom_nmax = min(atom_seq.size, 256)
     flat = power_weight(0.0)
+    # an atom of rank r has c_j = 0 for j < M_r, so L_n of it vanishes for
+    # n < M_r + 2: only ranks that some order up to atom_nmax sees are drawn
+    ranks = sum(m + 2 <= atom_nmax for m in atom_seq.scales[:-1])
     children = np.random.SeedSequence(seed).spawn(samples)
     for i in range(samples):
         rng = np.random.default_rng(children[i])
-        rank = int(rng.integers(0, atom_seq.depth))
+        rank = int(rng.integers(0, ranks))
         atom = make_atom(rng, atom_seq, rank, p)
         y = boundedness_ratio(atom.function, p, flat, atom_nmax)
         points.append((atom_nmax, y, "atom"))

@@ -9,6 +9,9 @@ way.  The rank-n cylinder through x fixes x_0 ... x_{n-1}: it is the index
 set {a + t*M_n : 0 <= t < M_N / M_n} for its anchor a = i mod M_n, and
 carries Haar measure 1/M_n.
 
+A sequence is given as a finite radix pattern repeated cyclically: the
+pattern (2, 3) at depth 5 is (2, 3, 2, 3, 2), in :func:`build_radix`.
+
 Everything downstream (step functions, characters, transforms) works on
 linear indices.
 """
@@ -20,7 +23,6 @@ from dataclasses import dataclass
 
 from .errors import (
     CapacityExceeded,
-    ConfigError,
     IndexOutOfRange,
     RadixTooSmall,
     RankOutOfRange,
@@ -64,26 +66,26 @@ class RadixSequence:
 
 
 def build_radix(radices, depth: int | None = None) -> RadixSequence:
-    """Validate a generating sequence and compute its scale table.
+    """The depth-``depth`` truncation of the group the pattern ``radices`` generates.
 
-    Scales are exact Python integers; exceeding :data:`CAPACITY` raises
-    CapacityExceeded rather than wrapping around.  Only the first ``depth``
-    radices are retained.
+    The pattern, of radices >= 2, is repeated and cut at ``depth`` terms
+    (by default its length).  Scales are exact Python integers; exceeding
+    :data:`CAPACITY` raises CapacityExceeded rather than wrapping around.
     """
-    rads = tuple(int(r) for r in radices)
+    pattern = tuple(int(r) for r in radices)
     if depth is None:
-        depth = len(rads)
-    if depth < 0 or depth > len(rads):
-        raise ValueError(f"depth {depth} outside 0..{len(rads)}")
-    if any(r < 2 for r in rads):
-        raise RadixTooSmall(f"all radices must be >= 2, got {rads}")
-    rads = rads[:depth]
-    scales = [1]
-    for r in rads:
-        scales.append(scales[-1] * r)
+        depth = len(pattern)
+    if depth < 0 or (depth > 0 and not pattern):
+        raise ValueError(f"cannot cut the radix pattern {pattern} at depth {depth}")
+    if any(r < 2 for r in pattern):
+        raise RadixTooSmall(f"all radices must be >= 2, got {pattern}")
+    rads, scales = [], [1]
+    for k in range(depth):
+        rads.append(pattern[k % len(pattern)])
+        scales.append(scales[-1] * rads[-1])
         if scales[-1] > CAPACITY:
-            raise CapacityExceeded(f"M_{len(scales) - 1} = {scales[-1]} exceeds capacity {CAPACITY}")
-    return RadixSequence(radices=rads, depth=depth, scales=tuple(scales))
+            raise CapacityExceeded(f"M_{k + 1} = {scales[-1]} exceeds capacity {CAPACITY}")
+    return RadixSequence(radices=tuple(rads), depth=depth, scales=tuple(scales))
 
 
 def truncate(seq: RadixSequence, depth: int) -> RadixSequence:
@@ -91,27 +93,6 @@ def truncate(seq: RadixSequence, depth: int) -> RadixSequence:
     if depth < 0 or depth > seq.depth:
         raise RankOutOfRange(f"depth {depth} outside 0..{seq.depth}")
     return RadixSequence(radices=seq.radices[:depth], depth=depth, scales=seq.scales[: depth + 1])
-
-
-def parse_radices(text: str) -> tuple[int, ...]:
-    """Parse a comma-separated radix string such as ``"2,3,2,4"``."""
-    parts = [s.strip() for s in text.split(",") if s.strip()]
-    if not parts:
-        raise ConfigError(f"empty radix list: {text!r}")
-    try:
-        return tuple(int(s) for s in parts)
-    except ValueError as exc:
-        raise ConfigError(f"bad radix list {text!r}: {exc}") from None
-
-
-def cycle_radices(pattern, depth: int) -> tuple[int, ...]:
-    """Repeat a radix pattern cyclically until it has ``depth`` entries."""
-    pat = tuple(int(r) for r in pattern)
-    if not pat:
-        raise ConfigError("empty radix pattern")
-    if depth < 0:
-        raise ValueError(f"negative depth {depth}")
-    return tuple(pat[i % len(pat)] for i in range(depth))
 
 
 def decompose(n: int, seq: RadixSequence) -> tuple[int, ...]:

@@ -139,10 +139,12 @@ def weighted_maximal(f: StepFunction, weight: WeightFunction, n_max: int) -> Ste
     if not isinstance(weight, WeightFunction):
         raise InvalidWeight(f"weight must be a WeightFunction, got {type(weight)}")
     seq = f.radix_seq
+    # phi(n+1) at entry n-1, so a bad weight is refused before any block
+    phis = weight.phi(np.arange(2, min(n_max, seq.size) + 2))
     best = np.zeros(1)
     for ns, means, _ in log_mean_blocks(f, n_max):
         cand = np.abs(means)
-        cand /= weight.phi(ns + 1)[:, None]
+        cand /= phis[ns - 1, None]
         # each block's width is a multiple of the last one's
         best = np.maximum(cand.max(axis=0).reshape(-1, best.size), best).ravel()
         # free the block before the next is built: glibc hands back free
@@ -168,12 +170,13 @@ def domination_check(f: StepFunction, p: float, n_max: int) -> DominationResult:
     the largest violation found (negative or tiny positive slack means
     the chain holds).
     """
-    weight = critical_power_weight(p)
+    # phi(n+1) = (n+1)^{1/p-1} at entry n-1, once, as in weighted_maximal
+    phis = critical_power_weight(p).phi(np.arange(2, min(n_max, f.radix_seq.size) + 2))
     # sup over the orders so far of |S_k| / phi(k+1), carried from block to block
     best = np.zeros(1)
     worst = -np.inf
     for ns, means, sums in log_mean_blocks(f, n_max):
-        ws = weight.phi(ns + 1)[:, None]  # phi(n+1) = (n+1)^{1/p-1}
+        ws = phis[ns - 1, None]
         lhs = np.abs(means)
         lhs /= ws
         del means  # only its moduli are read

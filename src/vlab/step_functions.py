@@ -102,7 +102,7 @@ def hardy_quasinorm(f: StepFunction, p: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# File format: header `radices=<csv>;N=<int>`, then exactly M_N lines
+# File format: header `radices=<csv pattern>;N=<int>`, then exactly M_N lines
 # `re,im` with 17 significant digits (bit-exact round trip for doubles).
 # ---------------------------------------------------------------------------
 
@@ -113,9 +113,7 @@ def load_step_function(path) -> StepFunction:
         fields = dict(part.split("=", 1) for part in header.split(";") if part)
         if fields.keys() != {"radices", "N"}:
             raise ValueError(f"malformed header: {header!r}")
-        seq = build_radix(
-            tuple(int(r) for r in fields["radices"].split(",")), depth=int(fields["N"])
-        )
+        seq = build_radix(fields["radices"].split(","), int(fields["N"]))
         check_memory(32 * seq.size, f"step function file on M_N={seq.size}")  # values, copy
         vals = np.empty(seq.size, dtype=np.complex128)
         for i in range(seq.size):
@@ -124,6 +122,8 @@ def load_step_function(path) -> StepFunction:
                 raise ValueError(f"expected {seq.size} value lines, got {i}")
             re_s, im_s = line.strip().split(",")
             vals[i] = complex(float(re_s), float(im_s))
-        if fh.read().strip():
-            raise ValueError(f"more than {seq.size} value lines")
+        # in fixed chunks, so a long tail holds one chunk's memory at a time
+        while chunk := fh.read(1 << 16):
+            if chunk.strip():
+                raise ValueError(f"more than {seq.size} value lines")
     return StepFunction(seq, vals)

@@ -17,7 +17,7 @@ from vlab.counterexample import (
     verify_hardy_bound,
     verify_partial_sums,
 )
-from vlab.group_core import build_radix, cycle_radices
+from vlab.group_core import build_radix
 from vlab.means import log_mean
 from vlab.operators import domination_check, log_weight
 from vlab.step_functions import StepFunction, hardy_quasinorm, lp_quasinorm
@@ -94,7 +94,7 @@ def test_c03_parseval_and_reconstruction():
 
 def test_c04_scale_kernel_norm_identity():
     worst = 0.0
-    for radices in ((2,) * 6, cycle_radices((2, 3), 6)):
+    for radices in ((2,) * 6, build_radix((2, 3), 6).radices):
         seq = build_radix(radices)
         for p in (0.3, 0.5, 0.8):
             for n in range(min(5, seq.depth) + 1):
@@ -120,9 +120,9 @@ def test_c05_domination_chain():
 def test_c06_counterexample_structure():
     matrix = [
         (2,) * 7,
-        cycle_radices((2, 3), 7),
+        build_radix((2, 3), 7).radices,
         (3,) * 7,
-        cycle_radices((2, 3, 4, 2, 3), 7),
+        build_radix((2, 3, 4, 2, 3), 7).radices,
     ]
     ok = True
     detail = []

@@ -26,7 +26,7 @@ import vlab.means as means_mod
 import vlab.transform as transform_mod
 from vlab.counterexample import SWEEP_COLUMNS, build_case, sweep_row
 from vlab.errors import ConfigError
-from vlab.group_core import build_radix, cycle_radices
+from vlab.group_core import build_radix
 from vlab.operators import log_weight
 from vlab.report import format_cell
 from vlab.step_functions import StepFunction, lp_quasinorm
@@ -289,6 +289,29 @@ def test_norms_file_report_echoes_the_files_group(tmp_path, write_step):
     assert "# radices=2,3,2" in meta and "# depth=3" in meta
 
 
+def test_reports_echo_the_parsed_radix_pattern(tmp_path):
+    out = tmp_path / "n.csv"
+    assert run(["norms", "--fn", "dirichlet:2", "--radices", " 2 , 3 ", "--out", str(out)]) == 0
+    assert "# radices=2,3\n" in out.read_text()
+
+
+@pytest.mark.parametrize("tail,code", [(" \n", 0), ("0,0\n", 2)], ids=["blank", "values"])
+def test_step_file_tail_is_read_in_chunks(tmp_path, capsys, tail, code):
+    # a 2-point file with a 16 MiB tail: blank lines load, and extra value
+    # lines are refused at the tail's first chunk; neither read holds the tail
+    path = tmp_path / "f.step"
+    path.write_text("radices=2;N=1\n1,0\n0,0\n" + tail * (2**24 // len(tail)))
+    tracemalloc.start()
+    try:
+        rc = run(["norms", "--fn", f"file:{path}"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (rc, peak < 2**20) == (code, True), peak
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == (1 if code else 0)
+
+
 def test_norms_with_mean_families(tmp_path):
     wfile = tmp_path / "w.txt"
     wfile.write_text("\n".join("1" for _ in range(10)) + "\n")
@@ -339,12 +362,15 @@ def test_norms_needs_fn():
         ["theorem-b", "--k-list", "1", "--theta-samples", "0", "--p", "1e-4"],
         ["theorem-a", "--p", "1e-3", "--samples", "5"],
         ["theorem-a", "--depth", "3", "--nmax", "4", "--samples", "2", "--p", "1e-4"],
+        # a radix pattern is a non-empty list of integers
+        ["transform", "--radices", "", "--samples", "1"],
+        ["transform", "--radices", "2,x", "--samples", "1"],
     ],
 )
 def test_bad_input_is_one_line_exit_two(tmp_path, capsys, argv):
     files = {
         "bad": "abc\n",
-        "deep": "radices=2;N=2\n",  # depth beyond the listed radices
+        "deep": "radices=2;N=2\n",  # cycled to 2,2: none of four value lines
         "short": "radices=2;N=1\n0,0\n",  # one of two value lines
         "garbage": "garbage\n",
         "coeffs": "radices=2;N=1;kind=coeffs\n1,0\n0,0\n",  # not a step function
@@ -485,7 +511,7 @@ def test_config_file_and_flag_precedence(tmp_path):
 
     args = argparse.Namespace(config=str(cfg_path), samples="7", radices=None)
     cfg = resolve_config(RunConfig(), args)
-    assert cfg.radices == "2,3"  # from file
+    assert cfg.radices == (2, 3)  # from file
     assert cfg.samples == 7  # flag wins over file
     assert cfg.seed == 9
 
@@ -510,7 +536,7 @@ def test_theorem_a_reruns_same_bytes(tmp_path):
     assert run(argv + ["--out", str(a)]) == 0
     assert run(argv + ["--out", str(b)]) == 0
     assert means_mod._stack_plan.cache_info().misses == 1
-    shared, _ = means_mod._stack_plan(build_radix(cycle_radices((2, 3), 5)), 40)
+    shared, _ = means_mod._stack_plan(build_radix((2, 3), 5), 40)
     assert shared.nbytes == 40 * 72 * 16
     assert shared.flags.writeable is False
     assert a.read_bytes().replace(b"a.csv", b"") == b.read_bytes().replace(b"b.csv", b"")

@@ -14,7 +14,7 @@ from vlab.counterexample import (
     verify_partial_sums,
 )
 import vlab.counterexample as counterexample_mod
-from vlab.group_core import build_radix, cycle_radices
+from vlab.group_core import build_radix
 from vlab.means import harmonic_l
 from vlab.operators import log_weight, power_weight
 from vlab.step_functions import hardy_quasinorm, lp_quasinorm
@@ -22,9 +22,9 @@ from vlab.transform import CoefficientVector, character_rows, dirichlet_kernel, 
 
 TEST_MATRIX = [
     (2,) * 7,
-    cycle_radices((2, 3), 7),
+    build_radix((2, 3), 7).radices,
     (3,) * 7,
-    cycle_radices((2, 3, 4, 2, 3), 7),
+    build_radix((2, 3, 4, 2, 3), 7).radices,
 ]
 
 
@@ -147,7 +147,7 @@ def test_partial_sum_branches_across_matrix():
 
 
 @pytest.mark.parametrize(
-    "radices", [*TEST_MATRIX, (5,) * 5, cycle_radices((7, 2), 5)], ids=str
+    "radices", [*TEST_MATRIX, (5,) * 5, build_radix((7, 2), 5).radices], ids=str
 )
 def test_partial_sum_certificate_bounds_branch_errors(radices):
     # the certificate is the l1 mass of delta up to each branch's last order;
@@ -174,7 +174,7 @@ def test_partial_sum_certificate_costs_one_transform(monkeypatch):
     for name in calls:
         fn = getattr(counterexample_mod, name)
         monkeypatch.setattr(counterexample_mod, name, counting(name, fn))
-    assert verify_partial_sums(build_case(2, build_radix(cycle_radices((2, 3), 5)))).ok
+    assert verify_partial_sums(build_case(2, build_radix((2, 3), 5))).ok
     assert calls == {"forward_fast": 1, "character_rows": 0}
 
 
@@ -240,7 +240,7 @@ def test_l_mean_identity_dyadic():
 
 def test_l_mean_identity_mixed_radix():
     # radices (2,3,...): M_2 = 6, probe order 8, modulus 1/l_8 everywhere
-    case = build_case(1, build_radix(cycle_radices((2, 3), 3)))
+    case = build_case(1, build_radix((2, 3), 3))
     assert case.n_star == 8
     check = l_mean_identity(case)
     assert check.ok
@@ -353,6 +353,18 @@ def test_theta_bracket_structure():
     for n, lower, upper, measured, _ in sweep_rows:
         assert measured >= lower - 1e-12
         assert measured <= upper + 1e-12
+
+
+def test_theta_atoms_are_drawn_where_the_means_see_them():
+    # theorem-b --radices 3 --k-list 1,2,3,4 --seed 2: an atom of rank r has
+    # L_n = 0 below n = M_r + 2, so a rank with M_r + 2 > 256 would give a
+    # roundoff ratio, and C1 would be fitted to it
+    seq = build_radix((3,) * 9)
+    report = theta_bracket(seq, 0.5, [build_case(k, seq) for k in [1, 2, 3, 4]], seed=2)
+    atoms = [row[3] for row in report.rows if row[4] == "atom"]
+    assert len(atoms) == 5
+    assert min(atoms) > 1e-6
+    assert float(report.meta["C1"]) > 1e-6
 
 
 def test_theta_bracket_deterministic():

@@ -4,16 +4,13 @@ from hypothesis import given, strategies as st
 
 from vlab.errors import (
     CapacityExceeded,
-    ConfigError,
     IndexOutOfRange,
     RadixTooSmall,
     RankOutOfRange,
 )
 from vlab.group_core import (
     build_radix,
-    cycle_radices,
     decompose,
-    parse_radices,
     truncate,
 )
 import vlab.group_core as group_core_mod
@@ -44,7 +41,10 @@ def test_build_radix_capacity(monkeypatch):
 
 def test_build_radix_bad_depth():
     with pytest.raises(ValueError):
-        build_radix((2, 3), 3)
+        build_radix((2, 3), -1)
+    with pytest.raises(ValueError):
+        build_radix((), 1)
+    assert build_radix((), 0).size == 1  # the one-point group
 
 
 def test_scales_strictly_increasing():
@@ -137,18 +137,15 @@ def test_measure_additivity_over_children():
             assert merged == _cylinder(seq, rank, a)
 
 
-def test_parse_radices():
-    assert parse_radices("2,3,2,4") == (2, 3, 2, 4)
-    assert parse_radices(" 2 , 3 ") == (2, 3)
-    with pytest.raises(ConfigError):
-        parse_radices("")
-    with pytest.raises(ConfigError):
-        parse_radices("2,x")
-
-
-def test_cycle_radices():
-    assert cycle_radices((2, 3), 5) == (2, 3, 2, 3, 2)
-    assert cycle_radices((2,), 3) == (2, 2, 2)
+def test_build_radix_cycles_the_pattern():
+    # a pattern is repeated to the depth, and a longer one is cut
+    assert build_radix((2, 3), 5).radices == (2, 3, 2, 3, 2)
+    assert build_radix((2,), 3).radices == (2, 2, 2)
+    assert build_radix((2, 3, 2, 4), 2).radices == (2, 3)
+    assert build_radix((2, 3), 5).scales == (1, 2, 6, 12, 36, 72)
+    # capacity is checked on the cycled scales, before the depth is walked out
+    with pytest.raises(CapacityExceeded):
+        build_radix((2, 3), 10**12)
 
 
 def test_truncate():

@@ -10,7 +10,7 @@ from vlab.errors import (
     InvalidWeight,
     ZeroTotalWeight,
 )
-from vlab.group_core import build_radix, cycle_radices, truncate
+from vlab.group_core import build_radix, truncate
 import vlab.group_core as group_core
 import vlab.means as means_mod
 import vlab.transform as transform_mod
@@ -399,7 +399,7 @@ def dense_cumsum(f, group, n_max):
 _PACKED_CASES = [
     pytest.param((2, 3) * 4, 300, id="2,3x4-300"),
     *(pytest.param((2,) * 10, n, id=f"2x10-{n}") for n in (63, 64, 65, 1024)),
-    pytest.param(cycle_radices((3, 5, 3), 5), 675, id="3,5,3-675"),
+    pytest.param(build_radix((3, 5, 3), 5).radices, 675, id="3,5,3-675"),
 ]
 
 
@@ -500,7 +500,7 @@ def test_log_mean_triangles_are_built_once_per_n_max(monkeypatch):
 # dyadic at M_N = 1024
 _LEVEL_CASES = [
     *(pytest.param((2, 3) * 4, n, id=f"2,3x4-{n}") for n in (72, 73, 74, 216, 217, 218)),
-    *(pytest.param(cycle_radices((3, 5, 3), 5), n, id=f"3,5,3-{n}") for n in (135, 136, 137)),
+    *(pytest.param(build_radix((3, 5, 3), 5).radices, n, id=f"3,5,3-{n}") for n in (135, 136, 137)),
     pytest.param((2,) * 10, 1024, id="2x10-1024"),
 ]
 

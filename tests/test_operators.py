@@ -10,7 +10,7 @@ from vlab.errors import (
     InvalidWeight,
     RankOutOfRange,
 )
-from vlab.group_core import build_radix, cycle_radices
+from vlab.group_core import build_radix
 import vlab.means as means_mod
 from vlab.means import log_mean_blocks
 from vlab.operators import (
@@ -193,6 +193,34 @@ def test_weighted_maximal_errors():
         weighted_maximal(f, log_weight(), 1)
 
 
+def test_weight_is_refused_before_any_block(monkeypatch):
+    # the weight is evaluated at every order up to n_max before the first
+    # log-mean block: an overflowing power and a table shorter than n_max
+    # are refused with no block built
+    import vlab.operators as operators_mod
+
+    blocks = []
+
+    def counting(f, n_max):
+        for block in log_mean_blocks(f, n_max):
+            blocks.append(block[0])
+            yield block
+
+    monkeypatch.setattr(operators_mod, "log_mean_blocks", counting)
+    f = random_function(build_radix((2, 3) * 4), 3)
+    calls = [
+        lambda: weighted_maximal(f, power_weight(400), 300),
+        lambda: weighted_maximal(f, custom_weight(np.arange(1.0, 101.0)), 300),
+        lambda: domination_check(f, 1 / 401, 300),  # the critical weight n^400
+    ]
+    for call in calls:
+        with pytest.raises(InvalidWeight, match="n=6|argument 301"):
+            call()
+    assert blocks == []
+    weighted_maximal(f, log_weight(), 300)
+    assert len(blocks) > 1
+
+
 def test_weighted_maximal_scaling_exact_for_power_of_two():
     seq = dyadic(4)
     f = random_function(seq, 12)
@@ -242,7 +270,9 @@ def _full_accumulate_slack(dense, blocks, p, n_max):
 
 
 @pytest.mark.parametrize(
-    "radices", [(2, 3) * 4, cycle_radices((3, 5, 3), 5), (2,) * 9], ids=["2,3x4", "3,5,3", "2x9"]
+    "radices",
+    [(2, 3) * 4, build_radix((3, 5, 3), 5).radices, (2,) * 9],
+    ids=["2,3x4", "3,5,3", "2x9"],
 )
 @pytest.mark.parametrize("n_max", [2, 64, 65, 129, 300])
 def test_blocked_running_max_matches_full_accumulate(radices, n_max):
@@ -284,7 +314,7 @@ def _whole_group_log_means(full, n_max):
 # depth 5, 300 > M_4 = 135, so that stack spans the whole group, M_5 = 675
 _QUOTIENT_WIDTHS = [
     ("2,3x4", (2, 3) * 4, {2: 2, 3: 6, 7: 12, 37: 72, 300: 432}),
-    ("3,5,3", cycle_radices((3, 5, 3), 5), {2: 3, 3: 3, 7: 15, 37: 45, 300: 675}),
+    ("3,5,3", build_radix((3, 5, 3), 5).radices, {2: 3, 3: 3, 7: 15, 37: 45, 300: 675}),
 ]
 
 
@@ -372,7 +402,7 @@ def test_log_mean_maximal_memory_does_not_grow_with_the_group():
     assert means_mod._stack_plan(seq, 300)[0].nbytes == 1_161_216
 
 
-_WARM_CASES = [((2, 3) * 4, 300), ((2,) * 10, 1024), (cycle_radices((3, 5, 3), 5), 300)]
+_WARM_CASES = [((2, 3) * 4, 300), ((2,) * 10, 1024), (build_radix((3, 5, 3), 5).radices, 300)]
 
 
 def test_warm_calls_hold_one_block_beside_the_stack():

@@ -279,3 +279,14 @@ def test_file_header_format(tmp_path):
     f = load_step_function(path)
     assert f.radix_seq == build_radix((2, 3))
     assert np.array_equal(f.values, np.arange(6) - 0.5j)
+
+
+def test_file_header_radices_are_a_pattern(tmp_path):
+    # the header's radices are cycled to N, as --radices is
+    values = "".join(f"{k},-1\n" for k in range(36))
+    short, full = tmp_path / "short.step", tmp_path / "full.step"
+    short.write_text("radices=2,3;N=4\n" + values)
+    full.write_text("radices=2,3,2,3;N=4\n" + values)
+    f, g = load_step_function(short), load_step_function(full)
+    assert f.radix_seq == g.radix_seq == build_radix((2, 3, 2, 3))
+    assert np.array_equal(f.values, g.values)

@@ -7,7 +7,7 @@ import pytest
 
 from vlab import transform
 from vlab.errors import CapacityExceeded, IndexOutOfRange, RankOutOfRange
-from vlab.group_core import build_radix, cycle_radices, decompose
+from vlab.group_core import build_radix, decompose
 from vlab.step_functions import StepFunction, conditional_average, lp_quasinorm
 from vlab.transform import (
     ROW_BLOCK,
@@ -89,7 +89,7 @@ ROW_CASES = [
     ((7,), ((0, 7), (3, 5))),
     ((64, 64), ((0, 3), (62, 67), (4094, 4096))),
     ((2, 3, 5, 7), ((0, 210), (4, 9))),
-    (cycle_radices((3, 5, 3), 5), ((13, 17), (44, 47), (670, 675), (0, 300))),
+    (build_radix((3, 5, 3), 5).radices, ((13, 17), (44, 47), (670, 675), (0, 300))),
     ((2,) * 9, ((14, 19), (30, 34), (510, 512))),
 ]
 
@@ -197,7 +197,7 @@ def test_forward_of_delta_has_unimodular_coefficients():
 # Mixed radices; 2x12, whose passes start on digits of two points; (3,5,3)
 # cycled to depth 5; and one digit, whose single pass ends in index order.
 fast_groups = pytest.mark.parametrize(
-    "radices", [(2, 3, 2, 4), (2,) * 12, cycle_radices((3, 5, 3), 5), (7,)],
+    "radices", [(2, 3, 2, 4), (2,) * 12, build_radix((3, 5, 3), 5).radices, (7,)],
     ids=["2-3-2-4", "2x12", "3-5-3x5", "7"],
 )
 
@@ -240,7 +240,7 @@ def dense_reference(fs):
 @pytest.mark.parametrize(
     "radices",
     [(2, 3, 2, 4), (3, 5, 3, 5), (3, 5, 3, 5, 3), (2,) * 9, (4, 4, 4),
-     (2, 3, 5, 7), (7,), (64, 64), cycle_radices((3, 5, 3), 5)],
+     (2, 3, 5, 7), (7,), (64, 64), build_radix((3, 5, 3), 5).radices],
 )
 def test_naive_oracle_matches_dense_reference(radices):
     seq = build_radix(radices)
