@@ -186,7 +186,7 @@ def _fitting(seq: RadixSequence) -> RadixSequence:
     """``seq``, refused before any array on it if 192 bytes per point exceed
     physical memory: above the largest tracemalloc peak per point of a
     command at its default sample count (theorem-b, 143-145 B at depths
-    16-18; transform, 96-144 B at depths 12-18 with 3 or 20 samples)."""
+    16-18; transform, 81-130 B at depths 12-18 with 3 or 20 samples)."""
     check_memory(192 * seq.size, f"a group of M_N={seq.size}")
     return seq
 
@@ -249,7 +249,7 @@ def _transform_sample(seq: RadixSequence, child, bound: int) -> tuple[tuple, flo
     Its arrays are dropped on return, so a run holds one sample at a time."""
     rng = np.random.default_rng(child)
     f = StepFunction(seq, rng.standard_normal(seq.size) + 1j * rng.standard_normal(seq.size))
-    # the fast path first, so an oversized DFT kernel is refused before the oracle runs
+    # the fast path first, so an oversized transform kernel is refused before the oracle runs
     t0 = time.perf_counter()
     ops_fast = OpCount()
     fast = forward_fast(f, ops_fast)

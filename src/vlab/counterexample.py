@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DepthTooSmall
+from .errors import DegenerateInput, DepthTooSmall
 from .group_core import RadixSequence, truncate
 from .means import harmonic_l, log_mean
 from .operators import (
@@ -321,6 +321,8 @@ def theta_bracket(
     # an atom of rank r has c_j = 0 for j < M_r, so L_n of it vanishes for
     # n < M_r + 2: only ranks that some order up to atom_nmax sees are drawn
     ranks = sum(m + 2 <= atom_nmax for m in atom_seq.scales[:-1])
+    if samples > 0 and ranks == 0:
+        raise DegenerateInput(f"theta atoms need a group of 3 or more points, not {atom_seq.size}")
     children = np.random.SeedSequence(seed).spawn(samples)
     for i in range(samples):
         rng = np.random.default_rng(children[i])

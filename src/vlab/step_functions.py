@@ -106,10 +106,19 @@ def hardy_quasinorm(f: StepFunction, p: float) -> float:
 # `re,im` with 17 significant digits (bit-exact round trip for doubles).
 # ---------------------------------------------------------------------------
 
+LINE_LIMIT = 1 << 12  # characters a line may hold, newline included; values take 50
+
+
+def _read_line(fh) -> str:
+    line = fh.readline(LINE_LIMIT)
+    if len(line) == LINE_LIMIT and line[-1] != "\n":
+        raise ValueError(f"a line is longer than {LINE_LIMIT - 1} characters")
+    return line
+
 
 def load_step_function(path) -> StepFunction:
     with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().strip()
+        header = _read_line(fh).strip()
         fields = dict(part.split("=", 1) for part in header.split(";") if part)
         if fields.keys() != {"radices", "N"}:
             raise ValueError(f"malformed header: {header!r}")
@@ -117,7 +126,7 @@ def load_step_function(path) -> StepFunction:
         check_memory(32 * seq.size, f"step function file on M_N={seq.size}")  # values, copy
         vals = np.empty(seq.size, dtype=np.complex128)
         for i in range(seq.size):
-            line = fh.readline()
+            line = _read_line(fh)
             if not line:
                 raise ValueError(f"expected {seq.size} value lines, got {i}")
             re_s, im_s = line.strip().split(",")

@@ -27,12 +27,12 @@ M_N (M_s + M_N / M_s) multiply-adds per function, M_N^2 when s = 0.
 Each factor's conj rows are built in blocks of at most ROW_BLOCK entries;
 a factor that fits one block is cached, so a run that transforms one
 function after another builds it once, and a larger one is rebuilt.
-``forward_fast`` runs one small DFT kernel along each digit axis as m_j
-broadcast multiply-adds, costing M_N * sum_k m_k multiply-adds; radices
-are small and bounded, so no in-axis FFT is needed.  Each pass reads its
-digit as the fastest axis and writes it as the slowest, so the passes for
-digits 0..N-1 rotate the layout back to index order, and every inner loop
-is M_N / m_j long.  ``forward_fast`` counts its work into an optional OpCount.
+``forward_fast`` and ``inverse`` group consecutive digits into chunks of
+at most CHUNK_POINTS points, or one larger digit, and apply each chunk's
+character matrix along its axis of the values viewed in index order:
+M_N c multiply-adds for a chunk of c points.  Kernels come from
+``character_rows``, so dyadic ones are exactly +-1 and multiply the
+float64 view of the values.  Products stay within PRODUCT_MADDS.
 """
 
 from __future__ import annotations
@@ -96,10 +96,10 @@ def vilenkin_char(n: int, i: int, seq: RadixSequence) -> complex:
 # behind the partial-sum stacks alike.
 ROW_BLOCK = 1 << 16
 
-# Multiply-adds per naive-oracle product, half of 2^16.  Complex products of
-# two or more rows kept their bits at 1 and 2 OpenBLAS threads up to 65,520
-# multiply-adds and lost them in many shapes from 65,610 up; at 2^18 reports
-# on M_N = 2500 and 19683 moved with the thread count.
+# Multiply-adds per BLAS product of the oracle and the fast passes, 2^16 / 2.
+# Complex products of two or more rows kept their bits at 1 and 2 OpenBLAS
+# threads up to 65,520 multiply-adds and lost them in many shapes from 65,610
+# up; at 2^18 reports on M_N = 2500 and 19683 moved with the thread count.
 PRODUCT_MADDS = 1 << 15
 
 
@@ -209,46 +209,70 @@ def forward_naive(f: StepFunction) -> CoefficientVector:
     return CoefficientVector(seq, data / seq.size)
 
 
+# Points per chunk of digits: c <= 16 points is at most 4 times the chunk's
+# radix sum, which keeps the passes within fast_op_bound; 64 points is not.
+CHUNK_POINTS = 16
+
+
 @functools.lru_cache(maxsize=64)
-def dft_kernel(m: int, sign: int) -> np.ndarray:
-    """(m, m) kernel K[a, b] = exp(sign * 2 pi i a b / m).
+def _chunk_kernel(radices: tuple[int, ...], sign: int) -> np.ndarray:
+    """Read-only psi_a(b) on the group ``radices``, conjugated for sign < 0, float64
+    where real; its build, below 40 c^2 bytes for c points, is checked first."""
+    c = math.prod(radices)
+    check_memory(40 * c * c, f"transform kernel of {c} points")
+    kernel = character_rows(build_radix(radices), 0, c)
+    kernel = kernel.conj() if sign < 0 else kernel
+    kernel = kernel if kernel.imag.any() else kernel.real.copy()
+    kernel.flags.writeable = False
+    return kernel
 
-    Its build peaks at 40 m^2 bytes, refused beyond physical memory.
-    """
-    check_memory(40 * m * m, f"DFT kernel of order {m}")
-    grid = np.outer(np.arange(m), np.arange(m))
-    mat = np.exp(sign * 2j * np.pi * grid / m)
-    mat.flags.writeable = False
-    return mat
+
+def _apply_kernel(kernel: np.ndarray, x: np.ndarray, out: np.ndarray) -> None:
+    """out[t] = kernel @ x[t] for (T, c, n) arrays, in products within PRODUCT_MADDS:
+    as many columns as fit, then kernel rows, then spans of a sum, added in order.
+    The whole column products go to ``np.matmul`` as one stack, then the short one."""
+    c, n = kernel.shape[1], x.shape[2]
+    cols = min(n, max(1, PRODUCT_MADDS // (c * c)))
+    rows = max(1, PRODUCT_MADDS // (c * cols))
+    span = max(1, PRODUCT_MADDS // (rows * cols))
+    cut = n - n % cols
+    for lo, hi, w in ((0, cut, cols), (cut, n, n - cut))[: 1 + (cut < n)]:
+        xs, ys = (a[:, :, lo:hi].reshape(len(a), c, -1, w).swapaxes(1, 2) for a in (x, out))
+        for r0 in range(0, c, rows):
+            res, k = ys[:, :, r0 : r0 + rows], kernel[r0 : r0 + rows]
+            np.matmul(k[:, :span], xs[:, :, :span], out=res)
+            for b0 in range(span, c, span):
+                res += np.matmul(k[:, b0 : b0 + span], xs[:, :, b0 : b0 + span])
 
 
-def _axis_passes(flat: np.ndarray, seq: RadixSequence, sign: int, ops: OpCount | None):
-    """Apply dft_kernel(m_j, sign) along every digit axis j, counting M_N m_j per pass."""
-    for m_j in seq.radices:
-        x = flat.reshape(seq.size // m_j, m_j)
-        kernel = dft_kernel(m_j, sign)
-        # out[a, r] = sum_b K[a, b] x[r, b]: digit j leaves as the slowest axis
-        out = kernel[:, 0, None] * x[:, 0]
-        for b in range(1, m_j):
-            out += kernel[:, b, None] * x[:, b]
-        flat = out.reshape(seq.size)
-        if ops is not None:
-            ops.add(seq.size * m_j)
+def _axis_passes(flat: np.ndarray, seq: RadixSequence, sign: int, ops: OpCount):
+    """Apply each chunk's kernel along its digits, counting M_N c per chunk of c points."""
+    start = 0
+    for j in range(seq.depth):
+        if j + 1 < seq.depth and seq.scales[j + 2] // seq.scales[start] <= CHUNK_POINTS:
+            continue  # digit j + 1 joins the chunk of digits start..j
+        kernel = _chunk_kernel(seq.radices[start : j + 1], sign)
+        out = np.empty_like(flat)
+        # (M_N / (M_j c), c, n) views; a float64 kernel takes Re and Im as columns
+        shape = (seq.size // seq.scales[j + 1], len(kernel), -1)
+        _apply_kernel(kernel, *(a.view(kernel.dtype).reshape(shape) for a in (flat, out)))
+        flat, start = out, j + 1
+        ops.add(seq.size * len(kernel))
     return flat
 
 
 def forward_fast(f: StepFunction, ops: OpCount | None = None) -> CoefficientVector:
-    """Same coefficients as :func:`forward_naive` via per-axis DFT kernels."""
+    """Same coefficients as :func:`forward_naive` via the chunk kernels' passes."""
     seq = f.radix_seq
+    ops = ops or OpCount()
     coeffs = _axis_passes(f.values, seq, -1, ops) / seq.size
-    if ops is not None:
-        ops.add(seq.size)
+    ops.add(seq.size)
     return CoefficientVector(seq, coeffs)
 
 
 def inverse(cv: CoefficientVector) -> StepFunction:
     """Unnormalized synthesis sum_k c_k psi_k; inverts ``forward_fast``."""
-    return StepFunction(cv.radix_seq, _axis_passes(cv.coeffs, cv.radix_seq, +1, None))
+    return StepFunction(cv.radix_seq, _axis_passes(cv.coeffs, cv.radix_seq, +1, OpCount()))
 
 
 def fast_op_bound(seq: RadixSequence) -> int:

@@ -95,7 +95,9 @@ def _reports_under_blas_threads(tmp_path, argv, names):
 # they did under a cap of 2^18).  At M_N = 4096 dyadic each factor takes
 # 8-row products; at 2^14 each factor of 128 points takes 2-row products;
 # one digit of 1296 is a single factor whose 25-row products sum over all
-# 1296 points.
+# 1296 points, as are the fast path's kernel products there.  At 2^14 and
+# 2^16 the fast path's chunk products at scales of 256 and more split their
+# columns under the cap.
 @pytest.mark.parametrize("argv", [
     ["--radices", "2,3,2,4", "--depth", "6", "--samples", "10", "--seed", "7"],
     ["--radices", "2,3", "--depth", "8", "--samples", "4", "--seed", "7"],
@@ -104,6 +106,7 @@ def _reports_under_blas_threads(tmp_path, argv, names):
     ["--radices", "1296", "--depth", "1", "--samples", "2", "--seed", "7"],
     ["--radices", "10,25", "--depth", "3", "--samples", "2", "--seed", "7"],
     ["--radices", "3", "--depth", "9", "--samples", "2", "--seed", "7"],
+    ["--radices", "2", "--depth", "16", "--samples", "2", "--seed", "7"],
 ])
 def test_transform_report_is_independent_of_blas_threads(tmp_path, argv):
     one, two = _reports_under_blas_threads(tmp_path, ["transform", *argv], ["r.csv"])
@@ -716,12 +719,12 @@ def test_transform_builds_factor_rows_once_per_run(monkeypatch, depth):
     assert counts == [1, 1]
 
 
-def test_dft_kernel_beyond_physical_memory_is_exit_two(monkeypatch, capsys):
+def test_transform_kernel_beyond_physical_memory_is_exit_two(monkeypatch, capsys):
     # on the one-digit group (400,) the inverse transform behind dirichlet:3
-    # needs a 400 x 400 kernel, built at a peak of 40 * 400^2 bytes (6.4 MB);
-    # the check runs before the build
+    # needs a 400 x 400 kernel, refused at 40 * 400^2 bytes (6.4 MB; its
+    # build peaks at 5.1 MB); the check runs before the build
     monkeypatch.setattr(group_core, "_physical_memory", lambda: 2**20)
-    transform_mod.dft_kernel.cache_clear()
+    transform_mod._chunk_kernel.cache_clear()
     tracemalloc.start()
     try:
         rc = run(["norms", "--radices", "400", "--depth", "1", "--fn", "dirichlet:3"])
@@ -731,13 +734,13 @@ def test_dft_kernel_beyond_physical_memory_is_exit_two(monkeypatch, capsys):
     assert rc == 2
     err = capsys.readouterr().err.splitlines()
     assert err == [
-        "error: DFT kernel of order 400 needs 6400000 bytes, "
+        "error: transform kernel of 400 points needs 6400000 bytes, "
         "physical memory is 1048576"
     ]
     assert peak < 2**20
 
 
-def test_transform_refuses_the_dft_kernel_before_the_oracle(monkeypatch, capsys):
+def test_transform_refuses_the_kernel_before_the_oracle(monkeypatch, capsys):
     # on the one-digit group (400,) a 5 MiB budget passes the group check
     # (76,800 B) but not the fast path's 400 x 400 kernel (6,400,000 B),
     # which is refused before the oracle runs
@@ -747,10 +750,10 @@ def test_transform_refuses_the_dft_kernel_before_the_oracle(monkeypatch, capsys)
     real = cli_mod.forward_naive
     monkeypatch.setattr(cli_mod, "forward_naive", lambda f: calls.append(f) or real(f))
     monkeypatch.setattr(group_core, "_physical_memory", lambda: 5 * 2**20)
-    transform_mod.dft_kernel.cache_clear()
+    transform_mod._chunk_kernel.cache_clear()
     assert run(["transform", "--radices", "400", "--depth", "1"]) == 2
     assert capsys.readouterr().err.splitlines() == [
-        "error: DFT kernel of order 400 needs 6400000 bytes, physical memory is 5242880"
+        "error: transform kernel of 400 points needs 6400000 bytes, physical memory is 5242880"
     ]
     assert calls == []
 
@@ -814,6 +817,22 @@ def test_step_file_header_beyond_physical_memory_is_exit_two(monkeypatch, capsys
     assert rc == 2
     assert err == [
         "error: step function file on M_N=65536 needs 2097152 bytes, physical memory is 1048576"
+    ]
+    assert peak < 2**20
+
+
+@pytest.mark.parametrize("lines", [["radices=2;N=1" + " " * 2**24, "1,0", "2,0"],
+                                   ["radices=2;N=1", "1," + "0" * 2**24, "2,0"]],
+                         ids=["header", "value"])
+def test_step_file_long_line_is_exit_two(capsys, tmp_path, lines):
+    # a 16 MiB line of a 2-point file is refused after its first 4 KiB, not
+    # read whole; an unbounded readline peaked at 48 MiB on it
+    path = tmp_path / "f.txt"
+    path.write_text("\n".join(lines) + "\n")
+    rc, err, peak = _refused(["norms", "--fn", f"file:{path}"], capsys)
+    assert rc == 2
+    assert err == [
+        f"config error: cannot load step function {path}: a line is longer than 4095 characters"
     ]
     assert peak < 2**20
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from vlab.errors import DepthTooSmall, InvalidExponent
+from vlab.errors import DegenerateInput, DepthTooSmall, InvalidExponent
 from vlab.counterexample import (
     SWEEP_COLUMNS,
     build_case,
@@ -181,17 +181,22 @@ def test_partial_sum_certificate_costs_one_transform(monkeypatch):
 def test_partial_sum_certificate_catches_a_wrong_coefficient(monkeypatch):
     case = build_case(2, dyadic(5))
 
+    bumps = []
+
     def bumped(f):
         coeffs = forward_fast(f).coeffs.copy()
+        before = coeffs[case.m_lo + 1]
         coeffs[case.m_lo + 1] += 2e-9
+        # added to c = 1.0 the bump is stored as 1.99999994e-9
+        bumps.append(abs(coeffs[case.m_lo + 1] - before))
         return CoefficientVector(f.radix_seq, coeffs)
 
     monkeypatch.setattr(counterexample_mod, "forward_fast", bumped)
     report = verify_partial_sums(case)
     assert not report.ok
     assert report.max_err_zero == 0.0
-    assert report.max_err_middle >= 2e-9
-    assert report.max_err_tail >= 2e-9
+    assert report.max_err_middle >= bumps[0]
+    assert report.max_err_tail >= bumps[0]
 
 
 def test_hardy_bound_dyadic_value():
@@ -365,6 +370,13 @@ def test_theta_atoms_are_drawn_where_the_means_see_them():
     assert len(atoms) == 5
     assert min(atoms) > 1e-6
     assert float(report.meta["C1"]) > 1e-6
+
+
+@pytest.mark.parametrize("depth", [0, 1])
+def test_theta_atoms_on_fewer_than_three_points_are_refused(depth):
+    # orders up to M_N <= 2 see no rank: L_n of a rank-0 atom vanishes below n = 3
+    with pytest.raises(DegenerateInput, match="3 or more points"):
+        theta_bracket(build_radix((2,), depth), 0.5, [], samples=1)
 
 
 def test_theta_bracket_deterministic():

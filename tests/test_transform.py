@@ -215,14 +215,35 @@ def test_fast_of_zero():
     assert np.max(np.abs(forward_fast(StepFunction(seq, np.zeros(seq.size))).coeffs)) == 0.0
 
 
-@fast_groups
-def test_op_count_instrumentation(radices):
+# Digits are grouped into chunks of at most 16 points, and a larger digit
+# is a chunk of its own: (2,3,2,4) into 12 and 4 points, (2,)*12 into three
+# of 16, (3,5,3,5,3) into 15, 15 and 3, and (2,3,2,250) into 12 and 250.
+@pytest.mark.parametrize(
+    "radices, chunk_points",
+    [((2, 3, 2, 4), 12 + 4), ((2,) * 12, 3 * 16), ((3, 5, 3, 5, 3), 15 + 15 + 3), ((7,), 7),
+     ((2, 3, 2, 250), 12 + 250)],
+    ids=["2-3-2-4", "2x12", "3-5-3x5", "7", "2-3-2-250"],
+)
+def test_op_count_instrumentation(radices, chunk_points):
     seq = build_radix(radices)
     ops = OpCount()
     forward_fast(random_function(seq), ops)
-    expected = seq.size * sum(seq.radices) + seq.size
-    assert ops.madds == expected
+    assert ops.madds == seq.size * chunk_points + seq.size
     assert ops.madds <= fast_op_bound(seq)
+
+
+def test_dyadic_passes_are_exact():
+    # dyadic kernels are exactly +-1, so the transform of a character is
+    # its unit coefficient vector and the synthesis of a unit vector its
+    # character, bit for bit; a kernel built by exp would carry roundoff
+    # such as -1.2e-16 in its imaginary parts
+    seq = build_radix((2,) * 10)
+    for k in np.random.default_rng(3).choice(seq.size, 24, replace=False):
+        psi = character_rows(seq, k, k + 1)[0]
+        unit = np.zeros(seq.size, dtype=np.complex128)
+        unit[k] = 1.0
+        assert forward_fast(StepFunction(seq, psi)).coeffs.tobytes() == unit.tobytes()
+        assert inverse(CoefficientVector(seq, unit)).values.tobytes() == psi.tobytes()
 
 
 def dense_reference(fs):
@@ -419,6 +440,27 @@ def test_naive_oracle_one_digit_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2**20
+
+
+# Under the default cap (2,)*16 splits the columns of its chunk products
+# at scales of 256 and more, and a digit of 1296 points its kernel rows; a
+# cap of 7 splits the 15-point kernel rows of (3,5,3) into sums of 7, 7 and
+# 1 terms, a cap of 300 takes the 250-point digit of (2,3,2,250) one
+# kernel row and one column at a time, and a cap of 5000 the 32 columns at
+# scale 16 of (2,)*9 as a product of 19 and a short one of 13.
+@pytest.mark.parametrize("radices, cap", [
+    ((2,) * 16, transform.PRODUCT_MADDS), ((1296,), transform.PRODUCT_MADDS),
+    ((3, 5, 3), 7), ((2, 3, 2, 250), 300), ((2,) * 9, 5000),
+])
+def test_fast_products_stay_within_the_cap(monkeypatch, radices, cap):
+    seq = build_radix(radices)
+    f = random_function(seq)
+    monkeypatch.setattr(transform, "PRODUCT_MADDS", cap)
+    (fast, back), madds = counted_products(
+        monkeypatch, lambda: (forward_fast(f), inverse(forward_fast(f))))
+    assert madds and max(madds) <= cap
+    assert np.max(np.abs(fast.coeffs - forward_naive(f).coeffs)) <= 1e-12
+    assert np.max(np.abs(back.values - f.values)) <= 1e-12
 
 
 def test_inverse_of_unit_vector_is_character():
