@@ -34,7 +34,6 @@ from .errors import ConfigError, VilenkinError
 from .group_core import RadixSequence, build_radix, check_memory
 from .means import norlund_mean, weight_sequence_from_spec
 from .operators import (
-    check_p_unit,
     critical_power_weight,
     domination_check,
     make_atom,
@@ -44,6 +43,8 @@ from .operators import (
 from .report import ExperimentReport
 from .step_functions import (
     StepFunction,
+    bounded_lines,
+    check_exponent,
     hardy_quasinorm,
     load_step_function,
     lp_quasinorm,
@@ -139,20 +140,19 @@ def load_config_file(path) -> dict[str, str]:
     raw: dict[str, str] = {}
     try:
         with open(path, "r", encoding="ascii") as fh:
-            lines = fh.read().splitlines()
-    except (OSError, UnicodeDecodeError) as exc:
+            for lineno, line in enumerate(bounded_lines(fh), 1):
+                line = line.strip()
+                if not line or line.startswith("#"):
+                    continue
+                if "=" not in line:
+                    raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
+                key, value = line.split("=", 1)
+                key = key.strip()
+                if key not in _OPTIONS:
+                    raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+                raw[key] = value.strip()
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
-    for lineno, line in enumerate(lines, 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
-        key, value = line.split("=", 1)
-        key = key.strip()
-        if key not in _OPTIONS:
-            raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-        raw[key] = value.strip()
     return raw
 
 
@@ -303,7 +303,7 @@ def _p_list(cfg: RunConfig, seq: RadixSequence) -> tuple[float, ...]:
     """The exponents of a theorem command on ``seq``, all checked before any
     work: each in 0 < p < 1, none repeated, and none so small that
     (2 M_N)^{1/p}, which bounds the 1/p powers the command takes, overflows."""
-    ps = tuple(check_p_unit(p) for p in cfg.p)
+    ps = tuple(check_exponent(p, 1.0) for p in cfg.p)
     if len(set(ps)) < len(ps):
         raise ConfigError(f"p list must not repeat a value, got {cfg.p}")
     for p in ps:

@@ -25,13 +25,12 @@ from .means import harmonic_l, log_mean
 from .operators import (
     WeightFunction,
     boundedness_ratio,
-    check_p_unit,
     condition6_advisory,
     make_atom,
     power_weight,
 )
 from .report import ExperimentReport
-from .step_functions import StepFunction, lp_quasinorm, maximal_function
+from .step_functions import StepFunction, check_exponent, lp_quasinorm, maximal_function
 from .transform import character_rows, dirichlet_closed_MN, forward_fast
 
 SWEEP_COLUMNS = [
@@ -174,7 +173,7 @@ def hardy_closed_value(case: CounterexampleCase, p: float) -> float:
     two level sets gives
     (M_hi - M_lo)^p / M_hi + M_lo^p (1/M_lo - 1/M_hi), all to the 1/p.
     """
-    p = check_p_unit(p)
+    p = check_exponent(p, 1.0)
     lo, hi = case.m_lo, case.m_hi
     power = (hi - lo) ** p / hi + lo**p * (1.0 / lo - 1.0 / hi)
     return power ** (1.0 / p)
@@ -182,7 +181,7 @@ def hardy_closed_value(case: CounterexampleCase, p: float) -> float:
 
 def verify_hardy_bound(case: CounterexampleCase, p: float) -> HardyCheck:
     """Measured Hardy norm against the closed value and the uniform bound."""
-    p = check_p_unit(p)
+    p = check_exponent(p, 1.0)
     fstar = case.maximal
     gap = float(np.max(np.abs(fstar.values - np.abs(case.func.values))))
     measured = lp_quasinorm(fstar, p)
@@ -289,7 +288,7 @@ def divergence_sweep(cases, p: float, weight: WeightFunction) -> DivergenceSweep
     first cases (at p = 0.7 on the dyadic group), so strict growth of R_k
     is required only on the steps k -> k+1 where the comparator grows.
     """
-    p = check_p_unit(p)
+    p = check_exponent(p, 1.0)
     verdict = condition6_advisory(weight, p)
     rows = tuple(sweep_row(pos + 1, case, p, weight) for pos, case in enumerate(cases))
     steps = [(a, b) for a, b in zip(rows, rows[1:]) if b[10] > a[10]]
@@ -309,7 +308,7 @@ def theta_bracket(
     ordered on the whole grid).  The fit only encloses finite data; it
     carries no optimality content.
     """
-    p = check_p_unit(p)
+    p = check_exponent(p, 1.0)
     expo = 1.0 / p - 1.0
     points = []
     for case in cases:
@@ -330,6 +329,8 @@ def theta_bracket(
         atom = make_atom(rng, atom_seq, rank, p)
         y = boundedness_ratio(atom.function, p, flat, atom_nmax)
         points.append((atom_nmax, y, "atom"))
+    if not points:
+        raise DegenerateInput("theta bracket needs a sweep case or an atom sample to fit")
     c2 = max(y / n**expo for n, y, _ in points)
     c1 = min(min(y * math.log(n + 1.0) / n**expo for n, y, _ in points), c2)
     top = max(n for n, _, _ in points)

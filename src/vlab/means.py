@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import IndexOutOfRange, InvalidWeight, ZeroTotalWeight
 from .group_core import RadixSequence, check_memory, truncate
-from .step_functions import StepFunction
+from .step_functions import StepFunction, bounded_lines
 from .transform import ROW_BLOCK, character_rows, forward_fast, synthesize_multiplier
 
 
@@ -86,7 +86,7 @@ def weights_from_file(path) -> WeightSequence:
     """One q per line; no q_0."""
     try:
         with open(path, "r", encoding="ascii") as fh:
-            vals = [float(line) for line in fh if line.strip()]
+            vals = [float(line) for line in bounded_lines(fh) if line.strip()]
     except (OSError, ValueError) as exc:
         raise InvalidWeight(f"cannot read weights from {path}: {exc}") from None
     if not vals:

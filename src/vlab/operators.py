@@ -16,12 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateInput,
-    InvalidExponent,
-    InvalidWeight,
-    RankOutOfRange,
-)
+from .errors import DegenerateInput, InvalidWeight, RankOutOfRange
 from .group_core import RadixSequence
 from .means import log_mean_blocks, weights_from_file
 from .step_functions import (
@@ -101,7 +96,7 @@ def custom_weight(values, spec: str = "custom") -> WeightFunction:
 
 def critical_power_weight(p: float) -> WeightFunction:
     """phi(n) = n^{1/p - 1}, the boundedness-critical power for 0 < p < 1."""
-    p = check_p_unit(p)
+    p = check_exponent(p, 1.0)
     return power_weight(1.0 / p - 1.0)
 
 
@@ -118,14 +113,6 @@ def parse_weight_spec(spec: str) -> WeightFunction:
     if spec.startswith("custom:"):
         return custom_weight(weights_from_file(spec.split(":", 1)[1]).values, spec)
     raise InvalidWeight(f"unknown weight spec {spec!r}")
-
-
-def check_p_unit(p: float) -> float:
-    """Validate an exponent in the open range 0 < p < 1 and return it as a float."""
-    p = float(p)
-    if not 0 < p < 1:
-        raise InvalidExponent(f"need 0 < p < 1, got {p}")
-    return p
 
 
 def weighted_maximal(f: StepFunction, weight: WeightFunction, n_max: int) -> StepFunction:
@@ -211,9 +198,7 @@ def make_atom(rng: np.random.Generator, seq: RadixSequence, rank: int, p: float)
     if seq.scales[rank] == seq.size:
         # a single-cell cylinder admits no nonzero mean-zero function
         raise DegenerateInput(f"rank {rank} cylinders have one cell; need rank < depth")
-    p = float(p)
-    if not 0 < p <= 1:
-        raise InvalidExponent(f"atom exponent needs 0 < p <= 1, got {p}")
+    p = check_exponent(p, 1.0, closed=True)
     # the cylinder {anchor + t*M_rank}, its anchor digits drawn one by one
     anchor = sum(int(rng.integers(0, seq.radices[j])) * seq.scales[j] for j in range(rank))
     m_rank = seq.scales[rank]
@@ -237,7 +222,7 @@ def make_atom(rng: np.random.Generator, seq: RadixSequence, rank: int, p: float)
 
 def boundedness_ratio(f: StepFunction, p: float, weight: WeightFunction, n_max: int) -> float:
     """L_p norm of the weighted log-mean maximal function over the Hardy norm."""
-    p = check_p_unit(p)
+    p = check_exponent(p, 1.0)
     h = hardy_quasinorm(f, p)
     if h == 0.0:
         raise DegenerateInput("zero Hardy norm")
@@ -245,13 +230,13 @@ def boundedness_ratio(f: StepFunction, p: float, weight: WeightFunction, n_max: 
 
 
 def condition6_advisory(weight: WeightFunction, p: float) -> str:
-    """Symbolic verdict on limsup n^{1/p-1} / (log n * phi(n)) = infinity.
+    """Symbolic verdict on limsup n^{1/p-1} / (log n * phi(n)) = infinity, 0 < p < 1.
 
     For a closed weight the ratio grows like n^{1/p-1-alpha} / (log n)^{1-beta};
     with beta <= 0 the limsup is infinite iff alpha < 1/p - 1.  Finite custom
     tables cannot decide a limsup and return ``unknown``.
     """
-    gap = 1.0 / check_exponent(p) - 1.0
+    gap = 1.0 / check_exponent(p, 1.0) - 1.0
     if weight.table is not None:
         return "unknown"
     return "satisfied" if weight.alpha < gap else "violated"

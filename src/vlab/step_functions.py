@@ -10,6 +10,7 @@ running maximum over those averages, one level at a time.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,11 +38,13 @@ class StepFunction:
         object.__setattr__(self, "values", vals)
 
 
-def check_exponent(p: float) -> float:
-    """Validate a quasi-norm exponent: p > 0 and finite."""
+def check_exponent(p: float, upper: float = math.inf, closed: bool = False) -> float:
+    """Validate an exponent in 0 < p < ``upper``, or 0 < p <= ``upper`` when
+    ``closed``, and return it as a float; by default every finite p > 0."""
     p = float(p)
-    if not np.isfinite(p) or p <= 0:
-        raise InvalidExponent(f"exponent must be positive and finite, got {p}")
+    if not (0 < p < upper or closed and p == upper):
+        limit = "finite" if upper == math.inf else f"{'<=' if closed else '<'} {upper:g}"
+        raise InvalidExponent(f"exponent needs 0 < p {limit}, got {p}")
     return p
 
 
@@ -109,16 +112,20 @@ def hardy_quasinorm(f: StepFunction, p: float) -> float:
 LINE_LIMIT = 1 << 12  # characters a line may hold, newline included; values take 50
 
 
-def _read_line(fh) -> str:
-    line = fh.readline(LINE_LIMIT)
-    if len(line) == LINE_LIMIT and line[-1] != "\n":
-        raise ValueError(f"a line is longer than {LINE_LIMIT - 1} characters")
-    return line
+def bounded_lines(fh):
+    """The lines of the text file ``fh``, read one at a time; a line longer than
+    LINE_LIMIT raises ValueError after at most LINE_LIMIT characters are read.
+    Step, weight and config files are all read through it."""
+    while line := fh.readline(LINE_LIMIT):
+        if len(line) == LINE_LIMIT and line[-1] != "\n":
+            raise ValueError(f"a line is longer than {LINE_LIMIT - 1} characters")
+        yield line
 
 
 def load_step_function(path) -> StepFunction:
     with open(path, "r", encoding="ascii") as fh:
-        header = _read_line(fh).strip()
+        lines = bounded_lines(fh)
+        header = next(lines, "").strip()
         fields = dict(part.split("=", 1) for part in header.split(";") if part)
         if fields.keys() != {"radices", "N"}:
             raise ValueError(f"malformed header: {header!r}")
@@ -126,7 +133,7 @@ def load_step_function(path) -> StepFunction:
         check_memory(32 * seq.size, f"step function file on M_N={seq.size}")  # values, copy
         vals = np.empty(seq.size, dtype=np.complex128)
         for i in range(seq.size):
-            line = _read_line(fh)
+            line = next(lines, "")
             if not line:
                 raise ValueError(f"expected {seq.size} value lines, got {i}")
             re_s, im_s = line.strip().split(",")

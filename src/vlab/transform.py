@@ -24,15 +24,20 @@ character of the low digits m_0..m_{s-1} and one of the high digits
 m_s..m_{N-1}, so the conj character matrix is the Kronecker product of
 the two groups' matrices, and the oracle applies them one after the other:
 M_N (M_s + M_N / M_s) multiply-adds per function, M_N^2 when s = 0.
-Each factor's conj rows are built in blocks of at most ROW_BLOCK entries;
-a factor that fits one block is cached, so a run that transforms one
-function after another builds it once, and a larger one is rebuilt.
 ``forward_fast`` and ``inverse`` group consecutive digits into chunks of
 at most CHUNK_POINTS points, or one larger digit, and apply each chunk's
 character matrix along its axis of the values viewed in index order:
 M_N c multiply-adds for a chunk of c points.  Kernels come from
 ``character_rows``, so dyadic ones are exactly +-1 and multiply the
-float64 view of the values.  Products stay within PRODUCT_MADDS.
+float64 view of the values.
+
+Both paths share one kernel cache and one product routine.  An oracle
+factor of at most ROW_BLOCK entries is the cached conj kernel of its
+digits, so a run that transforms one function after another builds it
+once; a larger one streams as blocks of conj rows.  ``_apply_kernel``
+splits every product to stay within PRODUCT_MADDS, but the oracle keeps
+its own layout: a factor's digits move from the fastest axis to the
+slowest, not along the chunk passes' index-order views.
 """
 
 from __future__ import annotations
@@ -144,47 +149,35 @@ def character_rows(seq: RadixSequence, lo: int, hi: int) -> np.ndarray:
     return np.take(_roots(period), phases, mode="wrap")
 
 
-@functools.lru_cache(maxsize=2)
-def _conj_rows(group: RadixSequence, lo: int, hi: int) -> np.ndarray:
-    """Read-only conj(psi_k) on ``group``, lo <= k < hi.  Two blocks are cached:
-    transforms run one after another build factors that fit one block once;
-    a larger factor's blocks are rebuilt through ``__wrapped__``, uncached."""
-    rows = character_rows(group, lo, hi)
-    np.conj(rows, out=rows)
-    rows.flags.writeable = False
-    return rows
-
-
 def _conj_factor(group: RadixSequence, v: np.ndarray) -> np.ndarray:
     """Apply the conj character matrix A of ``group`` to the M_N values ``v``.
 
     v, viewed as X, an (M_N / m, m) array for m the order of ``group``,
     becomes A X^T, flattened: the group's digits move from the fastest axis
-    to the slowest.  A product takes as many rows of A as fit in
-    PRODUCT_MADDS multiply-adds and ROW_BLOCK entries, and when one row does
-    not fit, spans of its sum that do, added in order.  A's rows come from
-    :func:`_conj_rows` in blocks of whole products, at most ROW_BLOCK
-    entries or one row, so a product's shape does not depend on the block.
+    to the slowest.  An A of at most ROW_BLOCK entries is the cached
+    :func:`_chunk_kernel`; a larger one streams as blocks of conj rows, at
+    most ROW_BLOCK entries cut at whole products of :func:`_apply_kernel`,
+    or one product, so a product's shape does not depend on the block.
     """
     m, n = group.size, v.size // group.size
-    rows = max(1, min(ROW_BLOCK // m, PRODUCT_MADDS // v.size))
-    span = max(1, PRODUCT_MADDS // (rows * n))
-    build = rows * max(1, ROW_BLOCK // (m * rows))
-    conj_rows = _conj_rows if build >= m else _conj_rows.__wrapped__
-    x = v.reshape(n, m).T
-    out = np.empty((m, n), dtype=np.complex128)
-    for start in range(0, m, build):
-        block = conj_rows(group, start, min(start + build, m))
-        cut = len(block) - len(block) % rows
-        # the block's whole products, then its short one, each a batch of
-        # k-row products that np.matmul hands to BLAS one at a time
-        for lo, hi, k in ((0, cut, rows), (cut, len(block), len(block) - cut or 1)):
-            a = block[lo:hi].reshape(-1, k, m)
-            res = out[start + lo : start + hi].reshape(-1, k, n)
-            np.matmul(a[:, :, :span], x[:span], out=res)
-            for x0 in range(span, m, span):
-                res += np.matmul(a[:, :, x0 : x0 + span], x[x0 : x0 + span])
+    x = v.reshape(1, n, m).transpose(0, 2, 1)
+    out = np.empty((1, m, n), dtype=np.complex128)
+    if m * m <= ROW_BLOCK:
+        _apply_kernel(_chunk_kernel(group.radices, -1).astype(np.complex128, copy=False), x, out)
+        return out.reshape(v.size)
+    step = max(1, ROW_BLOCK // m)
+    step = step - step % _product_shape(m, n)[1] or step  # whole products where one fits
+    for lo in range(0, m, step):
+        block = character_rows(group, lo, min(lo + step, m))
+        np.conj(block, out=block)
+        _apply_kernel(block, x, out[:, lo : lo + step])
     return out.reshape(v.size)
+
+
+def _scaled(values: np.ndarray, size: int) -> np.ndarray:
+    """values / size as a real product on the float64 view, the bits of the
+    complex division, which numpy takes through the same reciprocal."""
+    return (values.view(np.float64) * (1.0 / size)).view(np.complex128)
 
 
 def forward_naive(f: StepFunction) -> CoefficientVector:
@@ -206,7 +199,7 @@ def forward_naive(f: StepFunction) -> CoefficientVector:
     for group in (truncate(seq, s), build_radix(seq.radices[s:])):
         if group.size > 1:
             data = _conj_factor(group, data)
-    return CoefficientVector(seq, data / seq.size)
+    return CoefficientVector(seq, _scaled(data, seq.size))
 
 
 # Points per chunk of digits: c <= 16 points is at most 4 times the chunk's
@@ -221,24 +214,31 @@ def _chunk_kernel(radices: tuple[int, ...], sign: int) -> np.ndarray:
     c = math.prod(radices)
     check_memory(40 * c * c, f"transform kernel of {c} points")
     kernel = character_rows(build_radix(radices), 0, c)
-    kernel = kernel.conj() if sign < 0 else kernel
+    if sign < 0:
+        np.conj(kernel, out=kernel)
     kernel = kernel if kernel.imag.any() else kernel.real.copy()
     kernel.flags.writeable = False
     return kernel
 
 
-def _apply_kernel(kernel: np.ndarray, x: np.ndarray, out: np.ndarray) -> None:
-    """out[t] = kernel @ x[t] for (T, c, n) arrays, in products within PRODUCT_MADDS:
-    as many columns as fit, then kernel rows, then spans of a sum, added in order.
-    The whole column products go to ``np.matmul`` as one stack, then the short one."""
-    c, n = kernel.shape[1], x.shape[2]
+def _product_shape(c: int, n: int) -> tuple[int, int, int]:
+    """Columns, kernel rows and summands of one product of a c-point kernel on
+    n columns: as many columns as fit in PRODUCT_MADDS, then rows, then a span."""
     cols = min(n, max(1, PRODUCT_MADDS // (c * c)))
     rows = max(1, PRODUCT_MADDS // (c * cols))
-    span = max(1, PRODUCT_MADDS // (rows * cols))
+    return cols, rows, max(1, PRODUCT_MADDS // (rows * cols))
+
+
+def _apply_kernel(kernel: np.ndarray, x: np.ndarray, out: np.ndarray) -> None:
+    """out[t] = kernel @ x[t] for a (k, c) block of kernel rows and (T, c, n) and
+    (T, k, n) arrays, in products of :func:`_product_shape`, spans added in order.
+    The whole column products go to ``np.matmul`` as one stack, then the short one."""
+    c, n = kernel.shape[1], x.shape[2]
+    cols, rows, span = _product_shape(c, n)
     cut = n - n % cols
     for lo, hi, w in ((0, cut, cols), (cut, n, n - cut))[: 1 + (cut < n)]:
-        xs, ys = (a[:, :, lo:hi].reshape(len(a), c, -1, w).swapaxes(1, 2) for a in (x, out))
-        for r0 in range(0, c, rows):
+        xs, ys = (a[:, :, lo:hi].reshape(*a.shape[:2], -1, w).swapaxes(1, 2) for a in (x, out))
+        for r0 in range(0, len(kernel), rows):
             res, k = ys[:, :, r0 : r0 + rows], kernel[r0 : r0 + rows]
             np.matmul(k[:, :span], xs[:, :, :span], out=res)
             for b0 in range(span, c, span):
@@ -265,7 +265,7 @@ def forward_fast(f: StepFunction, ops: OpCount | None = None) -> CoefficientVect
     """Same coefficients as :func:`forward_naive` via the chunk kernels' passes."""
     seq = f.radix_seq
     ops = ops or OpCount()
-    coeffs = _axis_passes(f.values, seq, -1, ops) / seq.size
+    coeffs = _scaled(_axis_passes(f.values, seq, -1, ops), seq.size)
     ops.add(seq.size)
     return CoefficientVector(seq, coeffs)
 

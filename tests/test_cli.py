@@ -89,15 +89,18 @@ def _reports_under_blas_threads(tmp_path, argv, names):
     return runs
 
 
-# M_N = 288, 1296, 2500 and 19683, none a multiple of OpenBLAS's inner
+# M_N = 288, 900, 1296, 2500 and 19683, none a multiple of OpenBLAS's inner
 # block; there the oracle's complex products would split their sums by
 # thread count if they exceeded transform.PRODUCT_MADDS (at 2500 and 19683
-# they did under a cap of 2^18).  At M_N = 4096 dyadic each factor takes
-# 8-row products; at 2^14 each factor of 128 points takes 2-row products;
-# one digit of 1296 is a single factor whose 25-row products sum over all
-# 1296 points, as are the fast path's kernel products there.  At 2^14 and
-# 2^16 the fast path's chunk products at scales of 256 and more split their
-# columns under the cap.
+# they did under a cap of 2^18).  The oracle's factors go through the fast
+# path's product rule: at M_N = 4096 dyadic each 64-point factor takes
+# products of all 64 rows on 8 columns, at 2^14 each 128-point factor of
+# 2 columns.  Factors of more than 256 points stream their rows in blocks
+# of whole products: the 300-point factor of (3,300) in 218-row complex
+# blocks of 109-row products, one column each, and one digit of 1296 in
+# 50-row blocks of 25-row products, as are the fast path's kernel products
+# there.  At 2^14 and 2^16 the fast path's chunk products at scales of 256
+# and more split their columns under the cap.
 @pytest.mark.parametrize("argv", [
     ["--radices", "2,3,2,4", "--depth", "6", "--samples", "10", "--seed", "7"],
     ["--radices", "2,3", "--depth", "8", "--samples", "4", "--seed", "7"],
@@ -107,6 +110,7 @@ def _reports_under_blas_threads(tmp_path, argv, names):
     ["--radices", "10,25", "--depth", "3", "--samples", "2", "--seed", "7"],
     ["--radices", "3", "--depth", "9", "--samples", "2", "--seed", "7"],
     ["--radices", "2", "--depth", "16", "--samples", "2", "--seed", "7"],
+    ["--radices", "3,300", "--depth", "2", "--samples", "2", "--seed", "7"],
 ])
 def test_transform_report_is_independent_of_blas_threads(tmp_path, argv):
     one, two = _reports_under_blas_threads(tmp_path, ["transform", *argv], ["r.csv"])
@@ -664,9 +668,9 @@ def test_stack_beyond_physical_memory_is_exit_two(monkeypatch, capsys):
 
 
 def _transform_peak(argv):
-    """Exit code and tracemalloc peak of one transform run, no factor rows
-    or roots cached before it."""
-    transform_mod._conj_rows.cache_clear()
+    """Exit code and tracemalloc peak of one transform run, no kernels,
+    factor matrices or roots cached before it."""
+    transform_mod._chunk_kernel.cache_clear()
     transform_mod._roots.cache_clear()
     tracemalloc.start()
     try:
@@ -698,10 +702,12 @@ def test_transform_peak_is_flat_in_samples():
     assert abs(twenty - two) <= 0.05 * two
 
 
-@pytest.mark.parametrize("depth", [12, 14])
-def test_transform_builds_factor_rows_once_per_run(monkeypatch, depth):
+@pytest.mark.parametrize("depth, builds", [(12, 2 + 1), (14, 4 + 1)], ids=["12", "14"])
+def test_transform_builds_factor_rows_once_per_run(monkeypatch, depth, builds):
     # both factors of 2^12 and 2^14 are one group of 64 or 128 points, one
-    # block of rows, built once whatever the number of samples
+    # cached matrix, built once whatever the number of samples, beside the
+    # forward and inverse kernels of the fast path's chunks of 16 points
+    # (and of 4 at depth 14)
     real = transform_mod.character_rows
     calls = []
 
@@ -713,10 +719,10 @@ def test_transform_builds_factor_rows_once_per_run(monkeypatch, depth):
     counts = []
     for samples in (2, 20):
         calls.clear()
-        transform_mod._conj_rows.cache_clear()
+        transform_mod._chunk_kernel.cache_clear()
         assert run(["transform", "--depth", str(depth), "--samples", str(samples)]) == 0
         counts.append(len(calls))
-    assert counts == [1, 1]
+    assert counts == [builds, builds]
 
 
 def test_transform_kernel_beyond_physical_memory_is_exit_two(monkeypatch, capsys):
@@ -834,6 +840,26 @@ def test_step_file_long_line_is_exit_two(capsys, tmp_path, lines):
     assert err == [
         f"config error: cannot load step function {path}: a line is longer than 4095 characters"
     ]
+    assert peak < 2**20
+
+
+@pytest.mark.parametrize("kind", ["weights", "config"])
+def test_weight_and_config_long_lines_are_exit_two(capsys, tmp_path, kind):
+    # a one-line 16 MiB weights file, and a config file whose comment line
+    # holds 16 MiB, are refused after their first 4 KiB, through the step
+    # files' line reader; whole reads peaked at 32 MiB and took the config
+    path = tmp_path / "f.txt"
+    if kind == "weights":
+        path.write_text("1" + "0" * 2**24 + "\n")
+        argv = ["norms", "--fn", "dirichlet:2", "--mean", f"custom:{path}", "--mean-n", "2"]
+        want = f"error: cannot read weights from {path}: a line is longer than 4095 characters"
+    else:
+        path.write_text("#" + " " * 2**24 + "\nfn=dirichlet:2\n")
+        argv = ["norms", "--config", str(path)]
+        want = f"config error: cannot read config {path}: a line is longer than 4095 characters"
+    rc, err, peak = _refused(argv, capsys)
+    assert rc == 2
+    assert err == [want]
     assert peak < 2**20
 
 

@@ -379,6 +379,12 @@ def test_theta_atoms_on_fewer_than_three_points_are_refused(depth):
         theta_bracket(build_radix((2,), depth), 0.5, [], samples=1)
 
 
+def test_theta_bracket_with_no_points_is_refused():
+    # no sweep case and no atom leave nothing to fit C1 and C2 to
+    with pytest.raises(DegenerateInput, match="sweep case or an atom"):
+        theta_bracket(build_radix((2,), 4), 0.5, [], samples=0)
+
+
 def test_theta_bracket_deterministic():
     seq = dyadic(9)
     a = theta_bracket(seq, 0.5, [build_case(k, seq) for k in [1, 2]], samples=3, seed=7)

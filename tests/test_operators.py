@@ -117,10 +117,11 @@ def test_condition6_verdicts():
     assert condition6_advisory(power_weight(1.0), 0.5) == "violated"  # alpha = 1/p - 1
     assert condition6_advisory(power_weight(0.5), 0.5) == "satisfied"
     assert condition6_advisory(log_weight(), 0.5) == "satisfied"
-    assert condition6_advisory(log_weight(), 1.0) == "violated"
     assert condition6_advisory(custom_weight([1.0, 2.0]), 0.5) == "unknown"
-    with pytest.raises(InvalidExponent):
-        condition6_advisory(log_weight(), 0.0)
+    # the verdict is defined for 0 < p < 1, the range its callers enforce
+    for p in (0.0, 1.0):
+        with pytest.raises(InvalidExponent):
+            condition6_advisory(log_weight(), p)
     # closed weights n^alpha log(n+1)^(-beta), beta <= 0: satisfied iff alpha < 1/p - 1
     for p in (0.3, 0.5, 0.8):
         gap = 1 / p - 1

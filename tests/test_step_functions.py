@@ -8,6 +8,7 @@ from vlab.errors import InvalidExponent, ResolutionMismatch
 from vlab.group_core import build_radix
 from vlab.step_functions import (
     StepFunction,
+    check_exponent,
     conditional_average,
     hardy_quasinorm,
     load_step_function,
@@ -70,6 +71,16 @@ def test_lp_rejects_bad_exponent():
         lp_quasinorm(StepFunction(seq, np.ones(seq.size)), 0.0)
     with pytest.raises(InvalidExponent):
         weak_lp_quasinorm(StepFunction(seq, np.ones(seq.size)), -1.0)
+
+
+def test_one_exponent_validator_takes_its_range():
+    # p > 0 and finite; 0 < p < 1 for the theorems; 0 < p <= 1 for atoms
+    assert check_exponent(3) == 3.0 and check_exponent(0.5, 1.0) == 0.5
+    assert check_exponent(1, 1.0, closed=True) == 1.0
+    for p, args in ((0.0, ()), (np.inf, ()), (np.nan, ()), (1.0, (1.0,)), (-0.5, (1.0,)),
+                    (1.5, (1.0, True)), (np.nan, (1.0, True))):
+        with pytest.raises(InvalidExponent):
+            check_exponent(p, *args)
 
 
 def test_weak_lp_examples():

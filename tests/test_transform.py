@@ -285,20 +285,20 @@ def test_naive_oracle_partial_blocks(monkeypatch, block):
 
 
 def cold_calls(fs):
-    """forward_naive of each f with no factor rows cached before it."""
+    """forward_naive of each f with no factor matrix cached before it."""
     got = []
     for f in fs:
-        transform._conj_rows.cache_clear()
+        transform._chunk_kernel.cache_clear()
         got.append(forward_naive(f))
     return got
 
 
 def test_naive_oracle_batch_is_bitwise_single_calls():
     # consecutive calls, as a transform run makes them, reuse cached factor
-    # rows; each equals a call that builds them afresh, bit for bit
+    # matrices; each equals a call that builds them afresh, bit for bit
     seq = build_radix((2, 3, 2, 4, 5))
     fs = [random_function(seq, seed) for seed in range(4)]
-    transform._conj_rows.cache_clear()
+    transform._chunk_kernel.cache_clear()
     for got, cold in zip([forward_naive(f) for f in fs], cold_calls(fs)):
         assert np.array_equal(got.coeffs, cold.coeffs)
 
@@ -307,7 +307,7 @@ def test_naive_oracle_batch_is_bitwise_single_calls():
 @pytest.mark.parametrize("radices", [(2,) * 9, (2, 3, 2, 4, 5)])
 def test_naive_oracle_panels_are_bitwise_single_calls(radices):
     # 19 functions in order and reversed, which gives every function other
-    # cached rows before it, and each with none cached
+    # cached factor matrices before it, and each with none cached
     seq = build_radix(radices)
     fs = [random_function(seq, seed) for seed in range(19)]
     forwards = [forward_naive(f) for f in fs]
@@ -331,13 +331,14 @@ def test_naive_oracle_cosine_partial_blocks(monkeypatch, block):
 def counted_products(monkeypatch, call):
     """Run ``call`` with np.matmul counting each product's multiply-adds; return the counts.
 
-    A stack of products, ``a`` of shape (..., k, s) times ``b`` of (s, n),
-    counts k s n once per product in the stack."""
+    A stack of products, ``a`` of shape (..., k, s) times ``b`` of (..., s, n),
+    counts k s n once per product in the stack the two broadcast to."""
     madds = []
     matmul = np.matmul
 
     def counting_matmul(a, b, **kwargs):
-        madds.extend([a.shape[-2] * a.shape[-1] * b.shape[-1]] * math.prod(a.shape[:-2]))
+        stack = math.prod(np.broadcast_shapes(a.shape[:-2], b.shape[:-2]))
+        madds.extend([a.shape[-2] * a.shape[-1] * b.shape[-1]] * stack)
         return matmul(a, b, **kwargs)
 
     with monkeypatch.context() as patch:
@@ -348,15 +349,16 @@ def counted_products(monkeypatch, call):
 
 @pytest.mark.parametrize("radices", [(2,) * 7, (3, 5, 3)])
 def test_naive_oracle_short_products(monkeypatch, radices):
-    # A cap of M_N - 1 multiply-adds, which one row exceeds, splits every sum
-    # into spans: of 7 and 15 points for the factors of 8 and 16 points of
-    # (2,)*7, of 2 and 14 for the factors of 3 and 15 of (3,5,3).  No span
-    # divides its sum, so each sum ends on a short span.
+    # A cap of M_s - 1 multiply-adds, below the smaller factor's order, which
+    # one row's sum exceeds, splits every sum into spans: of 7 points for the
+    # factors of 8 and 16 points of (2,)*7, of 2 for the factors of 3 and 15
+    # of (3,5,3).  No span divides its sum, so each sum ends on a short span.
     seq = build_radix(radices)
     fs = [random_function(seq, seed) for seed in range(2)]
-    monkeypatch.setattr(transform, "PRODUCT_MADDS", seq.size - 1)
+    cap = max(m for m in seq.scales if m * m <= seq.size) - 1
+    monkeypatch.setattr(transform, "PRODUCT_MADDS", cap)
     got, madds = counted_products(monkeypatch, lambda: [forward_naive(f) for f in fs])
-    assert max(madds) < seq.size
+    assert max(madds) <= cap
     for cv, ref in zip(got, dense_reference(fs)):
         assert np.max(np.abs(cv.coeffs - ref)) <= 1e-12
 
@@ -389,10 +391,25 @@ def test_naive_oracle_work_is_two_factor_products(monkeypatch, radices, per_func
     assert sum(madds) == len(fs) * per_function
 
 
+def test_naive_oracle_streams_whole_products(monkeypatch):
+    # the 310-point factor of (3, 310) has more than ROW_BLOCK entries and
+    # streams in blocks of 210 rows, not the 211 that fit, two products of
+    # 105 rows each; its products, and so its bits, are those of the whole
+    # matrix, cached
+    seq = build_radix((3, 310))
+    f = random_function(seq)
+    streamed, madds = counted_products(monkeypatch, lambda: forward_naive(f))
+    monkeypatch.setattr(transform, "ROW_BLOCK", 310 * 310)
+    transform._chunk_kernel.cache_clear()
+    cached, whole = counted_products(monkeypatch, lambda: forward_naive(f))
+    assert madds == whole
+    assert streamed.coeffs.tobytes() == cached.coeffs.tobytes()
+
+
 def test_naive_oracle_keeps_groups_apart():
     # (2, 2, 4) factors into (2, 2) and (4,), (4, 2, 2) into (4,) and
-    # (2, 2): blocks of one shape on other groups, which consecutive calls
-    # must not take from each other's cached rows
+    # (2, 2): matrices of one shape on other groups, which consecutive calls
+    # must not take from each other's cache entries
     for radices in ((2, 2, 4), (4, 2, 2), (2, 2, 4)):
         f = random_function(build_radix(radices))
         ref = dense_reference([f])[0]
@@ -414,11 +431,11 @@ def test_naive_oracle_memory_is_bounded():
 
 def test_naive_oracle_batch_memory_is_bounded():
     # 100 functions at M_N = 4096 transformed one after another, as a
-    # transform run does: one function's arrays and the cached factor rows,
+    # transform run does: one function's arrays and the cached factor matrices,
     # where the batch layout held all 100 and a dense matrix took 256 MiB
     seq = build_radix((2,) * 12)
     fs = [random_function(seq, seed) for seed in range(100)]
-    transform._conj_rows.cache_clear()
+    transform._chunk_kernel.cache_clear()
     tracemalloc.start()
     try:
         for f in fs:
