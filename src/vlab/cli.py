@@ -249,7 +249,7 @@ def _transform_sample(seq: RadixSequence, child, bound: int) -> tuple[tuple, flo
     Its arrays are dropped on return, so a run holds one sample at a time."""
     rng = np.random.default_rng(child)
     f = StepFunction(seq, rng.standard_normal(seq.size) + 1j * rng.standard_normal(seq.size))
-    # the fast path first, so an oversized transform kernel is refused before the oracle runs
+    # an oversized kernel is the fast path's: the oracle's have at most 256 points
     t0 = time.perf_counter()
     ops_fast = OpCount()
     fast = forward_fast(f, ops_fast)
@@ -261,8 +261,7 @@ def _transform_sample(seq: RadixSequence, child, bound: int) -> tuple[tuple, flo
     parseval = abs(energy - float(np.sum(np.abs(fast.coeffs) ** 2))) / energy
     roundtrip = float(np.max(np.abs(inverse(fast).values - f.values)))
     ok = err <= 1e-9 and parseval <= 1e-9 and roundtrip <= 1e-9 and ops_fast.madds <= bound
-    # the definition's M_N^2 multiply-adds per transform, not the oracle's
-    # M_N (M_s + M_N / M_s)
+    # the definition's M_N^2 multiply-adds per transform, not the oracle's work
     ops_naive = seq.size * seq.size
     row = (seq.size, err, parseval, roundtrip, ops_fast.madds, ops_naive, bound,
            ops_fast.madds / ops_naive, ok)
@@ -277,7 +276,7 @@ def cmd_transform(cfg: RunConfig) -> tuple[dict[str, ExperimentReport], bool]:
     children = np.random.SeedSequence(cfg.seed).spawn(max(cfg.samples, 1))
     all_ok = True
     naive_time = fast_time = 0.0
-    # one sample at a time: the oracle's factor rows stay cached between
+    # one sample at a time: the oracle's kernel factors stay cached between
     # samples, and memory does not grow with their number
     for i in range(cfg.samples):
         row, naive_s, fast_s = _transform_sample(seq, children[i], bound)
@@ -551,12 +550,18 @@ def main(argv=None) -> int:
                 with _writing(path):
                     rep.write(path)
                 print(f"wrote {path}")
+        sys.stdout.flush()  # a closed stdout fails here, not at exit
         return 0 if ok else 1
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except VilenkinError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except BrokenPipeError:  # devnull takes what stdout still buffers, so exit flushes
+        with open(os.devnull, "wb") as null:
+            os.dup2(null.fileno(), sys.stdout.fileno())
+        print("error: standard output closed before the run ended", file=sys.stderr)
         return 2
 
 

@@ -14,16 +14,15 @@ phases k_j x_j (L / m_j), each reduced mod L, digit by digit straight from
 the linear indices, and gathers a table of the L roots in wrap mode, which
 reads each sum mod L.  ``character_rows`` gathers the complex roots;
 ``means`` gathers its blocks into the rows its partial-sum stacks share and
-scales them by the coefficients, and the naive oracle conjugates the rows
-of the two groups it factors the character matrix into.  ``vilenkin_char``
-keeps a float phase and serves as the independent scalar oracle.
+scales them by the coefficients.  ``vilenkin_char`` keeps a float phase
+and serves as the independent scalar oracle.
 
-Two transform paths are provided.  ``forward_naive`` is the oracle.  With
-s the largest rank with M_s^2 <= M_N, psi_k(x) is the product of a
-character of the low digits m_0..m_{s-1} and one of the high digits
-m_s..m_{N-1}, so the conj character matrix is the Kronecker product of
-the two groups' matrices, and the oracle applies them one after the other:
-M_N (M_s + M_N / M_s) multiply-adds per function, M_N^2 when s = 0.
+Two transform paths are provided.  ``forward_naive`` is the oracle: the
+conj character matrix is the Kronecker product of those of consecutive
+digit groups, split at the largest rank s >= 1 with M_s^2 <= M_N and
+again where a part of several digits has more than 256 points, and the
+oracle applies the factors one after another, 1/32 of M_N^2
+multiply-adds at M_N = 4096.
 ``forward_fast`` and ``inverse`` group consecutive digits into chunks of
 at most CHUNK_POINTS points, or one larger digit, and apply each chunk's
 character matrix along its axis of the values viewed in index order:
@@ -33,11 +32,11 @@ float64 view of the values.
 
 Both paths share one kernel cache and one product routine.  An oracle
 factor of at most ROW_BLOCK entries is the cached conj kernel of its
-digits, so a run that transforms one function after another builds it
-once; a larger one streams as blocks of conj rows.  ``_apply_kernel``
-splits every product to stay within PRODUCT_MADDS, but the oracle keeps
-its own layout: a factor's digits move from the fastest axis to the
-slowest, not along the chunk passes' index-order views.
+digits, built once per run; a larger one is one digit, applied by numpy's
+FFT with no BLAS product.  ``_apply_kernel`` splits every product to stay
+within PRODUCT_MADDS, but the oracle keeps its own layout: a factor's
+digits move from the fastest axis to the slowest, not along the chunk
+passes' index-order views.
 """
 
 from __future__ import annotations
@@ -50,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityExceeded, IndexOutOfRange, RankOutOfRange, ResolutionMismatch
-from .group_core import RadixSequence, build_radix, check_memory, decompose, truncate
+from .group_core import RadixSequence, build_radix, check_memory, decompose
 from .step_functions import StepFunction
 
 
@@ -97,8 +96,8 @@ def vilenkin_char(n: int, i: int, seq: RadixSequence) -> complex:
 
 # Entries of psi_k(x) built at once: 2^16 phases, rounded down to whole
 # rows k, and one row when the group is larger.  A 1 MiB block of complex
-# rows bounds the scratch of the naive oracle's factors and of the rows
-# behind the partial-sum stacks alike.
+# rows bounds the scratch of the rows behind the partial-sum stacks, and
+# the naive oracle's kernel factors are no larger: 256 points at most.
 ROW_BLOCK = 1 << 16
 
 # Multiply-adds per BLAS product of the oracle and the fast passes, 2^16 / 2.
@@ -149,28 +148,35 @@ def character_rows(seq: RadixSequence, lo: int, hi: int) -> np.ndarray:
     return np.take(_roots(period), phases, mode="wrap")
 
 
-def _conj_factor(group: RadixSequence, v: np.ndarray) -> np.ndarray:
-    """Apply the conj character matrix A of ``group`` to the M_N values ``v``.
+def _factors(radices: tuple[int, ...]):
+    """Consecutive digit groups of ``radices`` whose conj character matrices
+    are Kronecker factors of the group's: split at the largest rank s >= 1
+    with M_s^2 <= M_N, again where a part of several digits has more than
+    ROW_BLOCK entries."""
+    size = math.prod(radices)
+    s = max((r for r in range(2, len(radices)) if math.prod(radices[:r]) ** 2 <= size), default=1)
+    for part in (radices[:s], radices[s:]):
+        if len(part) > 1 and math.prod(part) ** 2 > ROW_BLOCK:
+            yield from _factors(part)
+        elif part:
+            yield part
 
-    v, viewed as X, an (M_N / m, m) array for m the order of ``group``,
-    becomes A X^T, flattened: the group's digits move from the fastest axis
-    to the slowest.  An A of at most ROW_BLOCK entries is the cached
-    :func:`_chunk_kernel`; a larger one streams as blocks of conj rows, at
-    most ROW_BLOCK entries cut at whole products of :func:`_apply_kernel`,
-    or one product, so a product's shape does not depend on the block.
+
+def _conj_factor(radices: tuple[int, ...], v: np.ndarray) -> np.ndarray:
+    """Apply the conj character matrix A of the digit group ``radices`` to the values ``v``.
+
+    v, viewed as X, an (M_N / m, m) array for m the group's order, becomes
+    A X^T, flattened: the group's digits move from the fastest axis to the
+    slowest.  An A of at most ROW_BLOCK entries is the cached
+    :func:`_chunk_kernel`; a larger one is one digit, whose conj characters
+    exp(-2 pi i k x / m) are the DFT that ``np.fft.fft`` applies.
     """
-    m, n = group.size, v.size // group.size
-    x = v.reshape(1, n, m).transpose(0, 2, 1)
-    out = np.empty((1, m, n), dtype=np.complex128)
-    if m * m <= ROW_BLOCK:
-        _apply_kernel(_chunk_kernel(group.radices, -1).astype(np.complex128, copy=False), x, out)
-        return out.reshape(v.size)
-    step = max(1, ROW_BLOCK // m)
-    step = step - step % _product_shape(m, n)[1] or step  # whole products where one fits
-    for lo in range(0, m, step):
-        block = character_rows(group, lo, min(lo + step, m))
-        np.conj(block, out=block)
-        _apply_kernel(block, x, out[:, lo : lo + step])
+    m = math.prod(radices)
+    if m * m > ROW_BLOCK:
+        return np.fft.fft(v.reshape(-1, m)).T.reshape(v.size)
+    x = v.reshape(1, -1, m).transpose(0, 2, 1)
+    out = np.empty((1, m, v.size // m), dtype=np.complex128)
+    _apply_kernel(_chunk_kernel(radices, -1).astype(np.complex128, copy=False), x, out)
     return out.reshape(v.size)
 
 
@@ -183,23 +189,15 @@ def _scaled(values: np.ndarray, size: int) -> np.ndarray:
 def forward_naive(f: StepFunction) -> CoefficientVector:
     """Coefficients of f by the definition (the oracle).
 
-    c_k = (1/M_N) sum_x f(x) conj(psi_k(x)).  With s the largest rank with
-    M_s^2 <= M_N,
-    conj(psi_k(x)) = A_lo[k mod M_s, x mod M_s] A_hi[k div M_s, x div M_s],
-    where A_lo and A_hi are the conj character matrices of the groups of
-    the digits m_0..m_{s-1} and m_s..m_{N-1}.  So with f viewed as F, an
-    (M_N / M_s, M_s) array, the coefficients are A_hi (F A_lo^T) / M_N,
-    flattened, which :func:`_conj_factor` computes in two passes; a factor
-    with no digits is the identity and is skipped.  Memory is
-    O(ROW_BLOCK + M_N).
+    c_k = (1/M_N) sum_x f(x) conj(psi_k(x)), whose conj character matrix is
+    the Kronecker product of those of the digit groups of :func:`_factors`,
+    applied one after another by :func:`_conj_factor`: M_N times the sum of
+    the kernel factors' orders of multiply-adds, O(ROW_BLOCK + M_N) memory.
     """
-    seq = f.radix_seq
-    s = max(r for r, m in enumerate(seq.scales) if m * m <= seq.size)
     data = f.values
-    for group in (truncate(seq, s), build_radix(seq.radices[s:])):
-        if group.size > 1:
-            data = _conj_factor(group, data)
-    return CoefficientVector(seq, _scaled(data, seq.size))
+    for radices in _factors(f.radix_seq.radices):
+        data = _conj_factor(radices, data)
+    return CoefficientVector(f.radix_seq, _scaled(data, f.radix_seq.size))
 
 
 # Points per chunk of digits: c <= 16 points is at most 4 times the chunk's
@@ -221,24 +219,19 @@ def _chunk_kernel(radices: tuple[int, ...], sign: int) -> np.ndarray:
     return kernel
 
 
-def _product_shape(c: int, n: int) -> tuple[int, int, int]:
-    """Columns, kernel rows and summands of one product of a c-point kernel on
-    n columns: as many columns as fit in PRODUCT_MADDS, then rows, then a span."""
+def _apply_kernel(kernel: np.ndarray, x: np.ndarray, out: np.ndarray) -> None:
+    """out[t] = kernel @ x[t] for a (c, c) kernel and (T, c, n) arrays, in products
+    within PRODUCT_MADDS: as many columns as fit, then kernel rows, then spans
+    of a row's sum, added in order.  The whole column products go to
+    ``np.matmul`` as one stack, then the short one."""
+    c, n = kernel.shape[1], x.shape[2]
     cols = min(n, max(1, PRODUCT_MADDS // (c * c)))
     rows = max(1, PRODUCT_MADDS // (c * cols))
-    return cols, rows, max(1, PRODUCT_MADDS // (rows * cols))
-
-
-def _apply_kernel(kernel: np.ndarray, x: np.ndarray, out: np.ndarray) -> None:
-    """out[t] = kernel @ x[t] for a (k, c) block of kernel rows and (T, c, n) and
-    (T, k, n) arrays, in products of :func:`_product_shape`, spans added in order.
-    The whole column products go to ``np.matmul`` as one stack, then the short one."""
-    c, n = kernel.shape[1], x.shape[2]
-    cols, rows, span = _product_shape(c, n)
+    span = max(1, PRODUCT_MADDS // (rows * cols))
     cut = n - n % cols
     for lo, hi, w in ((0, cut, cols), (cut, n, n - cut))[: 1 + (cut < n)]:
         xs, ys = (a[:, :, lo:hi].reshape(*a.shape[:2], -1, w).swapaxes(1, 2) for a in (x, out))
-        for r0 in range(0, len(kernel), rows):
+        for r0 in range(0, c, rows):
             res, k = ys[:, :, r0 : r0 + rows], kernel[r0 : r0 + rows]
             np.matmul(k[:, :span], xs[:, :, :span], out=res)
             for b0 in range(span, c, span):

@@ -92,15 +92,16 @@ def _reports_under_blas_threads(tmp_path, argv, names):
 # M_N = 288, 900, 1296, 2500 and 19683, none a multiple of OpenBLAS's inner
 # block; there the oracle's complex products would split their sums by
 # thread count if they exceeded transform.PRODUCT_MADDS (at 2500 and 19683
-# they did under a cap of 2^18).  The oracle's factors go through the fast
-# path's product rule: at M_N = 4096 dyadic each 64-point factor takes
-# products of all 64 rows on 8 columns, at 2^14 each 128-point factor of
-# 2 columns.  Factors of more than 256 points stream their rows in blocks
-# of whole products: the 300-point factor of (3,300) in 218-row complex
-# blocks of 109-row products, one column each, and one digit of 1296 in
-# 50-row blocks of 25-row products, as are the fast path's kernel products
-# there.  At 2^14 and 2^16 the fast path's chunk products at scales of 256
-# and more split their columns under the cap.
+# they did under a cap of 2^18).  The oracle's kernel factors go through
+# the fast path's product rule: at M_N = 4096 dyadic each 64-point factor
+# takes products of all 64 rows on 8 columns, at 2^14 each 128-point
+# factor of 2 columns.  At 2^17 the 512-point half is split again into
+# kernels of 16 and 32 points beside the 256-point one, whose products
+# take 128 rows of one column.  One digit of more than 256 points, the
+# 300-point digit of (3,300) and the digit of 1296, is numpy's FFT,
+# with no BLAS product; the fast path's kernel of 1296 takes 25-row
+# products.  At 2^14 and 2^16 the fast path's chunk products at scales of
+# 256 and more split their columns under the cap.
 @pytest.mark.parametrize("argv", [
     ["--radices", "2,3,2,4", "--depth", "6", "--samples", "10", "--seed", "7"],
     ["--radices", "2,3", "--depth", "8", "--samples", "4", "--seed", "7"],
@@ -111,6 +112,7 @@ def _reports_under_blas_threads(tmp_path, argv, names):
     ["--radices", "3", "--depth", "9", "--samples", "2", "--seed", "7"],
     ["--radices", "2", "--depth", "16", "--samples", "2", "--seed", "7"],
     ["--radices", "3,300", "--depth", "2", "--samples", "2", "--seed", "7"],
+    ["--radices", "2", "--depth", "17", "--samples", "1", "--seed", "7"],
 ])
 def test_transform_report_is_independent_of_blas_threads(tmp_path, argv):
     one, two = _reports_under_blas_threads(tmp_path, ["transform", *argv], ["r.csv"])
@@ -475,6 +477,28 @@ def test_failing_assertion_rows_give_exit_one(monkeypatch):
     assert run(["transform"]) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["norms", "--fn", "dirichlet:3"],
+    ["theorem-b", "--k-list", "1,2", "--theta-samples", "0"],
+], ids=["norms", "theorem-b"])
+def test_closed_stdout_is_one_line_exit_two(argv):
+    # stdout is a pipe whose read end is closed, as after `| head -c 10`
+    # exits: exit 1 is kept for a failed assertion row
+    src = Path(vlab.__file__).resolve().parents[1]
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "vlab", *argv], stdout=write_end,
+                              stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": str(src)},
+                              timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert proc.stderr.decode().splitlines() == [
+        "error: standard output closed before the run ended"
+    ]
+
+
 def test_option_and_command_tables_agree():
     import argparse
     from dataclasses import fields
@@ -685,7 +709,8 @@ def _transform_peak(argv):
 @pytest.mark.parametrize("samples", [3, 20])
 def test_group_rule_covers_the_transform_peak(depth, samples):
     # the group rule's 192 bytes per point cover what a run really holds; at
-    # depth 17 the larger factor spans four blocks, rebuilt for every sample
+    # depth 17 the 512-point half is split again into cached kernels of 16
+    # and 32 points
     rc, peak = _transform_peak(["--depth", str(depth), "--samples", str(samples)])
     assert rc == 0
     assert 192 * 2**depth >= peak

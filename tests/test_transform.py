@@ -257,11 +257,13 @@ def dense_reference(fs):
 # M_N = 675.  (2,)*9 has factors of 16 and 32 points, (4,4,4) exact
 # quarter turns.  The halves differ: (2,3,5,7) splits into 6 and 35
 # points, (3,5,3) cycled to depth 5 into 15 and 45, and (64,64) into
-# 64 and 64 with L = 64; (7,) has s = 0, one factor of every point.
+# 64 and 64 with L = 64; (7,) is one factor of every point.  The digits
+# of 257 points, alone and beside 3, are taken by FFT.
 @pytest.mark.parametrize(
     "radices",
     [(2, 3, 2, 4), (3, 5, 3, 5), (3, 5, 3, 5, 3), (2,) * 9, (4, 4, 4),
-     (2, 3, 5, 7), (7,), (64, 64), build_radix((3, 5, 3), 5).radices],
+     (2, 3, 5, 7), (7,), (64, 64), build_radix((3, 5, 3), 5).radices,
+     (257,), (3, 310)],
 )
 def test_naive_oracle_matches_dense_reference(radices):
     seq = build_radix(radices)
@@ -273,15 +275,37 @@ def test_naive_oracle_matches_dense_reference(radices):
         assert np.max(np.abs(got.coeffs - ref)) <= 1e-12
 
 
-@pytest.mark.parametrize("block", [1, 100])
-def test_naive_oracle_partial_blocks(monkeypatch, block):
-    # factor row blocks of one row each, and of 100 entries: 6-row blocks
-    # of the 15-point factor of (3,5,3) end on a 3-row block
-    seq = build_radix((3, 5, 3))
+def counted_products(monkeypatch, call):
+    """Run ``call`` with np.matmul counting each product's multiply-adds; return the counts.
+
+    A stack of products, ``a`` of shape (..., k, s) times ``b`` of (..., s, n),
+    counts k s n once per product in the stack the two broadcast to."""
+    madds = []
+    matmul = np.matmul
+
+    def counting_matmul(a, b, **kwargs):
+        stack = math.prod(np.broadcast_shapes(a.shape[:-2], b.shape[:-2]))
+        madds.extend([a.shape[-2] * a.shape[-1] * b.shape[-1]] * stack)
+        return matmul(a, b, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "matmul", counting_matmul)
+        got = call()
+    return got, madds
+
+
+# Kernels of at most ROW_BLOCK entries: at 100 the halves (3,5) and (3,11)
+# of (3,5,3,11) split again into digits, and the 11-point digit is taken
+# by FFT beside kernels of 3, 5 and 3 points; at 1 every digit is.
+@pytest.mark.parametrize("block, factor_points", [(1, 0), (100, 3 + 5 + 3)], ids=["1", "100"])
+def test_naive_oracle_partial_blocks(monkeypatch, block, factor_points):
+    seq = build_radix((3, 5, 3, 11))
     fs = [random_function(seq, seed) for seed in range(2)]
     monkeypatch.setattr(transform, "ROW_BLOCK", block)
-    for f, ref in zip(fs, dense_reference(fs)):
-        assert np.max(np.abs(forward_naive(f).coeffs - ref)) <= 1e-12
+    got, madds = counted_products(monkeypatch, lambda: [forward_naive(f) for f in fs])
+    assert sum(madds) == len(fs) * seq.size * factor_points
+    for cv, ref in zip(got, dense_reference(fs)):
+        assert np.max(np.abs(cv.coeffs - ref)) <= 1e-12
 
 
 def cold_calls(fs):
@@ -317,34 +341,18 @@ def test_naive_oracle_panels_are_bitwise_single_calls(radices):
         assert np.array_equal(got.coeffs, back.coeffs)
 
 
-@pytest.mark.parametrize("block", [1, 100])
-def test_naive_oracle_cosine_partial_blocks(monkeypatch, block):
-    # (2,)*7 has real characters: factor row blocks of one row each, and of
-    # 100 entries, where 6-row blocks of the 16-point factor end on a 4-row block
+# (2,)*7 has real characters: at 100 its 16-point half splits again into
+# kernels of 4 and 4 points beside the 8-point one; at 1 every 2-point
+# digit is taken by FFT.
+@pytest.mark.parametrize("block, factor_points", [(1, 0), (100, 8 + 4 + 4)], ids=["1", "100"])
+def test_naive_oracle_cosine_partial_blocks(monkeypatch, block, factor_points):
     seq = build_radix((2,) * 7)
     fs = [random_function(seq, seed) for seed in range(2)]
     monkeypatch.setattr(transform, "ROW_BLOCK", block)
-    for f, ref in zip(fs, dense_reference(fs)):
-        assert np.max(np.abs(forward_naive(f).coeffs - ref)) <= 1e-12
-
-
-def counted_products(monkeypatch, call):
-    """Run ``call`` with np.matmul counting each product's multiply-adds; return the counts.
-
-    A stack of products, ``a`` of shape (..., k, s) times ``b`` of (..., s, n),
-    counts k s n once per product in the stack the two broadcast to."""
-    madds = []
-    matmul = np.matmul
-
-    def counting_matmul(a, b, **kwargs):
-        stack = math.prod(np.broadcast_shapes(a.shape[:-2], b.shape[:-2]))
-        madds.extend([a.shape[-2] * a.shape[-1] * b.shape[-1]] * stack)
-        return matmul(a, b, **kwargs)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(np, "matmul", counting_matmul)
-        got = call()
-    return got, madds
+    got, madds = counted_products(monkeypatch, lambda: [forward_naive(f) for f in fs])
+    assert sum(madds) == len(fs) * seq.size * factor_points
+    for cv, ref in zip(got, dense_reference(fs)):
+        assert np.max(np.abs(cv.coeffs - ref)) <= 1e-12
 
 
 @pytest.mark.parametrize("radices", [(2,) * 7, (3, 5, 3)])
@@ -363,47 +371,18 @@ def test_naive_oracle_short_products(monkeypatch, radices):
         assert np.max(np.abs(cv.coeffs - ref)) <= 1e-12
 
 
-@pytest.mark.parametrize("radices", [(2,) * 7, (3, 5, 3)])
-def test_naive_oracle_products_stay_within_the_cap(monkeypatch, radices):
-    # One-row blocks, as for M_N > ROW_BLOCK, under a cap that a product
-    # over the whole sum of a row would exceed: OpenBLAS runs products
-    # within the cap on one thread, which keeps reports independent of the
-    # thread count.
-    seq = build_radix(radices)
-    cap = seq.size // 2
-    fs = [random_function(seq, seed) for seed in range(2)]
-    monkeypatch.setattr(transform, "ROW_BLOCK", 1)
-    monkeypatch.setattr(transform, "PRODUCT_MADDS", cap)
-    got, madds = counted_products(monkeypatch, lambda: [forward_naive(f) for f in fs])
-    assert madds and max(madds) <= cap
-    for cv, ref in zip(got, dense_reference(fs)):
-        assert np.max(np.abs(cv.coeffs - ref)) <= 1e-12
-
-
 @pytest.mark.parametrize("radices, per_function", [
     ((2,) * 12, 4096 * (64 + 64)),  # M_s = 64: 1/32 of M_N^2
-    ((7,), 7 * 7),  # s = 0: one factor, M_N^2
+    ((7,), 7 * 7),  # one factor, M_N^2
+    ((2,) * 17, 2**17 * (256 + 16 + 32)),  # the 512-point half split again
+    ((3,) * 11, 3**11 * (243 + 27 + 27)),  # the 729-point half split again
+    ((1296,), 0),  # one digit of more than 256 points, taken by FFT
 ])
-def test_naive_oracle_work_is_two_factor_products(monkeypatch, radices, per_function):
+def test_naive_oracle_work_is_factor_products(monkeypatch, radices, per_function):
     seq = build_radix(radices)
     fs = [random_function(seq, seed) for seed in range(3)]
     _, madds = counted_products(monkeypatch, lambda: [forward_naive(f) for f in fs])
     assert sum(madds) == len(fs) * per_function
-
-
-def test_naive_oracle_streams_whole_products(monkeypatch):
-    # the 310-point factor of (3, 310) has more than ROW_BLOCK entries and
-    # streams in blocks of 210 rows, not the 211 that fit, two products of
-    # 105 rows each; its products, and so its bits, are those of the whole
-    # matrix, cached
-    seq = build_radix((3, 310))
-    f = random_function(seq)
-    streamed, madds = counted_products(monkeypatch, lambda: forward_naive(f))
-    monkeypatch.setattr(transform, "ROW_BLOCK", 310 * 310)
-    transform._chunk_kernel.cache_clear()
-    cached, whole = counted_products(monkeypatch, lambda: forward_naive(f))
-    assert madds == whole
-    assert streamed.coeffs.tobytes() == cached.coeffs.tobytes()
 
 
 def test_naive_oracle_keeps_groups_apart():
@@ -447,8 +426,8 @@ def test_naive_oracle_batch_memory_is_bounded():
 
 
 def test_naive_oracle_one_digit_memory_is_bounded():
-    # s = 0: one factor of all 3000 points, whose dense matrix would take
-    # 144 MB; its rows are built in blocks of ROW_BLOCK entries
+    # one factor of all 3000 points, whose dense matrix would take 144 MB;
+    # numpy's FFT applies it in O(M_N) memory
     f = random_function(build_radix((3000,)))
     tracemalloc.start()
     try:
