@@ -32,7 +32,8 @@ class StepFunction:
             raise ResolutionMismatch(
                 f"{vals.shape[0]} values for a group with {self.radix_seq.size} cylinders"
             )
-        if not np.isfinite(vals).all():
+        # NaN propagates to the extremes: no M_N-byte mask beside the copy
+        if not np.isfinite((vals.view(np.float64).min(), vals.view(np.float64).max())).all():
             raise ValueError("step function values must be finite")
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
@@ -87,14 +88,12 @@ def conditional_average(f: StepFunction, rank: int) -> StepFunction:
 
 
 def maximal_function(f: StepFunction) -> StepFunction:
-    """f* = sup_n |E_n f| over ranks n = 0..N (real-valued).
-
-    E_n f is :func:`conditional_average` at rank n.  The maximum is kept
-    running, so one level is held at a time.
-    """
-    best = np.abs(conditional_average(f, 0).values)
-    for n in range(1, f.radix_seq.depth + 1):
-        np.maximum(best, np.abs(conditional_average(f, n).values), out=best)
+    """f* = sup_n |E_n f| over ranks n = 0..N (real-valued), E_n f :func:`conditional_average`:
+    each |E_n f|, on its M_n points, updates a running maximum through (M_N / M_n, M_n) views."""
+    best = np.zeros(f.radix_seq.size)
+    for m_n in f.radix_seq.scales:
+        view = best.reshape(-1, m_n)
+        np.maximum(view, np.abs(f.values.reshape(-1, m_n).mean(axis=0)), out=view)
     return StepFunction(f.radix_seq, best)
 
 

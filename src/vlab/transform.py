@@ -26,17 +26,16 @@ multiply-adds at M_N = 4096.
 ``forward_fast`` and ``inverse`` group consecutive digits into chunks of
 at most CHUNK_POINTS points, or one larger digit, and apply each chunk's
 character matrix along its axis of the values viewed in index order:
-M_N c multiply-adds for a chunk of c points.  Kernels come from
-``character_rows``, so dyadic ones are exactly +-1 and multiply the
-float64 view of the values.
+M_N c multiply-adds for a chunk of c points.  The first chunk's digits
+vary fastest, so its kernel right-multiplies rows of c values where one
+row fits the cap.  Kernels come from ``character_rows``: dyadic ones are
+exactly +-1 and multiply the float64 view, as K (x) I_2 on rows.
 
-Both paths share one kernel cache and one product routine.  An oracle
-factor of at most ROW_BLOCK entries is the cached conj kernel of its
-digits, built once per run; a larger one is one digit, applied by numpy's
-FFT with no BLAS product.  ``_apply_kernel`` splits every product to stay
-within PRODUCT_MADDS, but the oracle keeps its own layout: a factor's
-digits move from the fastest axis to the slowest, not along the chunk
-passes' index-order views.
+Both paths share one kernel cache and one product routine, each product
+within PRODUCT_MADDS.  An oracle factor of at most ROW_BLOCK entries is
+the cached conj kernel of its digits; a larger one is one digit, taken
+by numpy's FFT with no BLAS product.  The oracle keeps its own layout:
+a factor's digits move from the fastest axis to the slowest.
 """
 
 from __future__ import annotations
@@ -76,7 +75,8 @@ class CoefficientVector:
             raise ResolutionMismatch(
                 f"{vals.shape[0]} coefficients for a group of size {self.radix_seq.size}"
             )
-        if not np.isfinite(vals).all():
+        # NaN propagates to the extremes: no M_N-byte mask beside the copy
+        if not np.isfinite((vals.view(np.float64).min(), vals.view(np.float64).max())).all():
             raise ValueError("coefficients must be finite")
         vals.flags.writeable = False
         object.__setattr__(self, "coeffs", vals)
@@ -206,27 +206,36 @@ CHUNK_POINTS = 16
 
 
 @functools.lru_cache(maxsize=64)
-def _chunk_kernel(radices: tuple[int, ...], sign: int) -> np.ndarray:
+def _chunk_kernel(radices: tuple[int, ...], sign: int, right: bool = False) -> np.ndarray:
     """Read-only psi_a(b) on the group ``radices``, conjugated for sign < 0, float64
-    where real; its build, below 40 c^2 bytes for c points, is checked first."""
-    c = math.prod(radices)
-    check_memory(40 * c * c, f"transform kernel of {c} points")
-    kernel = character_rows(build_radix(radices), 0, c)
-    if sign < 0:
-        np.conj(kernel, out=kernel)
-    kernel = kernel if kernel.imag.any() else kernel.real.copy()
+    where real; its build, below 40 c^2 bytes for c points, is checked first.  As
+    psi_a(b) = psi_b(a), ``right`` gives it for rows, or K (x) I_2 on Re, Im pairs."""
+    if right:
+        kernel = _chunk_kernel(radices, sign)
+        kernel = kernel if kernel.dtype == np.complex128 else np.kron(kernel, np.eye(2))
+    else:
+        c = math.prod(radices)
+        check_memory(40 * c * c, f"transform kernel of {c} points")
+        kernel = character_rows(build_radix(radices), 0, c)
+        if sign < 0:
+            np.conj(kernel, out=kernel)
+        kernel = kernel if kernel.imag.any() else kernel.real.copy()
     kernel.flags.writeable = False
     return kernel
 
 
 def _apply_kernel(kernel: np.ndarray, x: np.ndarray, out: np.ndarray) -> None:
     """out[t] = kernel @ x[t] for a (c, c) kernel and (T, c, n) arrays, in products
-    within PRODUCT_MADDS: as many columns as fit, then kernel rows, then spans
-    of a row's sum, added in order.  The whole column products go to
-    ``np.matmul`` as one stack, then the short one."""
+    within PRODUCT_MADDS: as many columns as fit, or all n if more kernel rows fit
+    over them, then kernel rows, then spans of a row's sum, added in order.
+    Whole column products are one ``np.matmul`` stack, then the short one."""
     c, n = kernel.shape[1], x.shape[2]
     cols = min(n, max(1, PRODUCT_MADDS // (c * c)))
+    cols = n if cols < min(c, PRODUCT_MADDS // (c * n)) else cols
     rows = max(1, PRODUCT_MADDS // (c * cols))
+    if cols == n and rows >= len(kernel):
+        np.matmul(kernel, x, out=out)
+        return
     span = max(1, PRODUCT_MADDS // (rows * cols))
     cut = n - n % cols
     for lo, hi, w in ((0, cut, cols), (cut, n, n - cut))[: 1 + (cut < n)]:
@@ -238,17 +247,30 @@ def _apply_kernel(kernel: np.ndarray, x: np.ndarray, out: np.ndarray) -> None:
                 res += np.matmul(k[:, b0 : b0 + span], xs[:, :, b0 : b0 + span])
 
 
+def _apply_rows(op: np.ndarray, x: np.ndarray, out: np.ndarray) -> None:
+    """out = x @ op on (T, w) rows: blocks within PRODUCT_MADDS in one stack, then the short one."""
+    (n, w), step = x.shape, PRODUCT_MADDS // op.size
+    cut = n - n % step
+    for lo, hi, k in ((0, cut, step), (cut, n, n - cut))[(cut == 0) : 1 + (cut < n)]:
+        np.matmul(x[lo:hi].reshape(-1, k, w), op, out=out[lo:hi].reshape(-1, k, w))
+
+
 def _axis_passes(flat: np.ndarray, seq: RadixSequence, sign: int, ops: OpCount):
-    """Apply each chunk's kernel along its digits, counting M_N c per chunk of c points."""
+    """Apply each chunk's kernel along its digits, counting M_N c per chunk of c points:
+    the first chunk's (digit 0 varies fastest) right-multiplies rows of w values while
+    w^2 fits the cap, others take (M_N / (M_j c), c, n) views, Re and Im as 2 columns."""
     start = 0
     for j in range(seq.depth):
         if j + 1 < seq.depth and seq.scales[j + 2] // seq.scales[start] <= CHUNK_POINTS:
             continue  # digit j + 1 joins the chunk of digits start..j
         kernel = _chunk_kernel(seq.radices[start : j + 1], sign)
         out = np.empty_like(flat)
-        # (M_N / (M_j c), c, n) views; a float64 kernel takes Re and Im as columns
-        shape = (seq.size // seq.scales[j + 1], len(kernel), -1)
-        _apply_kernel(kernel, *(a.view(kernel.dtype).reshape(shape) for a in (flat, out)))
+        op = _chunk_kernel(seq.radices[: j + 1], sign, True) if start == 0 else kernel
+        if start == 0 and op.size <= PRODUCT_MADDS:  # w^2 multiply-adds per row
+            _apply_rows(op, *(a.view(op.dtype).reshape(-1, len(op)) for a in (flat, out)))
+        else:
+            shape = (seq.size // seq.scales[j + 1], len(kernel), -1)
+            _apply_kernel(kernel, *(a.view(kernel.dtype).reshape(shape) for a in (flat, out)))
         flat, start = out, j + 1
         ops.add(seq.size * len(kernel))
     return flat

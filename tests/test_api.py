@@ -22,7 +22,7 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "vlab"
 
 # Reference implementations with no caller outside the tests, on purpose.
-REFERENCES = {"partial_sum", "vilenkin_char"}
+REFERENCES = {"conditional_average", "partial_sum", "vilenkin_char"}
 
 
 def _trees(*dirs):

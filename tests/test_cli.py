@@ -93,15 +93,19 @@ def _reports_under_blas_threads(tmp_path, argv, names):
 # block; there the oracle's complex products would split their sums by
 # thread count if they exceeded transform.PRODUCT_MADDS (at 2500 and 19683
 # they did under a cap of 2^18).  The oracle's kernel factors go through
-# the fast path's product rule: at M_N = 4096 dyadic each 64-point factor
-# takes products of all 64 rows on 8 columns, at 2^14 each 128-point
-# factor of 2 columns.  At 2^17 the 512-point half is split again into
-# kernels of 16 and 32 points beside the 256-point one, whose products
-# take 128 rows of one column.  One digit of more than 256 points, the
-# 300-point digit of (3,300) and the digit of 1296, is numpy's FFT,
-# with no BLAS product; the fast path's kernel of 1296 takes 25-row
-# products.  At 2^14 and 2^16 the fast path's chunk products at scales of
-# 256 and more split their columns under the cap.
+# the fast path's left-hand product rule: at M_N = 4096 dyadic each
+# 64-point factor takes products of all 64 rows on 8 columns, at 2^14
+# each 128-point factor of 2 columns.  At 2^17 the 512-point half is
+# split again into kernels of 16 and 32 points beside the 256-point one,
+# whose products take 128 rows of one column.  The 250-point factor of
+# (10,25,10) takes 13 kernel rows over all 10 columns.  One digit of
+# more than 256 points, the 300-point digit of (3,300) and the digit of
+# 1296, is numpy's FFT, with no BLAS product; the fast path's kernel of
+# 1296 takes 25-row products from the left.  The fast path's first chunk
+# is applied from the right, in stacked products of rows: 32 rows of 32
+# floats on dyadic groups (K (x) I_2 of the 16-point kernel), up to 227
+# rows of 12 values on (2,3,2).  At 2^14 and 2^16 its later chunk products at
+# scales of 256 and more split their columns under the cap.
 @pytest.mark.parametrize("argv", [
     ["--radices", "2,3,2,4", "--depth", "6", "--samples", "10", "--seed", "7"],
     ["--radices", "2,3", "--depth", "8", "--samples", "4", "--seed", "7"],

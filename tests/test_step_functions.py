@@ -191,14 +191,16 @@ def test_maximal_dominates_every_level():
 
 
 def test_maximal_function_is_max_over_stacked_levels():
-    # the running maximum is exact: equal to the max over all levels at once
-    seq = build_radix((2, 3, 2, 4))
-    f = random_function(seq, 17)
-    levels = np.stack(
-        [np.abs(conditional_average(f, n).values) for n in range(seq.depth + 1)]
-    )
-    fstar = maximal_function(f)
-    assert np.array_equal(fstar.values, levels.max(axis=0).astype(np.complex128))
+    # the running maximum is exact: equal to the max over all full-width
+    # levels at once
+    for radices in ((2, 3, 2, 4), (2, 3) * 4, (1296,)):
+        seq = build_radix(radices)
+        f = random_function(seq, 17)
+        levels = np.stack(
+            [np.abs(conditional_average(f, n).values) for n in range(seq.depth + 1)]
+        )
+        fstar = maximal_function(f)
+        assert np.array_equal(fstar.values, levels.max(axis=0).astype(np.complex128))
 
 
 def test_maximal_agrees_with_averaging_form():

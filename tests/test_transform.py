@@ -275,23 +275,51 @@ def test_naive_oracle_matches_dense_reference(radices):
         assert np.max(np.abs(got.coeffs - ref)) <= 1e-12
 
 
+def scalar_characters(seq):
+    """(M_N, M_N) matrix of psi_k(x) from the scalar oracle ``vilenkin_char``, whose
+    float phases share no code with the integer phases of ``character_rows``."""
+    assert seq.size <= 300
+    return np.array([[vilenkin_char(k, x, seq) for x in range(seq.size)] for k in range(seq.size)])
+
+
+# The first chunk of (2,)*8 is real and that of (2,3,2,4) complex, both
+# applied from the right; the digit of 257 points passes the right-hand
+# cap, and the oracle takes it by FFT.  fftn shares that FFT with the
+# oracle, so only the scalar characters check its arithmetic.
+@pytest.mark.parametrize(
+    "radices", [(2,) * 8, (2, 3, 2, 4), (257,), (3, 5, 3, 5), (7,)],
+    ids=["2x8", "2-3-2-4", "257", "3-5-3-5", "7"],
+)
+def test_transforms_match_scalar_characters(radices):
+    seq = build_radix(radices)
+    chars = scalar_characters(seq)
+    for seed in range(2):
+        f = random_function(seq, seed)
+        want = chars.conj() @ f.values / seq.size
+        for got in (forward_fast(f), forward_naive(f)):
+            assert np.max(np.abs(got.coeffs - want)) <= 1e-12
+        cv = CoefficientVector(seq, f.values)
+        assert np.max(np.abs(inverse(cv).values - cv.coeffs @ chars)) <= 1e-10
+
+
 def counted_products(monkeypatch, call):
-    """Run ``call`` with np.matmul counting each product's multiply-adds; return the counts.
+    """Run ``call`` with np.matmul recording each product; return its result and
+    the (k, s, n) of each product, whose multiply-adds are k s n.
 
     A stack of products, ``a`` of shape (..., k, s) times ``b`` of (..., s, n),
-    counts k s n once per product in the stack the two broadcast to."""
-    madds = []
+    records (k, s, n) once per product in the stack the two broadcast to."""
+    products = []
     matmul = np.matmul
 
     def counting_matmul(a, b, **kwargs):
         stack = math.prod(np.broadcast_shapes(a.shape[:-2], b.shape[:-2]))
-        madds.extend([a.shape[-2] * a.shape[-1] * b.shape[-1]] * stack)
+        products.extend([(a.shape[-2], a.shape[-1], b.shape[-1])] * stack)
         return matmul(a, b, **kwargs)
 
     with monkeypatch.context() as patch:
         patch.setattr(np, "matmul", counting_matmul)
         got = call()
-    return got, madds
+    return got, products
 
 
 # Kernels of at most ROW_BLOCK entries: at 100 the halves (3,5) and (3,11)
@@ -302,8 +330,8 @@ def test_naive_oracle_partial_blocks(monkeypatch, block, factor_points):
     seq = build_radix((3, 5, 3, 11))
     fs = [random_function(seq, seed) for seed in range(2)]
     monkeypatch.setattr(transform, "ROW_BLOCK", block)
-    got, madds = counted_products(monkeypatch, lambda: [forward_naive(f) for f in fs])
-    assert sum(madds) == len(fs) * seq.size * factor_points
+    got, products = counted_products(monkeypatch, lambda: [forward_naive(f) for f in fs])
+    assert sum(map(math.prod, products)) == len(fs) * seq.size * factor_points
     for cv, ref in zip(got, dense_reference(fs)):
         assert np.max(np.abs(cv.coeffs - ref)) <= 1e-12
 
@@ -349,8 +377,8 @@ def test_naive_oracle_cosine_partial_blocks(monkeypatch, block, factor_points):
     seq = build_radix((2,) * 7)
     fs = [random_function(seq, seed) for seed in range(2)]
     monkeypatch.setattr(transform, "ROW_BLOCK", block)
-    got, madds = counted_products(monkeypatch, lambda: [forward_naive(f) for f in fs])
-    assert sum(madds) == len(fs) * seq.size * factor_points
+    got, products = counted_products(monkeypatch, lambda: [forward_naive(f) for f in fs])
+    assert sum(map(math.prod, products)) == len(fs) * seq.size * factor_points
     for cv, ref in zip(got, dense_reference(fs)):
         assert np.max(np.abs(cv.coeffs - ref)) <= 1e-12
 
@@ -365,8 +393,8 @@ def test_naive_oracle_short_products(monkeypatch, radices):
     fs = [random_function(seq, seed) for seed in range(2)]
     cap = max(m for m in seq.scales if m * m <= seq.size) - 1
     monkeypatch.setattr(transform, "PRODUCT_MADDS", cap)
-    got, madds = counted_products(monkeypatch, lambda: [forward_naive(f) for f in fs])
-    assert max(madds) <= cap
+    got, products = counted_products(monkeypatch, lambda: [forward_naive(f) for f in fs])
+    assert max(map(math.prod, products)) <= cap
     for cv, ref in zip(got, dense_reference(fs)):
         assert np.max(np.abs(cv.coeffs - ref)) <= 1e-12
 
@@ -381,8 +409,17 @@ def test_naive_oracle_short_products(monkeypatch, radices):
 def test_naive_oracle_work_is_factor_products(monkeypatch, radices, per_function):
     seq = build_radix(radices)
     fs = [random_function(seq, seed) for seed in range(3)]
-    _, madds = counted_products(monkeypatch, lambda: [forward_naive(f) for f in fs])
-    assert sum(madds) == len(fs) * per_function
+    _, products = counted_products(monkeypatch, lambda: [forward_naive(f) for f in fs])
+    assert sum(map(math.prod, products)) == len(fs) * per_function
+
+
+def test_naive_oracle_takes_kernel_rows_over_all_columns(monkeypatch):
+    # the 125-point factor of (5,)*5 has 25 columns: columns first would take
+    # 2 at a time (2^15 // 125^2), kernel rows over all columns take 10 rows,
+    # the wider product; the 25-point factor keeps its column products
+    f = random_function(build_radix((5,), 5))
+    _, products = counted_products(monkeypatch, lambda: forward_naive(f))
+    assert products == [(25, 25, 52)] * 2 + [(25, 25, 21)] + [(10, 125, 25)] * 12 + [(5, 125, 25)]
 
 
 def test_naive_oracle_keeps_groups_apart():
@@ -443,20 +480,34 @@ def test_naive_oracle_one_digit_memory_is_bounded():
 # cap of 7 splits the 15-point kernel rows of (3,5,3) into sums of 7, 7 and
 # 1 terms, a cap of 300 takes the 250-point digit of (2,3,2,250) one
 # kernel row and one column at a time, and a cap of 5000 the 32 columns at
-# scale 16 of (2,)*9 as a product of 19 and a short one of 13.
+# scale 16 of (2,)*9 as a product of 19 and a short one of 13.  The first
+# chunk of (2,)*9 takes its 32 rows of 32 floats from the right, 4 at a
+# time under 5000, in 6 products of 5 and a short one of 2 under 5120, and
+# from the left under 1000, below the 1024 multiply-adds of one row.
 @pytest.mark.parametrize("radices, cap", [
     ((2,) * 16, transform.PRODUCT_MADDS), ((1296,), transform.PRODUCT_MADDS),
-    ((3, 5, 3), 7), ((2, 3, 2, 250), 300), ((2,) * 9, 5000),
+    ((3, 5, 3), 7), ((2, 3, 2, 250), 300), ((2,) * 9, 5000), ((2,) * 9, 5120),
+    ((2,) * 9, 1000),
 ])
 def test_fast_products_stay_within_the_cap(monkeypatch, radices, cap):
     seq = build_radix(radices)
     f = random_function(seq)
     monkeypatch.setattr(transform, "PRODUCT_MADDS", cap)
-    (fast, back), madds = counted_products(
+    (fast, back), products = counted_products(
         monkeypatch, lambda: (forward_fast(f), inverse(forward_fast(f))))
-    assert madds and max(madds) <= cap
+    assert products and max(map(math.prod, products)) <= cap
     assert np.max(np.abs(fast.coeffs - forward_naive(f).coeffs)) <= 1e-12
     assert np.max(np.abs(back.values - f.values)) <= 1e-12
+
+
+def test_fast_first_chunk_takes_row_products(monkeypatch):
+    # (2,)*12 in chunks of 16 points: the first chunk's 256 rows of 32 floats
+    # in 8 products of 32 rows, where the kernel on the left made 256;
+    # then 16 and 4 column products
+    f = random_function(build_radix((2,) * 12))
+    _, products = counted_products(monkeypatch, lambda: inverse(forward_fast(f)))
+    assert len(products) <= 2 * (8 + 16 + 4)
+    assert max(map(math.prod, products)) <= transform.PRODUCT_MADDS
 
 
 def test_inverse_of_unit_vector_is_character():
