@@ -54,9 +54,9 @@ from .transform import (
     OpCount,
     dirichlet_kernel,
     fast_op_bound,
-    forward_fast,
-    forward_naive,
-    inverse,
+    forward_fast_block,
+    forward_naive_block,
+    inverse_block,
 )
 
 ATOM_COLUMNS = ["sample_id", "p", "weight", "nmax", "hardy_norm", "maximal_lp", "ratio"]
@@ -186,7 +186,7 @@ def _fitting(seq: RadixSequence) -> RadixSequence:
     """``seq``, refused before any array on it if 192 bytes per point exceed
     physical memory: above the largest tracemalloc peak per point of a
     command at its default sample count (theorem-b, 143-145 B at depths
-    16-18; transform, 81-130 B at depths 12-18 with 3 or 20 samples)."""
+    16-18; transform, 64-170 B at depths 12-18 with 3 or 20 samples)."""
     check_memory(192 * seq.size, f"a group of M_N={seq.size}")
     return seq
 
@@ -243,29 +243,9 @@ def _sibling(path: str, tag: str) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _transform_sample(seq: RadixSequence, child, bound: int) -> tuple[tuple, float, float]:
-    """Draw one function from the seed ``child`` and check its transforms: its
-    report fields after sample_id, and the oracle's and fast path's seconds.
-    Its arrays are dropped on return, so a run holds one sample at a time."""
-    rng = np.random.default_rng(child)
-    f = StepFunction(seq, rng.standard_normal(seq.size) + 1j * rng.standard_normal(seq.size))
-    # an oversized kernel is the fast path's: the oracle's have at most 256 points
-    t0 = time.perf_counter()
-    ops_fast = OpCount()
-    fast = forward_fast(f, ops_fast)
-    t1 = time.perf_counter()
-    naive = forward_naive(f)
-    t2 = time.perf_counter()
-    err = float(np.max(np.abs(fast.coeffs - naive.coeffs)))
-    energy = float(np.sum(np.abs(f.values) ** 2)) / seq.size
-    parseval = abs(energy - float(np.sum(np.abs(fast.coeffs) ** 2))) / energy
-    roundtrip = float(np.max(np.abs(inverse(fast).values - f.values)))
-    ok = err <= 1e-9 and parseval <= 1e-9 and roundtrip <= 1e-9 and ops_fast.madds <= bound
-    # the definition's M_N^2 multiply-adds per transform, not the oracle's work
-    ops_naive = seq.size * seq.size
-    row = (seq.size, err, parseval, roundtrip, ops_fast.madds, ops_naive, bound,
-           ops_fast.madds / ops_naive, ok)
-    return row, t2 - t1, t1 - t0
+# Points of a block of transform samples: B = max(1, TRANSFORM_POINTS // M_N),
+# 2 at the default 4096 points and 1 from 8192 up, where it holds one sample
+TRANSFORM_POINTS = 1 << 13
 
 
 def cmd_transform(cfg: RunConfig) -> tuple[dict[str, ExperimentReport], bool]:
@@ -273,17 +253,46 @@ def cmd_transform(cfg: RunConfig) -> tuple[dict[str, ExperimentReport], bool]:
     report = ExperimentReport(columns=list(TRANSFORM_COLUMNS))
     _echo_config(report, cfg, "transform")
     bound = fast_op_bound(seq)
-    children = np.random.SeedSequence(cfg.seed).spawn(max(cfg.samples, 1))
+    # the definition's M_N^2 multiply-adds per transform, not the oracle's work
+    ops_naive = seq.size * seq.size
+    children = np.random.SeedSequence(cfg.seed).spawn(cfg.samples)
+    size = max(1, TRANSFORM_POINTS // seq.size)
     all_ok = True
     naive_time = fast_time = 0.0
-    # one sample at a time: the oracle's kernel factors stay cached between
-    # samples, and memory does not grow with their number
-    for i in range(cfg.samples):
-        row, naive_s, fast_s = _transform_sample(seq, children[i], bound)
-        report.add_row(i, *row)
-        all_ok = all_ok and row[-1]
-        naive_time += naive_s
-        fast_time += fast_s
+    # one block at a time: the oracle's kernel factors stay cached between
+    # blocks, and memory does not grow with the number of samples
+    for lo in range(0, cfg.samples, size):
+        block = children[lo : lo + size]
+        values = np.empty((len(block), seq.size), dtype=np.complex128)
+        for row, child in zip(values, block):  # each sample from its own seed
+            rng = np.random.default_rng(child)
+            row.real, row.imag = rng.standard_normal(seq.size), rng.standard_normal(seq.size)
+        if not np.isfinite(values).all():
+            raise ValueError("transform samples must be finite")
+        # an oversized kernel is the fast path's: the oracle's have at most 256 points
+        t0 = time.perf_counter()
+        ops = OpCount()
+        fast = forward_fast_block(values, seq, ops)
+        t1 = time.perf_counter()
+        naive = forward_naive_block(values, seq)
+        t2 = time.perf_counter()
+        naive_time, fast_time = naive_time + t2 - t1, fast_time + t1 - t0
+        # axis-1 reductions give each row's own bits; differences are taken in
+        # place, |a - b| = |b - a|, so a block holds at most four arrays of its size
+        naive -= fast
+        err = np.max(np.abs(naive), axis=1)
+        del naive
+        energy = np.sum(np.abs(values) ** 2, axis=1) / seq.size
+        parseval = np.abs(energy - np.sum(np.abs(fast) ** 2, axis=1)) / energy
+        back = inverse_block(fast, seq)  # fast itself at depth 0, not read again
+        back -= values
+        roundtrip = np.max(np.abs(back), axis=1)
+        ops_fast = ops.madds // len(block)
+        for i, errs in enumerate(zip(err.tolist(), parseval.tolist(), roundtrip.tolist()), lo):
+            ok = all(e <= 1e-9 for e in errs) and ops_fast <= bound
+            report.add_row(i, seq.size, *errs, ops_fast, ops_naive, bound, ops_fast / ops_naive, ok)
+            all_ok = all_ok and ok
+        del values, row, fast, back  # before the next block's arrays
     if cfg.samples:
         print(
             f"timing (console only): fast {1e3 * fast_time / cfg.samples:.3f} ms, "

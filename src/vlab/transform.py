@@ -36,6 +36,9 @@ within PRODUCT_MADDS.  An oracle factor of at most ROW_BLOCK entries is
 the cached conj kernel of its digits; a larger one is one digit, taken
 by numpy's FFT with no BLAS product.  The oracle keeps its own layout:
 a factor's digits move from the fastest axis to the slowest.
+
+Both paths take a (B, M_N) block of B functions, each product in its
+one-row shape, so rows keep their bits; the object API is a block of one.
 """
 
 from __future__ import annotations
@@ -163,21 +166,21 @@ def _factors(radices: tuple[int, ...]):
 
 
 def _conj_factor(radices: tuple[int, ...], v: np.ndarray) -> np.ndarray:
-    """Apply the conj character matrix A of the digit group ``radices`` to the values ``v``.
+    """Apply the conj character matrix A of the digit group ``radices`` to each row of ``v``.
 
-    v, viewed as X, an (M_N / m, m) array for m the group's order, becomes
-    A X^T, flattened: the group's digits move from the fastest axis to the
-    slowest.  An A of at most ROW_BLOCK entries is the cached
-    :func:`_chunk_kernel`; a larger one is one digit, whose conj characters
-    exp(-2 pi i k x / m) are the DFT that ``np.fft.fft`` applies.
+    A row of the (B, M_N) block ``v``, viewed as X, an (M_N / m, m) array for m
+    the group's order, becomes A X^T, flattened: the group's digits move from
+    the fastest axis to the slowest.  An A of at most ROW_BLOCK entries is the
+    cached complex :func:`_chunk_kernel`; a larger one is one digit, whose conj
+    characters exp(-2 pi i k x / m) are the DFT that ``np.fft.fft`` applies.
     """
     m = math.prod(radices)
+    x = v.reshape(len(v), -1, m)
     if m * m > ROW_BLOCK:
-        return np.fft.fft(v.reshape(-1, m)).T.reshape(v.size)
-    x = v.reshape(1, -1, m).transpose(0, 2, 1)
-    out = np.empty((1, m, v.size // m), dtype=np.complex128)
-    _apply_kernel(_chunk_kernel(radices, -1).astype(np.complex128, copy=False), x, out)
-    return out.reshape(v.size)
+        return np.fft.fft(x).transpose(0, 2, 1).reshape(v.shape)
+    out = np.empty((len(v), m, x.shape[1]), dtype=np.complex128)
+    _apply_kernel(_chunk_kernel(radices, -1, "complex"), x.transpose(0, 2, 1), out)
+    return out.reshape(v.shape)
 
 
 def _scaled(values: np.ndarray, size: int) -> np.ndarray:
@@ -186,18 +189,22 @@ def _scaled(values: np.ndarray, size: int) -> np.ndarray:
     return (values.view(np.float64) * (1.0 / size)).view(np.complex128)
 
 
-def forward_naive(f: StepFunction) -> CoefficientVector:
-    """Coefficients of f by the definition (the oracle).
+def forward_naive_block(values: np.ndarray, seq: RadixSequence) -> np.ndarray:
+    """Coefficients of each row of the (B, M_N) block ``values`` by the definition (the oracle).
 
     c_k = (1/M_N) sum_x f(x) conj(psi_k(x)), whose conj character matrix is
     the Kronecker product of those of the digit groups of :func:`_factors`,
     applied one after another by :func:`_conj_factor`: M_N times the sum of
-    the kernel factors' orders of multiply-adds, O(ROW_BLOCK + M_N) memory.
+    the kernel factors' orders of multiply-adds, O(ROW_BLOCK + B M_N) memory.
     """
-    data = f.values
-    for radices in _factors(f.radix_seq.radices):
-        data = _conj_factor(radices, data)
-    return CoefficientVector(f.radix_seq, _scaled(data, f.radix_seq.size))
+    for radices in _factors(seq.radices):
+        values = _conj_factor(radices, values)
+    return _scaled(values, seq.size)
+
+
+def forward_naive(f: StepFunction) -> CoefficientVector:
+    """Coefficients of f by the definition (the oracle): a block of one."""
+    return CoefficientVector(f.radix_seq, forward_naive_block(f.values[None], f.radix_seq))
 
 
 # Points per chunk of digits: c <= 16 points is at most 4 times the chunk's
@@ -206,13 +213,14 @@ CHUNK_POINTS = 16
 
 
 @functools.lru_cache(maxsize=64)
-def _chunk_kernel(radices: tuple[int, ...], sign: int, right: bool = False) -> np.ndarray:
-    """Read-only psi_a(b) on the group ``radices``, conjugated for sign < 0, float64
-    where real; its build, below 40 c^2 bytes for c points, is checked first.  As
-    psi_a(b) = psi_b(a), ``right`` gives it for rows, or K (x) I_2 on Re, Im pairs."""
-    if right:
+def _chunk_kernel(radices: tuple[int, ...], sign: int, form: str = "") -> np.ndarray:
+    """Read-only psi_a(b) on the group ``radices``, conjugated for sign < 0, float64 where
+    real unless form is "complex"; its build, below 40 c^2 bytes for c points, is checked
+    first.  As psi_a(b) = psi_b(a), form "right" gives it for rows, or K (x) I_2 on Re, Im pairs."""
+    if form:
         kernel = _chunk_kernel(radices, sign)
-        kernel = kernel if kernel.dtype == np.complex128 else np.kron(kernel, np.eye(2))
+        if kernel.dtype != np.complex128:
+            kernel = np.kron(kernel, np.eye(2)) if form == "right" else kernel.astype(np.complex128)
     else:
         c = math.prod(radices)
         check_memory(40 * c * c, f"transform kernel of {c} points")
@@ -248,46 +256,56 @@ def _apply_kernel(kernel: np.ndarray, x: np.ndarray, out: np.ndarray) -> None:
 
 
 def _apply_rows(op: np.ndarray, x: np.ndarray, out: np.ndarray) -> None:
-    """out = x @ op on (T, w) rows: blocks within PRODUCT_MADDS in one stack, then the short one."""
-    (n, w), step = x.shape, PRODUCT_MADDS // op.size
+    """out = x @ op on (B, T, w) rows, per function in PRODUCT_MADDS blocks and a short one."""
+    (b, n, w), step = x.shape, PRODUCT_MADDS // op.size
     cut = n - n % step
     for lo, hi, k in ((0, cut, step), (cut, n, n - cut))[(cut == 0) : 1 + (cut < n)]:
-        np.matmul(x[lo:hi].reshape(-1, k, w), op, out=out[lo:hi].reshape(-1, k, w))
+        np.matmul(x[:, lo:hi].reshape(b, -1, k, w), op, out=out[:, lo:hi].reshape(b, -1, k, w))
 
 
 def _axis_passes(flat: np.ndarray, seq: RadixSequence, sign: int, ops: OpCount):
-    """Apply each chunk's kernel along its digits, counting M_N c per chunk of c points:
-    the first chunk's (digit 0 varies fastest) right-multiplies rows of w values while
-    w^2 fits the cap, others take (M_N / (M_j c), c, n) views, Re and Im as 2 columns."""
+    """Apply each chunk's kernel along its digits to each row of the (B, M_N) block, counting
+    B M_N c per chunk of c points: the first chunk's (digit 0 varies fastest) right-multiplies
+    rows of w values while w^2 fits the cap, others take (B M_N / (M_j c), c, n) views, Re and
+    Im as 2 columns."""
     start = 0
     for j in range(seq.depth):
         if j + 1 < seq.depth and seq.scales[j + 2] // seq.scales[start] <= CHUNK_POINTS:
             continue  # digit j + 1 joins the chunk of digits start..j
         kernel = _chunk_kernel(seq.radices[start : j + 1], sign)
         out = np.empty_like(flat)
-        op = _chunk_kernel(seq.radices[: j + 1], sign, True) if start == 0 else kernel
+        op = _chunk_kernel(seq.radices[: j + 1], sign, "right") if start == 0 else kernel
         if start == 0 and op.size <= PRODUCT_MADDS:  # w^2 multiply-adds per row
-            _apply_rows(op, *(a.view(op.dtype).reshape(-1, len(op)) for a in (flat, out)))
+            _apply_rows(op, *(a.view(op.dtype).reshape(len(a), -1, len(op)) for a in (flat, out)))
         else:
-            shape = (seq.size // seq.scales[j + 1], len(kernel), -1)
+            shape = (flat.size // seq.scales[j + 1], len(kernel), -1)
             _apply_kernel(kernel, *(a.view(kernel.dtype).reshape(shape) for a in (flat, out)))
         flat, start = out, j + 1
-        ops.add(seq.size * len(kernel))
+        ops.add(flat.size * len(kernel))
     return flat
 
 
+def forward_fast_block(values: np.ndarray, seq: RadixSequence, ops: OpCount) -> np.ndarray:
+    """Coefficients of each row of the C-contiguous complex (B, M_N) block ``values`` via
+    the chunk kernels' passes; ``ops`` counts the multiply-adds of all B rows."""
+    ops.add(values.size)
+    return _scaled(_axis_passes(values, seq, -1, ops), seq.size)
+
+
+def inverse_block(coeffs: np.ndarray, seq: RadixSequence) -> np.ndarray:
+    """Unnormalized synthesis of each row of the C-contiguous complex (B, M_N) ``coeffs``."""
+    return _axis_passes(coeffs, seq, +1, OpCount())
+
+
 def forward_fast(f: StepFunction, ops: OpCount | None = None) -> CoefficientVector:
-    """Same coefficients as :func:`forward_naive` via the chunk kernels' passes."""
+    """Same coefficients as :func:`forward_naive` via the chunk kernels' passes: a block of one."""
     seq = f.radix_seq
-    ops = ops or OpCount()
-    coeffs = _scaled(_axis_passes(f.values, seq, -1, ops), seq.size)
-    ops.add(seq.size)
-    return CoefficientVector(seq, coeffs)
+    return CoefficientVector(seq, forward_fast_block(f.values[None], seq, ops or OpCount()))
 
 
 def inverse(cv: CoefficientVector) -> StepFunction:
-    """Unnormalized synthesis sum_k c_k psi_k; inverts ``forward_fast``."""
-    return StepFunction(cv.radix_seq, _axis_passes(cv.coeffs, cv.radix_seq, +1, OpCount()))
+    """Unnormalized synthesis sum_k c_k psi_k, a block of one; inverts ``forward_fast``."""
+    return StepFunction(cv.radix_seq, inverse_block(cv.coeffs[None], cv.radix_seq))
 
 
 def fast_op_bound(seq: RadixSequence) -> int:

@@ -30,6 +30,7 @@ from vlab.group_core import build_radix
 from vlab.operators import log_weight
 from vlab.report import format_cell
 from vlab.step_functions import StepFunction, lp_quasinorm
+from vlab.transform import OpCount, fast_op_bound, forward_fast, forward_naive, inverse
 
 
 def run(argv):
@@ -160,6 +161,33 @@ def test_commands_leave_numpy_ma_unimported(tmp_path, argv):
     out = subprocess.run([sys.executable, "-c", code, *argv, "--out", str(tmp_path / "r.csv")],
                          env=env, check=True, capture_output=True, text=True, timeout=120)
     assert out.stdout.splitlines()[-1] == "0 False"
+
+
+def test_oracle_workload_report_is_the_object_api_rows(tmp_path):
+    # the benchmark's oracle run, whose samples are checked two to a block:
+    # each row as its sample alone gives it through StepFunction and
+    # CoefficientVector, drawn from its own seed
+    out = tmp_path / "table.csv"
+    assert run(["transform", "--radices", "2", "--depth", "12", "--samples", "100",
+                "--seed", "1", "--out", str(out)]) == 0
+    seq = build_radix((2,), 12)
+    bound, ops_naive = fast_op_bound(seq), seq.size**2
+    want = []
+    for i, child in enumerate(np.random.SeedSequence(1).spawn(100)):
+        rng = np.random.default_rng(child)
+        f = StepFunction(seq, rng.standard_normal(seq.size) + 1j * rng.standard_normal(seq.size))
+        ops = OpCount()
+        fast = forward_fast(f, ops)
+        err = float(np.max(np.abs(fast.coeffs - forward_naive(f).coeffs)))
+        energy = float(np.sum(np.abs(f.values) ** 2)) / seq.size
+        parseval = abs(energy - float(np.sum(np.abs(fast.coeffs) ** 2))) / energy
+        roundtrip = float(np.max(np.abs(inverse(fast).values - f.values)))
+        ok = max(err, parseval, roundtrip) <= 1e-9 and ops.madds <= bound
+        assert ops.madds == 200_704
+        row = (i, seq.size, err, parseval, roundtrip, ops.madds, ops_naive, bound,
+               ops.madds / ops_naive, ok)
+        want.append(",".join(map(format_cell, row)))
+    assert read_rows(out)[1] == want
 
 
 def test_transform_default_scale_op_ratio(tmp_path):
@@ -709,20 +737,34 @@ def _transform_peak(argv):
     return rc, peak
 
 
-@pytest.mark.parametrize("depth", [14, 15, 16, 17])
+@pytest.mark.parametrize("depth", [12, 13, 14, 15, 16, 17])
 @pytest.mark.parametrize("samples", [3, 20])
 def test_group_rule_covers_the_transform_peak(depth, samples):
-    # the group rule's 192 bytes per point cover what a run really holds; at
-    # depth 17 the 512-point half is split again into cached kernels of 16
-    # and 32 points
+    # the group rule's 192 bytes per point cover what a run really holds: at
+    # depth 12 a block of two samples, from depth 13 on one; at depth 17 the
+    # 512-point half is split again into cached kernels of 16 and 32 points
     rc, peak = _transform_peak(["--depth", str(depth), "--samples", str(samples)])
     assert rc == 0
     assert 192 * 2**depth >= peak
 
 
+def test_warm_transform_takes_few_page_faults(tmp_path):
+    # a block's arrays at 4096 points, 128 KiB each, are handed back to glibc
+    # and taken again by the next block without faulting in pages; blocks of
+    # four samples, whose 256 KiB arrays glibc trims and faults in again,
+    # took about 5,600 faults per warm run (TRANSFORM_POINTS = 2^14)
+    resource = pytest.importorskip("resource")
+    argv = ["transform", "--depth", "12", "--samples", "100", "--out", str(tmp_path / "t.csv")]
+    assert run(argv) == 0
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    assert run(argv) == 0
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert faults < 400, faults
+
+
 def test_transform_peak_is_flat_in_samples():
-    # one sample at a time: 20 samples peak within 5% of 2, where the batch
-    # layout held all of them at once
+    # one block at a time, of one sample at 2^14: 20 samples peak within 5%
+    # of 2, where the batch layout held all of them at once
     assert run(["transform", "--depth", "2", "--samples", "1"]) == 0  # first-run imports
     (rc2, two), (rc20, twenty) = (
         _transform_peak(["--depth", "14", "--samples", str(s)]) for s in (2, 20)
@@ -782,8 +824,8 @@ def test_transform_refuses_the_kernel_before_the_oracle(monkeypatch, capsys):
     import vlab.cli as cli_mod
 
     calls = []
-    real = cli_mod.forward_naive
-    monkeypatch.setattr(cli_mod, "forward_naive", lambda f: calls.append(f) or real(f))
+    real = cli_mod.forward_naive_block
+    monkeypatch.setattr(cli_mod, "forward_naive_block", lambda v, seq: calls.append(v) or real(v, seq))
     monkeypatch.setattr(group_core, "_physical_memory", lambda: 5 * 2**20)
     transform_mod._chunk_kernel.cache_clear()
     assert run(["transform", "--radices", "400", "--depth", "1"]) == 2

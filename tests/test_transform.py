@@ -446,9 +446,9 @@ def test_naive_oracle_memory_is_bounded():
 
 
 def test_naive_oracle_batch_memory_is_bounded():
-    # 100 functions at M_N = 4096 transformed one after another, as a
-    # transform run does: one function's arrays and the cached factor matrices,
-    # where the batch layout held all 100 and a dense matrix took 256 MiB
+    # 100 functions at M_N = 4096 transformed one after another: one
+    # function's arrays and the cached factor matrices, where the batch
+    # layout held all 100 and a dense matrix took 256 MiB
     seq = build_radix((2,) * 12)
     fs = [random_function(seq, seed) for seed in range(100)]
     transform._chunk_kernel.cache_clear()
@@ -508,6 +508,64 @@ def test_fast_first_chunk_takes_row_products(monkeypatch):
     _, products = counted_products(monkeypatch, lambda: inverse(forward_fast(f)))
     assert len(products) <= 2 * (8 + 16 + 4)
     assert max(map(math.prod, products)) <= transform.PRODUCT_MADDS
+
+
+# A (B, M_N) block is B functions' passes at once: every product keeps the
+# shape it has for one function and only the np.matmul stacks grow, so each
+# row keeps its bits.  The first chunk is taken from the right in products
+# of rows of one function: 8 of 32 rows each on (2,)*12, one short one of
+# 108 rows on (2,3)*4 and of 135 on (3,5,3)*2, two of 227 rows and a short
+# one of 194 on (2,3)*5.  The digit of 1296 points passes the right-hand
+# cap, and the oracle takes it by FFT, as it does the 300-point digit of
+# (3,300); (10,25,10) has the oracle's 250-point kernel.
+@pytest.mark.parametrize(
+    "seq",
+    [build_radix((2,), 12), build_radix((2, 3), 8), build_radix((3, 5, 3), 6),
+     build_radix((2, 3), 10), build_radix((1296,), 1), build_radix((3, 300), 2),
+     build_radix((10, 25), 3)],
+    ids=["2x12", "2-3x4", "3-5-3x2", "2-3x5", "1296", "3-300", "10-25-10"],
+)
+def test_block_rows_are_bitwise_blocks_of_one(monkeypatch, seq):
+    rng = np.random.default_rng(11)
+    values = np.empty((7, seq.size), dtype=np.complex128)
+    values.real, values.imag = rng.standard_normal((2, 7, seq.size))
+    ops_one = OpCount()
+    one = transform.forward_fast_block(values[:1], seq, ops_one)
+    for fn in (
+        lambda v: transform.forward_fast_block(v, seq, OpCount()),
+        lambda v: transform.forward_naive_block(v, seq),
+        lambda v: transform.inverse_block(v, seq),
+    ):
+        ones = [fn(values[i : i + 1]) for i in range(7)]
+        for b in (1, 2, 3, 7):
+            got = fn(values[:b])
+            assert got.shape == (b, seq.size)
+            assert [row.tobytes() for row in got] == [row.tobytes() for row in ones[:b]]
+        _, single = counted_products(monkeypatch, lambda: fn(values[:1]))
+        _, products = counted_products(monkeypatch, lambda: fn(values))
+        assert sorted(products) == sorted(7 * single)
+    ops = OpCount()
+    transform.forward_fast_block(values, seq, ops)
+    assert ops.madds == 7 * ops_one.madds
+    # the object API is a block of one
+    f = StepFunction(seq, values[0])
+    assert forward_fast(f).coeffs.tobytes() == one[0].tobytes()
+    assert forward_naive(f).coeffs.tobytes() == transform.forward_naive_block(values[:1], seq).tobytes()
+    assert inverse(CoefficientVector(seq, values[0])).values.tobytes() == ones[0].tobytes()
+
+
+def test_warm_naive_factor_holds_only_its_output():
+    # the 256-point half of 2^16 applies its complex kernel, cast once and
+    # cached: a cast on every call copied 1 MiB beside the 1 MiB output
+    values = random_function(build_radix((2,), 16)).values.reshape(1, -1)
+    transform._conj_factor((2,) * 8, values)
+    tracemalloc.start()
+    try:
+        out = transform._conj_factor((2,) * 8, values)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= out.nbytes + 2**16
 
 
 def test_inverse_of_unit_vector_is_character():
