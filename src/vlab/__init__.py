@@ -58,7 +58,6 @@ from .means import (
 from .operators import (
     Atom,
     WeightFunction,
-    boundedness_ratio,
     condition6_advisory,
     critical_power_weight,
     domination_check,
@@ -73,7 +72,6 @@ from .counterexample import (
     divergence_sweep,
     l_mean_identity,
     theta_bracket,
-    verify_coefficients,
     verify_hardy_bound,
     verify_partial_sums,
 )

@@ -26,7 +26,6 @@ from .counterexample import (
     divergence_sweep,
     l_mean_identity,
     theta_bracket,
-    verify_coefficients,
     verify_hardy_bound,
     verify_partial_sums,
 )
@@ -267,8 +266,6 @@ def cmd_transform(cfg: RunConfig) -> tuple[dict[str, ExperimentReport], bool]:
         for row, child in zip(values, block):  # each sample from its own seed
             rng = np.random.default_rng(child)
             row.real, row.imag = rng.standard_normal(seq.size), rng.standard_normal(seq.size)
-        if not np.isfinite(values).all():
-            raise ValueError("transform samples must be finite")
         # an oversized kernel is the fast path's: the oracle's have at most 256 points
         t0 = time.perf_counter()
         ops = OpCount()
@@ -382,21 +379,18 @@ def cmd_theorem_b(cfg: RunConfig) -> tuple[dict[str, ExperimentReport], bool]:
     master = ExperimentReport(columns=list(SWEEP_COLUMNS))
     _echo_config(master, cfg, "theorem-b")
     cases = [build_case(n_k, seq) for n_k in cfg.k_list]
-    # coefficients, partial sums and the log-mean identity do not depend on p
-    fixed = [
-        (verify_coefficients(case), verify_partial_sums(case), l_mean_identity(case))
-        for case in cases
-    ]
+    # the partial-sum certificate, which bounds every coefficient's error,
+    # and the log-mean identity do not depend on p
+    fixed = [(verify_partial_sums(case), l_mean_identity(case)) for case in cases]
     all_ok = True
     reports = {"": master}
     for i, p in enumerate(p_list):
-        for case, (cc, ps, li) in zip(cases, fixed):
+        for case, (ps, li) in zip(cases, fixed):
             hb = verify_hardy_bound(case, p)
-            case_ok = cc.ok and ps.ok and hb.ok and li.ok
+            case_ok = ps.ok and hb.ok and li.ok
             all_ok = all_ok and case_ok
             print(
                 f"[{_status(case_ok)}] case n_k={case.n_k}, p={p}: "
-                f"coeffs {_status(cc.ok)} (max err {cc.max_abs_error:.3e}), "
                 f"partial sums {_status(ps.ok)} (zero {ps.max_err_zero:.3e} "
                 f"middle {ps.max_err_middle:.3e} tail {ps.max_err_tail:.3e}), "
                 f"hardy {_status(hb.ok)} (measured {hb.measured:.12g} "

@@ -24,13 +24,19 @@ from .group_core import RadixSequence, truncate
 from .means import harmonic_l, log_mean
 from .operators import (
     WeightFunction,
-    boundedness_ratio,
     condition6_advisory,
     make_atom,
     power_weight,
+    weighted_maximal,
 )
 from .report import ExperimentReport
-from .step_functions import StepFunction, check_exponent, lp_quasinorm, maximal_function
+from .step_functions import (
+    StepFunction,
+    check_exponent,
+    hardy_quasinorm,
+    lp_quasinorm,
+    maximal_function,
+)
 from .transform import character_rows, dirichlet_closed_MN, forward_fast
 
 SWEEP_COLUMNS = [
@@ -53,10 +59,9 @@ THETA_COLUMNS = ["n", "lower", "upper", "measured_ratio", "source"]
 # |L| matches the threshold only up to roundoff.
 LEVELSET_SLACK = 1e-12
 
-# Absolute tolerance of the coefficient, partial-sum and log-mean-identity
-# checks, the largest variance of |L_{n*} f| over the group that still
-# counts as a constant modulus, and relative tolerance of the Hardy-norm
-# check.
+# Absolute tolerance of the partial-sum and log-mean-identity checks, the
+# largest variance of |L_{n*} f| over the group that still counts as a
+# constant modulus, and relative tolerance of the Hardy-norm check.
 CASE_TOL = 1e-9
 MODULUS_VARIANCE_TOL = 1e-18
 HARDY_REL_TOL = 1e-12
@@ -116,20 +121,6 @@ def build_case(n_k: int, radix_seq: RadixSequence) -> CounterexampleCase:
 
 
 @dataclass(frozen=True)
-class CoefficientCheck:
-    ok: bool
-    max_abs_error: float
-
-
-def verify_coefficients(case: CounterexampleCase) -> CoefficientCheck:
-    """Coefficients must be 1 on [M_lo, M_hi) and 0 elsewhere."""
-    expected = np.zeros(case.radix_seq.size, dtype=np.complex128)
-    expected[case.m_lo : case.m_hi] = 1.0
-    err = float(np.max(np.abs(case.coeffs - expected)))
-    return CoefficientCheck(ok=err <= CASE_TOL, max_abs_error=err)
-
-
-@dataclass(frozen=True)
 class PartialSumCheck:
     ok: bool
     max_err_zero: float
@@ -143,7 +134,9 @@ def verify_partial_sums(case: CounterexampleCase) -> PartialSumCheck:
     S_i = 0 for i <= M_lo, D_i - D_{M_lo} for M_lo < i < M_hi, f for i >= M_hi.
     Each prediction is sum_{k<i} e_k psi_k with e the indicator of [M_lo, M_hi),
     so each error is sum_{k<i} delta_k psi_k with delta = c - e; as |psi_k| = 1
-    it is at most the l1 mass of delta below the branch's last order.
+    it is at most the l1 mass of delta below the branch's last order.  The
+    tail's mass, sum_k |delta_k|, also bounds max_k |delta_k|: it certifies
+    the coefficient pattern itself.
     """
     delta = case.coeffs.copy()
     delta[case.m_lo : case.m_hi] -= 1.0
@@ -327,7 +320,8 @@ def theta_bracket(
         rng = np.random.default_rng(children[i])
         rank = int(rng.integers(0, ranks))
         atom = make_atom(rng, atom_seq, rank, p)
-        y = boundedness_ratio(atom.function, p, flat, atom_nmax)
+        a = atom.function  # a p-atom: its Hardy norm is not zero
+        y = lp_quasinorm(weighted_maximal(a, flat, atom_nmax), p) / hardy_quasinorm(a, p)
         points.append((atom_nmax, y, "atom"))
     if not points:
         raise DegenerateInput("theta bracket needs a sweep case or an atom sample to fit")

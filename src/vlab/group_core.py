@@ -44,6 +44,12 @@ def check_memory(need: int, what: str) -> None:
         raise CapacityExceeded(f"{what} needs {need} bytes, physical memory is {budget}")
 
 
+def check_range(value: int, lo: int, hi: int, what: str, error=IndexOutOfRange) -> None:
+    """Refuse ``value`` outside lo..hi, both ends included, with ``error``."""
+    if value < lo or value > hi:
+        raise error(f"{what} {value} outside {lo}..{hi}")
+
+
 @dataclass(frozen=True)
 class RadixSequence:
     """Generating radices retained up to a fixed depth, with exact scales.
@@ -90,16 +96,14 @@ def build_radix(radices, depth: int | None = None) -> RadixSequence:
 
 def truncate(seq: RadixSequence, depth: int) -> RadixSequence:
     """Restriction of ``seq`` to its first ``depth`` coordinates."""
-    if depth < 0 or depth > seq.depth:
-        raise RankOutOfRange(f"depth {depth} outside 0..{seq.depth}")
+    check_range(depth, 0, seq.depth, "depth", RankOutOfRange)
     return RadixSequence(radices=seq.radices[:depth], depth=depth, scales=seq.scales[: depth + 1])
 
 
 def decompose(n: int, seq: RadixSequence) -> tuple[int, ...]:
     """Digits (n_0, ..., n_{N-1}) of n in the generalized number system of ``seq``."""
     n = int(n)
-    if n < 0 or n >= seq.size:
-        raise IndexOutOfRange(f"index {n} outside 0..{seq.size - 1}")
+    check_range(n, 0, seq.size - 1, "index")
     digits = []
     for r in seq.radices:
         digits.append(n % r)

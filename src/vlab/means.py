@@ -28,7 +28,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import IndexOutOfRange, InvalidWeight, ZeroTotalWeight
-from .group_core import RadixSequence, check_memory, truncate
+from .group_core import RadixSequence, check_memory, check_range, truncate
 from .step_functions import StepFunction, bounded_lines
 from .transform import ROW_BLOCK, character_rows, forward_fast, synthesize_multiplier
 
@@ -198,8 +198,7 @@ def log_mean_blocks(f: StepFunction, n_max: int):
     L_1 f = 0 is the zero first row.
     """
     seq = f.radix_seq
-    if n_max < 2 or n_max > seq.size:
-        raise IndexOutOfRange(f"n_max {n_max} outside 2..{seq.size}")
+    check_range(n_max, 2, seq.size, "n_max")
     chars, plan = _stack_plan(seq, n_max)
     coeffs = forward_fast(f).coeffs
     stack = np.empty_like(chars)
@@ -243,9 +242,7 @@ def norlund_mean(f: StepFunction, n: int, weights: WeightSequence) -> StepFuncti
     w_j = (Q_{n-1-j} + q_0) / Q_n for j < n, with Q_0 = 0 and the q_0 term
     only when q_0 exists.
     """
-    seq = f.radix_seq
-    if n < 1 or n > seq.size:
-        raise IndexOutOfRange(f"mean order {n} outside 1..{seq.size}")
+    check_range(n, 1, f.radix_seq.size, "mean order")
     q_n = weights.total(n)
     if q_n <= 0:
         raise ZeroTotalWeight(f"Q_{n} = {q_n}")
@@ -258,7 +255,5 @@ def log_mean(f: StepFunction, n: int) -> StepFunction:
 
     n = 1 would give the identically zero mean (S_0 f = 0) and is rejected.
     """
-    seq = f.radix_seq
-    if n < 2 or n > seq.size:
-        raise IndexOutOfRange(f"log mean order {n} outside 2..{seq.size}")
+    check_range(n, 2, f.radix_seq.size, "log mean order")
     return norlund_mean(f, n, log_weights(n))

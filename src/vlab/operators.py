@@ -1,4 +1,4 @@
-"""Weighted maximal operators, the domination chain, p-atoms, ratio sweeps.
+"""Weighted maximal operators, the domination chain and p-atoms.
 
 The weighted maximal operator is the pointwise sup over n >= 2 of
 |L_n f| / phi(n+1) over the logarithmic means L_n, where phi is a
@@ -17,14 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInput, InvalidWeight, RankOutOfRange
-from .group_core import RadixSequence
+from .group_core import RadixSequence, check_range
 from .means import log_mean_blocks, weights_from_file
-from .step_functions import (
-    StepFunction,
-    check_exponent,
-    hardy_quasinorm,
-    lp_quasinorm,
-)
+from .step_functions import StepFunction, check_exponent
 
 # Largest slack domination_check lets pass: the chain holds up to roundoff.
 DOMINATION_TOL = 1e-12
@@ -193,8 +188,7 @@ def make_atom(rng: np.random.Generator, seq: RadixSequence, rank: int, p: float)
     equals mu(I)^{-1/p} = M_rank^{1/p}; the construction enforces the
     support, zero-integral and sup-norm constraints directly.
     """
-    if rank < 0 or rank > seq.depth:
-        raise RankOutOfRange(f"rank {rank} outside 0..{seq.depth}")
+    check_range(rank, 0, seq.depth, "rank", RankOutOfRange)
     if seq.scales[rank] == seq.size:
         # a single-cell cylinder admits no nonzero mean-zero function
         raise DegenerateInput(f"rank {rank} cylinders have one cell; need rank < depth")
@@ -218,15 +212,6 @@ def make_atom(rng: np.random.Generator, seq: RadixSequence, rank: int, p: float)
     full = np.zeros(seq.size, dtype=np.complex128)
     full[members] = vals
     return Atom(function=StepFunction(seq, full))
-
-
-def boundedness_ratio(f: StepFunction, p: float, weight: WeightFunction, n_max: int) -> float:
-    """L_p norm of the weighted log-mean maximal function over the Hardy norm."""
-    p = check_exponent(p, 1.0)
-    h = hardy_quasinorm(f, p)
-    if h == 0.0:
-        raise DegenerateInput("zero Hardy norm")
-    return lp_quasinorm(weighted_maximal(f, weight, n_max), p) / h
 
 
 def condition6_advisory(weight: WeightFunction, p: float) -> str:

@@ -51,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityExceeded, IndexOutOfRange, RankOutOfRange, ResolutionMismatch
-from .group_core import RadixSequence, build_radix, check_memory, decompose
+from .group_core import RadixSequence, build_radix, check_memory, check_range, decompose
 from .step_functions import StepFunction
 
 
@@ -332,8 +332,7 @@ def synthesize_multiplier(f: StepFunction, w: np.ndarray) -> StepFunction:
 def partial_sum(f: StepFunction, n: int) -> StepFunction:
     """S_n f = sum_{k<n} c_k psi_k, with S_0 f = 0."""
     seq = f.radix_seq
-    if n < 0 or n > seq.size:
-        raise IndexOutOfRange(f"partial sum order {n} outside 0..{seq.size}")
+    check_range(n, 0, seq.size, "partial sum order")
     if n == 0:
         return StepFunction(seq, np.zeros(seq.size, dtype=np.complex128))
     return synthesize_multiplier(f, np.ones(n))
@@ -341,8 +340,7 @@ def partial_sum(f: StepFunction, n: int) -> StepFunction:
 
 def dirichlet_kernel(seq: RadixSequence, n: int) -> StepFunction:
     """D_n = sum_{k<n} psi_k, synthesized from an all-ones coefficient prefix."""
-    if n < 1 or n > seq.size:
-        raise IndexOutOfRange(f"kernel order {n} outside 1..{seq.size}")
+    check_range(n, 1, seq.size, "kernel order")
     ones = np.zeros(seq.size, dtype=np.complex128)
     ones[:n] = 1.0
     return inverse(CoefficientVector(seq, ones))
@@ -350,8 +348,7 @@ def dirichlet_kernel(seq: RadixSequence, n: int) -> StepFunction:
 
 def dirichlet_closed_MN(seq: RadixSequence, n: int) -> StepFunction:
     """Closed form of D_{M_n}: M_n on the rank-n cylinder at 0, zero off it."""
-    if n < 0 or n > seq.depth:
-        raise RankOutOfRange(f"rank {n} outside 0..{seq.depth}")
+    check_range(n, 0, seq.depth, "rank", RankOutOfRange)
     m_n = seq.scales[n]
     vals = np.zeros(seq.size, dtype=np.complex128)
     vals[::m_n] = m_n  # indices congruent to 0 mod M_n form I_n

@@ -467,7 +467,8 @@ def test_unwritable_out_fails_before_the_run(tmp_path, capsys, out):
 
 def test_theorem_b_single_case(tmp_path, capsys):
     # --k-list <nk> is the one-case run: one sweep row per p, and the
-    # console line carries the magnitudes behind each check
+    # console line carries the magnitudes behind each check; the partial-sum
+    # certificate's branch masses also certify the coefficient pattern
     out = tmp_path / "b.csv"
     assert run(["theorem-b", "--k-list", "1", "--p", "0.5,0.3", "--out", str(out)]) == 0
     header, rows = read_rows(out)
@@ -478,7 +479,7 @@ def test_theorem_b_single_case(tmp_path, capsys):
     ]
     lines = [l for l in capsys.readouterr().out.splitlines() if l.startswith("[ok] case n_k=1")]
     assert len(lines) == 2
-    for word in ("max err", "zero", "middle", "tail", "measured", "closed", "bound",
+    for word in ("partial sums ok", "zero", "middle", "tail", "measured", "closed", "bound",
                  "modulus", "predicted", "levelset 1"):
         assert all(word in line for line in lines), word
 
@@ -674,8 +675,7 @@ def test_theorem_b_builds_each_case_once(monkeypatch):
 
     calls = collections.Counter()
     names = ["build_case", "forward_fast", "log_mean", "maximal_function",
-             "verify_coefficients", "verify_partial_sums", "l_mean_identity",
-             "verify_hardy_bound"]
+             "verify_partial_sums", "l_mean_identity", "verify_hardy_bound"]
     for module in (cli_mod, cx_mod, sf_mod, transform_mod):
         for name in names:
             if hasattr(module, name):
@@ -693,7 +693,6 @@ def test_theorem_b_builds_each_case_once(monkeypatch):
         "forward_fast": 6,
         "log_mean": 3,
         "maximal_function": 3,
-        "verify_coefficients": 3,
         "verify_partial_sums": 3,
         "l_mean_identity": 3,
         "verify_hardy_bound": 6,

@@ -9,7 +9,6 @@ from vlab.counterexample import (
     hardy_closed_value,
     l_mean_identity,
     theta_bracket,
-    verify_coefficients,
     verify_hardy_bound,
     verify_partial_sums,
 )
@@ -119,22 +118,17 @@ def test_build_case_depth_guard():
 
 def test_coefficient_pattern_dyadic():
     case = build_case(1, dyadic(3))
-    from vlab.transform import forward_fast
-
     coeffs = forward_fast(case.func).coeffs
     assert np.max(np.abs(coeffs[:4])) <= 1e-12
     assert np.max(np.abs(coeffs[4:8] - 1.0)) <= 1e-12
     assert abs(coeffs[0]) <= 1e-12
     assert coeffs.sum().real == pytest.approx(case.m_hi - case.m_lo, abs=1e-9)
-    report = verify_coefficients(case)
+    # the certificate's tail mass bounds every coefficient's distance from the pattern
+    report = verify_partial_sums(case)
     assert report.ok
-
-
-def test_coefficient_pattern_across_matrix():
-    for radices in TEST_MATRIX:
-        for n_k in (1, 2):
-            case = build_case(n_k, build_radix(radices))
-            assert verify_coefficients(case).ok
+    pattern = np.zeros(case.radix_seq.size)
+    pattern[case.m_lo : case.m_hi] = 1.0
+    assert np.max(np.abs(coeffs - pattern)) <= report.max_err_tail
 
 
 def test_partial_sum_branches_across_matrix():
@@ -197,6 +191,32 @@ def test_partial_sum_certificate_catches_a_wrong_coefficient(monkeypatch):
     assert report.max_err_zero == 0.0
     assert report.max_err_middle >= bumps[0]
     assert report.max_err_tail >= bumps[0]
+
+
+@pytest.mark.parametrize("where", ["below M_lo", "last"])
+def test_partial_sum_certificate_fails_in_the_zero_and_tail_branches(monkeypatch, where):
+    # a coefficient off the pattern by 2 CASE_TOL: below M_lo it reaches
+    # every branch; the case's group ends at M_hi, so the last coefficient,
+    # M_hi - 1, is the one the middle branch (S_i, i < M_hi) does not see
+    case = build_case(2, dyadic(5))
+    index = case.m_lo - 1 if where == "below M_lo" else case.m_hi - 1
+    assert case.m_hi == case.radix_seq.size
+    bumps = []
+
+    def bumped(f):
+        coeffs = forward_fast(f).coeffs.copy()
+        before = coeffs[index]
+        coeffs[index] += 2 * counterexample_mod.CASE_TOL
+        bumps.append(abs(coeffs[index] - before))  # rounded when added to c = 1
+        return CoefficientVector(f.radix_seq, coeffs)
+
+    monkeypatch.setattr(counterexample_mod, "forward_fast", bumped)
+    report = verify_partial_sums(case)
+    assert not report.ok
+    # the dyadic case's coefficients are exact, so each mass is the bump or 0
+    inside = bumps[0] if where == "below M_lo" else 0.0
+    errs = (report.max_err_zero, report.max_err_middle, report.max_err_tail)
+    assert errs == (inside, inside, bumps[0])
 
 
 def test_hardy_bound_dyadic_value():

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from fractions import Fraction
 from hypothesis import given, strategies as st
@@ -7,6 +8,7 @@ from vlab.errors import (
     IndexOutOfRange,
     RadixTooSmall,
     RankOutOfRange,
+    VilenkinError,
 )
 from vlab.group_core import (
     build_radix,
@@ -14,6 +16,10 @@ from vlab.group_core import (
     truncate,
 )
 import vlab.group_core as group_core_mod
+from vlab.means import log_mean, log_mean_blocks, norlund_mean, ones_weights
+from vlab.operators import make_atom
+from vlab.step_functions import StepFunction
+from vlab.transform import dirichlet_closed_MN, dirichlet_kernel, partial_sum
 
 
 def test_build_radix_scale_table():
@@ -154,3 +160,38 @@ def test_truncate():
     assert sub.radices == (2, 3)
     assert sub.scales == (1, 2, 6)
     assert sub == build_radix((2, 3))
+
+
+# Each caller of check_range on (2,3,2), M_N = 12, depth 3: its range, its
+# exception class and the message the hand-written checks it replaced gave.
+_SEQ = build_radix((2, 3, 2))
+_F = StepFunction(_SEQ, np.arange(12.0))
+RANGE_CALLERS = {
+    "truncate": (lambda v: truncate(_SEQ, v), 0, 3, RankOutOfRange, "depth {} outside 0..3"),
+    "decompose": (lambda v: decompose(v, _SEQ), 0, 11, IndexOutOfRange, "index {} outside 0..11"),
+    "partial_sum": (lambda v: partial_sum(_F, v), 0, 12, IndexOutOfRange,
+                    "partial sum order {} outside 0..12"),
+    "dirichlet_kernel": (lambda v: dirichlet_kernel(_SEQ, v), 1, 12, IndexOutOfRange,
+                         "kernel order {} outside 1..12"),
+    "dirichlet_closed_MN": (lambda v: dirichlet_closed_MN(_SEQ, v), 0, 3, RankOutOfRange,
+                            "rank {} outside 0..3"),
+    "log_mean_blocks": (lambda v: next(log_mean_blocks(_F, v)), 2, 12, IndexOutOfRange,
+                        "n_max {} outside 2..12"),
+    "norlund_mean": (lambda v: norlund_mean(_F, v, ones_weights(14)), 1, 12, IndexOutOfRange,
+                     "mean order {} outside 1..12"),
+    "log_mean": (lambda v: log_mean(_F, v), 2, 12, IndexOutOfRange,
+                 "log mean order {} outside 2..12"),
+    "make_atom": (lambda v: make_atom(np.random.default_rng(0), _SEQ, v, 0.5), 0, 3,
+                  RankOutOfRange, "rank {} outside 0..3"),
+}
+
+
+@pytest.mark.parametrize("side", ["below", "above"])
+@pytest.mark.parametrize("caller", sorted(RANGE_CALLERS))
+def test_range_checks_keep_their_messages_and_classes(caller, side):
+    call, lo, hi, error, message = RANGE_CALLERS[caller]
+    value = lo - 1 if side == "below" else hi + 1
+    with pytest.raises(VilenkinError) as excinfo:
+        call(value)
+    assert excinfo.type is error
+    assert str(excinfo.value) == message.format(value)

@@ -302,6 +302,28 @@ def test_transforms_match_scalar_characters(radices):
         assert np.max(np.abs(inverse(cv).values - cv.coeffs @ chars)) <= 1e-10
 
 
+def definition_analysis(seq):
+    """(M_N, M_N) matrix of conj(psi_k(x)) = exp(-2 pi i sum_j k_j x_j / m_j):
+    ``vilenkin_char``'s float phase, vectorized over the ``decompose`` digits
+    of every index, with no code of the fast passes, the oracle or numpy's FFT."""
+    digits = np.array([decompose(i, seq) for i in range(seq.size)]).reshape(seq.size, -1)
+    phase = sum(np.outer(digits[:, j], digits[:, j]) / m for j, m in enumerate(seq.radices))
+    return np.exp(-2j * np.pi * phase)
+
+
+# On one digit of 257 or 1296 points the oracle is numpy's FFT, which
+# dense_reference shares; the definition's matrix checks both paths there.
+@pytest.mark.parametrize("radices", [(257,), (1296,)], ids=["257", "1296"])
+def test_fft_oracle_groups_match_the_definition(radices):
+    seq = build_radix(radices)
+    analysis = definition_analysis(seq)
+    for seed in range(2):
+        f = random_function(seq, seed)
+        want = analysis @ f.values / seq.size
+        for got in (forward_fast(f), forward_naive(f)):
+            assert np.max(np.abs(got.coeffs - want)) <= 1e-12
+
+
 def counted_products(monkeypatch, call):
     """Run ``call`` with np.matmul recording each product; return its result and
     the (k, s, n) of each product, whose multiply-adds are k s n.
