@@ -50,6 +50,7 @@ from .step_functions import (
     weak_lp_quasinorm,
 )
 from .transform import (
+    BLOCK_POINTS,
     OpCount,
     dirichlet_kernel,
     fast_op_bound,
@@ -242,11 +243,6 @@ def _sibling(path: str, tag: str) -> str:
 # ---------------------------------------------------------------------------
 
 
-# Points of a block of transform samples: B = max(1, TRANSFORM_POINTS // M_N),
-# 2 at the default 4096 points and 1 from 8192 up, where it holds one sample
-TRANSFORM_POINTS = 1 << 13
-
-
 def cmd_transform(cfg: RunConfig) -> tuple[dict[str, ExperimentReport], bool]:
     seq = _build_seq(cfg)
     report = ExperimentReport(columns=list(TRANSFORM_COLUMNS))
@@ -255,7 +251,7 @@ def cmd_transform(cfg: RunConfig) -> tuple[dict[str, ExperimentReport], bool]:
     # the definition's M_N^2 multiply-adds per transform, not the oracle's work
     ops_naive = seq.size * seq.size
     children = np.random.SeedSequence(cfg.seed).spawn(cfg.samples)
-    size = max(1, TRANSFORM_POINTS // seq.size)
+    size = max(1, BLOCK_POINTS // seq.size)
     all_ok = True
     naive_time = fast_time = 0.0
     # one block at a time: the oracle's kernel factors stay cached between

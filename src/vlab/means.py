@@ -8,16 +8,14 @@ never touches q_0:
 
     L_n f = (1/l_n) sum_{k=0}^{n-1} S_k f / (n - k),   S_0 f = 0.
 
-Single means are coefficient multipliers on the whole group.  Every
-S_n f and L_n f up to an order n_max comes from one generator,
-:func:`log_mean_blocks`.  They are constant on rank-r cylinders, M_r the
-smallest scale >= n_max, so their work and memory grow with M_r, not
-M_N.  The same identity, applied one level at a time, packs the stack:
-S_k f with M_{s-1} < k <= M_s is constant on rank-s cylinders, so it is
-stored on its first M_s points only, the levels back to back in one
-array.  The generator cuts the orders at those levels and yields each
-block's log means beside a view of its partial sums, both on the M_s
-points of its level, so the packed layout stays in this module.
+Every mean is a coefficient multiplier, a row of :func:`multiplier_rows`:
+:func:`norlund_mean` applies one on the whole group; :func:`mean_blocks`
+yields the log means of all orders up to n_max.  Order n <= M_s reads only
+c_j, j < M_s, so it lives on the M_s points of the rank-s truncation: the
+orders come in levels cut at the scales M_s >= 64, each in blocks of
+BLOCK_POINTS // M_s orders, one inverse pass each.  :func:`partial_sum_blocks`
+yields S_n f in the same blocks from a packed stack of running sums of
+c_j psi_j.  Both read the coefficients of f, so one transform serves both.
 """
 
 from __future__ import annotations
@@ -30,7 +28,14 @@ import numpy as np
 from .errors import IndexOutOfRange, InvalidWeight, ZeroTotalWeight
 from .group_core import RadixSequence, check_memory, check_range, truncate
 from .step_functions import StepFunction, bounded_lines
-from .transform import ROW_BLOCK, character_rows, forward_fast, synthesize_multiplier
+from .transform import (
+    BLOCK_POINTS,
+    ROW_BLOCK,
+    CoefficientVector,
+    character_rows,
+    inverse_block,
+    synthesize_multiplier,
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,23 +113,14 @@ def weight_sequence_from_spec(spec: str, n: int) -> WeightSequence:
     raise InvalidWeight(f"unknown weight family {spec!r}")
 
 
-# Orders per block of :func:`log_mean_blocks`, and the least scale that
-# cuts a level of the stack.  Each block holds its log-mean rows and
-# their moduli, at most _BLOCK * M_r complex plus float entries, beside
-# the stack and its shared character rows.
-_BLOCK = 64
+# Multiplier rows a run caches, in float64 entries; past them each block builds its own.
+_ROW_CACHE = 1 << 20
 
 
 def _levels(scales: tuple[int, ...], top: int) -> tuple[tuple[int, int, int], ...]:
-    """(lo, hi, m) for the partial sums S_lo .. S_{hi-1} at width m, over 1..top.
-
-    S_k f with k <= M_s is constant on rank-s cylinders, so the sums k in
-    (M_{s-1}, M_s] form a level that needs only the first M_s points.  The
-    levels are cut at the ``scales`` >= _BLOCK below ``top``; the sums
-    below the first cut form one level.  m is the smallest scale >= hi - 1,
-    and the levels run from the narrowest to the widest.
-    """
-    bounds = [1, *(m + 1 for m in scales if _BLOCK <= m < top), top + 1]
+    """(lo, hi, m) for the orders lo .. hi-1 on their first m points, over 1..top: cut at the
+    ``scales`` >= 64 below ``top``, m the smallest scale >= hi - 1."""
+    bounds = [1, *(m + 1 for m in scales if 64 <= m < top), top + 1]
     return tuple(
         (lo, hi, next(m for m in scales if m >= hi - 1))
         for lo, hi in zip(bounds, bounds[1:])
@@ -132,44 +128,83 @@ def _levels(scales: tuple[int, ...], top: int) -> tuple[tuple[int, int, int], ..
     )
 
 
-def _log_mean_triangle(start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only ns = start..stop-1 and their (len(ns), max(ns)) triangle
-    T[i, k] = 1/((ns[i] - k) l_{ns[i]}), 1 <= k < ns[i]."""
-    ns = np.arange(start, stop)
-    ks = np.arange(stop - 1)
-    ell = log_weights(stop - 1)._cumsum[ns - 1]
-    gap = ns[:, None] - ks
-    tri = np.zeros(gap.shape, dtype=np.float64)
-    np.divide(1.0, gap * ell[:, None], out=tri, where=(gap > 0) & (ks >= 1))
-    ns.flags.writeable = tri.flags.writeable = False
-    return ns, tri
+def _blocks(lo: int, hi: int, m: int) -> list[np.ndarray]:
+    """The orders lo .. hi-1 of a level of width m, BLOCK_POINTS // m at a time."""
+    step = max(1, BLOCK_POINTS // m)
+    return [np.arange(n, min(n + step, hi)) for n in range(lo, hi, step)]
+
+
+def multiplier_rows(weights: WeightSequence, ns: np.ndarray, width: int) -> np.ndarray:
+    """(len(ns), width) multipliers w_j = (Q_{n-1-j} + q_0) / Q_n of the orders ns, zero
+    from j = n on: windows of the totals Q_t + q_0, reversed after width - 1 zeros, over
+    the real Q_n.  Q_0 = 0, and the q_0 term only when q_0 exists."""
+    top = int(ns.max())
+    weights.total(top)  # the weights reach the highest order
+    q_n = weights._cumsum[ns - 1]
+    if np.any(q_n <= 0):
+        raise ZeroTotalWeight(f"Q_{ns[q_n <= 0][0]} = {q_n[q_n <= 0][0]}")
+    padded = np.zeros(width - 1 + top)
+    padded[width:] = weights._cumsum[: top - 1]
+    padded[width - 1 :] += weights.q0 or 0.0
+    # window s of the reversed array starts at Q_{top-1-s} + q_0: row n is window top - n
+    windows = np.lib.stride_tricks.sliding_window_view(padded[::-1], width)
+    return windows[top - ns] / q_n[:, None]
+
+
+@lru_cache(maxsize=1)
+def _mean_plan(seq: RadixSequence, n_max: int):
+    """(weights, blocks) of :func:`mean_blocks`, built once per run: the log weights and
+    per block its orders, level truncation and read-only :func:`multiplier_rows`, None
+    past _ROW_CACHE entries."""
+    weights = log_weights(n_max)
+    plan = [
+        (ns, truncate(seq, seq.scales.index(m)))
+        for lo, hi, m in _levels(seq.scales, n_max)
+        for ns in _blocks(lo, hi, m)
+    ]
+    entries = sum(len(ns) * group.size for ns, group in plan)
+    if entries > _ROW_CACHE:
+        return weights, tuple((ns, group, None) for ns, group in plan)
+    check_memory(entries * np.dtype(np.float64).itemsize, f"multiplier rows for n_max={n_max}")
+    rows = [multiplier_rows(weights, ns, group.size) for ns, group in plan]
+    for block in rows:
+        block.flags.writeable = False
+    return weights, tuple((ns, group, block) for (ns, group), block in zip(plan, rows))
+
+
+def mean_blocks(cv: CoefficientVector, n_max: int):
+    """Yield (ns, means) for n = 1..n_max: the log means L_n f, n in ns, of the f whose
+    coefficients are ``cv``.
+
+    A block of a :func:`_levels` level of width M_s is one inverse pass on the
+    rank-s truncation of its multiplier rows times the first M_s coefficients;
+    entry i of a row is the mean at every point whose linear index is i mod M_s.
+    """
+    seq = cv.radix_seq
+    check_range(n_max, 2, seq.size, "n_max")
+    weights, plan = _mean_plan(seq, n_max)
+    for ns, group, rows in plan:
+        if rows is None:
+            rows = multiplier_rows(weights, ns, group.size)
+        yield ns, inverse_block(rows * cv.coeffs[: group.size], group)
 
 
 @lru_cache(maxsize=1)
 def _stack_plan(seq: RadixSequence, n_max: int):
-    """(rows, levels) of the stacks of order n_max on ``seq``.
+    """(rows, levels) of the partial-sum stacks of order n_max on ``seq``, built once per run.
 
-    Per :func:`_levels` level over 1..n_max: its first order lo, its rows
-    psi_{lo-1} .. psi_{hi-2} on its m = M_s points, read-only views of the
-    one array ``rows``, and the :func:`_log_mean_triangle` of each block of
-    at most _BLOCK of its orders.  The rows are built on the rank-s
-    truncation, at most ROW_BLOCK entries of :func:`character_rows` at a
-    time; its roots are exact, so they equal the first m points of the
-    rows on ``seq`` bit for bit.  Physical memory must hold the rows, a
-    stack of their layout and the triangles, checked before any of them
-    is allocated.  One entry is cached: every stack of a run shares its
-    group and n_max, so the plan is built once per run.
+    Per :func:`_levels` level, its first order lo and its rows psi_{lo-1} .. psi_{hi-2}
+    on its m = M_s points: read-only views of one array, built on the rank-s truncation
+    at most ROW_BLOCK entries at a time, whose exact roots give the first m points of the
+    rows on ``seq`` bit for bit.  The rows and a stack of their layout, 16 bytes an entry
+    each, are checked against physical memory.
     """
     levels = _levels(seq.scales, n_max)
     entries = sum((hi - lo) * m for lo, hi, m in levels)
-    blocks = [[(n, min(n + _BLOCK, hi)) for n in range(lo, hi, _BLOCK)] for lo, hi, _ in levels]
-    triangles = sum((stop - n) * (stop - 1) for level in blocks for n, stop in level)
-    rows_and_sums = 2 * entries * np.dtype(np.complex128).itemsize
-    need = rows_and_sums + triangles * np.dtype(np.float64).itemsize
-    check_memory(need, f"partial-sum stack for n_max={n_max}, M_r={levels[-1][2]}")
+    check_memory(2 * 16 * entries, f"partial-sum stack for n_max={n_max}, M_r={levels[-1][2]}")
     flat = np.empty(entries, dtype=np.complex128)
     plan, start = [], 0
-    for (lo, hi, m), level_blocks in zip(levels, blocks):
+    for lo, hi, m in levels:
         rows = flat[start : start + (hi - lo) * m].reshape(hi - lo, m)
         start += rows.size
         level_group = truncate(seq, seq.scales.index(m))
@@ -178,33 +213,27 @@ def _stack_plan(seq: RadixSequence, n_max: int):
             k = lo - 1 + i  # psi_k goes in the row of S_{k+1}
             rows[i : i + step] = character_rows(level_group, k, min(k + step, hi - 1))
         rows.flags.writeable = False
-        plan.append((lo, rows, tuple(_log_mean_triangle(*block) for block in level_blocks)))
+        plan.append((lo, rows))
     flat.flags.writeable = False
     return flat, tuple(plan)
 
 
-def log_mean_blocks(f: StepFunction, n_max: int):
-    """Yield (ns, means, sums) for the orders n = 1..n_max: L_n f and S_n f for n in ns.
+def partial_sum_blocks(cv: CoefficientVector, n_max: int):
+    """Yield (ns, sums) for n = 1..n_max: S_n f for n in ns, in the blocks of :func:`mean_blocks`.
 
-    The stack of S_1 f .. S_{n_max} f is one array cut into the levels of
-    :func:`_levels`, the widest M_r points, M_r the smallest scale >= n_max.
-    S_k f in the level of width m is stored on its first m points: the
-    running sum of c_{k-1} psi_{k-1} down the level's rows, on top of the
-    previous level's last row, so it equals the first m points of the dense
-    running sums bit for bit.  Each level is filled just before its blocks
-    of at most _BLOCK orders are yielded.  ``sums`` is a view of the
-    level's rows and ``means`` has the same width m: entry i of either row
-    is its function at every point whose linear index is i mod m.
-    L_1 f = 0 is the zero first row.
+    S_k f in a level of width m is stored on its first m points, the running
+    sum of c_{k-1} psi_{k-1} down the level's rows on top of the last level's
+    last row: the first m points of the dense running sums bit for bit.  The
+    levels are one array, each filled just before its blocks, views of it.
     """
-    seq = f.radix_seq
+    seq = cv.radix_seq
     check_range(n_max, 2, seq.size, "n_max")
     chars, plan = _stack_plan(seq, n_max)
-    coeffs = forward_fast(f).coeffs
+    coeffs = cv.coeffs
     stack = np.empty_like(chars)
     prev = np.zeros(1, dtype=np.complex128)  # S_0 f
-    filled, start = [], 0
-    for lo, terms, tris in plan:
+    start = 0
+    for lo, terms in plan:
         sums = stack[start : start + terms.size].reshape(terms.shape)
         start += terms.size
         np.multiply(coeffs[lo - 1 : lo - 1 + len(terms), None], terms, out=sums)
@@ -212,42 +241,15 @@ def log_mean_blocks(f: StepFunction, n_max: int):
         first += prev
         np.cumsum(sums, axis=0, out=sums)
         prev = sums[-1]
-        filled.append((lo, sums))
-        for ns, tri in tris:
-            # built in a call of its own, so that once the caller drops the
-            # means nothing here holds them while the next block is built
-            yield ns, _block_means(tri, filled), sums[ns[0] - lo : ns[-1] + 1 - lo]
-
-
-def _block_means(tri: np.ndarray, levels) -> np.ndarray:
-    """A block's log means from its triangle and the (lo, rows) levels up to its own, the last.
-
-    The triangle is real, so each level multiplies the interleaved real
-    and imaginary parts of its rows S_k f, k < max(ns), as one real
-    product on the points it is stored on: the block's own level gives
-    the width, and each narrower one repeats across it.
-    """
-    *narrower, (lo, sums) = levels
-    means = (tri[:, lo:] @ sums[: tri.shape[1] - lo].view(np.float64)).view(np.complex128)
-    for k, rows in reversed(narrower):
-        folded = means.reshape(len(tri), -1, rows.shape[1])
-        folded += (tri[:, k : k + len(rows)] @ rows.view(np.float64)).view(np.complex128)[:, None, :]
-    return means
+        for ns in _blocks(lo, lo + len(terms), terms.shape[1]):
+            yield ns, sums[ns[0] - lo : ns[-1] + 1 - lo]
 
 
 def norlund_mean(f: StepFunction, n: int, weights: WeightSequence) -> StepFunction:
-    """(1/Q_n) sum q_{n-k} S_k f over k = 1..n-1, plus q_0 S_n f when q_0 exists.
-
-    Summing the partial sums gives the coefficient multiplier
-    w_j = (Q_{n-1-j} + q_0) / Q_n for j < n, with Q_0 = 0 and the q_0 term
-    only when q_0 exists.
-    """
+    """(1/Q_n) sum q_{n-k} S_k f over k = 1..n-1, plus q_0 S_n f when q_0 exists:
+    the coefficient multiplier of :func:`multiplier_rows` on the whole group."""
     check_range(n, 1, f.radix_seq.size, "mean order")
-    q_n = weights.total(n)
-    if q_n <= 0:
-        raise ZeroTotalWeight(f"Q_{n} = {q_n}")
-    totals = np.concatenate(([0.0], weights._cumsum[: n - 1]))  # Q_0 .. Q_{n-1}
-    return synthesize_multiplier(f, (totals[::-1] + (weights.q0 or 0.0)) / q_n)
+    return synthesize_multiplier(f, multiplier_rows(weights, np.array([n]), n)[0])
 
 
 def log_mean(f: StepFunction, n: int) -> StepFunction:

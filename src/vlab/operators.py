@@ -4,10 +4,11 @@ The weighted maximal operator is the pointwise sup over n >= 2 of
 |L_n f| / phi(n+1) over the logarithmic means L_n, where phi is a
 non-decreasing weight with phi >= 1.
 The power weight phi(n) = n^alpha with alpha = 1/p - 1 is the critical
-weight for 0 < p < 1.  The maximal operator and the domination chain
-read the blocks of ``means.log_mean_blocks``, the one generator of the
-partial sums and log means up to n_max, which also checks n_max: L_n f
-and S_n f side by side, on the points of the stack level that holds n.
+weight for 0 < p < 1.  The maximal operator reads the log-mean blocks of
+``means.mean_blocks``, which also checks n_max; the domination chain
+zips them with the same blocks of ``means.partial_sum_blocks``, L_n f and
+S_n f from one transform of f, side by side on the M_s points of the level
+that holds n.
 """
 
 from __future__ import annotations
@@ -18,8 +19,9 @@ import numpy as np
 
 from .errors import DegenerateInput, InvalidWeight, RankOutOfRange
 from .group_core import RadixSequence, check_range
-from .means import log_mean_blocks, weights_from_file
+from .means import mean_blocks, partial_sum_blocks, weights_from_file
 from .step_functions import StepFunction, check_exponent
+from .transform import forward_fast
 
 # Largest slack domination_check lets pass: the chain holds up to roundoff.
 DOMINATION_TOL = 1e-12
@@ -111,27 +113,21 @@ def parse_weight_spec(spec: str) -> WeightFunction:
 
 
 def weighted_maximal(f: StepFunction, weight: WeightFunction, n_max: int) -> StepFunction:
-    """Pointwise sup over 2 <= n <= n_max of |L_n f| / phi(n+1).
-
-    Truncation at n_max gives a lower bound on the sup over all n.  The
-    sup is taken on the widths of the log-mean blocks, the last of them
-    the M_r points of the stack's widest level, and tiled out to M_N
-    only at the end.
-    """
+    """Pointwise sup over 2 <= n <= n_max of |L_n f| / phi(n+1), a lower bound on the sup
+    over all n.  It is taken on the widths of the log-mean blocks, the last of
+    them the M_r points of the widest level, and tiled out to M_N at the end."""
     if not isinstance(weight, WeightFunction):
         raise InvalidWeight(f"weight must be a WeightFunction, got {type(weight)}")
     seq = f.radix_seq
     # phi(n+1) at entry n-1, so a bad weight is refused before any block
     phis = weight.phi(np.arange(2, min(n_max, seq.size) + 2))
     best = np.zeros(1)
-    for ns, means, _ in log_mean_blocks(f, n_max):
+    for ns, means in mean_blocks(forward_fast(f), n_max):
         cand = np.abs(means)
         cand /= phis[ns - 1, None]
         # each block's width is a multiple of the last one's
         best = np.maximum(cand.max(axis=0).reshape(-1, best.size), best).ravel()
-        # free the block before the next is built: glibc hands back free
-        # heap beyond twice the largest block it has freed (the stack), so
-        # a call that held two blocks would fault its pages in every time
+        # free the block before the next is built, so a call holds one block
         del means, cand
     return StepFunction(seq, np.tile(best, seq.size // best.size))
 
@@ -145,23 +141,25 @@ class DominationResult:
 def domination_check(f: StepFunction, p: float, n_max: int) -> DominationResult:
     """Verify |L_n f|/(n+1)^{1/p-1} <= sup_{1<=k<=n} |S_k f|/(k+1)^{1/p-1}.
 
-    Checked pointwise for every 2 <= n <= n_max, row for row on the
-    blocks of ``log_mean_blocks``; n = 1 holds trivially because
-    L_1 f = 0.  Both sides are constant on the rank-r cylinders of the
-    stack's widest level, so checking its M_r points checks all M_N.  Returns
-    the largest violation found (negative or tiny positive slack means
-    the chain holds).
+    Checked pointwise for every 2 <= n <= n_max, row for row on the blocks
+    of ``partial_sum_blocks`` and ``mean_blocks``, on the M_r points of the
+    widest level, which check all M_N; n = 1 holds as L_1 f = 0.  Returns the
+    largest violation (negative or tiny positive slack: the chain holds).
     """
     # phi(n+1) = (n+1)^{1/p-1} at entry n-1, once, as in weighted_maximal
     phis = critical_power_weight(p).phi(np.arange(2, min(n_max, f.radix_seq.size) + 2))
     # sup over the orders so far of |S_k| / phi(k+1), carried from block to block
     best = np.zeros(1)
     worst = -np.inf
-    for ns, means, sums in log_mean_blocks(f, n_max):
+    cv = forward_fast(f)
+    # the stack first: its memory check comes before any block is built
+    blocks = zip(partial_sum_blocks(cv, n_max), mean_blocks(cv, n_max), strict=True)
+    for (ns, sums), (mean_ns, block_means) in blocks:
+        assert np.array_equal(ns, mean_ns), "sum and mean blocks hold the same orders"
         ws = phis[ns - 1, None]
-        lhs = np.abs(means)
+        lhs = np.abs(block_means)
         lhs /= ws
-        del means  # only its moduli are read
+        del block_means  # only its moduli are read
         running = np.abs(sums)
         running /= ws
         np.maximum(running[0], np.tile(best, running.shape[1] // best.size), out=running[0])
@@ -169,7 +167,7 @@ def domination_check(f: StepFunction, p: float, n_max: int) -> DominationResult:
         best = running[-1].copy()
         lhs -= running
         # the row L_1 f = 0 only seeds the sup: the chain is checked from n = 2
-        worst = max(worst, float(np.max(lhs, where=ns[:, None] > 1, initial=-np.inf)))
+        worst = max(worst, float(lhs[int(ns[0] == 1) :].max(initial=-np.inf)))
         del lhs, running  # freed before the next block, as in weighted_maximal
     return DominationResult(passed=worst <= DOMINATION_TOL, max_slack=worst)
 

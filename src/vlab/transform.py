@@ -207,6 +207,11 @@ def forward_naive(f: StepFunction) -> CoefficientVector:
     return CoefficientVector(f.radix_seq, forward_naive_block(f.values[None], f.radix_seq))
 
 
+# Points of a block of rows the passes take at once, B = max(1, BLOCK_POINTS // M)
+# rows of M points: two transform samples at 4096 points, or B orders of a mean level.
+BLOCK_POINTS = 1 << 13
+
+
 # Points per chunk of digits: c <= 16 points is at most 4 times the chunk's
 # radix sum, which keeps the passes within fast_op_bound; 64 points is not.
 CHUNK_POINTS = 16

@@ -3,7 +3,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vlab.means import log_mean_blocks
+from vlab.means import partial_sum_blocks
+from vlab.transform import forward_fast
 
 
 @pytest.fixture
@@ -24,7 +25,7 @@ def write_step():
 
 @pytest.fixture
 def dense_sums():
-    """Tiles the partial sums of ``log_mean_blocks(f, n_max)`` out to dense rows.
+    """Tiles the partial sums of ``partial_sum_blocks(forward_fast(f), n_max)`` out to dense rows.
 
     Row k of the (n_max + 1, M_r) result is S_k f at the M_r points of the
     truncation the last block is as wide as (row 0 is zero), each block's
@@ -32,7 +33,7 @@ def dense_sums():
     """
 
     def unpack(f, n_max):
-        blocks = [sums for _, _, sums in log_mean_blocks(f, n_max)]
+        blocks = [sums for _, sums in partial_sum_blocks(forward_fast(f), n_max)]
         width = blocks[-1].shape[1]
         rows = [np.tile(sums, width // sums.shape[1]) for sums in blocks]
         return np.concatenate([np.zeros((1, width), dtype=np.complex128), *rows])

@@ -124,11 +124,12 @@ def test_transform_report_is_independent_of_blas_threads(tmp_path, argv):
     assert one == two
 
 
-# theorem-a's log-mean blocks are products of several shapes: at nmax 150
-# on (2,3) the blocks cross the level cut at M_5 = 72, and at nmax = M_N
-# = 512 dyadic every scale from 64 up cuts a level; the domination
-# workload's setting, and nmax 1500 on 2^11, whose widest level products
-# (64 orders by 2048 points) are the largest of these
+# theorem-a's log-mean blocks are inverse passes of several shapes, one per
+# level width and block: at nmax 150 on (2,3) the blocks cross the level
+# cut at M_5 = 72, and at nmax = M_N = 512 and 1024 dyadic every scale from
+# 64 up cuts a level, the widest levels in blocks of 16 and 8 orders; the
+# domination workload's setting, and nmax 1500 on 2^11, whose widest level
+# takes blocks of 4 orders by 2048 points
 @pytest.mark.parametrize("argv, names", [
     (["theorem-a", "--radices", "2,3", "--depth", "6", "--nmax", "150", "--samples", "10",
       "--seed", "7"], ["r.csv", "r.domination.csv"]),
@@ -138,10 +139,12 @@ def test_transform_report_is_independent_of_blas_threads(tmp_path, argv):
       "--seed", "7"], ["r.csv", "r.domination.csv"]),
     (["theorem-a", "--radices", "2", "--depth", "11", "--nmax", "1500", "--samples", "2",
       "--seed", "7"], ["r.csv", "r.domination.csv"]),
+    (["theorem-a", "--radices", "2", "--depth", "10", "--nmax", "1024", "--samples", "2",
+      "--seed", "7"], ["r.csv", "r.domination.csv"]),
     (["theorem-b", "--radices", "2", "--k-list", "1,2,3,4,5,6", "--theta-samples", "5",
       "--seed", "7"], ["r.csv", "r.theta.csv"]),
 ], ids=["theorem-a-2,3-150", "theorem-a-2-MN", "theorem-a-domination", "theorem-a-2-1500",
-        "theorem-b"])
+        "theorem-a-2-1024", "theorem-b"])
 def test_mean_reports_are_independent_of_blas_threads(tmp_path, argv, names):
     one, two = _reports_under_blas_threads(tmp_path, argv, names)
     assert one == two
@@ -700,10 +703,9 @@ def test_theorem_b_builds_each_case_once(monkeypatch):
 
 
 def test_stack_beyond_physical_memory_is_exit_two(monkeypatch, capsys):
-    # packed rows plus stack would take 2 * 700416 * 16 bytes (21 MiB),
-    # beside 557056 * 8 bytes of log-mean triangles, one (len(ns), max(ns))
-    # per block of at most 64 orders of a level; a 1 MiB budget stands in
-    # for physical memory, so nothing that size is allocated
+    # packed rows plus stack would take 2 * 700416 * 16 bytes (21 MiB); a
+    # 1 MiB budget stands in for physical memory, so nothing that size is
+    # allocated
     monkeypatch.setattr(group_core, "_physical_memory", lambda: 2**20)
     means_mod._stack_plan.cache_clear()
     argv = ["theorem-a", "--radices", "2", "--depth", "10", "--nmax", "1024", "--samples", "2"]
@@ -716,7 +718,7 @@ def test_stack_beyond_physical_memory_is_exit_two(monkeypatch, capsys):
     assert rc == 2
     err = capsys.readouterr().err.splitlines()
     assert err == [
-        "error: partial-sum stack for n_max=1024, M_r=1024 needs 26869760 bytes, "
+        "error: partial-sum stack for n_max=1024, M_r=1024 needs 22413312 bytes, "
         "physical memory is 1048576"
     ]
     assert peak < 2**20
@@ -751,7 +753,7 @@ def test_warm_transform_takes_few_page_faults(tmp_path):
     # a block's arrays at 4096 points, 128 KiB each, are handed back to glibc
     # and taken again by the next block without faulting in pages; blocks of
     # four samples, whose 256 KiB arrays glibc trims and faults in again,
-    # took about 5,600 faults per warm run (TRANSFORM_POINTS = 2^14)
+    # took about 5,600 faults per warm run (BLOCK_POINTS = 2^14)
     resource = pytest.importorskip("resource")
     argv = ["transform", "--depth", "12", "--samples", "100", "--out", str(tmp_path / "t.csv")]
     assert run(argv) == 0

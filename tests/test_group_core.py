@@ -16,10 +16,16 @@ from vlab.group_core import (
     truncate,
 )
 import vlab.group_core as group_core_mod
-from vlab.means import log_mean, log_mean_blocks, norlund_mean, ones_weights
+from vlab.means import (
+    log_mean,
+    mean_blocks,
+    norlund_mean,
+    ones_weights,
+    partial_sum_blocks,
+)
 from vlab.operators import make_atom
 from vlab.step_functions import StepFunction
-from vlab.transform import dirichlet_closed_MN, dirichlet_kernel, partial_sum
+from vlab.transform import dirichlet_closed_MN, dirichlet_kernel, forward_fast, partial_sum
 
 
 def test_build_radix_scale_table():
@@ -175,8 +181,10 @@ RANGE_CALLERS = {
                          "kernel order {} outside 1..12"),
     "dirichlet_closed_MN": (lambda v: dirichlet_closed_MN(_SEQ, v), 0, 3, RankOutOfRange,
                             "rank {} outside 0..3"),
-    "log_mean_blocks": (lambda v: next(log_mean_blocks(_F, v)), 2, 12, IndexOutOfRange,
-                        "n_max {} outside 2..12"),
+    "mean_blocks": (lambda v: next(mean_blocks(forward_fast(_F), v)), 2, 12, IndexOutOfRange,
+                    "n_max {} outside 2..12"),
+    "partial_sum_blocks": (lambda v: next(partial_sum_blocks(forward_fast(_F), v)), 2, 12, IndexOutOfRange,
+                           "n_max {} outside 2..12"),
     "norlund_mean": (lambda v: norlund_mean(_F, v, ones_weights(14)), 1, 12, IndexOutOfRange,
                      "mean order {} outside 1..12"),
     "log_mean": (lambda v: log_mean(_F, v), 2, 12, IndexOutOfRange,

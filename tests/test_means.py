@@ -18,15 +18,25 @@ from vlab.means import (
     WeightSequence,
     harmonic_l,
     log_mean,
-    log_mean_blocks,
     log_weights,
+    mean_blocks,
+    multiplier_rows,
     norlund_mean,
     ones_weights,
+    partial_sum_blocks,
     weight_sequence_from_spec,
     weights_from_file,
 )
 from vlab.step_functions import StepFunction
-from vlab.transform import ROW_BLOCK, character_rows, dirichlet_closed_MN, forward_fast, partial_sum
+from vlab.transform import (
+    BLOCK_POINTS,
+    ROW_BLOCK,
+    character_rows,
+    dirichlet_closed_MN,
+    forward_fast,
+    inverse_block,
+    partial_sum,
+)
 
 
 def character(seq, n):
@@ -241,16 +251,19 @@ def test_batch_stabilizes_after_last_coefficient(dense_sums):
 
 def test_batch_out_of_range():
     seq = build_radix((2, 3))
+    f = StepFunction(seq, np.ones(seq.size))
     for n_max in (1, seq.size + 1):
         with pytest.raises(IndexOutOfRange):
-            next(log_mean_blocks(StepFunction(seq, np.ones(seq.size)), n_max))
+            next(mean_blocks(forward_fast(f), n_max))
+        with pytest.raises(IndexOutOfRange):
+            next(partial_sum_blocks(forward_fast(f), n_max))
 
 
 def test_log_mean_stack_matches_single_calls():
     seq = build_radix((2, 3, 2, 3))
     f = random_function(seq, 11)
     n_max = 20
-    ((ns, rows, _),) = log_mean_blocks(f, n_max)
+    ((ns, rows),) = mean_blocks(forward_fast(f), n_max)
     assert list(ns) == list(range(1, n_max + 1))
     assert rows.shape == (n_max, seq.size)
     assert not rows[0].any()  # L_1 f = 0
@@ -282,8 +295,9 @@ def test_log_mean_stacks_match_walk():
     seq = build_radix((2, 3, 2))
     f = random_function(seq, 22)
     walk = walk_partial_sums(f, seq.size)
-    ((ns, rows, sums),) = log_mean_blocks(f, seq.size)
-    assert list(ns) == list(range(1, seq.size + 1))
+    ((ns, rows),) = mean_blocks(forward_fast(f), seq.size)
+    ((sum_ns, sums),) = partial_sum_blocks(forward_fast(f), seq.size)
+    assert list(ns) == list(sum_ns) == list(range(1, seq.size + 1))
     assert np.max(np.abs(sums - walk[1:])) <= 1e-12
     for n in ns[1:]:
         want = sum(walk[k] / (n - k) for k in range(1, n)) / harmonic_l(n)
@@ -323,7 +337,7 @@ def test_stack_plan_builds_rows_one_block_at_a_time(monkeypatch):
     # S_217..S_300 on 432; each level's rows fit in one block of
     # ROW_BLOCK entries, so the first call makes 3 builds and holds them
     # beside the stack; a second call on the same group and n_max reuses
-    # them and needs little more than the stack and one block of means
+    # them and needs little more than the stack
     seq = build_radix((2, 3) * 4)
     n_max = 300
     f = random_function(seq, 29)
@@ -337,7 +351,7 @@ def test_stack_plan_builds_rows_one_block_at_a_time(monkeypatch):
         digest = hashlib.blake2b()
         tracemalloc.start()
         try:
-            for _, _, block_sums in log_mean_blocks(f, n_max):
+            for _, block_sums in partial_sum_blocks(forward_fast(f), n_max):
                 digest.update(block_sums)  # read in place, not copied
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -361,7 +375,7 @@ def test_stack_plan_builds_rows_one_block_at_a_time(monkeypatch):
     # dyadic at n_max = M_N = 1024, the widest levels take several
     # blocks: 128 rows of 512 points at a time, then 64 of 1024
     means_mod._stack_plan.cache_clear()
-    next(log_mean_blocks(random_function(build_radix((2,) * 10), 30), 1024))
+    next(partial_sum_blocks(forward_fast(random_function(build_radix((2,) * 10), 30)), 1024))
     assert spans == [
         (64, 0, 64), (128, 64, 128), (256, 128, 256),
         *((512, lo, lo + 128) for lo in range(256, 512, 128)),
@@ -377,11 +391,11 @@ def test_packed_stack_sizes():
     # n_max = M_N = 1024, about 2/3 of the dense 1025 x 1024
     # (each block's sums are a view of the stack)
     seq = build_radix((2, 3) * 4)
-    assert next(log_mean_blocks(random_function(seq, 5), 300))[2].base.nbytes == 1_161_216
+    assert next(partial_sum_blocks(forward_fast(random_function(seq, 5)), 300))[1].base.nbytes == 1_161_216
     rows, _ = means_mod._stack_plan(seq, 300)
     assert rows.nbytes == 1_161_216
     seq = build_radix((2,) * 10)
-    packed = next(log_mean_blocks(random_function(seq, 6), 1024))[2].base.size
+    packed = next(partial_sum_blocks(forward_fast(random_function(seq, 6)), 1024))[1].base.size
     assert packed == 64 * 64 + 64 * 128 + 128 * 256 + 256 * 512 + 512 * 1024
     assert round(packed / (1025 * 1024), 3) == 0.667
 
@@ -416,9 +430,9 @@ def test_packed_stack_matches_dense_cumsum(radices, n_max):
     assert [lo for lo, _, _ in levels] == [1, *(hi for _, hi, _ in levels[:-1])]
     assert levels[-1][1] == n_max + 1
     orders, stacks = [], set()
-    for ns, _, sums in log_mean_blocks(f, n_max):
+    for ns, sums in partial_sum_blocks(forward_fast(f), n_max):
         lo, hi, m = next(level for level in levels if level[0] <= ns[0] < level[1])
-        assert ns[-1] < hi and sums.shape == (len(ns), m)
+        assert ns[-1] < hi and sums.shape == (len(ns), m) and len(ns) <= max(1, BLOCK_POINTS // m)
         rows = dense[ns[0] : ns[-1] + 1]
         assert np.array_equal(sums.view(np.uint64), rows[:, : 2 * m])
         periods = rows.reshape(len(ns), -1, 2 * m)
@@ -434,21 +448,18 @@ def test_stack_memory_check_counts_quotient_points(monkeypatch):
     # M_N = 7776, but n_max = 300 needs only M_7 = 432 points, and the
     # packed stack keeps S_1..S_72 on 72 of them, S_73..S_216 on 216 and
     # S_217..S_300 on 432; rows and partial sums hold that many complex
-    # values each, beside the log-mean triangles of the blocks of at most
-    # 64 orders of each level: 1..64 and 65..72; 73..136, 137..200 and
-    # 201..216; 217..280 and 281..300
+    # values each
     packed = (72 * 72 + 144 * 216 + 84 * 432) * 16
-    orders = [(1, 64), (65, 72), (73, 136), (137, 200), (201, 216), (217, 280), (281, 300)]
-    need = 2 * packed + sum((top - start + 1) * top for start, top in orders) * 8
+    need = 2 * packed
     seq = build_radix((2, 3) * 5)
     f = StepFunction(seq, np.ones(seq.size))
     monkeypatch.setattr(group_core, "_physical_memory", lambda: need)
     means_mod._stack_plan.cache_clear()
-    assert next(log_mean_blocks(f, 300))[2].base.nbytes == packed
+    assert next(partial_sum_blocks(forward_fast(f), 300))[1].base.nbytes == packed
     monkeypatch.setattr(group_core, "_physical_memory", lambda: need - 1)
     means_mod._stack_plan.cache_clear()
     with pytest.raises(CapacityExceeded):
-        next(log_mean_blocks(f, 300))
+        next(partial_sum_blocks(forward_fast(f), 300))
 
 
 def assert_near_dense(rows, stack, group, ns, rtol=1e-15):
@@ -468,31 +479,118 @@ def assert_near_dense(rows, stack, group, ns, rtol=1e-15):
     assert np.all(np.abs(got - want) <= rtol * scale_)
 
 
-def test_log_mean_triangles_are_built_once_per_n_max(monkeypatch):
-    # orders 1..300 fall in 7 blocks of at most 64 inside the levels
-    # 1..72, 73..216 and 217..300; the stacks of a run share their
-    # group and n_max, so each block's triangle is built once, and
-    # every block's rows match the dense reference
+# the blocks of n_max = 300 on (2,3)x4: the levels 1..72, 73..216 and
+# 217..300 in blocks of BLOCK_POINTS // m orders, 72 at 72 points, 37 at 216
+# and 18 at 432
+_BLOCK_STARTS_300 = [1, 73, 110, 147, 184, 217, 235, 253, 271, 289]
+
+
+def test_multiplier_rows_are_built_once_per_n_max(monkeypatch):
+    # the means of a run share their group and n_max, so each block's
+    # multiplier rows are built once, and every block's rows match the dense
+    # reference to 1e-14 relative (the largest error of these cases is
+    # about 1.3e-15)
     built = []
-    real = means_mod._log_mean_triangle
+    real = means_mod.multiplier_rows
 
-    def counting(start, stop):
-        built.append(start)
-        return real(start, stop)
+    def counting(weights, ns, width):
+        built.append(int(ns[0]))
+        return real(weights, ns, width)
 
-    monkeypatch.setattr(means_mod, "_log_mean_triangle", counting)
-    means_mod._stack_plan.cache_clear()
+    monkeypatch.setattr(means_mod, "multiplier_rows", counting)
+    means_mod._mean_plan.cache_clear()
     seq = build_radix((2, 3) * 4)
     group = stack_group(seq, 300)
-    fs = [random_function(seq, seed) for seed in (1, 2, 3, 31)]
-    blocks = [[(ns, rows) for ns, rows, _ in log_mean_blocks(f, 300)] for f in fs]
-    assert built == [1, 65, 73, 137, 201, 217, 281]
-    for f, f_blocks in zip(fs, blocks):
-        assert [int(ns[-1]) for ns, _ in f_blocks] == [64, 72, 136, 200, 216, 280, 300]
-        assert [int(n) for ns, _ in f_blocks for n in ns] == list(range(1, 301))
+    for seed in (1, 2, 3, 31):
+        f = random_function(seq, seed)
+        blocks = list(mean_blocks(forward_fast(f), 300))
+        assert [int(ns[0]) for ns, _ in blocks] == _BLOCK_STARTS_300
+        assert [int(n) for ns, _ in blocks for n in ns] == list(range(1, 301))
         dense = dense_cumsum(f, group, 300)
-        for ns, rows in f_blocks:
-            assert_near_dense(rows, dense, group, ns)
+        for ns, rows in blocks:
+            assert_near_dense(rows, dense, group, ns, rtol=1e-14)
+    assert built == _BLOCK_STARTS_300
+
+
+def test_rows_past_the_cache_cap_are_built_per_block(monkeypatch):
+    # past _ROW_CACHE entries the plan holds no rows and each block builds
+    # its own, with the same arithmetic: the means keep their bits
+    seq = build_radix((2, 3) * 4)
+    f = random_function(seq, 32)
+    means_mod._mean_plan.cache_clear()
+    cached = list(mean_blocks(forward_fast(f), 300))
+    monkeypatch.setattr(means_mod, "_ROW_CACHE", 72 * 72 + 144 * 216 + 84 * 432 - 1)
+    means_mod._mean_plan.cache_clear()
+    built = list(mean_blocks(forward_fast(f), 300))
+    _, plan = means_mod._mean_plan(seq, 300)
+    assert all(rows is None for _, _, rows in plan)
+    for (ns, want), (got_ns, got) in zip(cached, built, strict=True):
+        assert np.array_equal(ns, got_ns) and np.array_equal(want, got)
+
+
+def _walk_coefficients(weights, ns, n_max):
+    """(len(ns), n_max + 1) weights of S_0 f .. S_{n_max} f in the Norlund means
+    of the orders ns, by the definition: q_{n-k} / Q_n for k = 1..n-1, and
+    q_0 / Q_n at k = n when q_0 exists."""
+    coef = np.zeros((len(ns), n_max + 1))
+    for i, n in enumerate(ns):
+        coef[i, 1:n] = weights.values[n - 2 :: -1][: n - 1]
+        coef[i, n] = weights.q0 or 0.0
+        coef[i] /= weights.total(n)
+    return coef
+
+
+def test_mean_blocks_match_dense_walk():
+    # the log means of every order up to 300 on (2,3)x4 (M_N = 1296): a
+    # dense partial-sum walk weighted by the definition, to 1e-12 relative,
+    # and per-order log_mean for n <= 64
+    seq = build_radix((2, 3) * 4)
+    f = random_function(seq, 33)
+    group = stack_group(seq, 300)
+    dense = dense_cumsum(f, group, 300)
+    orders = []
+    for ns, rows in mean_blocks(forward_fast(f), 300):
+        want = _walk_coefficients(log_weights(300), ns, 300) @ dense
+        got = np.tile(rows, group.size // rows.shape[1])
+        scale_ = np.max(np.abs(want), axis=1, keepdims=True)
+        assert np.all(np.abs(got - want) <= 1e-12 * scale_)
+        for n, row in zip(ns, rows):
+            if 2 <= n <= 64:
+                single = log_mean(f, n).values
+                err = np.max(np.abs(np.tile(row, seq.size // row.size) - single))
+                assert err <= 1e-12 * np.max(np.abs(single))
+        orders += list(ns)
+    assert orders == list(range(1, 301))
+
+
+def _custom_300(q0):
+    return WeightSequence(values=np.random.default_rng(5).uniform(0.1, 2.0, 300), q0=q0)
+
+
+@pytest.mark.parametrize(
+    "weights", [ones_weights(300), log_weights(300), _custom_300(None), _custom_300(0.7)],
+    ids=["ones", "log", "custom", "custom_q0"],
+)
+def test_multiplier_rows_match_dense_walk(weights):
+    # the rows of any weights, applied to the coefficients in blocks as
+    # mean_blocks applies them, give the Norlund means of every order up to
+    # 300 on the 432 points of (2,3)x4 that hold them: the dense walk to
+    # 1e-12 relative, and per-order norlund_mean for n <= 64
+    seq = build_radix((2, 3) * 4)
+    f = random_function(seq, 33)
+    group = stack_group(seq, 300)
+    dense = dense_cumsum(f, group, 300)
+    coeffs = forward_fast(f).coeffs[: group.size]
+    for ns in np.array_split(np.arange(1, 301), 10):
+        rows = inverse_block(multiplier_rows(weights, ns, group.size) * coeffs, group)
+        want = _walk_coefficients(weights, ns, 300) @ dense
+        scale_ = np.max(np.abs(want), axis=1, keepdims=True)
+        assert np.all(np.abs(rows - want) <= 1e-12 * scale_)
+        for n, row in zip(ns, rows):
+            if n <= 64:
+                single = norlund_mean(f, n, weights).values
+                err = np.max(np.abs(np.tile(row, seq.size // row.size) - single))
+                assert err <= 1e-12 * np.max(np.abs(single))
 
 
 # n_max at a scale M_s >= 64 and one and two past it: on (2,3)x4 at
@@ -507,15 +605,15 @@ _LEVEL_CASES = [
 
 @pytest.mark.parametrize("radices, n_max", _LEVEL_CASES)
 def test_level_product_matches_dense_reference(radices, n_max):
-    # each level of a block's triangle meets only the first M_s points of
-    # its stack rows; the rows, repeated over the M_r points, are the dense
-    # product over every row and point
+    # each block's log means are synthesized on the first M_s points of its
+    # level; the rows, repeated over the M_r points, are the dense product
+    # over every row and point
     seq = build_radix(radices)
     group = stack_group(seq, n_max)
     f = random_function(seq, 37)
     dense = dense_cumsum(f, group, n_max)
     orders = []
-    for ns, rows, _ in log_mean_blocks(f, n_max):
+    for ns, rows in mean_blocks(forward_fast(f), n_max):
         assert_near_dense(rows, dense, group, ns, rtol=1e-12)
         orders += list(ns)
     assert orders == list(range(1, n_max + 1))
@@ -523,26 +621,19 @@ def test_level_product_matches_dense_reference(radices, n_max):
 
 def test_level_plan_cuts_the_product_work():
     # at the domination parameters (n_max = 300 on (2,3)x4, M_r = 432) the
-    # levels are cut at the scales 72 and 216, and each block of at most
-    # 64 orders lies in one level; the full-width product of a block
-    # reaches max(ns) columns x 432 points per order, the level products
-    # only the points each level is stored on
+    # levels are cut at the scales 72 and 216, and each block of
+    # BLOCK_POINTS // m orders lies in one level; its means are synthesized on
+    # the m points of its level, 56% of the points of full-width blocks
     seq = build_radix((2, 3) * 4)
     levels = means_mod._levels(seq.scales, 300)
     assert levels == ((1, 73, 72), (73, 217, 216), (217, 301, 432))
     _, stack_plan = means_mod._stack_plan(seq, 300)
-    assert [(lo, rows.shape) for lo, rows, _ in stack_plan] == [
+    assert [(lo, rows.shape) for lo, rows in stack_plan] == [
         (1, (72, 72)), (73, (144, 216)), (217, (84, 432))
     ]
-    starts = [[int(ns[0]) for ns, _ in tris] for _, _, tris in stack_plan]
-    assert starts == [[1, 65], [73, 137, 201], [217, 281]]
-    plan = [ns for _, _, tris in stack_plan for ns, _ in tris]
-    full = sum(len(ns) * int(ns[-1]) * 432 for ns in plan)
-    levelled = sum(
-        len(ns) * (min(hi, int(ns[-1])) - lo) * m
-        for ns in plan
-        for lo, hi, m in levels
-        if lo < ns[-1]
-    )
-    assert full == 23_134_464
-    assert levelled <= 0.45 * full
+    blocks = list(mean_blocks(forward_fast(random_function(seq, 34)), 300))
+    assert [int(ns[0]) for ns, _ in blocks] == _BLOCK_STARTS_300
+    assert [rows.shape[1] for _, rows in blocks] == [72, *[216] * 4, *[432] * 5]
+    levelled = sum(rows.size for _, rows in blocks)
+    assert levelled == 72 * 72 + 144 * 216 + 84 * 432
+    assert levelled <= 0.57 * 300 * 432

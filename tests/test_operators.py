@@ -12,7 +12,7 @@ from vlab.errors import (
 )
 from vlab.group_core import build_radix
 import vlab.means as means_mod
-from vlab.means import log_mean_blocks
+from vlab.means import mean_blocks, partial_sum_blocks
 from vlab.operators import (
     WeightFunction,
     condition6_advisory,
@@ -30,7 +30,13 @@ from vlab.step_functions import (
     hardy_quasinorm,
     lp_quasinorm,
 )
-from vlab.transform import character_rows, dirichlet_closed_MN, forward_fast, partial_sum
+from vlab.transform import (
+    BLOCK_POINTS,
+    character_rows,
+    dirichlet_closed_MN,
+    forward_fast,
+    partial_sum,
+)
 from vlab.means import harmonic_l
 
 
@@ -201,12 +207,12 @@ def test_weight_is_refused_before_any_block(monkeypatch):
 
     blocks = []
 
-    def counting(f, n_max):
-        for block in log_mean_blocks(f, n_max):
+    def counting(cv, n_max):
+        for block in mean_blocks(cv, n_max):
             blocks.append(block[0])
             yield block
 
-    monkeypatch.setattr(operators_mod, "log_mean_blocks", counting)
+    monkeypatch.setattr(operators_mod, "mean_blocks", counting)
     f = random_function(build_radix((2, 3) * 4), 3)
     calls = [
         lambda: weighted_maximal(f, power_weight(400), 300),
@@ -281,16 +287,16 @@ def _full_accumulate_slack(dense, blocks, p, n_max):
 )
 @pytest.mark.parametrize("n_max", [2, 64, 65, 129, 300])
 def test_blocked_running_max_matches_full_accumulate(radices, n_max):
-    # orders 1..64 fill the first block, and 300 carries the running sup
+    # orders 1..64 fill the first level, and 300 carries the running sup
     # across several levels and blocks; the log-mean rows come from the
     # same blocks, so only the running sup differs from the reference.
     # Dyadic, 65 and 129 each open a level of their own, the log means of
-    # orders 64 and 128 on 64 and 128 points beside S_65 and S_129 on 128
+    # orders 64 and 128 on 64 and 128 points beside L_65 and L_129 on 128
     # and 256
     seq = build_radix(radices)
     for seed, p in ((14, 0.5), (15, 0.8)):
         f = random_function(seq, seed)
-        blocks = [(ns, means) for ns, means, _ in log_mean_blocks(f, n_max)]
+        blocks = list(mean_blocks(forward_fast(f), n_max))
         want = _full_accumulate_slack(_whole_group_stack(f, n_max), blocks, p, n_max)
         assert domination_check(f, p, n_max).max_slack == want
 
@@ -336,8 +342,9 @@ def test_quotient_stack_matches_whole_group(radices, n_max, width, dense_sums):
     # truncation; tiled M_N / M_r times it is the stack on the whole group,
     # and the maximal function and the domination slack are those of the
     # whole-group stack.  The stacks are equal bit for bit; the log-mean
-    # rows behind the maximal function come from triangle products of
-    # different widths, which may round the last bit differently
+    # rows behind the maximal function come from multiplier blocks, not
+    # the reference's triangle product, which may round the last bits
+    # differently
     seq = build_radix(radices)
     f = random_function(seq, 41)
     stack = dense_sums(f, n_max)
@@ -364,7 +371,7 @@ def test_quotient_stack_matches_whole_group(radices, n_max, width, dense_sums):
     ids=["2,3x4-300", "2x8-65", "2x8-129"],
 )
 def test_log_mean_blocks_lie_inside_one_level(radices, n_max):
-    # each block of at most 64 orders lies inside one level of the stack,
+    # each block of BLOCK_POINTS // m orders lies inside one level of width m,
     # its log means as wide as its partial sums, and L_1 f = 0 opens the
     # first; at 65 and 129, n_max - 1 is a scale and the top level holds
     # one order.  Tiled out, the rows are the whole-group rows
@@ -372,9 +379,12 @@ def test_log_mean_blocks_lie_inside_one_level(radices, n_max):
     f = random_function(seq, 45)
     levels = means_mod._levels(seq.scales, n_max)
     orders, means, sums = [], [], []
-    for ns, block_means, block_sums in log_mean_blocks(f, n_max):
-        assert len(ns) <= 64
-        assert any(lo <= ns[0] and ns[-1] < hi and m == block_sums.shape[1] for lo, hi, m in levels)
+    cv = forward_fast(f)
+    blocks = zip(mean_blocks(cv, n_max), partial_sum_blocks(cv, n_max), strict=True)
+    for (ns, block_means), (sum_ns, block_sums) in blocks:
+        m = block_sums.shape[1]
+        assert np.array_equal(ns, sum_ns) and len(ns) <= max(1, BLOCK_POINTS // m)
+        assert any(lo <= ns[0] and ns[-1] < hi and width == m for lo, hi, width in levels)
         assert block_means.shape == block_sums.shape
         orders += list(ns)
         means.append(np.tile(block_means, seq.size // block_means.shape[1]))
@@ -393,18 +403,38 @@ def test_log_mean_blocks_lie_inside_one_level(radices, n_max):
 def test_log_mean_maximal_memory_does_not_grow_with_the_group():
     # M_N = 46656, but n_max = 300 needs only M_7 = 432 points; rows and
     # stack on the whole group would take 2 * 301 * 46656 complex values
-    # (429 MiB)
+    # (429 MiB).  The maximal function builds no partial-sum stack: a cold
+    # call holds its cached multiplier rows (72,576 reals), one block and
+    # the M_N-wide coefficients and result
     seq = build_radix((2, 3) * 6)
     f = random_function(seq, 43)
     means_mod._stack_plan.cache_clear()
+    means_mod._mean_plan.cache_clear()
     tracemalloc.start()
     try:
         weighted_maximal(f, log_weight(), 300)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 12 * 2**20
-    assert means_mod._stack_plan(seq, 300)[0].nbytes == 1_161_216
+    assert peak < 4 * 2**20
+    assert means_mod._stack_plan.cache_info().currsize == 0
+
+
+def test_maximal_at_the_top_order_holds_one_block():
+    # n_max = M_N = 8192 dyadic: the parent's stack and triangles took more
+    # than 1 GiB here; the rows of all orders (4096 x 8192 at the top level
+    # alone) pass the cache cap, so each block builds its own and a cold
+    # call holds one block of BLOCK_POINTS values at a time
+    seq = build_radix((2,) * 13)
+    f = random_function(seq, 46)
+    means_mod._mean_plan.cache_clear()
+    tracemalloc.start()
+    try:
+        weighted_maximal(f, log_weight(), seq.size)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 _WARM_CASES = [((2, 3) * 4, 300), ((2,) * 10, 1024), (build_radix((3, 5, 3), 5).radices, 300)]
@@ -412,22 +442,24 @@ _WARM_CASES = [((2, 3) * 4, 300), ((2,) * 10, 1024), (build_radix((3, 5, 3), 5).
 
 def test_warm_calls_hold_one_block_beside_the_stack():
     # at the domination parameters, and on a dyadic and a (3,5,3) stack, a
-    # warm call holds its stack and one block's rows and moduli at a time:
-    # with glibc's 128 KiB top pad that stays below twice the stack, the
-    # free heap glibc keeps between calls, so the calls do not hand back
-    # pages and fault them in again.  The bound holds only where the stack
-    # is large beside the call's M_N-wide arrays: on (2,)x12 at n_max 200
-    # (stack 491,520 B) a warm call's peak plus the pad is about 1.22 MB
-    # against a bound of 983,040 B, and 20 warm calls of either function
-    # take about 4,320 minor faults (0 or 1 at n_max 300 and at (2,3)x4)
+    # warm domination check holds its stack and one block's rows and
+    # moduli at a time: with glibc's 128 KiB top pad that stays below
+    # twice the stack, the free heap glibc keeps between calls, so the
+    # calls do not hand back pages and fault them in again.  The bound
+    # holds only where the stack is large beside the call's M_N-wide
+    # arrays: on (2,)x12 at n_max 200 (stack 491,520 B) a warm call's peak
+    # plus the pad is about 1.29 MB against a bound of 983,040 B.  The
+    # maximal function builds no stack: it holds a few arrays of one
+    # block, of BLOCK_POINTS complex values, at a time
     for radices, n_max in _WARM_CASES:
         seq = build_radix(radices)
         f = random_function(seq, 44)
         domination_check(f, 0.5, n_max)
+        weighted_maximal(f, log_weight(), n_max)
         stack_bytes = means_mod._stack_plan(seq, n_max)[0].nbytes  # the stack's layout
-        for call in (
-            lambda: domination_check(f, 0.5, n_max),
-            lambda: weighted_maximal(f, log_weight(), n_max),
+        for call, bound in (
+            (lambda: domination_check(f, 0.5, n_max), 2 * stack_bytes - 2**17),
+            (lambda: weighted_maximal(f, log_weight(), n_max), 4 * 16 * BLOCK_POINTS),
         ):
             tracemalloc.start()
             try:
@@ -435,30 +467,34 @@ def test_warm_calls_hold_one_block_beside_the_stack():
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            assert peak + 2**17 < 2 * stack_bytes, (radices, n_max)
+            assert peak < bound, (radices, n_max)
 
 
 def test_warm_calls_take_few_page_faults():
-    # the same calls, 20 at a time: each call allocates its stack as one
-    # array, which glibc keeps between calls, so warm calls fault in
-    # almost no pages.  A stack of one array per level is handed back and
-    # faulted in again on every call: about 9,000 faults per 20 calls at
-    # (2,3)x4, 28,000 at 2^10
+    # the same calls, 20 at a time: each domination check allocates its
+    # stack as one array, which glibc keeps between calls, so warm calls
+    # fault in almost no pages.  A stack of one array per level is handed
+    # back and faulted in again on every call: about 9,000 faults per 20
+    # calls at (2,3)x4, 28,000 at 2^10.  The maximal function holds no
+    # stack; on (2,)x12 at n_max 200 it took about 4,320 faults per 20
+    # calls while it still filled one
     resource = pytest.importorskip("resource")
-    for radices, n_max in _WARM_CASES:
+    cases = [(case, (domination_check, weighted_maximal)) for case in _WARM_CASES]
+    for (radices, n_max), fns in [*cases, (((2,) * 12, 200), (weighted_maximal,))]:
         seq = build_radix(radices)
         f = random_function(seq, 44)
-        domination_check(f, 0.5, n_max)
-        weighted_maximal(f, log_weight(), n_max)
-        for call in (
-            lambda: domination_check(f, 0.5, n_max),
-            lambda: weighted_maximal(f, log_weight(), n_max),
-        ):
+        calls = {
+            domination_check: lambda: domination_check(f, 0.5, n_max),
+            weighted_maximal: lambda: weighted_maximal(f, log_weight(), n_max),
+        }
+        for fn in fns:
+            calls[fn]()
+        for fn in fns:
             before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
             for _ in range(20):
-                call()
+                calls[fn]()
             faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
-            assert faults < 200, (radices, n_max, faults)
+            assert faults < 200, (radices, n_max, fn.__name__, faults)
 
 
 def test_domination_reads_each_partial_sum_on_its_cylinders():
